@@ -12,15 +12,21 @@ from .analytic_core import (
     AnalyticExpr,
     Compose,
     Const,
+    Family,
+    ImageFamily,
     Jet2,
     Moebius,
     MoebiusMap,
     Mul,
     Poly,
+    PolyFamily,
     Pow,
     R_MAX,
     Recip,
+    TreeFamily,
+    as_family,
     compose_moebius,
+    image_family,
     eval_jet,
     moebius_inverse,
     rotation_map,
@@ -69,10 +75,9 @@ from .quadrature import (
     area_integral,
     default_config,
     integral_mean,
-    sup_over_disk,
     taylor_coefficients,
     weighted_radial_integral,
 )
-from .spaces import NormBreakdown, SpaceSpec, norm, parse_space, pointeval_bound, seminorm
+from .spaces import NormBreakdown, SpaceSpec, norm, norms, parse_space, pointeval_bound, seminorm
 
 __version__ = "0.1.0"

@@ -3,11 +3,13 @@
 Functions are represented structurally (polynomials, Moebius maps, sums,
 products, compositions, reciprocals, real powers) and differentiated by
 exact jet arithmetic to second order.  Trees are immutable; evaluation is
-vectorized over numpy arrays of points.
+vectorized over numpy arrays of points.  Families evaluate many
+expressions at once, their derivatives stacked along a leading axis.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 
@@ -24,6 +26,11 @@ _VALIDATION_SAMPLES = 256
 
 # Moduli below this are treated as zeros of a denominator.
 _ZERO_THRESHOLD = 1e-9
+
+# Families evaluate a 2-D grid in blocks of rows so that no stacked
+# intermediate (one complex array over members x block) exceeds this;
+# a block still holds at least one whole row, which reductions need.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,6 +63,22 @@ class Jet2:
             self.df * inner.df,
             self.d2f * inner.df ** 2 + self.df * inner.d2f,
         )
+
+
+def _checked_points(z) -> np.ndarray:
+    arr = np.asarray(z, dtype=complex)
+    if arr.ndim == 0:
+        # One point, as in every optimizer step: plain complex checks.
+        finite, modulus = cmath.isfinite(complex(arr)), abs(complex(arr))
+    elif arr.size:
+        finite, modulus = bool(np.all(np.isfinite(arr))), np.max(np.abs(arr))
+    else:
+        return arr
+    if not finite:
+        raise DomainError("evaluation point is not finite")
+    if modulus >= 1.0:
+        raise DomainError("evaluation point lies outside the open unit disk")
+    return arr
 
 
 def _require_finite(c: complex, what: str) -> complex:
@@ -145,12 +168,7 @@ class AnalyticExpr:
 
     def jet(self, z) -> Jet2:
         """2-jet (f, f', f'') at z; z a complex scalar or array, |z| < 1."""
-        arr = np.asarray(z, dtype=complex)
-        if arr.size:
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("evaluation point is not finite")
-            if np.max(np.abs(arr)) >= 1.0:
-                raise DomainError("evaluation point lies outside the open unit disk")
+        arr = _checked_points(z)
         out = self._jet(arr)
         if arr.ndim == 0:
             return Jet2(complex(out.f), complex(out.df), complex(out.d2f))
@@ -323,6 +341,257 @@ class Pow(AnalyticExpr):
             alpha * s1 * inner_jet.df,
             alpha * (alpha - 1.0) * s2 * inner_jet.df ** 2 + alpha * s1 * inner_jet.d2f,
         )
+
+
+class Family:
+    """Expressions evaluated together, their values stacked on a leading axis.
+
+    Member k's derivative of order 0, 1 or 2 comes out at index k.  The
+    points are shared by every member, or given per member as z[k] (the
+    `_at` forms).  Indexing and iteration give the members as expression
+    trees, the reference that family evaluation must match.
+    """
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def __getitem__(self, k: int) -> AnalyticExpr:
+        raise NotImplementedError
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def _evaluate(self, z: np.ndarray, orders: tuple) -> list:
+        """Stacked derivatives of the given orders at z of shape (1 or len(self), n)."""
+        raise NotImplementedError
+
+    def _height(self) -> int:
+        # Rows of the tallest stacked array an evaluation holds, per point.
+        return len(self)
+
+    def _points(self, z) -> np.ndarray:
+        # Members evaluated through AnalyticExpr.jet check the points there.
+        return np.asarray(z, dtype=complex)
+
+    def _shared(self, z, orders: tuple) -> list:
+        z = self._points(z)
+        shape = (len(self),) + z.shape
+        return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders)]
+
+    def jets(self, z) -> Jet2:
+        """2-jets of every member at the shared points z, shape (len(self),) + z.shape."""
+        return Jet2(*self._shared(z, (0, 1, 2)))
+
+    def derivative(self, z, order: int) -> np.ndarray:
+        """Derivative of the given order of every member at the shared points z."""
+        return self._shared(z, (order,))[0]
+
+    def derivative_at(self, z, order: int) -> np.ndarray:
+        """Derivative of the given order of member k at the points z[k]."""
+        z = self._points(z)
+        [d] = self._evaluate(z.reshape(len(z), -1), (order,))
+        return d.reshape(z.shape)
+
+    def row_blocks(self, z: np.ndarray) -> list:
+        """Row slices of the 2-D grid z that keep a stacked array under BLOCK_BYTES.
+
+        A one-member family takes the whole grid at once.
+        """
+        n_rows, n_cols = z.shape
+        if len(self) == 1:
+            step = n_rows
+        else:
+            step = max(1, BLOCK_BYTES // (max(1, self._height()) * n_cols * 16))
+        return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+    def rowwise(self, z, order: int, reduce) -> np.ndarray:
+        """reduce(values, rows) over the row blocks of the 2-D grid z, joined on axis 1.
+
+        values holds the members' derivatives of the given order at z[rows];
+        reduce returns an array of shape (len(self), number of rows, ...).
+        """
+        z = np.asarray(z, dtype=complex)
+        blocks = self.row_blocks(z)
+        if len(blocks) == 1:
+            return reduce(self.derivative(z, order), blocks[0])
+        out = None
+        for rows in blocks:
+            part = reduce(self.derivative(z[rows], order), rows)
+            if out is None:
+                out = np.empty((part.shape[0], z.shape[0]) + part.shape[2:], dtype=part.dtype)
+            out[:, rows] = part
+        return out
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    # A single member keeps its own array, viewed with a leading axis.
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+class TreeFamily(Family):
+    """Any expressions, each evaluated by its own jet."""
+
+    def __init__(self, members):
+        self.members = tuple(members)
+
+    def __len__(self):
+        return len(self.members)
+
+    def __getitem__(self, k):
+        return self.members[k]
+
+    def _evaluate(self, z, orders):
+        points = [z[0]] * len(self) if len(z) == 1 else z
+        jets = [f.jet(p) for f, p in zip(self.members, points)]
+        names = ("f", "df", "d2f")
+        return [_stacked([getattr(j, names[order]) for j in jets]) for order in orders]
+
+
+class _LinearFamily(Family):
+    """A family linear in a stacked coefficient matrix.
+
+    Derivative d at points z is sum over j of C_j @ T_j, where C_j are
+    the coefficients of the j-th derivatives of the root polynomials and
+    T_j tables over z returned by _terms(z, d) as a dict {j: T_j}.  The
+    tables have shape (width - j, 1 or len(self), n): one row per power.
+    """
+
+    def _terms(self, z: np.ndarray, order: int) -> list:
+        """Term dicts of the derivatives of orders 0 .. order."""
+        raise NotImplementedError
+
+    def _evaluate(self, z, orders):
+        terms = self._terms(z, max(orders))
+        matrices = self._root._matrices
+        out = []
+        for order in orders:
+            total = None
+            for j, table in terms[order].items():
+                if table.shape[1] == 1:
+                    part = matrices[j] @ table[:, 0]
+                else:
+                    part = np.einsum("kd,dkn->kn", matrices[j], table)
+                total = part if total is None else total + part
+            out.append(total)
+        return out
+
+    def _height(self):
+        return max(len(self), self._root._matrices[0].shape[1])
+
+
+class PolyFamily(_LinearFamily):
+    """Polynomials whose coefficients are stacked as a matrix.
+
+    Every member's f, f' or f'' at shared points comes from one power
+    table of the points and one matrix product.
+    """
+
+    def __init__(self, polys):
+        self.polys = tuple(polys)
+        width = max(len(p.coeffs) for p in self.polys)
+        coeffs = np.zeros((len(self.polys), width), dtype=complex)
+        for k, p in enumerate(self.polys):
+            coeffs[k, : len(p.coeffs)] = p.coeffs
+        n = np.arange(width)
+        # Coefficients of f, f' and f'' against z^0, z^1, ...
+        self._matrices = (coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1)))
+        self._root = self
+
+    def __len__(self):
+        return len(self.polys)
+
+    def __getitem__(self, k):
+        return self.polys[k]
+
+    _points = staticmethod(_checked_points)
+
+    def _terms(self, z, order):
+        width = self._matrices[0].shape[1]
+        table = np.empty((width,) + z.shape, dtype=complex)
+        table[0] = 1.0
+        for j in range(1, width):
+            np.multiply(table[j - 1], z, out=table[j])
+        return [{d: table[: width - d]} for d in range(order + 1)]
+
+
+def _scaled(pairs) -> dict:
+    # sum of factor * terms over (factor, terms) pairs, tables merged by j
+    out = {}
+    for factor, terms in pairs:
+        for j, table in terms.items():
+            part = factor * table
+            out[j] = out[j] + part if j in out else part
+    return out
+
+
+class ImageFamily(_LinearFamily):
+    """The images F * (f o phi) of the members f of a PolyFamily or ImageFamily.
+
+    With phi None the images are F * f.  F and phi are evaluated once
+    per call, phi with the disk check that Compose makes.  The product
+    and chain rules then act on the base family's power tables at
+    phi(z), before the matrix product, which by linearity equals acting
+    on the base family's stacked jets.
+    """
+
+    def __init__(self, F: AnalyticExpr, phi: AnalyticExpr | None, base: _LinearFamily):
+        self.F = F
+        self.phi = phi
+        self.base = base
+        self._root = base._root
+
+    def __len__(self):
+        return len(self.base)
+
+    def __getitem__(self, k):
+        f = self.base[k]
+        return Mul(self.F, f if self.phi is None else Compose(f, self.phi))
+
+    def _terms(self, z, order):
+        F = self.F.jet(z)
+        if self.phi is None:
+            base = self.base._terms(z, order)
+            d1, d2 = 1.0, 0.0
+        else:
+            inner = self.phi.jet(z)
+            w = np.asarray(inner.f)
+            if w.size and np.max(np.abs(w)) >= 1.0:
+                raise DomainError("composition inner value left the unit disk")
+            base = self.base._terms(w, order)
+            d1, d2 = inner.df, inner.d2f
+        out = [_scaled([(F.f, base[0])])]
+        if order >= 1:
+            out.append(_scaled([(F.df, base[0]), (F.f * d1, base[1])]))
+        if order >= 2:
+            out.append(_scaled([(F.d2f, base[0]), (2.0 * F.df * d1 + F.f * d2, base[1]), (F.f * d1 * d1, base[2])]))
+        return out
+
+
+def image_family(F: AnalyticExpr, phi: AnalyticExpr | None, base: Family) -> Family:
+    """The images F * (f o phi) of a family's members (F * f when phi is None).
+
+    Images of a PolyFamily or ImageFamily are an ImageFamily; images of
+    any other family are expression trees, each evaluated by its own jet.
+    """
+    if isinstance(base, _LinearFamily):
+        return ImageFamily(F, phi, base)
+    return TreeFamily(Mul(F, f if phi is None else Compose(f, phi)) for f in base)
+
+
+def as_family(obj) -> Family:
+    """obj as a Family: one expression is a one-member family.
+
+    A sequence of polynomials becomes a PolyFamily, any other sequence a
+    TreeFamily; a Family is returned as it is.
+    """
+    if isinstance(obj, Family):
+        return obj
+    if isinstance(obj, AnalyticExpr):
+        return TreeFamily((obj,))
+    members = tuple(obj)
+    if members and all(type(f) is Poly for f in members):
+        return PolyFamily(members)
+    return TreeFamily(members)
 
 
 def eval_jet(e: AnalyticExpr, z) -> Jet2:

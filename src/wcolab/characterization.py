@@ -22,7 +22,10 @@ from .analytic_core import (
     Const,
     Moebius,
     MoebiusMap,
+    R_MAX,
     Recip,
+    as_family,
+    image_family,
     moebius_inverse,
     winding_number,
 )
@@ -32,6 +35,7 @@ from .errors import (
     NonVanishingViolation,
     ParameterError,
     UnsupportedSpace,
+    WcolabError,
 )
 from .operators import (
     DEFAULT_SEED,
@@ -43,8 +47,8 @@ from .operators import (
     isometry_defect,
     random_polynomials,
 )
-from .quadrature import GridConfig, refined_modulus_sup, scan_radii, unit_circle
-from .spaces import SpaceSpec, norm, seminorm
+from .quadrature import FLAT_WEIGHT, GridConfig, refined_modulus_sup, scan_radii, unit_circle
+from .spaces import SpaceSpec, norms, seminorm
 
 AUTOMORPHISM_TOL = 1e-8
 UNIMODULAR_TOL = 1e-9
@@ -168,22 +172,6 @@ def _dlog_log_weight(t):
     return -1.0 / s + 1.0 / (s * np.log(2.0 / s))
 
 
-def _flat_pair(u: AnalyticExpr):
-    def pair(z):
-        jet = u.jet(z)
-        return jet.f, jet.df
-
-    return pair
-
-
-def _derivative_pair(u: AnalyticExpr):
-    def pair(z):
-        jet = u.jet(z)
-        return jet.df, jet.d2f
-
-    return pair
-
-
 def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> MultiplierVerdict:
     """Test whether u is a pointwise multiplier of the space.
 
@@ -202,7 +190,7 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
         slope = _trend_slope(radii, profile)
         if slope > TREND_SLOPE_TOL:
             return MultiplierVerdict("No_Exact", float(profile[-1]), "bounded modulus")
-        sup_u = refined_modulus_sup(_flat_pair(u), lambda t: np.ones_like(t), lambda t: np.zeros_like(t), cfg)
+        sup_u = float(refined_modulus_sup(u, 0, *FLAT_WEIGHT, cfg)[0])
         return MultiplierVerdict("Yes_Exact", sup_u, "bounded modulus")
 
     if space.family == "bloch" and space.beta == 1.0:
@@ -215,15 +203,14 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
         if slope0 > TREND_SLOPE_TOL or slope1 > TREND_SLOPE_TOL:
             worst = float(max(profile0[-1], weighted[-1]))
             return MultiplierVerdict("No_Exact", worst, criterion)
-        measured = refined_modulus_sup(_derivative_pair(u), _log_weight, _dlog_log_weight, cfg)
+        measured = float(refined_modulus_sup(u, 1, _log_weight, _dlog_log_weight, cfg)[0])
         return MultiplierVerdict("Yes_Exact", measured, criterion)
 
-    worst = 0.0
-    for f in default_probe_family(seed):
-        base = norm(space, f, cfg).total
-        if base < 1e-14:
-            continue
-        worst = max(worst, norm(space, u * f, cfg).total / base)
+    probes = as_family(default_probe_family(seed))
+    base = norms(space, probes, cfg)
+    kept = base >= 1e-14
+    ratios = norms(space, image_family(u, None, probes), cfg)[kept] / base[kept]
+    worst = float(np.max(ratios, initial=0.0))
     if worst <= EMPIRICAL_RATIO_CAP:
         return MultiplierVerdict("Yes_Empirical", worst, "empirical norm ratios")
     return MultiplierVerdict("Inconclusive", worst, "empirical norm ratios")
@@ -265,12 +252,14 @@ def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: 
     """sup-grid residual of both composition orders against the identity."""
     inv = WcoSymbols(G, psi)
     pts = _grid_points(cfg)
+    family = as_family(random_polynomials(20, seed))
+    # Values only: G (F o psi) (f o phi o psi) and its mirror.
+    roundtrips = [apply(outer, apply(inner, family)) for outer, inner in ((inv, w), (w, inv))]
     worst = 0.0
-    for f in random_polynomials(20, seed):
-        reference = f.jet(pts).f
-        for outer, inner in ((inv, w), (w, inv)):
-            vals = apply(outer, apply(inner, f)).jet(pts).f
-            worst = max(worst, float(np.max(np.abs(vals - reference))))
+    for rows in family.row_blocks(pts):
+        reference = family.derivative(pts[rows], 0)
+        for image in roundtrips:
+            worst = max(worst, float(np.max(np.abs(image.derivative(pts[rows], 0) - reference))))
     return worst
 
 
@@ -280,8 +269,9 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     NotInvertible always rests on an exact negative: a failed
     automorphism fit, or zeros of F inside the disk, or an exact
     multiplier criterion failing for 1/F.  Inconclusive covers the
-    empirical-multiplier families and weights whose minimum modulus is
-    too small to exclude near-boundary zeros.  A positive verdict ships
+    empirical-multiplier families, weights whose minimum modulus is too
+    small to exclude near-boundary zeros, and grids with r_max short of
+    R_MAX, whose zero counts miss part of the disk.  A positive verdict ships
     with the inverse symbols, a roundtrip residual on seeded
     polynomials, and section condition numbers as corroborating
     evidence.
@@ -291,8 +281,19 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     min_mod = float(np.min(np.abs(w.F.jet(_grid_points(cfg)).f)))
     report = InvertibilityReport(space, fit, zeros, min_mod, None, "Inconclusive")
 
+    # A zero count on a circle short of R_MAX misses the zeros beyond it,
+    # so there it settles no verdict.
+    counts_decide = cfg.r_max == R_MAX
+    partial_count = f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
     if not fit.found:
-        report.verdict = "NotInvertible"
+        # Without a measured residual the fit was rejected by phi's zero count.
+        if counts_decide or np.isfinite(fit.residual):
+            report.verdict = "NotInvertible"
+        else:
+            report.caveat = partial_count
+        return report
+    if not counts_decide:
+        report.caveat = partial_count
         return report
     if zeros != 0:
         report.verdict = "NotInvertible"
@@ -321,7 +322,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     for N in SECTION_DIMENSIONS:
         try:
             conditions[N] = condition_number(finite_section(w, N, cfg))
-        except Exception:
+        except (WcolabError, np.linalg.LinAlgError):
             conditions[N] = float("inf")
     report.section_conditions = conditions
     return report
@@ -349,7 +350,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
         raise UnsupportedSpace(
             f"surjective isometry rigidity needs the decomposed norm; {space} does not have it"
         )
-    sup_f = refined_modulus_sup(_flat_pair(w.F), lambda t: np.ones_like(t), lambda t: np.zeros_like(t), cfg)
+    sup_f = float(refined_modulus_sup(w.F, 0, *FLAT_WEIGHT, cfg)[0])
     inf_f = float(np.min(np.abs(w.F.jet(_grid_points(cfg)).f)))
     unimodular = (
         abs(sup_f - 1.0) <= UNIMODULAR_TOL

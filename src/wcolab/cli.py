@@ -27,6 +27,7 @@ import json
 import math
 import re
 import sys
+import traceback
 
 from .analytic_core import (
     Add,
@@ -218,6 +219,9 @@ def format_expression(e: AnalyticExpr) -> str:
 
 
 def _jsonify(obj):
+    if isinstance(obj, AutomorphismFit) and not math.isfinite(obj.residual):
+        # A fit rejected before its residual was measured reports null.
+        return {"found": obj.found, "map": _jsonify(obj.map), "residual": None}
     if isinstance(obj, AnalyticExpr):
         return format_expression(obj)
     if isinstance(obj, SpaceSpec):
@@ -400,11 +404,20 @@ def main(argv=None) -> int:
             result, code = _run_section(args, cfg)
         else:
             raise AssertionError(args.subcommand)
-    except WcolabError as exc:
+    except Exception as exc:
+        # No verdict: a crash must not exit 1, the code of a negative one.
+        if not isinstance(exc, WcolabError):
+            traceback.print_exc(file=sys.stderr)
         result = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
 
-    document = json.dumps(_envelope(args.subcommand, space, inputs, result), indent=2) + "\n"
+    try:
+        document = json.dumps(_envelope(args.subcommand, space, inputs, result), indent=2, allow_nan=False)
+    except ValueError:
+        result = {"error": "NonFiniteResult", "message": "the result holds a non-finite number"}
+        code = 2
+        document = json.dumps(_envelope(args.subcommand, space, inputs, result), indent=2, allow_nan=False)
+    document += "\n"
     sys.stdout.write(document)
     if getattr(args, "json", None):
         with open(args.json, "w") as fh:

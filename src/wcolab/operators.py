@@ -12,10 +12,10 @@ import dataclasses
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Compose, Mul, Poly, R_MAX
+from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, R_MAX, as_family, image_family
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from .quadrature import GridConfig, taylor_coefficients, unit_circle
-from .spaces import SpaceSpec, norm
+from .spaces import SpaceSpec, norms
 
 DEFAULT_SEED = 0x5EED
 
@@ -48,8 +48,14 @@ class WcoSymbols:
             raise DegenerateInput("F vanishes identically on the validation circle")
 
 
-def apply(w: WcoSymbols, f: AnalyticExpr) -> AnalyticExpr:
-    """The image F * (f o phi), exact as an expression tree."""
+def apply(w: WcoSymbols, f):
+    """The image F * (f o phi), exact as an expression tree.
+
+    For a Family f it is the family of the members' images, evaluated
+    as stacked batches (see image_family).
+    """
+    if isinstance(f, Family):
+        return image_family(w.F, w.phi, f)
     return Mul(w.F, Compose(f, w.phi))
 
 
@@ -98,17 +104,14 @@ def condition_number(s: FiniteSection) -> float:
 
 def isometry_defect(w: WcoSymbols, space: SpaceSpec, family, cfg: GridConfig) -> float:
     """max over the family of | ||W f|| / ||f|| - 1 |."""
-    family = tuple(family)
-    if not family:
+    family = as_family(family)
+    if not len(family):
         raise ParameterError("isometry defect needs a nonempty family")
-    worst = 0.0
-    for f in family:
-        denom = norm(space, f, cfg).total
-        if denom < 1e-14:
-            raise DegenerateInput("family member has numerically zero norm")
-        ratio = norm(space, apply(w, f), cfg).total / denom
-        worst = max(worst, abs(ratio - 1.0))
-    return worst
+    denoms = norms(space, family, cfg)
+    if np.any(denoms < 1e-14):
+        raise DegenerateInput("family member has numerically zero norm")
+    ratios = norms(space, apply(w, family), cfg) / denoms
+    return float(np.max(np.abs(ratios - 1.0)))
 
 
 def random_polynomials(count: int, seed: int = DEFAULT_SEED, max_degree: int = 12) -> tuple:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from .analytic_core import AnalyticExpr, R_MAX
+from .analytic_core import AnalyticExpr, R_MAX, as_family
 from .errors import ParameterError
 
 _PRESET_FACTORS = {"fast": 0.5, "default": 1.0, "fine": 2.0}
@@ -162,7 +162,7 @@ def _jacobi01(n: int, alpha: float):
     return t, w
 
 
-def weighted_radial_integral(h, exponent: float, cfg: GridConfig) -> float:
+def weighted_radial_integral(h, exponent: float, cfg: GridConfig) -> float | np.ndarray:
     """Integral of aq (1-r^2)^(aq-1) h(r) 2r dr over [0, 1], aq = exponent + 1.
 
     The rule runs in r, not t = r^2: Gauss-Jacobi nodes absorb the
@@ -170,25 +170,31 @@ def weighted_radial_integral(h, exponent: float, cfg: GridConfig) -> float:
     remaining 2 aq r (1+r)^(aq-1) factor is analytic on [0, 1], so
     convergence is spectral in h.  Working in t instead would turn odd
     circle means like M_1(r) = r into half powers of t and cost the rule
-    its accuracy at the origin.  h takes an array of radii.
+    its accuracy at the origin.  h takes an array of radii and returns
+    one profile, or stacked profiles (one row each) for one integral per
+    row.
     """
     aq = float(exponent) + 1.0
     if aq <= 0.0:
         raise ParameterError(f"weighted radial integral requires exponent > -1, got {exponent}")
     r, w = _jacobi01(cfg.n_radial, aq - 1.0)
     vals = np.asarray(h(r), dtype=float)
-    return aq * float(w @ (2.0 * r * (1.0 + r) ** (aq - 1.0) * vals))
+    return aq * ((2.0 * r * (1.0 + r) ** (aq - 1.0) * vals) @ w)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+# omega = 1 and the derivative of its logarithm, for refined_modulus_sup.
+FLAT_WEIGHT = (np.ones_like, np.zeros_like)
 
 
 @functools.lru_cache(maxsize=32)
 def scan_radii(cfg: GridConfig) -> np.ndarray:
     # Interior radii fill the gaps of the sup_radii ladder, which is
     # dense only near the boundary; gaps stay below basin widths of the
-    # integrands in scope.
-    base = np.concatenate([[0.0], np.linspace(0.025, 0.95, 38), cfg.sup_radii])
+    # integrands in scope.  No radius lies past r_max.
+    interior = np.linspace(0.025, 0.95, 38)
+    base = np.concatenate([[0.0], interior[interior <= cfg.r_max], cfg.sup_radii])
     return np.unique(base)
 
 
@@ -250,92 +256,59 @@ def _select_candidates(vals: np.ndarray, k: int):
     return picked
 
 
-def sup_over_disk(g, cfg: GridConfig, candidates: int = 4) -> float:
-    """Refined grid maximum of a pointwise real function over the disk.
+def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, candidates: int = 4) -> np.ndarray:
+    """Supremum over the disk of omega(|z|^2) * |h(z)| for every member.
 
-    Scans sup_radii (plus a few interior radii and the center) against
-    all angles, then polishes the leading grid maxima by golden-section
-    passes in radius and angle.  The result is a certified lower bound
-    for the true supremum; tolerance budgets elsewhere account for the
-    gap.  g takes a complex array and returns real values.
+    h is the member itself (order 0) or its derivative (order 1); a
+    single expression counts as a one-member family.  omega and
+    dlog_omega are the radial weight and the derivative of its logarithm
+    in t = |z|^2.  The grid scan reduces the family's stacked values.  Its
+    leading maxima are then polished one member at a time on the
+    member's own expression: having the exact gradient lets a bounded
+    quasi-Newton step converge into each maximum, where plain coordinate
+    search stalls on diagonal ridges.  Each result is still a lower
+    bound for the sup.
     """
+    family = as_family(family)
     radii = scan_radii(cfg)
     angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
     z = radii[:, None] * np.exp(1j * angles)[None, :]
-    vals = np.asarray(g(z), dtype=float)
-    best = float(np.max(vals))
-    picked = _select_candidates(vals, candidates)
-    if not picked:
-        return best
-    idx_r = np.array([i for i, _ in picked])
-    idx_t = np.array([j for _, j in picked])
-    lo_r = np.where(idx_r > 0, radii[np.maximum(idx_r - 1, 0)], 0.0)
-    hi_r = np.where(idx_r < len(radii) - 1, radii[np.minimum(idx_r + 1, len(radii) - 1)], cfg.r_max)
-    theta = angles[idx_t]
+    weight = omega(radii[:, None] ** 2)
+    vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
+    best = vals.reshape(len(family), -1).max(axis=1)
     dtheta = 2.0 * np.pi / cfg.n_theta
 
-    r_cur = radii[idx_r].astype(float)
+    for k, member in enumerate(family):
 
-    def eval_at(r_arr, t_arr):
-        return np.asarray(g(r_arr * np.exp(1j * t_arr)), dtype=float)
+        def negated(x):
+            r, th = x
+            zz = r * np.exp(1j * th)
+            jet = member.jet(zz)
+            hv, hp = (jet.f, jet.df) if order == 0 else (jet.df, jet.d2f)
+            mod = abs(hv)
+            tt = r * r
+            phi = float(omega(tt) * mod)
+            if mod < 1e-300:
+                return -phi, np.zeros(2)
+            q = hp / hv
+            grad_r = phi * (2.0 * r * float(dlog_omega(tt)) + (q * np.exp(1j * th)).real)
+            grad_th = phi * (-(q * zz).imag)
+            return -phi, np.array([-grad_r, -grad_th])
 
-    r_cur, fr = _golden_max_batch(lambda x: eval_at(x, theta), lo_r, hi_r, 45)
-    best = max(best, float(np.max(fr)))
-    theta, ft = _golden_max_batch(lambda x: eval_at(r_cur, x), theta - dtheta, theta + dtheta, 45)
-    best = max(best, float(np.max(ft)))
-    lo2 = np.maximum(r_cur - (hi_r - lo_r) * 0.05, 0.0)
-    hi2 = np.minimum(r_cur + (hi_r - lo_r) * 0.05, cfg.r_max)
-    _, fr2 = _golden_max_batch(lambda x: eval_at(x, theta), lo2, hi2, 30)
-    best = max(best, float(np.max(fr2)))
-    return best
-
-
-def refined_modulus_sup(pair, omega, dlog_omega, cfg: GridConfig, candidates: int = 4) -> float:
-    """Supremum over the disk of omega(|z|^2) * |h(z)| for analytic h.
-
-    pair(z) returns (h(z), h'(z)); omega and dlog_omega are the radial
-    weight and the derivative of its logarithm in t = |z|^2.  Having the
-    exact gradient lets a bounded quasi-Newton polish converge into each
-    leading grid maximum, where plain coordinate search stalls on
-    diagonal ridges.  The result is still a lower bound for the sup.
-    """
-    radii = scan_radii(cfg)
-    angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
-    h, _ = pair(z)
-    t = radii[:, None] ** 2
-    vals = omega(t) * np.abs(h)
-    best = float(np.max(vals))
-    dtheta = 2.0 * np.pi / cfg.n_theta
-
-    def negated(x):
-        r, th = x
-        zz = r * np.exp(1j * th)
-        hv, hp = pair(zz)
-        mod = abs(hv)
-        tt = r * r
-        phi = float(omega(tt) * mod)
-        if mod < 1e-300:
-            return -phi, np.zeros(2)
-        q = hp / hv
-        grad_r = phi * (2.0 * r * float(dlog_omega(tt)) + (q * np.exp(1j * th)).real)
-        grad_th = phi * (-(q * zz).imag)
-        return -phi, np.array([-grad_r, -grad_th])
-
-    for i, j in _select_candidates(vals, candidates):
-        lo_r = radii[i - 1] if i > 0 else 0.0
-        hi_r = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
-        th0 = angles[j]
-        res = scipy.optimize.minimize(
-            negated,
-            np.array([radii[i], th0]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(lo_r, hi_r), (th0 - 2.0 * dtheta, th0 + 2.0 * dtheta)],
-            options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 80},
-        )
-        if np.isfinite(res.fun):
-            best = max(best, float(-res.fun))
+        for i, j in _select_candidates(vals[k], candidates):
+            lo_r = radii[i - 1] if i > 0 else 0.0
+            hi_r = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
+            th0 = angles[j]
+            res = scipy.optimize.minimize(
+                negated,
+                np.array([radii[i], th0]),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(lo_r, hi_r), (th0 - 2.0 * dtheta, th0 + 2.0 * dtheta)],
+                options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 80},
+            )
+            if np.isfinite(res.fun):
+                best[k] = max(best[k], float(-res.fun))
     return best
 
 

@@ -13,13 +13,13 @@ import dataclasses
 import numpy as np
 import scipy.integrate
 
-from .analytic_core import AnalyticExpr
+from .analytic_core import AnalyticExpr, Family, as_family
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
+    FLAT_WEIGHT,
     GridConfig,
+    _golden_max_batch,
     gauss01,
-    integral_mean,
-    area_integral,
     refined_modulus_sup,
     scan_radii,
     unit_circle,
@@ -151,22 +151,6 @@ class NormBreakdown:
     has_a6_form: bool
 
 
-def _jet_pair(f: AnalyticExpr, order: int):
-    if order == 0:
-        def pair(z):
-            j = f.jet(z)
-            return j.f, j.df
-    else:
-        def pair(z):
-            j = f.jet(z)
-            return j.df, j.d2f
-    return pair
-
-
-def _flat_weight():
-    return (lambda t: np.ones_like(np.asarray(t, dtype=float))), (lambda t: 0.0 * np.asarray(t, dtype=float))
-
-
 def _power_weight(beta: float):
     return (lambda t: (1.0 - t) ** beta), (lambda t: -beta / (1.0 - t))
 
@@ -181,53 +165,34 @@ def _logbloch_weight(gamma: float):
     return omega, dlog
 
 
-def _power_mean_profile(f: AnalyticExpr, p: float, cfg: GridConfig, order: int):
-    """Callable radii -> M_p(r)^p for f (order 0) or f' (order 1)."""
+def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
+    """Callable radii -> M_p(r)^p of each member (order 0) or its derivative (order 1)."""
 
     def h(radii):
         z = np.asarray(radii)[:, None] * unit_circle(cfg.n_theta)[None, :]
-        jets = f.jet(z)
-        vals = jets.f if order == 0 else jets.df
-        return np.mean(np.abs(vals) ** p, axis=1)
+        return fam.rowwise(z, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
 
     return h
 
 
-def _golden_max_scalar(fun, lo: float, hi: float, iters: int = 60) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    best = max(fc, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fun(d)
-        best = max(best, fc, fd)
-    return best
-
-
-def _mixed_sup_norm(f: AnalyticExpr, p: float, alpha: float, cfg: GridConfig) -> float:
+def _mixed_sup_norms(fam: Family, p: float, alpha: float, cfg: GridConfig) -> np.ndarray:
     radii = scan_radii(cfg)
-    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
-    means = np.mean(np.abs(f.jet(z).f) ** p, axis=1) ** (1.0 / p)
+    circle = unit_circle(cfg.n_theta)
+    means = _power_mean_profile(fam, p, cfg, 0)(radii) ** (1.0 / p)
     vals = (1.0 - radii ** 2) ** alpha * means
 
     def at(r):
-        return float((1.0 - r * r) ** alpha * integral_mean(f, p, r, cfg))
+        mods = np.abs(fam.derivative_at(r[:, None] * circle[None, :], 0))
+        return (1.0 - r * r) ** alpha * np.mean(mods ** p, axis=-1) ** (1.0 / p)
 
-    i = int(np.argmax(vals))
-    lo = radii[i - 1] if i > 0 else 0.0
-    hi = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
-    return max(float(np.max(vals)), _golden_max_scalar(at, lo, hi))
+    i = np.argmax(vals, axis=1)
+    lo = np.where(i > 0, radii[np.maximum(i - 1, 0)], 0.0)
+    hi = np.where(i + 1 < len(radii), radii[np.minimum(i + 1, len(radii) - 1)], cfg.r_max)
+    _, golden = _golden_max_batch(at, lo, hi, 60)
+    return np.maximum(vals.max(axis=1), golden)
 
 
-def _bmoa_seminorm(f: AnalyticExpr, cfg: GridConfig) -> float:
+def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     """Star seminorm: sup over a of the weighted area L2 norm of f'.
 
     The area integral is evaluated spectrally.  Writing the angular
@@ -239,33 +204,35 @@ def _bmoa_seminorm(f: AnalyticExpr, cfg: GridConfig) -> float:
     t, w = gauss01(cfg.n_radial)
     radii = np.sqrt(t)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
-    D = np.abs(f.jet(z).df) ** 2
-    coeffs = np.fft.fft(D, axis=1) / cfg.n_theta
     m_max = cfg.n_theta // 2 - 1
     ms = np.arange(1, m_max + 1)
-    best = 0.0
-    for mod_a in _BMOA_A_RADII:
-        # radial factor of the integrand after the angular average
-        pref = w * (1.0 - mod_a ** 2) * (1.0 - t) / (1.0 - (mod_a * radii) ** 2)
-        s0 = float(pref @ coeffs[:, 0].real)
-        if mod_a == 0.0:
-            best = max(best, s0)
-            continue
-        powers = (mod_a * radii)[:, None] ** ms[None, :]
-        s = (pref[:, None] * powers * coeffs[:, 1 : m_max + 1]).sum(axis=0)
-        padded = np.zeros(cfg.n_theta, dtype=complex)
-        padded[0] = s0
-        padded[1 : m_max + 1] = 2.0 * s
-        profile = np.fft.ifft(padded).real * cfg.n_theta
-        j = int(np.argmax(profile))
-        beta0 = 2.0 * np.pi * j / cfg.n_theta
-        width = 2.0 * np.pi / cfg.n_theta
+    mods = np.asarray(_BMOA_A_RADII)
+    # kernel[a, r, m]: radial factor of the integrand after the angular
+    # average, times (|a| r)^m, for the Fourier modes m = 0 .. m_max.
+    pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
+    kernel = pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(m_max + 1)
+    # sums[k, a, m] = sum over r of kernel[a, r, m] d_m(r) for member k
+    sums = np.zeros((len(fam), len(mods), m_max + 1), dtype=complex)
+    for rows in fam.row_blocks(z):
+        D = np.abs(fam.derivative(z[rows], 1)) ** 2
+        coeffs = np.fft.fft(D, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
+        sums += np.matmul(coeffs.transpose(2, 0, 1), kernel[:, rows].transpose(2, 1, 0)).transpose(1, 2, 0)
+    # _BMOA_A_RADII starts at |a| = 0, whose profile is the constant s0.
+    s0 = sums[:, :, 0].real
+    s = sums[:, 1:, 1:]
+    padded = np.zeros(s.shape[:2] + (cfg.n_theta,), dtype=complex)
+    padded[:, :, 0] = s0[:, 1:]
+    padded[:, :, 1 : m_max + 1] = 2.0 * s
+    profile = np.fft.ifft(padded, axis=-1).real * cfg.n_theta
+    beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
+    width = 2.0 * np.pi / cfg.n_theta
 
-        def at(beta):
-            return s0 + 2.0 * float((s * np.exp(1j * ms * beta)).sum().real)
+    def at(beta):
+        return s0[:, 1:] + 2.0 * (s * np.exp(1j * ms * beta[:, :, None])).sum(axis=-1).real
 
-        best = max(best, float(np.max(profile)), _golden_max_scalar(at, beta0 - width, beta0 + width))
-    return float(np.sqrt(max(best, 0.0)))
+    _, golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
+    best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), golden).max(axis=1))
+    return np.sqrt(np.maximum(best, 0.0))
 
 
 def _b1_area_cfg(cfg: GridConfig) -> GridConfig:
@@ -275,55 +242,77 @@ def _b1_area_cfg(cfg: GridConfig) -> GridConfig:
     return dataclasses.replace(cfg, n_theta=cfg.n_theta * 4)
 
 
-def _b1_seminorm_part(f: AnalyticExpr, cfg: GridConfig) -> float:
-    return area_integral(lambda z: np.abs(f.jet(z).d2f), _b1_area_cfg(cfg))
+def _b1_seminorm_parts(fam: Family, cfg: GridConfig) -> np.ndarray:
+    """Area integral of |f''| for each member, on the refined angular grid."""
+    area = _b1_area_cfg(cfg)
+    t, w = gauss01(area.n_radial)
+    z = np.sqrt(t)[:, None] * unit_circle(area.n_theta)[None, :]
+    return fam.rowwise(z, 2, lambda vals, rows: np.abs(vals).mean(axis=-1)) @ w
+
+
+def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
+    """(total, point part, seminorm part) of every member, as arrays."""
+    kind = space.family
+    if kind in _A6_FAMILIES:
+        origin = fam.jets(np.zeros(1))
+        point = np.abs(origin.f[:, 0])
+        if kind == "b1":
+            point = point + np.abs(origin.df[:, 0])
+            semi = _b1_seminorm_parts(fam, cfg)
+        else:
+            semi = _plain_seminorms(space, fam, cfg)
+        return point + semi, point, semi
+    if kind == "hinf":
+        total = refined_modulus_sup(fam, 0, *FLAT_WEIGHT, cfg)
+    elif kind == "hardy":
+        total = _power_mean_profile(fam, space.p, cfg, 0)(cfg.sup_radii[-1:])[:, 0] ** (1.0 / space.p)
+    elif kind == "bergman":
+        h = _power_mean_profile(fam, space.p, cfg, 0)
+        total = weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
+    elif kind == "mixed":
+        if space.q == np.inf:
+            total = _mixed_sup_norms(fam, space.p, space.alpha, cfg)
+        else:
+            hp = _power_mean_profile(fam, space.p, cfg, 0)
+            hq = lambda radii: hp(radii) ** (space.q / space.p)
+            total = weighted_radial_integral(hq, space.alpha * space.q - 1.0, cfg) ** (1.0 / space.q)
+    elif kind == "growth":
+        total = refined_modulus_sup(fam, 0, *_power_weight(space.gamma), cfg)
+    else:
+        raise ParameterError(f"unknown space family {kind!r}")
+    return total, np.zeros_like(total), total
+
+
+def norms(space: SpaceSpec, family, cfg: GridConfig) -> np.ndarray:
+    """Norms of every member of a family, in member order.
+
+    family is a Family or a sequence of expressions (see as_family); the
+    members are evaluated together, as stacked jets.
+    """
+    fam = as_family(family)
+    if not len(fam):
+        return np.zeros(0)
+    return _norm_parts(space, fam, cfg)[0]
 
 
 def norm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> NormBreakdown:
     """Norm of f in the given space, with its decomposition when present."""
-    fam = space.family
-    if fam in _A6_FAMILIES:
-        origin = f.jet(0.0)
-        if fam == "b1":
-            point = abs(origin.f) + abs(origin.df)
-            semi = _b1_seminorm_part(f, cfg)
-        else:
-            point = abs(origin.f)
-            semi = _plain_seminorm(space, f, cfg)
-        return NormBreakdown(point + semi, point, semi, True)
-    if fam == "hinf":
-        total = refined_modulus_sup(_jet_pair(f, 0), *_flat_weight(), cfg)
-    elif fam == "hardy":
-        total = integral_mean(f, space.p, cfg.sup_radii[-1], cfg)
-    elif fam == "bergman":
-        h = _power_mean_profile(f, space.p, cfg, 0)
-        total = weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
-    elif fam == "mixed":
-        if space.q == np.inf:
-            total = _mixed_sup_norm(f, space.p, space.alpha, cfg)
-        else:
-            hp = _power_mean_profile(f, space.p, cfg, 0)
-            hq = lambda radii: hp(radii) ** (space.q / space.p)
-            total = weighted_radial_integral(hq, space.alpha * space.q - 1.0, cfg) ** (1.0 / space.q)
-    elif fam == "growth":
-        total = refined_modulus_sup(_jet_pair(f, 0), *_power_weight(space.gamma), cfg)
-    else:
-        raise ParameterError(f"unknown space family {fam!r}")
-    return NormBreakdown(total, 0.0, total, False)
+    total, point, semi = _norm_parts(space, as_family(f), cfg)
+    return NormBreakdown(float(total[0]), float(point[0]), float(semi[0]), space.has_a6_form)
 
 
-def _plain_seminorm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> float:
-    fam = space.family
-    if fam == "bloch":
-        return refined_modulus_sup(_jet_pair(f, 1), *_power_weight(space.beta), cfg)
-    if fam == "logbloch":
-        return refined_modulus_sup(_jet_pair(f, 1), *_logbloch_weight(space.gamma), cfg)
-    if fam == "bmoa":
-        return _bmoa_seminorm(f, cfg)
-    if fam == "besov":
-        h = _power_mean_profile(f, space.p, cfg, 1)
+def _plain_seminorms(space: SpaceSpec, fam: Family, cfg: GridConfig) -> np.ndarray:
+    kind = space.family
+    if kind == "bloch":
+        return refined_modulus_sup(fam, 1, *_power_weight(space.beta), cfg)
+    if kind == "logbloch":
+        return refined_modulus_sup(fam, 1, *_logbloch_weight(space.gamma), cfg)
+    if kind == "bmoa":
+        return _bmoa_seminorms(fam, cfg)
+    if kind == "besov":
+        h = _power_mean_profile(fam, space.p, cfg, 1)
         return weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
-    raise UnsupportedSpace(f"{fam} has no plain seminorm")
+    raise UnsupportedSpace(f"{kind} has no plain seminorm")
 
 
 def seminorm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> float:
@@ -335,9 +324,10 @@ def seminorm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> float:
     """
     if not space.has_a6_form:
         raise UnsupportedSpace(f"{space.family} has no |f(0)| + p(f) decomposition")
+    fam = as_family(f)
     if space.family == "b1":
-        return abs(f.jet(0.0).df) + _b1_seminorm_part(f, cfg)
-    return _plain_seminorm(space, f, cfg)
+        return float(abs(f.jet(0.0).df) + _b1_seminorm_parts(fam, cfg)[0])
+    return float(_plain_seminorms(space, fam, cfg)[0])
 
 
 def _increment_integral(rate, r: float) -> float:

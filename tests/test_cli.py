@@ -23,9 +23,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON literal {name}")
+
+
 def run_checked(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
-    document = json.loads(out)
+    # Strict RFC 8259: no NaN or Infinity literals.
+    document = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(document, SCHEMA)
     return code, document, err
 
@@ -208,6 +213,49 @@ class TestVerdictCommands:
         psi_z = psi.jet(z).f
         recovered = G.jet(z).f * (w.jet(psi_z).f * (phi.jet(psi_z).f) ** 2)
         assert np.max(np.abs(recovered - z**2)) < 1e-10
+
+
+class TestOutputContract:
+    def test_failed_fit_reports_null_residual(self, capsys):
+        # z -> 0.5 z^2 is two-to-one: the fit is rejected by the zero count
+        # before a residual is measured.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "bloch:1",
+            "--F", "poly(2.0,1.0)",
+            "--phi", "poly(0.0,0.0,0.5)",
+        )
+        assert code == 1
+        assert doc["result"]["verdict"] == "NotInvertible"
+        assert doc["result"]["automorphism"] == {"found": False, "map": None, "residual": None}
+
+    def test_non_finite_norm_is_an_error(self, capsys):
+        with np.errstate(all="ignore"):
+            code, doc, _ = run_checked(capsys, "norm", "--space", "hardy:2", "--fn", "pow(poly(3.0,1.0),1e6)")
+        assert code == 2
+        assert doc["result"]["error"] == "NonFiniteResult"
+
+    def test_overflow_is_an_error_not_a_crash(self, capsys):
+        with np.errstate(all="ignore"):
+            code, doc, _ = run_checked(capsys, "norm", "--space", "hinf", "--fn", "poly(1e308,1e308)")
+        assert code == 2
+        assert doc["result"]["error"] == "OverflowError"
+
+    def test_partial_zero_count_is_inconclusive(self, capsys):
+        # The zero of phi at 0.5 lies outside the counting circle |z| = 0.3,
+        # so the count cannot reject this automorphism.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "poly(2.0,1.0)",
+            "--phi", "mobius(0.5,0.0,0.0)",
+            "--rmax", "0.3",
+        )
+        assert code == 2
+        assert doc["result"]["verdict"] == "Inconclusive"
+        assert "0.3" in doc["result"]["caveat"]
 
 
 class TestAxiomsCommand:

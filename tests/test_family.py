@@ -1,0 +1,140 @@
+"""Stacked family evaluation against per-expression tree evaluation."""
+
+import numpy as np
+import pytest
+
+from wcolab.analytic_core import (
+    Const,
+    ImageFamily,
+    Moebius,
+    MoebiusMap,
+    Poly,
+    PolyFamily,
+    Pow,
+    Recip,
+    TreeFamily,
+    as_family,
+    rotation_map,
+)
+from wcolab.axiom_harness import ALL_FAMILIES
+from wcolab.errors import DomainError
+from wcolab.operators import WcoSymbols, apply, default_probe_family
+from wcolab.quadrature import gauss01, scan_radii, unit_circle
+from wcolab.spaces import norm, norms, parse_space
+
+SYMBOLS = {
+    "rotation": WcoSymbols(Const(np.exp(0.9j)), Moebius(rotation_map(2.1))),
+    "involution": WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.3 - 0.2j, 1.0))),
+    "recip_pow": WcoSymbols(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j)))),
+}
+
+
+def scan_grid(cfg):
+    return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
+
+
+def b1_grid(cfg):
+    t, _ = gauss01(cfg.n_radial)
+    return np.sqrt(t)[:, None] * unit_circle(4 * cfg.n_theta)[None, :]
+
+
+def assert_stacked_matches_trees(family, z):
+    # Eight rows at a time, so the stacked arrays stay small.
+    for start in range(0, len(z), 8):
+        rows = slice(start, start + 8)
+        jets = family.jets(z[rows])
+        for k, member in enumerate(family):
+            ref = member.jet(z[rows])
+            for got, want in ((jets.f[k], ref.f), (jets.df[k], ref.df), (jets.d2f[k], ref.d2f)):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_probe_family_is_a_poly_family():
+    fam = as_family(default_probe_family())
+    assert isinstance(fam, PolyFamily)
+    assert len(fam) == 47
+    assert list(fam) == list(default_probe_family())
+
+
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid])
+def test_probe_jets_match_trees(cfg, grid):
+    assert_stacked_matches_trees(as_family(default_probe_family()), grid(cfg))
+
+
+def b1_grid_rows(cfg):
+    # Every fourth radius of the area grid, innermost to outermost.
+    return b1_grid(cfg)[::4]
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
+def test_image_jets_match_trees(cfg, name, grid):
+    images = apply(SYMBOLS[name], as_family(default_probe_family()))
+    assert isinstance(images, ImageFamily)
+    assert_stacked_matches_trees(images, grid(cfg))
+
+
+def test_nested_images_and_products_match_trees(cfg):
+    w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
+    fam = as_family(default_probe_family()[:12])
+    z = scan_grid(cfg)
+    assert_stacked_matches_trees(apply(w, apply(v, fam)), z)
+    assert_stacked_matches_trees(ImageFamily(v.F, None, fam), z)
+
+
+def test_member_points(cfg):
+    fam = apply(SYMBOLS["involution"], as_family(default_probe_family()[:9]))
+    z = np.linspace(0.1, 0.9, 9)[:, None] * unit_circle(64)[None, :]
+    got = fam.derivative_at(z, 1)
+    for k, member in enumerate(fam):
+        np.testing.assert_allclose(got[k], member.jet(z[k]).df, rtol=1e-12, atol=1e-12)
+
+
+def test_tree_family_fallback(cfg):
+    members = (Recip(Poly((2.0, 1.0))), Poly((0.0, 1.0)), Const(0.5j))
+    fam = as_family(members)
+    assert isinstance(fam, TreeFamily)
+    assert_stacked_matches_trees(fam, scan_grid(cfg))
+    assert isinstance(apply(SYMBOLS["rotation"], fam), TreeFamily)
+
+
+def test_image_leaving_the_disk_raises():
+    # phi = 2z leaves the disk for |z| >= 1/2.
+    images = ImageFamily(Const(1.0), Poly((0.0, 2.0)), as_family(default_probe_family()))
+    images.jets(np.array([0.1, 0.4j]))
+    with pytest.raises(DomainError):
+        images.jets(np.array([0.1, 0.6]))
+    with pytest.raises(DomainError):
+        images.derivative(np.array([0.1, 0.6]), 0)
+
+
+def test_points_outside_the_disk_raise():
+    fam = as_family(default_probe_family())
+    with pytest.raises(DomainError):
+        fam.jets(np.array([0.2, 1.0]))
+    with pytest.raises(DomainError):
+        fam.derivative(np.array([np.nan]), 0)
+
+
+@pytest.mark.parametrize("text", ALL_FAMILIES + ("mixed:2,inf,0.5",))
+def test_norms_match_one_member_norms(cfg, text):
+    space = parse_space(text)
+    # Every fifth probe: monomials, random polynomials and 1 + lambda z.
+    fam = default_probe_family()[::5]
+    got = norms(space, fam, cfg)
+    want = np.array([norm(space, f, cfg).total for f in fam])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_norms_of_images_match_one_member_norms(cfg):
+    w = SYMBOLS["involution"]
+    fam = as_family(default_probe_family()[::6])
+    for text in ("bloch:1", "b1", "bmoa", "besov:2,0"):
+        space = parse_space(text)
+        got = norms(space, apply(w, fam), cfg)
+        want = np.array([norm(space, apply(w, f), cfg).total for f in fam])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_empty_family_has_no_norms(cfg):
+    assert norms(parse_space("hardy:2"), (), cfg).shape == (0,)

@@ -10,10 +10,10 @@ from wcolab import (
     area_integral,
     default_config,
     integral_mean,
-    sup_over_disk,
     taylor_coefficients,
 )
 from wcolab.quadrature import (
+    FLAT_WEIGHT,
     gauss01,
     mean_profile,
     refined_modulus_sup,
@@ -133,11 +133,25 @@ class TestRadialQuadrature:
         assert radii[-1] == cfg.r_max
         assert np.all(np.diff(radii) > 0)
 
+    def test_scan_radii_stop_at_rmax(self):
+        radii = scan_radii(GridConfig(r_max=0.3))
+        assert radii[-1] == 0.3
+        assert np.all(radii <= 0.3)
+
+
+def _disk_weight(t):
+    return 1.0 - t
+
+
+def _dlog_disk_weight(t):
+    return -1.0 / (1.0 - t)
+
 
 class TestSupEngines:
     def test_angularly_constant_profile(self, cfg):
-        # (1-|z|^2)|2z| peaks at r = 1/sqrt(3) with value 4 sqrt(3)/9.
-        val = sup_over_disk(lambda z: (1.0 - np.abs(z) ** 2) * np.abs(2.0 * z), cfg)
+        # (1-|z|^2)|2z|, the weighted derivative of z^2, peaks at
+        # r = 1/sqrt(3) with value 4 sqrt(3)/9.
+        [val] = refined_modulus_sup(Poly((0.0, 0.0, 1.0)), 1, _disk_weight, _dlog_disk_weight, cfg)
         assert val == pytest.approx(4.0 * math.sqrt(3.0) / 9.0, abs=1e-9)
 
     def test_boundary_supremum(self, cfg):
@@ -145,20 +159,12 @@ class TestSupEngines:
         from wcolab import Recip
 
         f = Recip(Poly((1.0, -1.0)))
-
-        def g(z):
-            return (1.0 - np.abs(z) ** 2) * np.abs(f.jet(z).f)
-
-        assert sup_over_disk(g, cfg) == pytest.approx(2.0, abs=2e-6)
+        [val] = refined_modulus_sup(f, 0, _disk_weight, _dlog_disk_weight, cfg)
+        assert val == pytest.approx(2.0, abs=2e-6)
 
     def test_refined_sup_flat_weight(self, cfg):
         f = Poly((0.3, 1.0, -0.5j, 0.25))
-
-        def pair(z):
-            jet = f.jet(z)
-            return jet.f, jet.df
-
-        got = refined_modulus_sup(pair, lambda t: np.ones_like(t), lambda t: np.zeros_like(t), cfg)
+        [got] = refined_modulus_sup(f, 0, *FLAT_WEIGHT, cfg)
         # dense reference on a fine boundary ring
         ring = cfg.r_max * np.exp(2j * np.pi * np.linspace(0, 1, 1 << 16, endpoint=False))
         ref = float(np.max(np.abs(f.jet(ring).f)))
@@ -167,9 +173,7 @@ class TestSupEngines:
 
     def test_refined_sup_log_weight(self, cfg):
         # weight (1-t) log(2/(1-t)) against h = 1 has maximum 2/e.
-        def pair(z):
-            one = np.ones_like(z)
-            return one, np.zeros_like(z)
+        from wcolab import Const
 
         def omega(t):
             return (1.0 - t) * np.log(2.0 / (1.0 - t))
@@ -177,7 +181,7 @@ class TestSupEngines:
         def dlog(t):
             return -1.0 / (1.0 - t) + 1.0 / ((1.0 - t) * np.log(2.0 / (1.0 - t)))
 
-        got = refined_modulus_sup(pair, omega, dlog, cfg)
+        [got] = refined_modulus_sup(Const(1.0), 0, omega, dlog, cfg)
         assert got == pytest.approx(2.0 / math.e, abs=1e-12)
 
 
