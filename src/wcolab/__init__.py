@@ -27,7 +27,6 @@ from .analytic_core import (
     as_family,
     compose_moebius,
     image_family,
-    eval_jet,
     moebius_inverse,
     rotation_map,
     winding_number,
@@ -71,13 +70,12 @@ from .operators import (
 )
 from .quadrature import (
     GridConfig,
-    IntegralMean,
     area_integral,
     default_config,
     integral_mean,
     taylor_coefficients,
     weighted_radial_integral,
 )
-from .spaces import NormBreakdown, SpaceSpec, norm, norms, parse_space, pointeval_bound, seminorm
+from .spaces import NormBreakdown, SpaceSpec, norm, norms, parse_space, pointeval_bound, seminorm, seminorms
 
 __version__ = "0.1.0"

@@ -152,9 +152,6 @@ def rotation_map(theta: float) -> MoebiusMap:
     return MoebiusMap(0.0, -np.exp(1j * theta))
 
 
-IDENTITY_MAP = MoebiusMap(0.0, -1.0)
-
-
 class AnalyticExpr:
     """Base class of expression-tree nodes.
 
@@ -395,13 +392,12 @@ class Family:
     def row_blocks(self, z: np.ndarray) -> list:
         """Row slices of the 2-D grid z that keep a stacked array under BLOCK_BYTES.
 
-        A one-member family takes the whole grid at once.
+        A family whose stacked arrays have one row, such as one expression
+        tree, takes the whole grid at once.
         """
         n_rows, n_cols = z.shape
-        if len(self) == 1:
-            step = n_rows
-        else:
-            step = max(1, BLOCK_BYTES // (max(1, self._height()) * n_cols * 16))
+        height = max(1, self._height())
+        step = n_rows if height == 1 else max(1, BLOCK_BYTES // (height * n_cols * 16))
         return [slice(i, i + step) for i in range(0, n_rows, step)]
 
     def rowwise(self, z, order: int, reduce) -> np.ndarray:
@@ -524,17 +520,24 @@ def _scaled(pairs) -> dict:
     return out
 
 
+def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) -> AnalyticExpr:
+    # F * (f o phi) as an expression tree, without the factors that are None
+    if phi is not None:
+        f = Compose(f, phi)
+    return f if F is None else Mul(F, f)
+
+
 class ImageFamily(_LinearFamily):
     """The images F * (f o phi) of the members f of a PolyFamily or ImageFamily.
 
-    With phi None the images are F * f.  F and phi are evaluated once
-    per call, phi with the disk check that Compose makes.  The product
-    and chain rules then act on the base family's power tables at
-    phi(z), before the matrix product, which by linearity equals acting
-    on the base family's stacked jets.
+    With phi None the images are F * f, and with F None they are f o phi.
+    F and phi are evaluated once per call, phi with the disk check that
+    Compose makes.  The product and chain rules then act on the base
+    family's power tables at phi(z), before the matrix product, which by
+    linearity equals acting on the base family's stacked jets.
     """
 
-    def __init__(self, F: AnalyticExpr, phi: AnalyticExpr | None, base: _LinearFamily):
+    def __init__(self, F: AnalyticExpr | None, phi: AnalyticExpr | None, base: _LinearFamily):
         self.F = F
         self.phi = phi
         self.base = base
@@ -544,11 +547,9 @@ class ImageFamily(_LinearFamily):
         return len(self.base)
 
     def __getitem__(self, k):
-        f = self.base[k]
-        return Mul(self.F, f if self.phi is None else Compose(f, self.phi))
+        return _image(self.F, self.phi, self.base[k])
 
     def _terms(self, z, order):
-        F = self.F.jet(z)
         if self.phi is None:
             base = self.base._terms(z, order)
             d1, d2 = 1.0, 0.0
@@ -559,6 +560,14 @@ class ImageFamily(_LinearFamily):
                 raise DomainError("composition inner value left the unit disk")
             base = self.base._terms(w, order)
             d1, d2 = inner.df, inner.d2f
+        if self.F is None:
+            out = [base[0]]
+            if order >= 1:
+                out.append(_scaled([(d1, base[1])]))
+            if order >= 2:
+                out.append(_scaled([(d2, base[1]), (d1 * d1, base[2])]))
+            return out
+        F = self.F.jet(z)
         out = [_scaled([(F.f, base[0])])]
         if order >= 1:
             out.append(_scaled([(F.df, base[0]), (F.f * d1, base[1])]))
@@ -567,15 +576,17 @@ class ImageFamily(_LinearFamily):
         return out
 
 
-def image_family(F: AnalyticExpr, phi: AnalyticExpr | None, base: Family) -> Family:
-    """The images F * (f o phi) of a family's members (F * f when phi is None).
+def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family) -> Family:
+    """The images F * (f o phi) of a family's members.
 
-    Images of a PolyFamily or ImageFamily are an ImageFamily; images of
-    any other family are expression trees, each evaluated by its own jet.
+    A None F or phi drops that factor: the images are then f o phi or
+    F * f.  Images of a PolyFamily or ImageFamily are an ImageFamily;
+    images of any other family are expression trees, each evaluated by
+    its own jet.
     """
     if isinstance(base, _LinearFamily):
         return ImageFamily(F, phi, base)
-    return TreeFamily(Mul(F, f if phi is None else Compose(f, phi)) for f in base)
+    return TreeFamily(_image(F, phi, f) for f in base)
 
 
 def as_family(obj) -> Family:
@@ -592,11 +603,6 @@ def as_family(obj) -> Family:
     if members and all(type(f) is Poly for f in members):
         return PolyFamily(members)
     return TreeFamily(members)
-
-
-def eval_jet(e: AnalyticExpr, z) -> Jet2:
-    """Evaluate the 2-jet of an expression at a point inside the disk."""
-    return e.jet(z)
 
 
 @functools.lru_cache(maxsize=8)

@@ -58,6 +58,9 @@ from .spaces import NormBreakdown, SpaceSpec, norm, parse_space, seminorm
 
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
+# Exit code of each invertibility verdict.
+_VERDICT_CODES = {"Invertible": 0, "NotInvertible": 1, "Inconclusive": 2}
+
 
 class _ExprParser:
     """Recursive-descent parser for the function mini-language."""
@@ -323,8 +326,7 @@ def _grid_inputs(cfg: GridConfig) -> dict:
     return {"n_theta": cfg.n_theta, "n_radial": cfg.n_radial, "r_max": cfg.r_max}
 
 
-def _run_section(args, cfg) -> tuple:
-    w = WcoSymbols(parse_expression(args.F), parse_expression(args.phi))
+def _run_section(w: WcoSymbols, args, cfg) -> tuple:
     section = finite_section(w, args.dim, cfg)
     result = {"dimension": section.dimension, "radius": section.radius}
     if args.csv:
@@ -376,14 +378,14 @@ def main(argv=None) -> int:
             result, code = {"seminorm": seminorm(space, fn, cfg)}, 0
         elif args.subcommand == "check-invertible":
             report = check_invertible(w, space, cfg, args.seed)
-            code = {"Invertible": 0, "NotInvertible": 1, "Inconclusive": 2}[report.verdict]
+            code = _VERDICT_CODES[report.verdict]
             result = report
         elif args.subcommand == "check-isometry":
             report = check_isometry(w, space, cfg, args.seed)
             result, code = report, 0 if report.surjective_isometry else 1
         elif args.subcommand == "invert":
             report = check_invertible(w, space, cfg, args.seed)
-            code = {"Invertible": 0, "NotInvertible": 1, "Inconclusive": 2}[report.verdict]
+            code = _VERDICT_CODES[report.verdict]
             result = {
                 "verdict": report.verdict,
                 "inverse_weight": report.inverse_weight,
@@ -401,7 +403,7 @@ def main(argv=None) -> int:
             result = list(reports)
             code = 0 if all(r.passed for r in reports) else 1
         elif args.subcommand == "section":
-            result, code = _run_section(args, cfg)
+            result, code = _run_section(w, args, cfg)
         else:
             raise AssertionError(args.subcommand)
     except Exception as exc:

@@ -15,7 +15,6 @@ import os
 import warnings
 
 import numpy as np
-import scipy.optimize
 import scipy.special
 
 from .analytic_core import AnalyticExpr, R_MAX, as_family
@@ -90,15 +89,6 @@ def default_config() -> GridConfig:
     return GridConfig(n_theta=max(64, int(512 * factor)), n_radial=max(4, int(64 * factor)))
 
 
-@dataclasses.dataclass(frozen=True)
-class IntegralMean:
-    """The L^p mean of |f| on the circle of radius r."""
-
-    p: float
-    r: float
-    value: float
-
-
 @functools.lru_cache(maxsize=32)
 def unit_circle(n: int) -> np.ndarray:
     """n equispaced points on the unit circle, starting at 1."""
@@ -130,11 +120,6 @@ def integral_mean(f: AnalyticExpr, p: float, r: float, cfg: GridConfig) -> float
     if p == np.inf:
         return float(np.max(mods))
     return float(np.mean(mods ** p) ** (1.0 / p))
-
-
-def mean_profile(f: AnalyticExpr, p: float, cfg: GridConfig) -> tuple:
-    """IntegralMean records along the sup_radii ladder."""
-    return tuple(IntegralMean(p, r, integral_mean(f, p, r, cfg)) for r in cfg.sup_radii)
 
 
 def area_integral(g, cfg: GridConfig) -> float:
@@ -277,6 +262,9 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, 
     vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
     best = vals.reshape(len(family), -1).max(axis=1)
     dtheta = 2.0 * np.pi / cfg.n_theta
+    # Imported here: most calls of the package never polish, and the
+    # import is a large share of the CLI's start-up.
+    import scipy.optimize
 
     for k, member in enumerate(family):
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.integrate
 
 from .analytic_core import AnalyticExpr, Family, as_family
 from .errors import ParameterError, ParseError, UnsupportedSpace
@@ -315,24 +314,34 @@ def _plain_seminorms(space: SpaceSpec, fam: Family, cfg: GridConfig) -> np.ndarr
     raise UnsupportedSpace(f"{kind} has no plain seminorm")
 
 
-def seminorm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> float:
-    """The translation-invariant seminorm p(f) for the decomposed families.
+def seminorms(space: SpaceSpec, family, cfg: GridConfig) -> np.ndarray:
+    """The translation-invariant seminorms p of every member, in member order.
 
-    For B1 this is |f'(0)| plus the area integral of |f''|, which drops
-    the |f(0)| term only; p(f + C) = p(f) holds exactly for all five
-    families.
+    Defined for the decomposed families only.  For B1 p(f) is |f'(0)|
+    plus the area integral of |f''|, which drops the |f(0)| term only;
+    p(f + C) = p(f) holds exactly for all five families.
     """
     if not space.has_a6_form:
         raise UnsupportedSpace(f"{space.family} has no |f(0)| + p(f) decomposition")
-    fam = as_family(f)
+    fam = as_family(family)
+    if not len(fam):
+        return np.zeros(0)
     if space.family == "b1":
-        return float(abs(f.jet(0.0).df) + _b1_seminorm_parts(fam, cfg)[0])
-    return float(_plain_seminorms(space, fam, cfg)[0])
+        return np.abs(fam.derivative(np.zeros(1), 1)[:, 0]) + _b1_seminorm_parts(fam, cfg)
+    return _plain_seminorms(space, fam, cfg)
+
+
+def seminorm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> float:
+    """The seminorm p(f) of one expression (see seminorms)."""
+    return float(seminorms(space, f, cfg)[0])
 
 
 def _increment_integral(rate, r: float) -> float:
     if r <= 0.0:
         return 0.0
+    # Imported here: only pointeval_bound integrates, for three families.
+    import scipy.integrate
+
     val, _ = scipy.integrate.quad(rate, 0.0, r, limit=200)
     return float(val)
 

@@ -18,7 +18,6 @@ from wcolab import (
     Recip,
     BranchError,
     compose_moebius,
-    eval_jet,
     moebius_inverse,
     rotation_map,
     winding_number,
@@ -217,10 +216,6 @@ class TestWinding:
             winding_number(f, 0.0)
         with pytest.raises(ParameterError):
             winding_number(f, R_MAX * 1.01)
-
-    def test_eval_jet_helper(self):
-        jet = eval_jet(Poly((1.0, 1.0)), 0.25)
-        assert jet.f == pytest.approx(1.25)
 
 
 def test_seeded_polys_match_package_recipe():

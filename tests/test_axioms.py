@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from wcolab.analytic_core import Poly
+from wcolab.analytic_core import Compose, Const, Moebius, MoebiusMap, Mul, Poly
 from wcolab.axiom_harness import (
+    A1_RADII,
     A5_POINTS,
+    A6_CONSTANTS,
     ALL_FAMILIES,
+    CHAIN_SLACK,
+    STABILITY_CAP,
     check_a2,
     check_a4,
     check_a5,
@@ -16,7 +20,8 @@ from wcolab.axiom_harness import (
 )
 from wcolab.errors import ParameterError, UnsupportedSpace
 from wcolab.operators import monomial
-from wcolab.spaces import parse_space
+from wcolab.quadrature import unit_circle
+from wcolab.spaces import norm, parse_space, pointeval_bound, seminorm, seminorms
 
 
 class TestRunAll:
@@ -102,3 +107,126 @@ class TestIndividualChecks:
         assert report.passed
         assert report.measured["increment_defect"] < 1e-10
         assert report.measured["decomposition_defect"] < 1e-10
+
+
+DECOMPOSED_FAMILIES = ("bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1")
+
+
+def _reference_reports(space, cfg, family) -> dict:
+    """A1, A3, A5 and A6 measured one member at a time, one norm call per expression."""
+    fam_norms = [norm(space, f, cfg).total for f in family]
+    fine = cfg.refined(2)
+
+    def bound(images):
+        ratios = [norm(space, g, cfg).total / nf for g, nf in zip(images, fam_norms)]
+        b = max(ratios)
+        k = int(np.argmax(ratios))
+        refined = norm(space, images[k], fine).total / norm(space, family[k], fine).total
+        return b, refined, max(b / refined, refined / b)
+
+    out = {}
+    estimates, bounds, witnesses = [], [], []
+    for r in A1_RADII:
+        z = r * unit_circle(cfg.n_theta)
+        est = max(float(np.max(np.abs(f.jet(z).f))) / nf for f, nf in zip(family, fam_norms))
+        b = CHAIN_SLACK * (1.0 + pointeval_bound(space, r))
+        estimates.append(est)
+        bounds.append(b)
+        if est > b:
+            witnesses.append({"radius": r, "estimate": est, "bound": b})
+    out["A1"] = (not witnesses, {"radii": list(A1_RADII), "estimates": estimates, "bounds": bounds}, witnesses)
+
+    b, refined, stability = bound([Mul(monomial(1), f) for f in family])
+    passed = bool(np.isfinite(b)) and stability < STABILITY_CAP
+    measured = {"shift_bound": b, "refined_bound": refined, "stability_ratio": stability}
+    out["A3"] = (passed, measured, [] if passed else [{"bound": b, "refined": refined}])
+
+    a5_passed, a5_measured, a5_witnesses = True, {}, []
+    for a in A5_POINTS:
+        phi_a = Moebius(MoebiusMap(complex(a), 1.0))
+        b, refined, stability = bound([Compose(f, phi_a) for f in family])
+        passed = bool(np.isfinite(b)) and stability < STABILITY_CAP
+        measured = {"a": complex(a), "composition_bound": b, "refined_bound": refined, "stability_ratio": stability}
+        if not passed:
+            a5_witnesses.append({"a": complex(a), "bound": b, "refined": refined})
+        if space.family == "bloch" and space.beta == 1.0:
+            defect = 0.0
+            for f in family:
+                p0 = seminorm(space, f, cfg)
+                defect = max(defect, abs(seminorm(space, Compose(f, phi_a), cfg) - p0) / max(p0, 1e-12))
+            measured["seminorm_invariance_defect"] = defect
+            if defect > 1e-6:
+                passed = False
+                a5_witnesses.append({"a": complex(a), "invariance_defect": defect})
+        a5_measured[f"a={a}"] = measured
+        a5_passed = a5_passed and passed
+    out["A5"] = (a5_passed, a5_measured, a5_witnesses)
+
+    if space.has_a6_form:
+        increment = decomposition = 0.0
+        witnesses = []
+        for f, nf in zip(family, fam_norms):
+            p0 = seminorm(space, f, cfg)
+            for c in A6_CONSTANTS:
+                increment = max(increment, abs(seminorm(space, f + Const(c), cfg) - p0))
+            gap = abs(nf - (abs(complex(f.jet(0.0).f)) + p0)) / max(nf, 1e-12)
+            decomposition = max(decomposition, gap)
+            if gap > 1e-10:
+                witnesses.append({"decomposition_gap": gap})
+        passed = increment < 1e-10 and decomposition <= 1e-10 and not witnesses
+        if increment >= 1e-10:
+            witnesses.append({"increment_defect": increment})
+        out["A6"] = (passed, {"increment_defect": increment, "decomposition_defect": decomposition}, witnesses)
+    return out
+
+
+def _assert_close(got, ref, path=()):
+    """Equal structure; numbers within 1e-12 relative, or 1e-15 absolute for rounding-level defects."""
+    if isinstance(ref, dict):
+        assert set(got) == set(ref), path
+        for key in ref:
+            _assert_close(got[key], ref[key], path + (key,))
+    elif isinstance(ref, (list, tuple)):
+        assert len(got) == len(ref), path
+        for i, (g, r) in enumerate(zip(got, ref)):
+            _assert_close(g, r, path + (i,))
+    elif isinstance(ref, (float, complex)):
+        assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15, (path, got, ref)
+    else:
+        assert got == ref, path
+
+
+class TestStackedHarness:
+    @pytest.mark.parametrize("text", DECOMPOSED_FAMILIES)
+    def test_seminorms_match_one_member(self, coarse_cfg, text):
+        space = parse_space(text)
+        family = harness_family()
+        stacked = seminorms(space, family, coarse_cfg)
+        assert stacked.shape == (len(family),)
+        for f, value in zip(family, stacked):
+            ref = seminorm(space, f, coarse_cfg)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_seminorms_reject_plain_space(self, coarse_cfg):
+        with pytest.raises(UnsupportedSpace):
+            seminorms(parse_space("hardy:2"), harness_family(), coarse_cfg)
+
+    @pytest.mark.parametrize("text", ALL_FAMILIES)
+    def test_matches_per_member_reference(self, coarse_cfg, text):
+        space = parse_space(text)
+        reports = {r.axiom: r for r in run_all(space, coarse_cfg)}
+        for axiom, (passed, measured, witnesses) in _reference_reports(space, coarse_cfg, harness_family()).items():
+            report = reports[axiom]
+            assert report.passed == passed, axiom
+            _assert_close(report.measured, measured, (axiom,))
+            _assert_close(list(report.witnesses), witnesses, (axiom, "witnesses"))
+
+    def test_known_bloch_invariance_defect(self, cfg):
+        # Harness seed of axioms benchmark seed 2: refined_modulus_sup, a
+        # lower bound, misses the maximum of f o phi_a for one probe.
+        report = check_a5(parse_space("bloch:1"), -0.7, cfg, harness_family(248106442))
+        assert not report.passed
+        assert report.measured["seminorm_invariance_defect"] == pytest.approx(8.16e-3, rel=1e-3)
+        assert report.witnesses == (
+            {"a": -0.7 + 0j, "invariance_defect": report.measured["seminorm_invariance_defect"]},
+        )

@@ -80,6 +80,7 @@ def test_nested_images_and_products_match_trees(cfg):
     z = scan_grid(cfg)
     assert_stacked_matches_trees(apply(w, apply(v, fam)), z)
     assert_stacked_matches_trees(ImageFamily(v.F, None, fam), z)
+    assert_stacked_matches_trees(ImageFamily(None, v.phi, fam), z)
 
 
 def test_member_points(cfg):

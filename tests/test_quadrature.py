@@ -15,7 +15,6 @@ from wcolab import (
 from wcolab.quadrature import (
     FLAT_WEIGHT,
     gauss01,
-    mean_profile,
     refined_modulus_sup,
     scan_radii,
     unit_circle,
@@ -80,13 +79,6 @@ class TestCircleQuadrature:
             coeffs = np.asarray(f.coeffs)
             exact = math.sqrt(float(np.sum(np.abs(coeffs) ** 2 * r ** (2 * np.arange(len(coeffs))))))
             assert integral_mean(f, 2.0, r, cfg) == pytest.approx(exact, abs=1e-10)
-
-    def test_mean_monotone_in_r(self, cfg):
-        f = Poly((1.0, 0.5, 0.25j))
-        profile = mean_profile(f, 3.0, cfg)
-        means = [m.value for m in profile]
-        assert np.all(np.diff(means) >= -1e-12)
-        assert profile[0].p == 3.0
 
     def test_inf_mean_is_max(self, cfg):
         f = Poly((1.0, 1.0))
