@@ -44,7 +44,8 @@ from .characterization import (
     inverse_symbols,
     multiplier_test,
 )
-from .cli import format_expression, parse_expression
+from .minilang import format_expression, parse_expression
+from . import cli  # loaded with the package, so wcolab.cli.main is reachable from it
 from .errors import (
     BranchError,
     ContourZero,

@@ -13,6 +13,7 @@ verdict so a failed criterion can be traced to a number.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -79,7 +80,10 @@ def _count_zeros_retry(f: AnalyticExpr, cfg: GridConfig) -> int:
     raise last
 
 
+@functools.lru_cache(maxsize=32)
 def _grid_points(cfg: GridConfig) -> np.ndarray:
+    # Cached, like scan_radii: a check scans this grid up to three times,
+    # and a fresh 512 KB array per scan page-faults in a small heap.
     return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
 
 

@@ -247,12 +247,14 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, 
     h is the member itself (order 0) or its derivative (order 1); a
     single expression counts as a one-member family.  omega and
     dlog_omega are the radial weight and the derivative of its logarithm
-    in t = |z|^2.  The grid scan reduces the family's stacked values.  Its
-    leading maxima are then polished one member at a time on the
-    member's own expression: having the exact gradient lets a bounded
-    quasi-Newton step converge into each maximum, where plain coordinate
-    search stalls on diagonal ridges.  Each result is still a lower
-    bound for the sup.
+    in t = |z|^2.  The grid scan reduces the family's stacked values.  Up
+    to `candidates` of each member's leading grid maxima, spread over the
+    grid, are then polished together in a box of one ladder step in r
+    and two grid steps in theta around each (see _polish): having the
+    exact gradient lets a Newton step converge into each maximum, where
+    plain coordinate search stalls on diagonal ridges.  Each result is
+    the largest value at an evaluated point, so still a lower bound for
+    the sup.
     """
     family = as_family(family)
     radii = scan_radii(cfg)
@@ -262,42 +264,109 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, 
     vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
     best = vals.reshape(len(family), -1).max(axis=1)
     dtheta = 2.0 * np.pi / cfg.n_theta
-    # Imported here: most calls of the package never polish, and the
-    # import is a large share of the CLI's start-up.
-    import scipy.optimize
+    picks = [_select_candidates(v, candidates) for v in vals]
+    # Members with fewer picks repeat their first one, so that every
+    # member has the same number of boxes.
+    n_boxes = max(len(p) for p in picks)
+    i, j = np.array([p + p[:1] * (n_boxes - len(p)) for p in picks]).transpose(2, 0, 1)
+    ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
+    lo = np.stack([ladder[i], angles[j] - 2.0 * dtheta], axis=-1)
+    hi = np.stack([ladder[i + 2], angles[j] + 2.0 * dtheta], axis=-1)
 
-    for k, member in enumerate(family):
+    def log_weighted(x):
+        # phi = omega(r^2) |h| at the points x[k, :] = (r, theta) of member
+        # k, and the gradient of log phi there: zero where h vanishes.
+        r, th = x[..., 0], x[..., 1]
+        unit = np.exp(1j * th)
+        h, dh = family.derivative_at(r * unit, (order, order + 1))
+        mod = np.abs(h)
+        q = dh / np.where(mod < 1e-300, 1.0, h)
+        grad = np.stack([2.0 * r * dlog_omega(r * r) + (q * unit).real, -(q * r * unit).imag], axis=-1)
+        grad[mod < 1e-300] = 0.0
+        return omega(r * r) * mod, grad
 
-        def negated(x):
-            r, th = x
-            zz = r * np.exp(1j * th)
-            jet = member.jet(zz)
-            hv, hp = (jet.f, jet.df) if order == 0 else (jet.df, jet.d2f)
-            mod = abs(hv)
-            tt = r * r
-            phi = float(omega(tt) * mod)
-            if mod < 1e-300:
-                return -phi, np.zeros(2)
-            q = hp / hv
-            grad_r = phi * (2.0 * r * float(dlog_omega(tt)) + (q * np.exp(1j * th)).real)
-            grad_th = phi * (-(q * zz).imag)
-            return -phi, np.array([-grad_r, -grad_th])
+    polished = _polish(log_weighted, np.stack([radii[i], angles[j]], axis=-1), lo, hi)
+    return np.maximum(best, np.where(np.isfinite(polished), polished, -np.inf).max(axis=1))
 
-        for i, j in _select_candidates(vals[k], candidates):
-            lo_r = radii[i - 1] if i > 0 else 0.0
-            hi_r = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
-            th0 = angles[j]
-            res = scipy.optimize.minimize(
-                negated,
-                np.array([radii[i], th0]),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(lo_r, hi_r), (th0 - 2.0 * dtheta, th0 + 2.0 * dtheta)],
-                options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 80},
+
+# The polish stops a candidate once its scaled projected gradient is at
+# most _POLISH_GTOL, once no step of the line search ascends, or after
+# _POLISH_ITERATIONS Newton steps.  Each step tries the full step and up
+# to _POLISH_HALVINGS halvings of it.  The Hessian is taken by central
+# differences of the gradient at _POLISH_FD_STEP box widths.
+_POLISH_ITERATIONS = 20
+_POLISH_HALVINGS = 8
+_POLISH_GTOL = 1e-13
+_POLISH_FD_STEP = 1e-5
+
+
+def _polish(fn, x, lo, hi) -> np.ndarray:
+    """Largest phi reached from each start x[k, c] in its box [lo, hi]; shape (members, candidates).
+
+    A projected Newton ascent on log phi (Bertsekas, SIAM J. Control
+    Optim. 20, 1982) for every member and candidate at once, in box
+    coordinates scaled to unit width.  A coordinate at a face whose
+    gradient points out of the box is held there; the Newton step acts
+    on the others, with the Hessian's eigenvalues taken in modulus so
+    that the step ascends.  The step is projected onto the box, and it
+    is accepted only where phi strictly increases.  fn maps points of
+    shape (members, m, 2) to phi and the gradient of log phi there.
+    """
+    width = hi - lo
+    delta = _POLISH_FD_STEP * width
+    shift = np.eye(2) * delta[..., None, :]  # shift[..., i, :]: the i-th stencil step
+    n_members, n_cand = x.shape[:2]
+    x = x.copy()
+    phi = None
+    running = np.ones((n_members, n_cand), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_ITERATIONS):
+            # The stencil sits inside the box: its center is moved in from the faces.
+            center = np.clip(x, lo + delta, hi - delta)[..., None, :]
+            points = np.concatenate([x[..., None, :], center + shift, center - shift], axis=-2)
+            values, grads = fn(points.reshape(n_members, -1, 2))
+            values = values.reshape(n_members, n_cand, 5)
+            grads = grads.reshape(n_members, n_cand, 5, 2)
+            if phi is None:
+                phi = values[..., 0]
+            grad = grads[..., 0, :] * width
+            # hess[..., i, j] = width_i width_j d^2 log phi / dx_i dx_j
+            hess = (grads[..., 1:3, :] - grads[..., 3:5, :]).swapaxes(-1, -2) * (
+                width[..., :, None] / (2.0 * _POLISH_FD_STEP)
             )
-            if np.isfinite(res.fun):
-                best[k] = max(best[k], float(-res.fun))
-    return best
+            hess = 0.5 * (hess + hess.swapaxes(-1, -2))
+            held = ((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0))
+            grad = np.where(held, 0.0, grad)
+            ok = np.isfinite(grad).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(phi)
+            running &= ok & (np.abs(grad).max(axis=-1) > _POLISH_GTOL)
+            if not running.any():
+                break
+            # Newton step on the free coordinates: held rows and columns
+            # of -hess become those of the identity, with a zero gradient.
+            free = ~held[..., :, None] & ~held[..., None, :]
+            neg = np.where(free, -hess, np.eye(2))
+            neg[~running] = np.eye(2)
+            lam, vec = np.linalg.eigh(neg)
+            lam = np.abs(lam)
+            lam = np.maximum(lam, 1e-12 * lam.max(axis=-1, keepdims=True) + 1e-300)
+            coef = np.einsum("...ji,...j->...i", vec, np.where(running[..., None], grad, 0.0)) / lam
+            step = np.einsum("...ij,...j->...i", vec, coef) * width
+            pending = running.copy()
+            alpha = 1.0
+            for _ in range(_POLISH_HALVINGS + 1):
+                trial = np.where(pending[..., None], np.clip(x + alpha * step, lo, hi), x)
+                value, _ = fn(trial)
+                up = pending & (value > phi)
+                x[up] = trial[up]
+                phi = np.where(up, value, phi)
+                pending &= ~up
+                if not pending.any():
+                    break
+                alpha *= 0.5
+            running &= ~pending
+            if not running.any():
+                break
+    return phi
 
 
 def taylor_coefficients(f: AnalyticExpr, count: int, r: float, cfg: GridConfig) -> np.ndarray:

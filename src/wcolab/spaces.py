@@ -204,7 +204,6 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     radii = np.sqrt(t)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
     m_max = cfg.n_theta // 2 - 1
-    ms = np.arange(1, m_max + 1)
     mods = np.asarray(_BMOA_A_RADII)
     # kernel[a, r, m]: radial factor of the integrand after the angular
     # average, times (|a| r)^m, for the Fourier modes m = 0 .. m_max.
@@ -227,7 +226,9 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     width = 2.0 * np.pi / cfg.n_theta
 
     def at(beta):
-        return s0[:, 1:] + 2.0 * (s * np.exp(1j * ms * beta[:, :, None])).sum(axis=-1).real
+        # e^{i m beta} for m = 1 .. m_max as running products of e^{i beta}
+        powers = np.cumprod(np.repeat(np.exp(1j * beta)[:, :, None], m_max, axis=-1), axis=-1)
+        return s0[:, 1:] + 2.0 * np.einsum("kam,kam->ka", s, powers).real
 
     _, golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
     best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), golden).max(axis=1))

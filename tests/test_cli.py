@@ -237,10 +237,22 @@ class TestOutputContract:
         assert doc["result"]["error"] == "NonFiniteResult"
 
     def test_overflow_is_an_error_not_a_crash(self, capsys):
+        # The modulus overflows to infinity in numpy, so the sup norm is
+        # not finite: an error envelope, exit 2, no traceback.
         with np.errstate(all="ignore"):
             code, doc, _ = run_checked(capsys, "norm", "--space", "hinf", "--fn", "poly(1e308,1e308)")
         assert code == 2
+        assert doc["result"]["error"] == "NonFiniteResult"
+
+    def test_escaped_exception_is_an_error_not_a_crash(self, capsys, monkeypatch):
+        def overflowing(*args):
+            raise OverflowError("complex exponentiation")
+
+        monkeypatch.setattr("wcolab.cli.norm", overflowing)
+        code, doc, err = run_checked(capsys, "norm", "--space", "hinf", "--fn", "poly(1.0)")
+        assert code == 2
         assert doc["result"]["error"] == "OverflowError"
+        assert "Traceback" in err
 
     def test_partial_zero_count_is_inconclusive(self, capsys):
         # The zero of phi at 0.5 lies outside the counting circle |z| = 0.3,

@@ -89,6 +89,11 @@ def test_member_points(cfg):
     got = fam.derivative_at(z, 1)
     for k, member in enumerate(fam):
         np.testing.assert_allclose(got[k], member.jet(z[k]).df, rtol=1e-12, atol=1e-12)
+    # Several orders from one evaluation, each as the one-order call gives it.
+    for several in (fam.derivative_at(z, (0, 1, 2)), TreeFamily(list(fam)).derivative_at(z, (0, 1, 2))):
+        assert len(several) == 3
+        for order, d in enumerate(several):
+            np.testing.assert_allclose(d, fam.derivative_at(z, order), rtol=1e-12, atol=1e-12)
 
 
 def test_tree_family_fallback(cfg):

@@ -12,14 +12,19 @@ from wcolab import (
     integral_mean,
     taylor_coefficients,
 )
+from wcolab.analytic_core import Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
+from wcolab.characterization import _dlog_log_weight, _log_weight
+from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
+    _select_candidates,
     gauss01,
     refined_modulus_sup,
     scan_radii,
     unit_circle,
     weighted_radial_integral,
 )
+from wcolab.spaces import _logbloch_weight, _power_weight
 
 from conftest import seeded_polys
 
@@ -175,6 +180,99 @@ class TestSupEngines:
 
         [got] = refined_modulus_sup(Const(1.0), 0, omega, dlog, cfg)
         assert got == pytest.approx(2.0 / math.e, abs=1e-12)
+
+
+def _grid_scan(family, order, omega, cfg):
+    radii = scan_radii(cfg)
+    angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
+    z = radii[:, None] * np.exp(1j * angles)[None, :]
+    weight = omega(radii[:, None] ** 2)
+    return radii, angles, family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
+
+
+def _lbfgsb_sup(family, order, omega, dlog_omega, cfg, candidates=4):
+    """The per-member L-BFGS-B polish the batched one replaced, as a reference.
+
+    Same grid scan, candidates, start points, boxes and options; each
+    run walks the member's own expression tree one point at a time.
+    """
+    import scipy.optimize
+
+    radii, angles, vals = _grid_scan(family, order, omega, cfg)
+    best = vals.reshape(len(family), -1).max(axis=1)
+    dtheta = 2.0 * np.pi / cfg.n_theta
+    for k, member in enumerate(family):
+
+        def negated(x):
+            r, th = x
+            zz = r * np.exp(1j * th)
+            jet = member.jet(zz)
+            hv, hp = (jet.f, jet.df) if order == 0 else (jet.df, jet.d2f)
+            mod = abs(hv)
+            tt = r * r
+            phi = float(omega(tt) * mod)
+            if mod < 1e-300:
+                return -phi, np.zeros(2)
+            q = hp / hv
+            grad_r = phi * (2.0 * r * float(dlog_omega(tt)) + (q * np.exp(1j * th)).real)
+            grad_th = phi * (-(q * zz).imag)
+            return -phi, np.array([-grad_r, -grad_th])
+
+        for i, j in _select_candidates(vals[k], candidates):
+            lo_r = radii[i - 1] if i > 0 else 0.0
+            hi_r = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
+            th0 = angles[j]
+            res = scipy.optimize.minimize(
+                negated,
+                np.array([radii[i], th0]),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(lo_r, hi_r), (th0 - 2.0 * dtheta, th0 + 2.0 * dtheta)],
+                options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 80},
+            )
+            if np.isfinite(res.fun):
+                best[k] = max(best[k], float(-res.fun))
+    return best
+
+
+POLISH_WEIGHTS = {
+    "bloch:1": (1, _power_weight(1.0)),
+    "logbloch:1": (1, _logbloch_weight(1.0)),
+    "flat": (0, FLAT_WEIGHT),
+    "growth:1": (0, _power_weight(1.0)),
+    "multiplier log weight": (1, (_log_weight, _dlog_log_weight)),
+}
+
+POLISH_FAMILIES = {
+    "probes": lambda fam: fam,
+    "rotation images": lambda fam: apply(WcoSymbols(Const(np.exp(0.7j)), Moebius(rotation_map(1.3))), fam),
+    "involution images": lambda fam: apply(WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.5 - 0.3j, 1.0))), fam),
+    "trees": lambda fam: as_family([Pow(Poly((2.0, 0.5, 0.3j)), 1.5), Recip(Poly((1.5, -1.0))), Recip(Pow(Poly((1.2, 1.0)), 0.7))]),
+}
+
+
+class TestBatchedPolish:
+    @pytest.mark.parametrize("weight", sorted(POLISH_WEIGHTS))
+    @pytest.mark.parametrize("name", sorted(POLISH_FAMILIES))
+    def test_matches_per_member_lbfgsb(self, cfg, name, weight):
+        family = POLISH_FAMILIES[name](as_family(default_probe_family()))
+        order, (omega, dlog_omega) = POLISH_WEIGHTS[weight]
+        got = refined_modulus_sup(family, order, omega, dlog_omega, cfg)
+        want = _lbfgsb_sup(family, order, omega, dlog_omega, cfg)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        # A lower bound that still improves on the grid.
+        grid = _grid_scan(family, order, omega, cfg)[2].reshape(len(family), -1).max(axis=1)
+        assert np.all(got >= grid)
+
+    def test_monomials_stay_below_the_bloch_sup(self, cfg):
+        # (1 - r^2) n r^(n-1) peaks at r^2 = (n-1)/(n+1).
+        ns = np.arange(1, 25)
+        got = refined_modulus_sup([Poly((0.0,) * n + (1.0,)) for n in ns], 1, *_power_weight(1.0), cfg)
+        t = (ns - 1.0) / (ns + 1.0)
+        exact = (1.0 - t) * ns * np.sqrt(t) ** (ns - 1)
+        # Up to the rounding of both sides, a few units in the last place.
+        assert np.all(got <= exact * (1.0 + 1e-14))
+        assert np.all(got >= exact * (1.0 - 1e-12))
 
 
 class TestTaylorCoefficients:

@@ -15,11 +15,15 @@ from wcolab.analytic_core import (
     Recip,
     rotation_map,
 )
+from wcolab.analytic_core import MoebiusMap, as_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
-from wcolab.quadrature import area_integral
+from wcolab.operators import WcoSymbols, apply, default_probe_family
+from wcolab.quadrature import _golden_max_batch, area_integral, gauss01, unit_circle
 from conftest import seeded_polys
 from wcolab.spaces import (
+    _BMOA_A_RADII,
     SpaceSpec,
+    _bmoa_seminorms,
     norm,
     parse_space,
     pointeval_bound,
@@ -232,6 +236,51 @@ class TestBmoa:
         for f in seeded_polys(4, seed=11, max_degree=6):
             base = area_integral(lambda z: np.abs(f.jet(z).df) ** 2 * (1.0 - np.abs(z) ** 2), cfg)
             assert seminorm(space, f, cfg) ** 2 >= base - 1e-10
+
+
+def _bmoa_reference(fam, cfg):
+    """BMOA star seminorms with the Fourier series in arg(a) summed term by term.
+
+    The same spectral sums, ladder of |a| and 60-step golden search as
+    the package, but every step evaluates exp(i m beta) for each mode m.
+    """
+    t, w = gauss01(cfg.n_radial)
+    radii = np.sqrt(t)
+    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
+    m_max = cfg.n_theta // 2 - 1
+    ms = np.arange(1, m_max + 1)
+    mods = np.asarray(_BMOA_A_RADII)
+    pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
+    kernel = pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(m_max + 1)
+    D = np.abs(fam.derivative(z, 1)) ** 2
+    coeffs = np.fft.fft(D, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
+    sums = np.einsum("krm,arm->kam", coeffs, kernel)
+    s0 = sums[:, :, 0].real
+    s = sums[:, 1:, 1:]
+    padded = np.zeros(s.shape[:2] + (cfg.n_theta,), dtype=complex)
+    padded[:, :, 0] = s0[:, 1:]
+    padded[:, :, 1 : m_max + 1] = 2.0 * s
+    profile = np.fft.ifft(padded, axis=-1).real * cfg.n_theta
+    beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
+    width = 2.0 * np.pi / cfg.n_theta
+
+    def at(beta):
+        return s0[:, 1:] + 2.0 * (s * np.exp(1j * ms * beta[:, :, None])).sum(axis=-1).real
+
+    _, golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
+    best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), golden).max(axis=1))
+    return np.sqrt(np.maximum(best, 0.0))
+
+
+class TestBmoaArgumentSearch:
+    @pytest.mark.parametrize("images", [False, True])
+    def test_matches_term_by_term_series(self, cfg, images):
+        fam = as_family(default_probe_family())
+        if images:
+            fam = apply(WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.5 - 0.3j, 1.0))), fam)
+        got = _bmoa_seminorms(fam, cfg)
+        want = _bmoa_reference(fam, cfg)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestPointEvalBound:
