@@ -140,11 +140,52 @@ def area_integral(g, cfg: GridConfig) -> float:
 @functools.lru_cache(maxsize=64)
 def _jacobi01(n: int, alpha: float):
     # Nodes and weights so that sum w_i g(t_i) = int_0^1 g(t) (1-t)^alpha dt
-    # for smooth g, exact when g is a polynomial of degree < 2n.
-    x, w = scipy.special.roots_jacobi(n, alpha, 0.0)
-    t = 0.5 * (x + 1.0)
-    w = w * 0.5 ** (alpha + 1.0)
-    return t, w
+    # for smooth g, exact when g is a polynomial of degree < 2n.  This is
+    # scipy.special.roots_jacobi(n, alpha, 0) step for step (Golub-Welsch,
+    # one Newton step, weights from P_{n-1} and P_n'), bitwise equal, but
+    # with numpy's eigensolver: roots_jacobi imports scipy.linalg (44
+    # modules, about 0.1 s) on its first call, which would land inside the
+    # first Bergman, mixed or Besov norm of a process.
+    a = float(alpha)
+    k = np.arange(n, dtype=float)
+    if a == 0.0:
+        # roots_jacobi hands this case to roots_legendre, which symmetrizes.
+        mu0 = 2.0
+        diag = np.zeros(n)
+        off = k[1:] * np.sqrt(1.0 / (4.0 * k[1:] * k[1:] - 1.0))
+        f = scipy.special.eval_legendre
+
+        def df(m, x):
+            return (-m * x * f(m, x) + m * f(m - 1, x)) / (1.0 - x**2)
+
+    else:
+        mu0 = 2.0 ** (a + 1.0) * scipy.special.beta(a + 1.0, 1.0)
+        diag = np.where(k == 0, -a / (2.0 + a), -a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0)))
+        j = k[1:]
+        off = (2.0 / (2.0 * j + a) * np.sqrt((j + a) * j / (2.0 * j + a + 1.0))
+               * np.where(j == 1, 1.0, np.sqrt(j * (j + a) / (2.0 * j + a - 1.0))))
+
+        def f(m, x):
+            return scipy.special.eval_jacobi(m, a, 0.0, x)
+
+        def df(m, x):
+            return 0.5 * (m + a + 1.0) * scipy.special.eval_jacobi(m - 1, a + 1.0, 1.0, x)
+
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    dy = df(n, x)
+    x = x - f(n, x) / dy
+    # fm and dy are scaled by the geometric middle of their ranges, so
+    # that their product neither overflows nor underflows.
+    fm = f(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if a == 0.0:
+        w = (w + w[::-1]) / 2.0
+        x = (x - x[::-1]) / 2.0
+    w = w * (mu0 / w.sum())
+    return 0.5 * (x + 1.0), w * 0.5 ** (a + 1.0)
 
 
 def weighted_radial_integral(h, exponent: float, cfg: GridConfig) -> float | np.ndarray:

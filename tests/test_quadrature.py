@@ -17,6 +17,7 @@ from wcolab.characterization import _dlog_log_weight, _log_weight
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
+    _jacobi01,
     _select_candidates,
     gauss01,
     refined_modulus_sup,
@@ -123,6 +124,18 @@ class TestRadialQuadrature:
     def test_exponent_validation(self, cfg):
         with pytest.raises(ParameterError):
             weighted_radial_integral(lambda r: r, -1.0, cfg)
+
+    @pytest.mark.parametrize("n", [4, 33, 64, 128])
+    def test_jacobi_rule_matches_scipy(self, n):
+        # The rule follows scipy.special.roots_jacobi with numpy's
+        # eigensolver; alpha = 0 takes scipy's Legendre branch.
+        from scipy.special import roots_jacobi
+
+        for alpha in (0.0, -0.5, 0.5, 1.0, 2.5):
+            t, w = _jacobi01(n, alpha)
+            x, v = roots_jacobi(n, alpha, 0.0)
+            np.testing.assert_allclose(t, 0.5 * (x + 1.0), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(w, v * 0.5 ** (alpha + 1.0), rtol=1e-14, atol=0.0)
 
     def test_scan_radii_contents(self, cfg):
         radii = scan_radii(cfg)

@@ -1,5 +1,10 @@
 """Space parsing, norm goldens, decomposition structure, invariances."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +309,29 @@ class TestPointEvalBound:
         got = pointeval_bound(parse_space("bloch:1"), 0.5)
         assert got == pytest.approx(0.5 * np.log(3.0))
 
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.999, 0.99999])
+    def test_increment_closed_forms(self, r):
+        # besov:2,0 integrates 1/(1-s^2), bloch:2 integrates 1/(1-s^2)^2.
+        assert pointeval_bound(parse_space("besov:2,0"), r) == pytest.approx(np.arctanh(r), rel=1e-13)
+        want = r / (2.0 * (1.0 - r * r)) + 0.5 * np.arctanh(r)
+        assert pointeval_bound(parse_space("bloch:2"), r) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["bloch:0.5", "bloch:1.5", "logbloch:1", "logbloch:2", "besov:2,0", "besov:3,0.5"])
+    def test_increment_matches_quad(self, text):
+        # scipy's adaptive quad, the rule the bound used before, as a
+        # test-only reference on the radii of the A1 check and beyond.
+        import scipy.integrate
+
+        space = parse_space(text)
+        rate = {
+            "bloch": lambda s: (1.0 - s**2) ** (-space.beta),
+            "logbloch": lambda s: 1.0 / ((1.0 - s**2) * np.log(2.0 / (1.0 - s**2)) ** space.gamma),
+            "besov": lambda s: (1.0 - s**2) ** (-(2.0 + space.alpha) / space.p),
+        }[space.family]
+        for r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            want = scipy.integrate.quad(rate, 0.0, r, limit=200)[0]
+            assert pointeval_bound(space, r) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("text", ["hardy:2", "bloch:1", "bergman:2,0"])
     def test_bound_holds_on_circle(self, cfg, text):
         space = parse_space(text)
@@ -364,3 +392,29 @@ class TestNormAxiomsProperty:
         lhs = norm(space, Add(f, g), coarse_cfg).total
         rhs = norm(space, f, coarse_cfg).total + norm(space, g, coarse_cfg).total
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-10
+
+
+def test_calls_import_nothing_after_start_up():
+    # Every module the package needs comes in with `import wcolab`, so that
+    # no call pays for an import: the first norm or bound of a process
+    # costs what every later one does.
+    code = textwrap.dedent(
+        """
+        import sys
+        import wcolab as wc
+        from wcolab.axiom_harness import ALL_FAMILIES
+        cfg = wc.default_config()
+        before = set(sys.modules)
+        f = wc.Poly((0.3, 1.0, 0.2j))
+        for text in ALL_FAMILIES:
+            space = wc.parse_space(text)
+            wc.norm(space, f, cfg)
+            wc.pointeval_bound(space, 0.5)
+        print(" ".join(sorted(set(sys.modules) - before)))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(norm.__code__.co_filename)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
