@@ -69,14 +69,7 @@ from .operators import (
     monomial,
     random_polynomials,
 )
-from .quadrature import (
-    GridConfig,
-    area_integral,
-    default_config,
-    integral_mean,
-    taylor_coefficients,
-    weighted_radial_integral,
-)
+from .quadrature import GridConfig, default_config, taylor_coefficients, weighted_radial_integral
 from .spaces import NormBreakdown, SpaceSpec, norm, norms, parse_space, pointeval_bound, seminorm, seminorms
 
 __version__ = "0.1.0"

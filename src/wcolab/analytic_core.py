@@ -81,6 +81,14 @@ def _checked_points(z) -> np.ndarray:
     return arr
 
 
+def _inner_points(w) -> np.ndarray:
+    # Values of an inner function, checked as points for the outer one.
+    w = np.asarray(w)
+    if w.size and np.max(np.abs(w)) >= 1.0:
+        raise DomainError("composition inner value left the unit disk")
+    return w
+
+
 def _require_finite(c: complex, what: str) -> complex:
     c = complex(c)
     if not (np.isfinite(c.real) and np.isfinite(c.imag)):
@@ -155,9 +163,11 @@ def rotation_map(theta: float) -> MoebiusMap:
 class AnalyticExpr:
     """Base class of expression-tree nodes.
 
-    Subclasses implement _jet on numpy arrays of points.  Public
-    evaluation goes through jet / __call__, which validate the points
-    and convert scalars.
+    Subclasses implement _jet and _value on numpy arrays of points;
+    _value repeats the value line of _jet, checks included, so that it
+    equals _jet(z).f bitwise without the derivatives.  Public evaluation
+    goes through jet / __call__, which validate the points and convert
+    scalars.
     """
 
     def _jet(self, z: np.ndarray) -> Jet2:
@@ -172,7 +182,10 @@ class AnalyticExpr:
         return out
 
     def __call__(self, z):
-        return self.jet(z).f
+        """Value at z, equal to jet(z).f; z a complex scalar or array, |z| < 1."""
+        arr = _checked_points(z)
+        out = self._value(arr)
+        return complex(out) if arr.ndim == 0 else out
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -200,7 +213,10 @@ class Const(AnalyticExpr):
 
     def _jet(self, z):
         zero = np.zeros_like(z)
-        return Jet2(np.full_like(z, self.value), zero, zero)
+        return Jet2(self._value(z), zero, zero)
+
+    def _value(self, z):
+        return np.full_like(z, self.value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,6 +242,12 @@ class Poly(AnalyticExpr):
             f = f * z + c
         return Jet2(f, df, d2f)
 
+    def _value(self, z):
+        f = np.zeros_like(z)
+        for c in reversed(self.coeffs):
+            f = f * z + c
+        return f
+
 
 @dataclasses.dataclass(frozen=True)
 class Moebius(AnalyticExpr):
@@ -236,6 +258,9 @@ class Moebius(AnalyticExpr):
     def _jet(self, z):
         return self.map.jet(z)
 
+    def _value(self, z):
+        return self.map(z)
+
 
 @dataclasses.dataclass(frozen=True)
 class Add(AnalyticExpr):
@@ -244,6 +269,9 @@ class Add(AnalyticExpr):
 
     def _jet(self, z):
         return self.left._jet(z) + self.right._jet(z)
+
+    def _value(self, z):
+        return self.left._value(z) + self.right._value(z)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,6 +282,9 @@ class Mul(AnalyticExpr):
     def _jet(self, z):
         return self.left._jet(z) * self.right._jet(z)
 
+    def _value(self, z):
+        return self.left._value(z) * self.right._value(z)
+
 
 @dataclasses.dataclass(frozen=True)
 class Compose(AnalyticExpr):
@@ -263,7 +294,7 @@ class Compose(AnalyticExpr):
     inner: AnalyticExpr
 
     def __post_init__(self):
-        vals = self.inner._jet(_validation_circle()).f
+        vals = self.inner._value(_validation_circle())
         worst = float(np.max(np.abs(vals)))
         if worst >= 1.0:
             raise DomainError(
@@ -272,10 +303,10 @@ class Compose(AnalyticExpr):
 
     def _jet(self, z):
         inner_jet = self.inner._jet(z)
-        w = np.asarray(inner_jet.f)
-        if w.size and np.max(np.abs(w)) >= 1.0:
-            raise DomainError("composition inner value left the unit disk")
-        return self.outer._jet(w).chain(inner_jet)
+        return self.outer._jet(_inner_points(inner_jet.f)).chain(inner_jet)
+
+    def _value(self, z):
+        return self.outer._value(_inner_points(self.inner._value(z)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,15 +326,22 @@ class Recip(AnalyticExpr):
     def _jet(self, z):
         inner_jet = self.inner._jet(z)
         u = inner_jet.f
-        if np.min(np.abs(u)) < 1e-14:
-            raise DomainError("reciprocal evaluated at a zero of the inner function")
-        inv = 1.0 / u
+        inv = self._reciprocal(u)
         inv2 = inv * inv
         return Jet2(
             inv,
             -inner_jet.df * inv2,
             (2.0 * inner_jet.df ** 2 - u * inner_jet.d2f) * inv2 * inv,
         )
+
+    def _value(self, z):
+        return self._reciprocal(self.inner._value(z))
+
+    @staticmethod
+    def _reciprocal(u):
+        if np.min(np.abs(u)) < 1e-14:
+            raise DomainError("reciprocal evaluated at a zero of the inner function")
+        return 1.0 / u
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,10 +365,8 @@ class Pow(AnalyticExpr):
     def _jet(self, z):
         inner_jet = self.inner._jet(z)
         u = np.asarray(inner_jet.f)
-        if np.any((u.real <= 0.0) & (u.imag == 0.0)):
-            raise BranchError("Pow encountered a value on the branch cut (−∞, 0]")
+        f = self._power(u)
         alpha = self.exponent
-        f = np.exp(alpha * np.log(u))
         s1 = f / u
         s2 = s1 / u
         return Jet2(
@@ -338,6 +374,14 @@ class Pow(AnalyticExpr):
             alpha * s1 * inner_jet.df,
             alpha * (alpha - 1.0) * s2 * inner_jet.df ** 2 + alpha * s1 * inner_jet.d2f,
         )
+
+    def _value(self, z):
+        return self._power(np.asarray(self.inner._value(z)))
+
+    def _power(self, u: np.ndarray):
+        if np.any((u.real <= 0.0) & (u.imag == 0.0)):
+            raise BranchError("Pow encountered a value on the branch cut (−∞, 0]")
+        return np.exp(self.exponent * np.log(u))
 
 
 class Family:
@@ -430,7 +474,7 @@ def _stacked(arrays: list) -> np.ndarray:
 
 
 class TreeFamily(Family):
-    """Any expressions, each evaluated by its own jet."""
+    """Any expressions, each evaluated by its own jet, or for values alone by its own value."""
 
     def __init__(self, members):
         self.members = tuple(members)
@@ -443,6 +487,8 @@ class TreeFamily(Family):
 
     def _evaluate(self, z, orders):
         points = [z[0]] * len(self) if len(z) == 1 else z
+        if orders == (0,):
+            return [_stacked([f(p) for f, p in zip(self.members, points)])]
         jets = [f.jet(p) for f, p in zip(self.members, points)]
         names = ("f", "df", "d2f")
         return [_stacked([getattr(j, names[order]) for j in jets]) for order in orders]
@@ -514,6 +560,19 @@ class PolyFamily(_LinearFamily):
             np.multiply(table[j - 1], z, out=table[j])
         return [{d: table[: width - d]} for d in range(order + 1)]
 
+    def combination(self, pairs) -> np.ndarray:
+        """Sum of a * f(v) over the pairs (a, v) for every member f, by one matrix product.
+
+        The points v share one shape and each factor a broadcasts to it.
+        """
+        total = None
+        for a, v in pairs:
+            table = self._terms(_checked_points(v), 0)[0][0]
+            table *= a
+            total = table if total is None else np.add(total, table, out=total)
+        coeffs = self._matrices[0]
+        return (coeffs @ total.reshape(coeffs.shape[1], -1)).reshape((len(self),) + total.shape[1:])
+
 
 def _scaled(pairs) -> dict:
     # sum of factor * terms over (factor, terms) pairs, tables merged by j
@@ -537,9 +596,10 @@ class ImageFamily(_LinearFamily):
 
     With phi None the images are F * f, and with F None they are f o phi.
     F and phi are evaluated once per call, phi with the disk check that
-    Compose makes.  The product and chain rules then act on the base
-    family's power tables at phi(z), before the matrix product, which by
-    linearity equals acting on the base family's stacked jets.
+    Compose makes, and for values alone without their derivatives.  The
+    product and chain rules then act on the base family's power tables
+    at phi(z), before the matrix product, which by linearity equals
+    acting on the base family's stacked jets.
     """
 
     def __init__(self, F: AnalyticExpr | None, phi: AnalyticExpr | None, base: _LinearFamily):
@@ -555,15 +615,15 @@ class ImageFamily(_LinearFamily):
         return _image(self.F, self.phi, self.base[k])
 
     def _terms(self, z, order):
+        def jet(g):
+            return g.jet(z) if order else Jet2(g(z), None, None)
+
         if self.phi is None:
             base = self.base._terms(z, order)
             d1, d2 = 1.0, 0.0
         else:
-            inner = self.phi.jet(z)
-            w = np.asarray(inner.f)
-            if w.size and np.max(np.abs(w)) >= 1.0:
-                raise DomainError("composition inner value left the unit disk")
-            base = self.base._terms(w, order)
+            inner = jet(self.phi)
+            base = self.base._terms(_inner_points(inner.f), order)
             d1, d2 = inner.df, inner.d2f
         if self.F is None:
             out = [base[0]]
@@ -572,7 +632,7 @@ class ImageFamily(_LinearFamily):
             if order >= 2:
                 out.append(_scaled([(d2, base[1]), (d1 * d1, base[2])]))
             return out
-        F = self.F.jet(z)
+        F = jet(self.F)
         out = [_scaled([(F.f, base[0])])]
         if order >= 1:
             out.append(_scaled([(F.df, base[0]), (F.f * d1, base[1])]))
@@ -634,14 +694,14 @@ def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> i
     if not 0.0 < r <= R_MAX:
         raise ParameterError(f"contour radius must lie in (0, {R_MAX}]")
     theta = 2.0 * np.pi * np.arange(n) / n
-    vals = f.jet(r * np.exp(1j * theta)).f
+    vals = f(r * np.exp(1j * theta))
     if float(np.min(np.abs(vals))) < _ZERO_THRESHOLD:
         raise ContourZero(f"function modulus below {_ZERO_THRESHOLD} on the circle of radius {r}")
     return _winding_from_values(vals)
 
 
 def _check_nonvanishing(inner: AnalyticExpr, node_name: str) -> None:
-    vals = inner._jet(_validation_circle()).f
+    vals = inner._value(_validation_circle())
     low = float(np.min(np.abs(vals)))
     if low < _ZERO_THRESHOLD:
         raise DomainError(

@@ -92,15 +92,17 @@ def _image_bound(probes: _Probes, image_of) -> tuple:
     """Largest ratio ||image|| / ||f|| over the family, and the same ratio on a refined grid.
 
     image_of maps a family to the family of its members' images.  The
-    refined ratio is taken for the member attaining the largest one;
-    returns (bound, refined bound, stability ratio, seminorm parts of
-    the images' norms).
+    refined ratio is taken for the first member within 1e-12 relative of
+    the largest one, so that ratios equal up to rounding (all of them on
+    hinf) do not let last-bit noise pick the member.  Returns (bound,
+    refined bound, stability ratio, seminorm parts of the images' norms).
     """
     space, cfg = probes.space, probes.cfg
     totals, _, semi = _norm_parts(space, image_of(probes.family), cfg)
     ratios = totals / probes.norms
-    worst = int(np.argmax(ratios))
-    bound = float(ratios[worst])
+    bound = float(np.max(ratios))
+    near = ratios >= bound * (1.0 - 1e-12) if np.isfinite(bound) else ratios
+    worst = int(np.argmax(near))
     member = as_family([probes.family[worst]])
     fine = cfg.refined(2)
     refined = float(norms(space, image_of(member), fine)[0] / norms(space, member, fine)[0])

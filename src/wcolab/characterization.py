@@ -12,6 +12,7 @@ verdict so a failed criterion can be traced to a number.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 
@@ -40,8 +41,9 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_SEED,
+    SECTION_RADIUS,
+    FiniteSection,
     WcoSymbols,
-    apply,
     condition_number,
     default_probe_family,
     finite_section,
@@ -110,7 +112,7 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
         return AutomorphismFit(False, None, float("inf"))
 
     pts = _grid_points(cfg)
-    vals = phi.jet(pts).f
+    vals = phi(pts)
     flat = int(np.argmin(np.abs(vals)))
     z = complex(pts.flat[flat])
     for _ in range(60):
@@ -128,7 +130,7 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     if a_star == 0:
         lam = -complex(phi.jet(0.0 + 0.0j).df)
     else:
-        lam = complex(phi.jet(0.0 + 0.0j).f) / a_star
+        lam = phi(0.0 + 0.0j) / a_star
     scale = abs(lam)
     if scale < 1e-12:
         return AutomorphismFit(False, None, float("inf"))
@@ -153,8 +155,7 @@ class MultiplierVerdict:
 def _ladder_profile(u: AnalyticExpr, cfg: GridConfig, order: int = 0):
     radii = np.asarray(cfg.sup_radii, dtype=float)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
-    jet = u.jet(z)
-    vals = jet.f if order == 0 else jet.df
+    vals = u(z) if order == 0 else u.jet(z).df
     return radii, np.max(np.abs(vals), axis=1)
 
 
@@ -253,17 +254,22 @@ class InvertibilityReport:
 
 
 def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: GridConfig, seed: int = DEFAULT_SEED) -> float:
-    """sup-grid residual of both composition orders against the identity."""
-    inv = WcoSymbols(G, psi)
+    """sup-grid residual of both composition orders against the identity.
+
+    The roundtrips G (F o psi) (f o phi o psi) and F (G o phi) (f o psi o phi)
+    minus f are taken on the power tables of the seeded polynomials f, one
+    matrix product per order; every composed point is checked to lie in
+    the disk.
+    """
     pts = _grid_points(cfg)
     family = as_family(random_polynomials(20, seed))
-    # Values only: G (F o psi) (f o phi o psi) and its mirror.
-    roundtrips = [apply(outer, apply(inner, family)) for outer, inner in ((inv, w), (w, inv))]
     worst = 0.0
     for rows in family.row_blocks(pts):
-        reference = family.derivative(pts[rows], 0)
-        for image in roundtrips:
-            worst = max(worst, float(np.max(np.abs(image.derivative(pts[rows], 0) - reference))))
+        z = pts[rows]
+        psi_z, phi_z = psi(z), w.phi(z)
+        for weight, point in ((G(z) * w.F(psi_z), w.phi(psi_z)), (w.F(z) * G(phi_z), psi(phi_z))):
+            residual = family.combination(((weight, point), (-1.0, z)))
+            worst = max(worst, float(np.max(np.abs(residual))))
     return worst
 
 
@@ -282,7 +288,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     """
     fit = detect_automorphism(w.phi, cfg)
     zeros = _count_zeros_retry(w.F, cfg)
-    min_mod = float(np.min(np.abs(w.F.jet(_grid_points(cfg)).f)))
+    min_mod = float(np.min(np.abs(w.F(_grid_points(cfg)))))
     report = InvertibilityReport(space, fit, zeros, min_mod, None, "Inconclusive")
 
     # A zero count on a circle short of R_MAX misses the zeros beyond it,
@@ -322,13 +328,13 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     report.inverse_weight = G
     report.inverse_map = psi
     report.roundtrip_residual = _roundtrip_residual(w, G, psi, cfg, seed)
-    conditions = {}
-    for N in SECTION_DIMENSIONS:
-        try:
-            conditions[N] = condition_number(finite_section(w, N, cfg))
-        except (WcolabError, np.linalg.LinAlgError):
-            conditions[N] = float("inf")
-    report.section_conditions = conditions
+    conditions = report.section_conditions = dict.fromkeys(SECTION_DIMENSIONS, float("inf"))
+    # Each section is a leading block of the largest one: the same FFT on the same circle.
+    with contextlib.suppress(WcolabError):
+        entries = finite_section(w, max(SECTION_DIMENSIONS), cfg).entries
+        for N in SECTION_DIMENSIONS:
+            with contextlib.suppress(WcolabError, np.linalg.LinAlgError):
+                conditions[N] = condition_number(FiniteSection(N, entries[:N, :N], SECTION_RADIUS))
     return report
 
 
@@ -355,7 +361,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
             f"surjective isometry rigidity needs the decomposed norm; {space} does not have it"
         )
     sup_f = float(refined_modulus_sup(w.F, 0, *FLAT_WEIGHT, cfg)[0])
-    inf_f = float(np.min(np.abs(w.F.jet(_grid_points(cfg)).f)))
+    inf_f = float(np.min(np.abs(w.F(_grid_points(cfg)))))
     unimodular = (
         abs(sup_f - 1.0) <= UNIMODULAR_TOL
         and abs(inf_f - 1.0) <= UNIMODULAR_TOL
@@ -363,7 +369,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
     )
     fit = detect_automorphism(w.phi, cfg)
     rotation = fit.found and fit.map is not None and abs(fit.map.a) <= UNIMODULAR_TOL
-    origin = complex(w.phi.jet(0.0 + 0.0j).f)
+    origin = w.phi(0.0 + 0.0j)
     defect = isometry_defect(w, space, default_probe_family(seed), cfg)
     return IsometryReport(
         space=space,

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, R_MAX, as_family, image_family
+from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, R_MAX, as_family, image_family
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from .quadrature import GridConfig, taylor_coefficients, unit_circle
 from .spaces import SpaceSpec, norms
@@ -38,12 +38,12 @@ class WcoSymbols:
 
     def __post_init__(self):
         circle = R_MAX * unit_circle(256)
-        phi_vals = self.phi.jet(circle).f
+        phi_vals = self.phi(circle)
         if float(np.max(np.abs(phi_vals))) >= 1.0:
             raise DomainError("phi is not a self-map of the disk on the validation circle")
         if float(np.max(np.abs(phi_vals - phi_vals[0]))) < 1e-15:
             raise DegenerateInput("phi is constant on the validation circle")
-        f_vals = self.F.jet(circle).f
+        f_vals = self.F(circle)
         if float(np.max(np.abs(f_vals))) < 1e-15:
             raise DegenerateInput("F vanishes identically on the validation circle")
 
@@ -79,12 +79,14 @@ def monomial(k: int) -> Poly:
 
 
 def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> FiniteSection:
+    """The N-section from the images of z^0 .. z^(N-1), one stacked family and one FFT.
+
+    Its leading n x n block is the n-section: the same FFT on the same circle.
+    """
     if not 2 <= N <= cfg.n_theta // 2:
         raise ParameterError(f"section dimension must lie in [2, n_theta/2], got {N}")
-    entries = np.empty((N, N), dtype=complex)
-    for k in range(N):
-        image = apply(w, monomial(k))
-        entries[:, k] = taylor_coefficients(image, N, SECTION_RADIUS, cfg)
+    images = apply(w, PolyFamily([monomial(k) for k in range(N)]))
+    entries = taylor_coefficients(images, N, SECTION_RADIUS, cfg).T
     return FiniteSection(N, entries, SECTION_RADIUS)
 
 

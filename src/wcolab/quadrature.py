@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import scipy.special
 
-from .analytic_core import AnalyticExpr, R_MAX, as_family
+from .analytic_core import R_MAX, Family, as_family
 from .errors import ParameterError
 
 _PRESET_FACTORS = {"fast": 0.5, "default": 1.0, "fine": 2.0}
@@ -100,41 +100,6 @@ def gauss01(n: int):
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
-
-
-def circle_values(f: AnalyticExpr, r: float, n: int) -> np.ndarray:
-    return f.jet(r * unit_circle(n)).f
-
-
-def integral_mean(f: AnalyticExpr, p: float, r: float, cfg: GridConfig) -> float:
-    """M_p(r, f): the L^p average of |f| over the circle of radius r.
-
-    Trapezoid rule on n_theta angles; spectrally accurate because the
-    integrand is periodic.  p = inf returns the maximum modulus.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ParameterError(f"radius must lie in [0, 1), got {r}")
-    if p != np.inf and p < 1.0:
-        raise ParameterError(f"integral mean requires p >= 1 or p = inf, got {p}")
-    mods = np.abs(circle_values(f, r, cfg.n_theta))
-    if p == np.inf:
-        return float(np.max(mods))
-    return float(np.mean(mods ** p) ** (1.0 / p))
-
-
-def area_integral(g, cfg: GridConfig) -> float:
-    """Integral of a pointwise function over the disk, normalized area.
-
-    With dA = r dr dtheta / pi the substitution t = r^2 gives
-    integral = int_0^1 (angular mean at r = sqrt(t)) dt, evaluated by
-    Gauss-Legendre in t; nodes stay strictly inside the disk.  g takes a
-    complex array and returns real values.
-    """
-    t, w = gauss01(cfg.n_radial)
-    radii = np.sqrt(t)
-    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
-    vals = np.asarray(g(z), dtype=float)
-    return float(w @ vals.mean(axis=1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -410,12 +375,14 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
     return phi
 
 
-def taylor_coefficients(f: AnalyticExpr, count: int, r: float, cfg: GridConfig) -> np.ndarray:
+def taylor_coefficients(f, count: int, r: float, cfg: GridConfig) -> np.ndarray:
     """First count Taylor coefficients of f via the FFT on a circle.
 
     c_k equals the k-th Fourier coefficient of f on |z| = r divided by
-    r^k.  Warns when r^count drops below 1e-12: the rescaling is then
-    ill-conditioned and high coefficients are unreliable.
+    r^k.  For a Family f the result has one row per member, from one FFT
+    along the last axis.  Warns when r^count drops below 1e-12: the
+    rescaling is then ill-conditioned and high coefficients are
+    unreliable.
     """
     if not 0.0 < r <= cfg.r_max:
         raise ParameterError(f"extraction radius must lie in (0, r_max], got {r}")
@@ -430,6 +397,7 @@ def taylor_coefficients(f: AnalyticExpr, count: int, r: float, cfg: GridConfig) 
             RuntimeWarning,
             stacklevel=2,
         )
-    vals = circle_values(f, r, cfg.n_theta)
+    z = r * unit_circle(cfg.n_theta)
+    vals = f.derivative(z, 0) if isinstance(f, Family) else f(z)
     hat = np.fft.fft(vals) / cfg.n_theta
-    return hat[:count] / r ** np.arange(count)
+    return hat[..., :count] / r ** np.arange(count)

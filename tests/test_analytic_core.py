@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from wcolab import (
     rotation_map,
     winding_number,
 )
+from wcolab.quadrature import scan_radii, unit_circle
 
 from conftest import seeded_polys
 
@@ -190,6 +193,53 @@ class TestDomainValidation:
         assert p2.jet(z).f == pytest.approx(m2.jet(z).f)
         assert p2.jet(z).df == pytest.approx(m2.jet(z).df)
         assert p2.jet(z).d2f == pytest.approx(m2.jet(z).d2f)
+
+
+def _bits(x):
+    return type(x), np.asarray(x).tobytes()
+
+
+class TestValuePath:
+    """f(z) repeats the value line of f.jet(z), checks included."""
+
+    U = Poly((2.0, 0.5j, 0.25))
+    MAP = Moebius(MoebiusMap(0.3 - 0.4j, np.exp(0.7j)))
+    NODES = {
+        "const": Const(0.5 - 2.0j),
+        "poly": Poly((1.0, -0.5, 0.25j, 0.1)),
+        "moebius": MAP,
+        "add": Add(U, MAP),
+        "mul": Mul(U, MAP),
+        "compose": Compose(Recip(U), MAP),
+        "recip": Recip(Pow(U, 1.5)),
+        "pow": Pow(Add(U, Mul(MAP, Const(0.2))), -0.7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_values_equal_jet_values_bitwise(self, cfg, name):
+        f = self.NODES[name]
+        grid = scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
+        for z in (grid, 0.3 - 0.2j, 0.0 + 0.0j):
+            assert _bits(f(z)) == _bits(f.jet(z).f)
+
+    @pytest.mark.parametrize(
+        "f, z",
+        [
+            # Passes the check on the validation circle of radius R_MAX,
+            # but maps z = 0.9999999 outside the disk.
+            (Compose(Poly((1.0, 1.0)), Poly((0.0, (1.0 - 1e-9) / R_MAX))), 0.9999999),
+            # The zero at 0.9999999 lies outside the validation circle.
+            (Recip(Poly((-0.9999999, 1.0))), 0.9999999),
+            (Pow(Const(-1.0 + 0.0j), 0.5), 0.1),
+        ],
+        ids=["compose", "recip", "pow"],
+    )
+    def test_errors_equal_jet_errors(self, f, z):
+        for at in (z, np.array([0.0, z])):
+            with pytest.raises((DomainError, BranchError)) as from_jet:
+                f.jet(at)
+            with pytest.raises(from_jet.type, match=f"^{re.escape(str(from_jet.value))}$"):
+                f(at)
 
 
 class TestWinding:

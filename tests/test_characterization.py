@@ -10,14 +10,18 @@ from wcolab.analytic_core import (
     Moebius,
     MoebiusMap,
     Poly,
+    Pow,
     R_MAX,
     Recip,
+    as_family,
     compose_moebius,
     rotation_map,
 )
 from wcolab.characterization import (
     AUTOMORPHISM_TOL,
     SECTION_DIMENSIONS,
+    _grid_points,
+    _roundtrip_residual,
     check_invertible,
     check_isometry,
     count_zeros,
@@ -25,8 +29,8 @@ from wcolab.characterization import (
     inverse_symbols,
     multiplier_test,
 )
-from wcolab.errors import NonVanishingViolation, ParameterError, UnsupportedSpace
-from wcolab.operators import WcoSymbols, apply
+from wcolab.errors import DomainError, NonVanishingViolation, ParameterError, UnsupportedSpace
+from wcolab.operators import WcoSymbols, apply, condition_number, finite_section, random_polynomials
 from wcolab.spaces import parse_space
 
 IDENTITY = Poly((0.0, 1.0))
@@ -175,6 +179,36 @@ class TestInverseSymbols:
         z = 0.7 * np.exp(2j * np.pi * np.arange(16) / 16)
         out = apply(inv, apply(w, f)).jet(z).f
         assert np.max(np.abs(out - f.jet(z).f)) < 1e-10
+
+
+class TestEvidence:
+    W = WcoSymbols(Recip(Pow(Poly((2.5, 0.4j, 0.3)), 1.4)), Moebius(MoebiusMap(0.5 - 0.2j, np.exp(2.0j))))
+
+    def test_roundtrip_matches_nested_images(self, cfg):
+        fit = detect_automorphism(self.W.phi, cfg)
+        G, psi = inverse_symbols(self.W, fit)
+        inv = WcoSymbols(G, psi)
+        family = as_family(random_polynomials(20, 7))
+        worst = 0.0
+        for rows in family.row_blocks(_grid_points(cfg)):
+            z = _grid_points(cfg)[rows]
+            for image in (apply(inv, apply(self.W, family)), apply(self.W, apply(inv, family))):
+                worst = max(worst, float(np.max(np.abs(image.derivative(z, 0) - family.derivative(z, 0)))))
+        got = _roundtrip_residual(self.W, G, psi, cfg, 7)
+        assert abs(got - worst) <= 1e-14
+        assert got < 1e-9
+
+    def test_roundtrip_rejects_points_leaving_the_disk(self, cfg):
+        # psi = 1.5 z sends the outer grid radii out of the disk.
+        with pytest.raises(DomainError):
+            _roundtrip_residual(self.W, Const(1.0), Poly((0.0, 1.5)), cfg)
+
+    def test_section_conditions_match_separate_sections(self, cfg):
+        report = check_invertible(self.W, parse_space("hardy:2"), cfg)
+        assert report.verdict == "Invertible"
+        assert report.section_conditions == {
+            N: condition_number(finite_section(self.W, N, cfg)) for N in SECTION_DIMENSIONS
+        }
 
 
 class TestCheckInvertible:

@@ -83,6 +83,22 @@ def test_nested_images_and_products_match_trees(cfg):
     assert_stacked_matches_trees(ImageFamily(None, v.phi, fam), z)
 
 
+def test_values_equal_stacked_jet_values_bitwise(cfg):
+    # Values alone skip the derivatives of the members, F and phi, and
+    # must equal the value rows of the full jets.
+    w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
+    fam = as_family(default_probe_family()[:12])
+    z = scan_grid(cfg)[::4]
+    for family in (
+        apply(v, fam),
+        apply(w, apply(v, fam)),
+        ImageFamily(v.F, None, fam),
+        ImageFamily(None, v.phi, fam),
+        TreeFamily((Recip(Poly((2.0, 1.0))), v.F, Poly((0.0, 1.0)))),
+    ):
+        assert family.derivative(z, 0).tobytes() == family.jets(z).f.tobytes()
+
+
 def test_member_points(cfg):
     fam = apply(SYMBOLS["involution"], as_family(default_probe_family()[:9]))
     z = np.linspace(0.1, 0.9, 9)[:, None] * unit_circle(64)[None, :]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded_polys
-from wcolab.analytic_core import Const, Moebius, Poly, rotation_map
+from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, Pow, Recip, rotation_map
 from wcolab.errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from wcolab.operators import (
     DEFAULT_SEED,
@@ -19,6 +19,7 @@ from wcolab.operators import (
     monomial,
     random_polynomials,
 )
+from wcolab.quadrature import unit_circle
 from wcolab.spaces import parse_space
 
 IDENTITY = Poly((0.0, 1.0))
@@ -63,6 +64,16 @@ class TestFiniteSection:
             finite_section(w, 1, cfg)
         with pytest.raises(ParameterError):
             finite_section(w, cfg.n_theta // 2 + 1, cfg)
+
+    def test_matches_one_image_per_monomial(self, cfg):
+        w = WcoSymbols(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j))))
+        N = 12
+        z = SECTION_RADIUS * unit_circle(cfg.n_theta)
+        want = np.empty((N, N), dtype=complex)
+        for k in range(N):
+            hat = np.fft.fft(apply(w, monomial(k))(z)) / cfg.n_theta
+            want[:, k] = hat[:N] / SECTION_RADIUS ** np.arange(N)
+        assert finite_section(w, N, cfg).entries.tobytes() == want.tobytes()
 
     def test_identity_operator(self, cfg):
         w = WcoSymbols(Const(1.0), IDENTITY)

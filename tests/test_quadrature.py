@@ -7,9 +7,7 @@ from wcolab import (
     GridConfig,
     ParameterError,
     Poly,
-    area_integral,
     default_config,
-    integral_mean,
     taylor_coefficients,
 )
 from wcolab.analytic_core import Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
@@ -79,36 +77,12 @@ class TestCircleQuadrature:
             vals = z**k
             assert abs(np.mean(vals)) < 1e-13
 
-    def test_parseval(self, cfg):
-        for f in seeded_polys(6, 31):
-            r = 0.8
-            coeffs = np.asarray(f.coeffs)
-            exact = math.sqrt(float(np.sum(np.abs(coeffs) ** 2 * r ** (2 * np.arange(len(coeffs))))))
-            assert integral_mean(f, 2.0, r, cfg) == pytest.approx(exact, abs=1e-10)
-
-    def test_inf_mean_is_max(self, cfg):
-        f = Poly((1.0, 1.0))
-        assert integral_mean(f, np.inf, 0.5, cfg) == pytest.approx(1.5)
-
-    def test_parameter_validation(self, cfg):
-        f = Poly((1.0,))
-        with pytest.raises(ParameterError):
-            integral_mean(f, 0.5, 0.5, cfg)
-        with pytest.raises(ParameterError):
-            integral_mean(f, 2.0, 1.0, cfg)
-
 
 class TestRadialQuadrature:
     def test_gauss01_moments(self):
         t, w = gauss01(64)
         for k in range(0, 21):
             assert w @ t**k == pytest.approx(1.0 / (k + 1), abs=1e-13)
-
-    def test_area_moments(self, cfg):
-        # Normalized area integral of |z|^(2k) is 1/(k+1).
-        for k in range(0, 9):
-            val = area_integral(lambda z, k=k: np.abs(z) ** (2 * k), cfg)
-            assert val == pytest.approx(1.0 / (k + 1), abs=1e-8)
 
     def test_weighted_radial_constants_exact(self, cfg):
         for e in (-0.5, 0.0, 1.5, 3.0):
