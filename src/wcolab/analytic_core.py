@@ -2,8 +2,8 @@
 
 Functions are represented structurally (polynomials, Moebius maps, sums,
 products, compositions, reciprocals, real powers) and differentiated by
-exact jet arithmetic to second order.  Trees are immutable; evaluation is
-vectorized over numpy arrays of points.  Families evaluate many
+one Taylor-mode rule per node, to second order.  Trees are immutable;
+evaluation is vectorized over numpy arrays of points.  Families evaluate many
 expressions at once, their derivatives stacked along a leading axis.
 """
 
@@ -38,31 +38,11 @@ class Jet2:
     """Value and first two derivatives of an analytic function at a point.
 
     The fields are complex scalars or numpy arrays (one jet per point).
-    Addition and multiplication follow the sum and product rules, so jets
-    compose like the functions they came from.
     """
 
     f: complex
     df: complex
     d2f: complex
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.f + other.f, self.df + other.df, self.d2f + other.d2f)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.f * other.f,
-            self.df * other.f + self.f * other.df,
-            self.d2f * other.f + 2.0 * self.df * other.df + self.f * other.d2f,
-        )
-
-    def chain(self, inner: "Jet2") -> "Jet2":
-        """Jet of outer∘inner where self is the outer jet at inner.f."""
-        return Jet2(
-            self.f,
-            self.df * inner.df,
-            self.d2f * inner.df ** 2 + self.df * inner.d2f,
-        )
 
 
 def _checked_points(z) -> np.ndarray:
@@ -121,12 +101,6 @@ class MoebiusMap:
     def __call__(self, z):
         return self.lam * (self.a - z) / (1.0 - np.conj(self.a) * z)
 
-    def jet(self, z) -> Jet2:
-        """Closed-form 2-jet of the map at z (scalar or array)."""
-        d = 1.0 - np.conj(self.a) * z
-        top = self.lam * (abs(self.a) ** 2 - 1.0)
-        return Jet2(self(z), top / d ** 2, 2.0 * np.conj(self.a) * top / d ** 3)
-
 
 def moebius_inverse(m: MoebiusMap) -> MoebiusMap:
     """Inverse automorphism, again in (a, lam) form.
@@ -163,29 +137,31 @@ def rotation_map(theta: float) -> MoebiusMap:
 class AnalyticExpr:
     """Base class of expression-tree nodes.
 
-    Subclasses implement _jet and _value on numpy arrays of points;
-    _value repeats the value line of _jet, checks included, so that it
-    equals _jet(z).f bitwise without the derivatives.  Public evaluation
-    goes through jet / __call__, which validate the points and convert
-    scalars.
+    Each subclass has one evaluator, _derivatives(z, n) on a numpy array
+    of points, which returns [f, f', ..., f^(n)] for n in {0, 1, 2} and
+    computes no derivative beyond order n; a derivative does not depend
+    on the order asked for.  Public evaluation goes through derivatives,
+    jet and __call__, which validate the points and convert scalars.
     """
 
-    def _jet(self, z: np.ndarray) -> Jet2:
+    def _derivatives(self, z: np.ndarray, n: int) -> list:
         raise NotImplementedError
+
+    def derivatives(self, z, n: int) -> list:
+        """[f, f', ..., f^(n)] at z for n in {0, 1, 2}; z a complex scalar or array, |z| < 1."""
+        if n not in (0, 1, 2):
+            raise ParameterError(f"derivative order must be 0, 1 or 2, got {n!r}")
+        arr = _checked_points(z)
+        out = self._derivatives(arr, n)
+        return [complex(d) for d in out] if arr.ndim == 0 else out
 
     def jet(self, z) -> Jet2:
         """2-jet (f, f', f'') at z; z a complex scalar or array, |z| < 1."""
-        arr = _checked_points(z)
-        out = self._jet(arr)
-        if arr.ndim == 0:
-            return Jet2(complex(out.f), complex(out.df), complex(out.d2f))
-        return out
+        return Jet2(*self.derivatives(z, 2))
 
     def __call__(self, z):
-        """Value at z, equal to jet(z).f; z a complex scalar or array, |z| < 1."""
-        arr = _checked_points(z)
-        out = self._value(arr)
-        return complex(out) if arr.ndim == 0 else out
+        """Value at z; z a complex scalar or array, |z| < 1."""
+        return self.derivatives(z, 0)[0]
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -211,12 +187,8 @@ class Const(AnalyticExpr):
     def __post_init__(self):
         object.__setattr__(self, "value", _require_finite(self.value, "Const value"))
 
-    def _jet(self, z):
-        zero = np.zeros_like(z)
-        return Jet2(self._value(z), zero, zero)
-
-    def _value(self, z):
-        return np.full_like(z, self.value)
+    def _derivatives(self, z, n):
+        return [np.full_like(z, self.value)] + [np.zeros_like(z) for _ in range(n)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,22 +203,23 @@ class Poly(AnalyticExpr):
             raise ParameterError("Poly requires at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
 
-    def _jet(self, z):
-        # Horner recurrences for the value and both derivatives at once.
+    def _derivatives(self, z, n):
+        # Horner recurrences for the value and the derivatives asked for.
+        # No array outlives its first update: one kept alive through the
+        # loop slows every product on a large grid by about a third.
         f = np.zeros_like(z)
+        if n == 0:
+            for c in reversed(self.coeffs):
+                f = f * z + c
+            return [f]
         df = np.zeros_like(z)
-        d2f = np.zeros_like(z)
+        d2f = np.zeros_like(z) if n == 2 else None
         for c in reversed(self.coeffs):
-            d2f = d2f * z + 2.0 * df
+            if n == 2:
+                d2f = d2f * z + 2.0 * df
             df = df * z + f
             f = f * z + c
-        return Jet2(f, df, d2f)
-
-    def _value(self, z):
-        f = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            f = f * z + c
-        return f
+        return [f, df, d2f][: n + 1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,11 +228,16 @@ class Moebius(AnalyticExpr):
 
     map: MoebiusMap
 
-    def _jet(self, z):
-        return self.map.jet(z)
-
-    def _value(self, z):
-        return self.map(z)
+    def _derivatives(self, z, n):
+        out = [self.map(z)]
+        if n:
+            a = self.map.a
+            d = 1.0 - np.conj(a) * z
+            top = self.map.lam * (abs(a) ** 2 - 1.0)
+            out.append(top / d ** 2)
+            if n == 2:
+                out.append(2.0 * np.conj(a) * top / d ** 3)
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,11 +245,11 @@ class Add(AnalyticExpr):
     left: AnalyticExpr
     right: AnalyticExpr
 
-    def _jet(self, z):
-        return self.left._jet(z) + self.right._jet(z)
-
-    def _value(self, z):
-        return self.left._value(z) + self.right._value(z)
+    def _derivatives(self, z, n):
+        # Terms popped off their lists are temporaries, which numpy sums
+        # in place instead of allocating a grid-sized result.
+        u, v = self.left._derivatives(z, n), self.right._derivatives(z, n)
+        return [u.pop(0) + v.pop(0) for _ in range(n + 1)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,11 +257,14 @@ class Mul(AnalyticExpr):
     left: AnalyticExpr
     right: AnalyticExpr
 
-    def _jet(self, z):
-        return self.left._jet(z) * self.right._jet(z)
-
-    def _value(self, z):
-        return self.left._value(z) * self.right._value(z)
+    def _derivatives(self, z, n):
+        # Leibniz rule.  The values go last, popped, so that numpy
+        # multiplies them in place as in Add.
+        u, v = self.left._derivatives(z, n), self.right._derivatives(z, n)
+        out = [u[1] * v[0] + u[0] * v[1]] if n else []
+        if n == 2:
+            out.append(u[2] * v[0] + 2.0 * u[1] * v[1] + u[0] * v[2])
+        return [u.pop(0) * v.pop(0)] + out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,19 +275,23 @@ class Compose(AnalyticExpr):
     inner: AnalyticExpr
 
     def __post_init__(self):
-        vals = self.inner._value(_validation_circle())
+        vals = self.inner._derivatives(_validation_circle(), 0)[0]
         worst = float(np.max(np.abs(vals)))
         if worst >= 1.0:
             raise DomainError(
                 f"composition inner function is not a disk self-map on the validation circle (max modulus {worst})"
             )
 
-    def _jet(self, z):
-        inner_jet = self.inner._jet(z)
-        return self.outer._jet(_inner_points(inner_jet.f)).chain(inner_jet)
-
-    def _value(self, z):
-        return self.outer._value(_inner_points(self.inner._value(z)))
+    def _derivatives(self, z, n):
+        # Chain rule, with the outer derivatives taken at the inner values.
+        v = self.inner._derivatives(z, n)
+        u = self.outer._derivatives(_inner_points(v[0]), n)
+        out = [u[0]]
+        if n:
+            out.append(u[1] * v[1])
+        if n == 2:
+            out.append(u[2] * v[1] ** 2 + u[1] * v[2])
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,25 +308,19 @@ class Recip(AnalyticExpr):
     def __post_init__(self):
         _check_nonvanishing(self.inner, "Recip")
 
-    def _jet(self, z):
-        inner_jet = self.inner._jet(z)
-        u = inner_jet.f
-        inv = self._reciprocal(u)
-        inv2 = inv * inv
-        return Jet2(
-            inv,
-            -inner_jet.df * inv2,
-            (2.0 * inner_jet.df ** 2 - u * inner_jet.d2f) * inv2 * inv,
-        )
-
-    def _value(self, z):
-        return self._reciprocal(self.inner._value(z))
-
-    @staticmethod
-    def _reciprocal(u):
+    def _derivatives(self, z, n):
+        v = self.inner._derivatives(z, n)
+        u = v[0]
         if np.min(np.abs(u)) < 1e-14:
             raise DomainError("reciprocal evaluated at a zero of the inner function")
-        return 1.0 / u
+        inv = 1.0 / u
+        out = [inv]
+        if n:
+            inv2 = inv * inv
+            out.append(-v[1] * inv2)
+        if n == 2:
+            out.append((2.0 * v[1] ** 2 - u * v[2]) * inv2 * inv)
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -362,26 +341,20 @@ class Pow(AnalyticExpr):
         object.__setattr__(self, "exponent", e)
         _check_nonvanishing(self.inner, "Pow")
 
-    def _jet(self, z):
-        inner_jet = self.inner._jet(z)
-        u = np.asarray(inner_jet.f)
-        f = self._power(u)
-        alpha = self.exponent
-        s1 = f / u
-        s2 = s1 / u
-        return Jet2(
-            f,
-            alpha * s1 * inner_jet.df,
-            alpha * (alpha - 1.0) * s2 * inner_jet.df ** 2 + alpha * s1 * inner_jet.d2f,
-        )
-
-    def _value(self, z):
-        return self._power(np.asarray(self.inner._value(z)))
-
-    def _power(self, u: np.ndarray):
+    def _derivatives(self, z, n):
+        v = self.inner._derivatives(z, n)
+        u = np.asarray(v[0])
         if np.any((u.real <= 0.0) & (u.imag == 0.0)):
             raise BranchError("Pow encountered a value on the branch cut (−∞, 0]")
-        return np.exp(self.exponent * np.log(u))
+        alpha = self.exponent
+        f = np.exp(alpha * np.log(u))
+        out = [f]
+        if n:
+            s1 = f / u
+            out.append(alpha * s1 * v[1])
+        if n == 2:
+            out.append(alpha * (alpha - 1.0) * (s1 / u) * v[1] ** 2 + alpha * s1 * v[2])
+        return out
 
 
 class Family:
@@ -411,7 +384,7 @@ class Family:
         return len(self)
 
     def _points(self, z) -> np.ndarray:
-        # Members evaluated through AnalyticExpr.jet check the points there.
+        # Members evaluated through AnalyticExpr.derivatives check the points there.
         return np.asarray(z, dtype=complex)
 
     def _shared(self, z, orders: tuple) -> list:
@@ -474,7 +447,7 @@ def _stacked(arrays: list) -> np.ndarray:
 
 
 class TreeFamily(Family):
-    """Any expressions, each evaluated by its own jet, or for values alone by its own value."""
+    """Any expressions, each evaluated by its own derivatives up to the highest order asked."""
 
     def __init__(self, members):
         self.members = tuple(members)
@@ -487,11 +460,8 @@ class TreeFamily(Family):
 
     def _evaluate(self, z, orders):
         points = [z[0]] * len(self) if len(z) == 1 else z
-        if orders == (0,):
-            return [_stacked([f(p) for f, p in zip(self.members, points)])]
-        jets = [f.jet(p) for f, p in zip(self.members, points)]
-        names = ("f", "df", "d2f")
-        return [_stacked([getattr(j, names[order]) for j in jets]) for order in orders]
+        derivs = [f.derivatives(p, max(orders)) for f, p in zip(self.members, points)]
+        return [_stacked([d[order] for d in derivs]) for order in orders]
 
 
 class _LinearFamily(Family):
@@ -595,8 +565,8 @@ class ImageFamily(_LinearFamily):
     """The images F * (f o phi) of the members f of a PolyFamily or ImageFamily.
 
     With phi None the images are F * f, and with F None they are f o phi.
-    F and phi are evaluated once per call, phi with the disk check that
-    Compose makes, and for values alone without their derivatives.  The
+    F and phi are evaluated once per call, up to the order asked, phi
+    with the disk check that Compose makes.  The
     product and chain rules then act on the base family's power tables
     at phi(z), before the matrix product, which by linearity equals
     acting on the base family's stacked jets.
@@ -615,29 +585,25 @@ class ImageFamily(_LinearFamily):
         return _image(self.F, self.phi, self.base[k])
 
     def _terms(self, z, order):
-        def jet(g):
-            return g.jet(z) if order else Jet2(g(z), None, None)
-
         if self.phi is None:
             base = self.base._terms(z, order)
-            d1, d2 = 1.0, 0.0
+            d = [z, 1.0, 0.0]
         else:
-            inner = jet(self.phi)
-            base = self.base._terms(_inner_points(inner.f), order)
-            d1, d2 = inner.df, inner.d2f
+            d = self.phi.derivatives(z, order)
+            base = self.base._terms(_inner_points(d[0]), order)
         if self.F is None:
             out = [base[0]]
             if order >= 1:
-                out.append(_scaled([(d1, base[1])]))
+                out.append(_scaled([(d[1], base[1])]))
             if order >= 2:
-                out.append(_scaled([(d2, base[1]), (d1 * d1, base[2])]))
+                out.append(_scaled([(d[2], base[1]), (d[1] * d[1], base[2])]))
             return out
-        F = jet(self.F)
-        out = [_scaled([(F.f, base[0])])]
+        F = self.F.derivatives(z, order)
+        out = [_scaled([(F[0], base[0])])]
         if order >= 1:
-            out.append(_scaled([(F.df, base[0]), (F.f * d1, base[1])]))
+            out.append(_scaled([(F[1], base[0]), (F[0] * d[1], base[1])]))
         if order >= 2:
-            out.append(_scaled([(F.d2f, base[0]), (2.0 * F.df * d1 + F.f * d2, base[1]), (F.f * d1 * d1, base[2])]))
+            out.append(_scaled([(F[2], base[0]), (2.0 * F[1] * d[1] + F[0] * d[2], base[1]), (F[0] * d[1] * d[1], base[2])]))
         return out
 
 
@@ -647,7 +613,7 @@ def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family)
     A None F or phi drops that factor: the images are then f o phi or
     F * f.  Images of a PolyFamily or ImageFamily are an ImageFamily;
     images of any other family are expression trees, each evaluated by
-    its own jet.
+    its own derivatives.
     """
     if isinstance(base, _LinearFamily):
         return ImageFamily(F, phi, base)
@@ -701,7 +667,7 @@ def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> i
 
 
 def _check_nonvanishing(inner: AnalyticExpr, node_name: str) -> None:
-    vals = inner._value(_validation_circle())
+    vals = inner._derivatives(_validation_circle(), 0)[0]
     low = float(np.min(np.abs(vals)))
     if low < _ZERO_THRESHOLD:
         raise DomainError(

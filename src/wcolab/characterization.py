@@ -51,7 +51,7 @@ from .operators import (
     random_polynomials,
 )
 from .quadrature import FLAT_WEIGHT, GridConfig, refined_modulus_sup, scan_radii, unit_circle
-from .spaces import SpaceSpec, norms, seminorm
+from .spaces import SpaceSpec, _logbloch_weight, norms, seminorm
 
 AUTOMORPHISM_TOL = 1e-8
 UNIMODULAR_TOL = 1e-9
@@ -116,10 +116,10 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     flat = int(np.argmin(np.abs(vals)))
     z = complex(pts.flat[flat])
     for _ in range(60):
-        jet = phi.jet(z)
-        if abs(jet.df) < 1e-30:
+        f, df = phi.derivatives(z, 1)
+        if abs(df) < 1e-30:
             break
-        step = jet.f / jet.df
+        step = f / df
         z = z - step
         if abs(z) >= 1.0:
             return AutomorphismFit(False, None, float("inf"))
@@ -128,7 +128,7 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
 
     a_star = z if abs(z) > 1e-9 else 0.0 + 0.0j
     if a_star == 0:
-        lam = -complex(phi.jet(0.0 + 0.0j).df)
+        lam = -phi.derivatives(0.0 + 0.0j, 1)[1]
     else:
         lam = phi(0.0 + 0.0j) / a_star
     scale = abs(lam)
@@ -155,7 +155,7 @@ class MultiplierVerdict:
 def _ladder_profile(u: AnalyticExpr, cfg: GridConfig, order: int = 0):
     radii = np.asarray(cfg.sup_radii, dtype=float)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
-    vals = u(z) if order == 0 else u.jet(z).df
+    vals = u.derivatives(z, order)[order]
     return radii, np.max(np.abs(vals), axis=1)
 
 
@@ -165,16 +165,6 @@ def _trend_slope(radii: np.ndarray, profile: np.ndarray) -> float:
     y = profile[-6:]
     slope = float(np.polyfit(x, y, 1)[0])
     return slope / max(float(np.max(np.abs(y))), 1e-12)
-
-
-def _log_weight(t):
-    s = 1.0 - t
-    return s * np.log(2.0 / s)
-
-
-def _dlog_log_weight(t):
-    s = 1.0 - t
-    return -1.0 / s + 1.0 / (s * np.log(2.0 / s))
 
 
 def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> MultiplierVerdict:
@@ -202,13 +192,14 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
         radii, profile0 = _ladder_profile(u, cfg)
         slope0 = _trend_slope(radii, profile0)
         _, dprofile = _ladder_profile(u, cfg, order=1)
-        weighted = _log_weight(radii**2) * dprofile
+        omega, dlog_omega = _logbloch_weight(1.0)
+        weighted = omega(radii**2) * dprofile
         slope1 = _trend_slope(radii, weighted)
         criterion = "bounded modulus and log-weighted derivative"
         if slope0 > TREND_SLOPE_TOL or slope1 > TREND_SLOPE_TOL:
             worst = float(max(profile0[-1], weighted[-1]))
             return MultiplierVerdict("No_Exact", worst, criterion)
-        measured = float(refined_modulus_sup(u, 1, _log_weight, _dlog_log_weight, cfg)[0])
+        measured = float(refined_modulus_sup(u, 1, omega, dlog_omega, cfg)[0])
         return MultiplierVerdict("Yes_Exact", measured, criterion)
 
     probes = as_family(default_probe_family(seed))

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -34,7 +35,7 @@ from ..characterization import (
 from ..errors import WcolabError
 from ..minilang import format_expression, parse_expression
 from ..operators import DEFAULT_SEED, WcoSymbols, finite_section
-from ..quadrature import GridConfig, default_config
+from ..quadrature import GridConfig
 from ..spaces import NormBreakdown, SpaceSpec, norm, parse_space, seminorm
 
 # Exit code of each invertibility verdict.
@@ -88,10 +89,16 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="wcolab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def seed(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+        return value
+
     def common(p, space_required=True):
         if space_required:
             p.add_argument("--space", required=True, help="space string, e.g. bloch:1 or hardy:2")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for probe families")
+        p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="seed for probe families")
         p.add_argument("--ntheta", type=int, default=None, help="angular grid size (power of two)")
         p.add_argument("--nradial", type=int, default=None, help="radial node count")
         p.add_argument("--rmax", type=float, default=None, help="outermost grid radius")
@@ -128,18 +135,15 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _grid_from_args(args) -> GridConfig:
-    cfg = default_config()
-    overrides = {}
-    if args.ntheta is not None:
-        overrides["n_theta"] = args.ntheta
-    if args.nradial is not None:
-        overrides["n_radial"] = args.nradial
-    if args.rmax is not None:
-        overrides["r_max"] = args.rmax
-        overrides["sup_radii"] = None
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    # The default grid, with the flags given; the ladder of sup radii follows r_max.
+    given = {"n_theta": args.ntheta, "n_radial": args.nradial, "r_max": args.rmax}
+    return GridConfig(**{k: v for k, v in given.items() if v is not None})
+
+
+def _writable(path: str) -> bool:
+    directory = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else directory
+    return os.path.isdir(directory) and not os.path.isdir(path) and os.access(target, os.W_OK)
 
 
 def _grid_inputs(cfg: GridConfig) -> dict:
@@ -181,7 +185,12 @@ def main(argv=None) -> int:
         w = None
         if getattr(args, "F", None):
             w = WcoSymbols(parse_expression(args.F), parse_expression(args.phi))
-    except WcolabError as exc:
+        # An output file that cannot be written is found before any computation.
+        for flag in ("json", "csv"):
+            path = getattr(args, flag, None)
+            if path and not _writable(path):
+                raise _Usage(f"--{flag}: cannot write {path}")
+    except (WcolabError, _Usage) as exc:
         print(f"wcolab: {exc}", file=sys.stderr)
         return 64
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 import warnings
 
 import numpy as np
@@ -19,8 +18,6 @@ import scipy.special
 
 from .analytic_core import R_MAX, Family, as_family
 from .errors import ParameterError
-
-_PRESET_FACTORS = {"fast": 0.5, "default": 1.0, "fine": 2.0}
 
 
 def _default_sup_radii(r_max: float) -> tuple:
@@ -79,14 +76,8 @@ class GridConfig:
 
 
 def default_config() -> GridConfig:
-    """GridConfig honoring the WCOLAB_GRID_PRESET environment variable."""
-    preset = os.environ.get("WCOLAB_GRID_PRESET", "default")
-    if preset not in _PRESET_FACTORS:
-        raise ParameterError(
-            f"WCOLAB_GRID_PRESET must be one of {sorted(_PRESET_FACTORS)}, got {preset!r}"
-        )
-    factor = _PRESET_FACTORS[preset]
-    return GridConfig(n_theta=max(64, int(512 * factor)), n_radial=max(4, int(64 * factor)))
+    """The default grid: 512 angles, 64 radial nodes, r_max = R_MAX."""
+    return GridConfig()
 
 
 @functools.lru_cache(maxsize=32)
@@ -247,16 +238,16 @@ def _select_candidates(vals: np.ndarray, k: int):
     return picked
 
 
-def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, candidates: int = 4) -> np.ndarray:
+def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig) -> np.ndarray:
     """Supremum over the disk of omega(|z|^2) * |h(z)| for every member.
 
     h is the member itself (order 0) or its derivative (order 1); a
     single expression counts as a one-member family.  omega and
     dlog_omega are the radial weight and the derivative of its logarithm
     in t = |z|^2.  The grid scan reduces the family's stacked values.  Up
-    to `candidates` of each member's leading grid maxima, spread over the
-    grid, are then polished together in a box of one ladder step in r
-    and two grid steps in theta around each (see _polish): having the
+    to _POLISH_CANDIDATES of each member's leading grid maxima, spread
+    over the grid, are then polished together in a box of one ladder step
+    in r and two grid steps in theta around each (see _polish): having the
     exact gradient lets a Newton step converge into each maximum, where
     plain coordinate search stalls on diagonal ridges.  Each result is
     the largest value at an evaluated point, so still a lower bound for
@@ -270,7 +261,7 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, 
     vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
     best = vals.reshape(len(family), -1).max(axis=1)
     dtheta = 2.0 * np.pi / cfg.n_theta
-    picks = [_select_candidates(v, candidates) for v in vals]
+    picks = [_select_candidates(v, _POLISH_CANDIDATES) for v in vals]
     # Members with fewer picks repeat their first one, so that every
     # member has the same number of boxes.
     n_boxes = max(len(p) for p in picks)
@@ -295,11 +286,13 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig, 
     return np.maximum(best, np.where(np.isfinite(polished), polished, -np.inf).max(axis=1))
 
 
-# The polish stops a candidate once its scaled projected gradient is at
+# The polish starts from up to _POLISH_CANDIDATES grid maxima of each
+# member.  It stops a candidate once its scaled projected gradient is at
 # most _POLISH_GTOL, once no step of the line search ascends, or after
 # _POLISH_ITERATIONS Newton steps.  Each step tries the full step and up
 # to _POLISH_HALVINGS halvings of it.  The Hessian is taken by central
 # differences of the gradient at _POLISH_FD_STEP box widths.
+_POLISH_CANDIDATES = 4
 _POLISH_ITERATIONS = 20
 _POLISH_HALVINGS = 8
 _POLISH_GTOL = 1e-13

@@ -24,6 +24,7 @@ from wcolab import (
     rotation_map,
     winding_number,
 )
+from wcolab.analytic_core import TreeFamily
 from wcolab.quadrature import scan_radii, unit_circle
 
 from conftest import seeded_polys
@@ -200,7 +201,10 @@ def _bits(x):
 
 
 class TestValuePath:
-    """f(z) repeats the value line of f.jet(z), checks included."""
+    """derivatives(z, n) is the prefix of derivatives(z, 2), checks included.
+
+    jet(z) and f(z) are its order-2 and order-0 cases.
+    """
 
     U = Poly((2.0, 0.5j, 0.25))
     MAP = Moebius(MoebiusMap(0.3 - 0.4j, np.exp(0.7j)))
@@ -215,12 +219,25 @@ class TestValuePath:
         "pow": Pow(Add(U, Mul(MAP, Const(0.2))), -0.7),
     }
 
+    @staticmethod
+    def grid(cfg):
+        return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
+
     @pytest.mark.parametrize("name", sorted(NODES))
     def test_values_equal_jet_values_bitwise(self, cfg, name):
         f = self.NODES[name]
-        grid = scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
-        for z in (grid, 0.3 - 0.2j, 0.0 + 0.0j):
-            assert _bits(f(z)) == _bits(f.jet(z).f)
+        for z in (self.grid(cfg), 0.3 - 0.2j, 0.0 + 0.0j):
+            full = [_bits(d) for d in f.derivatives(z, 2)]
+            if np.ndim(z) == 0:
+                assert {kind for kind, _ in full} == {complex}
+            for n in (0, 1):
+                assert [_bits(d) for d in f.derivatives(z, n)] == full[: n + 1]
+            jet = f.jet(z)
+            assert [_bits(jet.f), _bits(jet.df), _bits(jet.d2f)] == full
+            assert _bits(f(z)) == _bits(jet.f)
+        for n in (-1, 3):
+            with pytest.raises(ParameterError):
+                f.derivatives(0.0, n)
 
     @pytest.mark.parametrize(
         "f, z",
@@ -238,8 +255,20 @@ class TestValuePath:
         for at in (z, np.array([0.0, z])):
             with pytest.raises((DomainError, BranchError)) as from_jet:
                 f.jet(at)
-            with pytest.raises(from_jet.type, match=f"^{re.escape(str(from_jet.value))}$"):
+            same = {"expected_exception": from_jet.type, "match": f"^{re.escape(str(from_jet.value))}$"}
+            for n in (0, 1, 2):
+                with pytest.raises(**same):
+                    f.derivatives(at, n)
+            with pytest.raises(**same):
                 f(at)
+
+    def test_tree_family_orders_match_members(self, cfg):
+        family = TreeFamily(self.NODES[name] for name in sorted(self.NODES))
+        z = self.grid(cfg)[: len(family)]
+        got = family.derivative_at(z, (0, 1))
+        for k, f in enumerate(family):
+            want = f.derivatives(z[k], 1)
+            assert [_bits(got[0][k]), _bits(got[1][k])] == [_bits(want[0]), _bits(want[1])]
 
 
 class TestWinding:

@@ -353,3 +353,32 @@ class TestErrorPaths:
     def test_unknown_subcommand_is_usage(self, capsys):
         code, out, err = run_cli(capsys, "frobnicate")
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv, computes",
+        [
+            (("norm", "--space", "hardy:2", "--fn", "poly(1.0)", "--json"), "norm"),
+            (("section", "--F", "poly(1.0)", "--phi", "poly(0.0,1.0)", "--dim", "4", "--csv"), "finite_section"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_unwritable_output_path_is_usage(self, capsys, monkeypatch, tmp_path, argv, computes):
+        def computed(*args):
+            raise AssertionError("computed before the input was checked")
+
+        monkeypatch.setattr(wcolab.cli, computes, computed)
+        for path in (tmp_path / "missing" / "out.txt", tmp_path):
+            code, out, err = run_cli(capsys, *argv, str(path))
+            assert (code, out) == (64, "")
+            assert err.startswith("wcolab:") and err.count("\n") == 1
+
+    def test_negative_seed_is_usage(self, capsys, monkeypatch):
+        def computed(*args):
+            raise AssertionError("computed before the input was checked")
+
+        monkeypatch.setattr(wcolab.cli, "check_invertible", computed)
+        code, out, err = run_cli(
+            capsys, "check-invertible", "--space", "hardy:2", "--F", "poly(2.0,1.0)", "--phi", "poly(0.0,1.0)", "--seed", "-1"
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("wcolab:") and "seed" in err

@@ -7,14 +7,13 @@ from wcolab import (
     GridConfig,
     ParameterError,
     Poly,
-    default_config,
     taylor_coefficients,
 )
 from wcolab.analytic_core import Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
-from wcolab.characterization import _dlog_log_weight, _log_weight
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
+    _POLISH_CANDIDATES,
     _jacobi01,
     _select_candidates,
     gauss01,
@@ -30,6 +29,7 @@ from conftest import seeded_polys
 
 class TestGridConfig:
     def test_defaults(self, cfg):
+        assert cfg == GridConfig()
         assert cfg.n_theta == 512
         assert cfg.n_radial == 64
         radii = np.asarray(cfg.sup_radii)
@@ -57,15 +57,6 @@ class TestGridConfig:
         fine = cfg.refined(2)
         assert fine.n_theta == 1024
         assert fine.n_radial == 128
-
-    def test_preset_env(self, monkeypatch):
-        monkeypatch.setenv("WCOLAB_GRID_PRESET", "fast")
-        assert default_config().n_theta == 256
-        monkeypatch.setenv("WCOLAB_GRID_PRESET", "fine")
-        assert default_config().n_theta == 1024
-        monkeypatch.setenv("WCOLAB_GRID_PRESET", "bogus")
-        with pytest.raises(ParameterError):
-            default_config()
 
 
 class TestCircleQuadrature:
@@ -177,7 +168,7 @@ def _grid_scan(family, order, omega, cfg):
     return radii, angles, family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
 
 
-def _lbfgsb_sup(family, order, omega, dlog_omega, cfg, candidates=4):
+def _lbfgsb_sup(family, order, omega, dlog_omega, cfg):
     """The per-member L-BFGS-B polish the batched one replaced, as a reference.
 
     Same grid scan, candidates, start points, boxes and options; each
@@ -205,7 +196,7 @@ def _lbfgsb_sup(family, order, omega, dlog_omega, cfg, candidates=4):
             grad_th = phi * (-(q * zz).imag)
             return -phi, np.array([-grad_r, -grad_th])
 
-        for i, j in _select_candidates(vals[k], candidates):
+        for i, j in _select_candidates(vals[k], _POLISH_CANDIDATES):
             lo_r = radii[i - 1] if i > 0 else 0.0
             hi_r = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
             th0 = angles[j]
@@ -227,7 +218,7 @@ POLISH_WEIGHTS = {
     "logbloch:1": (1, _logbloch_weight(1.0)),
     "flat": (0, FLAT_WEIGHT),
     "growth:1": (0, _power_weight(1.0)),
-    "multiplier log weight": (1, (_log_weight, _dlog_log_weight)),
+    "multiplier log weight": (1, _logbloch_weight(1.0)),
 }
 
 POLISH_FAMILIES = {
