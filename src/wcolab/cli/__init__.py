@@ -185,6 +185,9 @@ def main(argv=None) -> int:
         w = None
         if getattr(args, "F", None):
             w = WcoSymbols(parse_expression(args.F), parse_expression(args.phi))
+        dim = getattr(args, "dim", None)
+        if dim is not None and not 2 <= dim <= cfg.n_theta // 2:
+            raise _Usage(f"--dim must lie in [2, n_theta/2 = {cfg.n_theta // 2}], got {dim}")
         # An output file that cannot be written is found before any computation.
         for flag in ("json", "csv"):
             path = getattr(args, flag, None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import numpy.random  # loaded here rather than by the first random_polynomials call
 
 from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, R_MAX, as_family, image_family
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix

@@ -14,7 +14,10 @@ import functools
 import warnings
 
 import numpy as np
-import scipy.special
+# numpy imports its submodules on first attribute access; importing them
+# here keeps that cost out of the first call of a process.
+import numpy.fft
+import numpy.polynomial.legendre
 
 from .analytic_core import R_MAX, Family, as_family
 from .errors import ParameterError
@@ -93,15 +96,62 @@ def gauss01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _binom(n: float, k: int) -> float:
+    # binom(n, k) for an integer k >= 0 and n > 0, by the multiplication
+    # formula of scipy.special.binom with its symmetry reduction and
+    # rescaling.  scipy takes the beta function from k = 20 on; the
+    # product stays within a few ulp of the exact value there too.
+    if n == np.floor(n) and k > n / 2:
+        k = int(n) - k
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + n - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
+def _jacobi_poly(m: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # P_m^(a,b)(x) for m >= 2 by the integer-degree recurrence of
+    # scipy.special.eval_jacobi, operation for operation: d carries
+    # P_k - P_(k-1) in the normalization P_k(1) = 1.
+    xm1 = x - 1.0
+    d = (a + b + 2.0) * xm1 / (2.0 * (a + 1.0))
+    p = d + 1.0
+    for k in range(1, m):
+        t = 2.0 * k + a + b
+        d = (t * (t + 1.0) * (t + 2.0) * xm1 * p + 2.0 * k * (k + b) * (t + 2.0) * d) / (
+            2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t
+        )
+        p = d + p
+    return _binom(m + a, m) * p
+
+
+def _legendre_poly(m: int, x: np.ndarray) -> np.ndarray:
+    # P_m(x) for m >= 1 by the recurrence of scipy.special.eval_legendre,
+    # operation for operation.  scipy switches to the power series for
+    # |x| < 1e-5; only the middle node of an odd rule gets there, and the
+    # recurrence loses at most a few ulp at it.
+    xm1 = x - 1.0
+    d = xm1
+    p = x
+    for k in range(1, m):
+        d = ((2.0 * k + 1.0) / (k + 1.0)) * xm1 * p + (k / (k + 1.0)) * d
+        p = d + p
+    return p
+
+
 @functools.lru_cache(maxsize=64)
 def _jacobi01(n: int, alpha: float):
     # Nodes and weights so that sum w_i g(t_i) = int_0^1 g(t) (1-t)^alpha dt
     # for smooth g, exact when g is a polynomial of degree < 2n.  This is
     # scipy.special.roots_jacobi(n, alpha, 0) step for step (Golub-Welsch,
-    # one Newton step, weights from P_{n-1} and P_n'), bitwise equal, but
-    # with numpy's eigensolver: roots_jacobi imports scipy.linalg (44
-    # modules, about 0.1 s) on its first call, which would land inside the
-    # first Bergman, mixed or Besov norm of a process.
+    # one Newton step, weights from P_{n-1} and P_n'), with numpy's
+    # eigensolver and the polynomial recurrences above: the nodes are
+    # bitwise equal to scipy's, the weights agree within a few ulp, and
+    # the package needs no scipy at run time.
     a = float(alpha)
     k = np.arange(n, dtype=float)
     if a == 0.0:
@@ -109,29 +159,31 @@ def _jacobi01(n: int, alpha: float):
         mu0 = 2.0
         diag = np.zeros(n)
         off = k[1:] * np.sqrt(1.0 / (4.0 * k[1:] * k[1:] - 1.0))
-        f = scipy.special.eval_legendre
+        f = _legendre_poly
 
         def df(m, x):
             return (-m * x * f(m, x) + m * f(m - 1, x)) / (1.0 - x**2)
 
     else:
-        mu0 = 2.0 ** (a + 1.0) * scipy.special.beta(a + 1.0, 1.0)
+        mu0 = 2.0 ** (a + 1.0) / (a + 1.0)
         diag = np.where(k == 0, -a / (2.0 + a), -a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0)))
         j = k[1:]
         off = (2.0 / (2.0 * j + a) * np.sqrt((j + a) * j / (2.0 * j + a + 1.0))
                * np.where(j == 1, 1.0, np.sqrt(j * (j + a) / (2.0 * j + a - 1.0))))
 
         def f(m, x):
-            return scipy.special.eval_jacobi(m, a, 0.0, x)
+            return _jacobi_poly(m, a, 0.0, x)
 
         def df(m, x):
-            return 0.5 * (m + a + 1.0) * scipy.special.eval_jacobi(m - 1, a + 1.0, 1.0, x)
+            return 0.5 * (m + a + 1.0) * _jacobi_poly(m - 1, a + 1.0, 1.0, x)
 
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     dy = df(n, x)
     x = x - f(n, x) / dy
     # fm and dy are scaled by the geometric middle of their ranges, so
-    # that their product neither overflows nor underflows.
+    # that their product neither overflows nor underflows.  Any constant
+    # factor of fm or dy, such as the last bits of a binomial, cancels in
+    # the normalization to mu0.
     fm = f(n - 1, x)
     log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
     fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
@@ -176,8 +228,9 @@ def scan_radii(cfg: GridConfig) -> np.ndarray:
     # dense only near the boundary; gaps stay below basin widths of the
     # integrands in scope.  No radius lies past r_max.
     interior = np.linspace(0.025, 0.95, 38)
-    base = np.concatenate([[0.0], interior[interior <= cfg.r_max], cfg.sup_radii])
-    return np.unique(base)
+    base = np.sort(np.concatenate([[0.0], interior[interior <= cfg.r_max], cfg.sup_radii]))
+    # np.unique would load numpy.ma on the first call of a process.
+    return base[np.concatenate([[True], base[1:] != base[:-1]])]
 
 
 def _golden_max_batch(fun, lo, hi, iters: int):

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: grammar, envelopes, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -382,3 +385,64 @@ class TestErrorPaths:
         )
         assert (code, out) == (64, "")
         assert err.startswith("wcolab:") and "seed" in err
+
+    @pytest.mark.parametrize(
+        "dim, grid",
+        [("0", ()), ("257", ()), ("33", ("--ntheta", "64"))],
+        ids=["zero", "above-half-default-grid", "above-half-coarse-grid"],
+    )
+    def test_section_dimension_out_of_range_is_usage(self, capsys, monkeypatch, dim, grid):
+        def computed(*args):
+            raise AssertionError("computed before the input was checked")
+
+        monkeypatch.setattr(wcolab.cli, "finite_section", computed)
+        code, out, err = run_cli(
+            capsys, "section", "--F", "poly(1.0)", "--phi", "poly(0.0,1.0)", "--dim", dim, *grid
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("wcolab:") and err.count("\n") == 1 and "--dim" in err
+
+
+def _python(*args, path=()):
+    # A fresh interpreter that finds this package, after the directories in path.
+    src = str(pathlib.Path(wcolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*map(str, path), src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+
+
+class TestNoScipyAtRunTime:
+    # scipy is a test-only dependency: the package computes with numpy alone.
+
+    @pytest.fixture(scope="class")
+    def no_scipy(self, tmp_path_factory):
+        # A scipy package whose import fails, found ahead of the real one.
+        root = tmp_path_factory.mktemp("no_scipy")
+        (root / "scipy").mkdir()
+        (root / "scipy" / "__init__.py").write_text('raise ImportError("scipy is not available")\n')
+        assert _python("-c", "import scipy", path=[root]).returncode != 0
+        return root
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = _python("-c", "import sys, wcolab.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "mixed:2,2,0.5", "--fn", "poly(3.0,4.0)"),
+            ("seminorm", "--space", "besov:2,0", "--fn", "poly(0.0,1.0,0.5)"),
+            ("check-invertible", "--space", "bloch:1", "--F", "poly(1.0,0.3)", "--phi", "poly(0.0,1.0)"),
+            ("check-isometry", "--space", "bloch:1", "--F", "poly(1.0)", "--phi", "poly(0.0,-1.0)"),
+            ("invert", "--space", "bergman:2,0", "--F", "poly(2.0,1.0)", "--phi", "poly(0.0,1.0)"),
+            ("axioms", "--space", "hardy:2"),
+            ("section", "--F", "poly(1.0,0.5)", "--phi", "poly(0.0,1.0)", "--dim", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subcommands_run_without_scipy(self, no_scipy, argv):
+        plain = _python("-m", "wcolab.cli", *argv)
+        bare = _python("-m", "wcolab.cli", *argv, path=[no_scipy])
+        assert (bare.returncode, bare.stdout, bare.stderr) == (plain.returncode, plain.stdout, plain.stderr)
+        assert bare.returncode in (0, 1, 2)
+        jsonschema.validate(json.loads(bare.stdout, parse_constant=_reject_constant), SCHEMA)

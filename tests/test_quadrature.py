@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
     _POLISH_CANDIDATES,
+    _binom,
     _jacobi01,
+    _jacobi_poly,
+    _legendre_poly,
     _select_candidates,
     gauss01,
     refined_modulus_sup,
@@ -22,7 +27,7 @@ from wcolab.quadrature import (
     unit_circle,
     weighted_radial_integral,
 )
-from wcolab.spaces import _logbloch_weight, _power_weight
+from wcolab.spaces import _logbloch_weight, _power_weight, norms, parse_space
 
 from conftest import seeded_polys
 
@@ -90,7 +95,10 @@ class TestRadialQuadrature:
         with pytest.raises(ParameterError):
             weighted_radial_integral(lambda r: r, -1.0, cfg)
 
-    @pytest.mark.parametrize("n", [4, 33, 64, 128])
+    # n = 20 is where scipy's binomial factor switches to the beta
+    # function, n = 127 has a middle node at 0, and alpha = 0 is the only
+    # exponent the ten default families use (n_radial 64 and 128).
+    @pytest.mark.parametrize("n", [4, 20, 33, 64, 127, 128])
     def test_jacobi_rule_matches_scipy(self, n):
         # The rule follows scipy.special.roots_jacobi with numpy's
         # eigensolver; alpha = 0 takes scipy's Legendre branch.
@@ -101,6 +109,48 @@ class TestRadialQuadrature:
             x, v = roots_jacobi(n, alpha, 0.0)
             np.testing.assert_allclose(t, 0.5 * (x + 1.0), rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(w, v * 0.5 ** (alpha + 1.0), rtol=1e-14, atol=0.0)
+
+    def test_recurrences_match_scipy(self):
+        # The recurrences are scipy's for integer degree, operation for
+        # operation.  The Legendre values are bitwise equal except for
+        # |x| < 1e-5, where scipy sums the power series.  The Jacobi values
+        # are bitwise equal below degree 20; from there scipy takes the
+        # factor binom(m + a, m), constant in x, from the beta function.
+        from scipy.special import binom, eval_jacobi, eval_legendre
+
+        x = np.concatenate([np.linspace(-1.0, 1.0, 801), np.random.default_rng(5).uniform(-1.0, 1.0, 400)])
+        far = np.abs(x) >= 1e-5
+        for m in [*range(2, 24), 32, 33, 63, 64, 100, 127, 128]:
+            got, want = _legendre_poly(m, x), eval_legendre(m, x)
+            assert got[far].tobytes() == want[far].tobytes(), m
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+            for a, b in ((-0.5, 0.0), (0.5, 0.0), (1.5, 1.0), (2.5, 0.0), (1.0, 1.0), (-0.75, 1.0)):
+                got, want = _jacobi_poly(m, a, b, x), eval_jacobi(m, a, b, x)
+                if m < 20:
+                    assert got.tobytes() == want.tobytes(), (m, a, b)
+                else:
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+                    assert abs(_binom(m + a, m) / binom(m + a, m) - 1.0) < 1e-14
+
+    def test_binomial_factor_beyond_scipy_switch(self):
+        # At high degree scipy's beta-function binomial drifts by up to
+        # 4e-13; the running product stays within a few ulp of the exact
+        # value, checked here against exact rational products.
+        from fractions import Fraction
+
+        for m, a in ((255, 0.25), (256, 1.5), (255, -0.5), (300, 2.5)):
+            exact = math.prod((Fraction(a) + i) / i for i in range(1, m + 1))
+            assert abs(_binom(m + a, m) / float(exact) - 1.0) < 4e-15
+
+    def test_probe_norms_pinned(self, cfg):
+        # Norms of the 47 default probes, as computed when the rule still
+        # took its polynomials from scipy.special: the recurrences must not
+        # move a single bit of them.
+        pinned = json.loads((pathlib.Path(__file__).parent / "probe_norms.json").read_text())
+        probes = default_probe_family()
+        for text, values in pinned.items():
+            assert norms(parse_space(text), probes, cfg).tolist() == values, text
 
     def test_scan_radii_contents(self, cfg):
         radii = scan_radii(cfg)
@@ -218,7 +268,6 @@ POLISH_WEIGHTS = {
     "logbloch:1": (1, _logbloch_weight(1.0)),
     "flat": (0, FLAT_WEIGHT),
     "growth:1": (0, _power_weight(1.0)),
-    "multiplier log weight": (1, _logbloch_weight(1.0)),
 }
 
 POLISH_FAMILIES = {

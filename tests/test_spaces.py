@@ -398,27 +398,50 @@ class TestNormAxiomsProperty:
         assert lhs <= rhs * (1.0 + 1e-8) + 1e-10
 
 
-def test_calls_import_nothing_after_start_up():
+def _modules_imported_by(calls: str) -> list:
     # Every module the package needs comes in with `import wcolab`, so that
-    # no call pays for an import: the first norm or bound of a process
-    # costs what every later one does.
+    # no call pays for an import: the first norm, bound or decision of a
+    # process costs what every later one does.  Returns the modules that
+    # `calls` imports in a fresh interpreter after start-up.
     code = textwrap.dedent(
         """
         import sys
         import wcolab as wc
         from wcolab.axiom_harness import ALL_FAMILIES
+        from wcolab.operators import WcoSymbols, finite_section
         cfg = wc.default_config()
         before = set(sys.modules)
+        """
+    ) + textwrap.dedent(calls) + 'print(" ".join(sorted(set(sys.modules) - before)))\n'
+    src = os.path.dirname(os.path.dirname(os.path.abspath(norm.__code__.co_filename)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_calls_import_nothing_after_start_up():
+    calls = """
         f = wc.Poly((0.3, 1.0, 0.2j))
         for text in ALL_FAMILIES:
             space = wc.parse_space(text)
             wc.norm(space, f, cfg)
             wc.pointeval_bound(space, 0.5)
-        print(" ".join(sorted(set(sys.modules) - before)))
         """
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(norm.__code__.co_filename)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert _modules_imported_by(calls) == []
+
+
+def test_decisions_import_nothing_after_start_up():
+    # The decision calls reach what no norm does: seeded probe families
+    # (numpy.random), the roundtrip, finite sections, the empirical
+    # multiplier branch of besov:2,0 and the axiom harness.
+    calls = """
+        w = WcoSymbols(wc.Poly((1.0, 0.3)), wc.Poly((0.0, 1.0)))
+        assert wc.check_invertible(w, wc.parse_space("bloch:1"), cfg).verdict == "Invertible"
+        assert wc.check_invertible(w, wc.parse_space("besov:2,0"), cfg).verdict == "Inconclusive"
+        rotation = WcoSymbols(wc.Poly((1.0,)), wc.Poly((0.0, -1.0)))
+        assert wc.check_isometry(rotation, wc.parse_space("bloch:1"), cfg).surjective_isometry
+        finite_section(w, 8, cfg)
+        assert all(r.passed for r in wc.run_all(wc.parse_space("hardy:2"), cfg))
+        """
+    assert _modules_imported_by(calls) == []
