@@ -25,7 +25,6 @@ from .analytic_core import (
     Recip,
     TreeFamily,
     as_family,
-    compose_moebius,
     image_family,
     moebius_inverse,
     rotation_map,

@@ -9,7 +9,6 @@ expressions at once, their derivatives stacked along a leading axis.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 
@@ -47,17 +46,11 @@ class Jet2:
 
 def _checked_points(z) -> np.ndarray:
     arr = np.asarray(z, dtype=complex)
-    if arr.ndim == 0:
-        # One point, as in every optimizer step: plain complex checks.
-        finite, modulus = cmath.isfinite(complex(arr)), abs(complex(arr))
-    elif arr.size:
-        finite, modulus = bool(np.all(np.isfinite(arr))), np.max(np.abs(arr))
-    else:
-        return arr
-    if not finite:
-        raise DomainError("evaluation point is not finite")
-    if modulus >= 1.0:
-        raise DomainError("evaluation point lies outside the open unit disk")
+    if arr.size:
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("evaluation point is not finite")
+        if np.max(np.abs(arr)) >= 1.0:
+            raise DomainError("evaluation point lies outside the open unit disk")
     return arr
 
 
@@ -110,23 +103,6 @@ def moebius_inverse(m: MoebiusMap) -> MoebiusMap:
     is its own inverse.
     """
     return MoebiusMap(m.lam * m.a, np.conj(m.lam))
-
-
-def compose_moebius(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
-    """The automorphism m1∘m2 with parameters recovered in closed form.
-
-    Each map corresponds to the matrix [[−lam, lam·a], [−conj(a), 1]]
-    acting by fractions; composition is the matrix product.
-    """
-    mat1 = np.array([[-m1.lam, m1.lam * m1.a], [-np.conj(m1.a), 1.0]])
-    mat2 = np.array([[-m2.lam, m2.lam * m2.a], [-np.conj(m2.a), 1.0]])
-    prod = mat1 @ mat2
-    # Normalize so the bottom-right entry is 1, then read off parameters.
-    top_left, _ = prod[0]
-    bot_left, bot_right = prod[1]
-    lam = -top_left / bot_right
-    a = -np.conj(bot_left / bot_right)
-    return MoebiusMap(complex(a), complex(lam))
 
 
 def rotation_map(theta: float) -> MoebiusMap:
@@ -636,10 +612,15 @@ def as_family(obj) -> Family:
     return TreeFamily(members)
 
 
+@functools.lru_cache(maxsize=32)
+def unit_circle(n: int) -> np.ndarray:
+    """n equispaced points on the unit circle, starting at 1."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
 @functools.lru_cache(maxsize=8)
 def _validation_circle(n: int = _VALIDATION_SAMPLES) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return R_MAX * np.exp(1j * theta)
+    return R_MAX * unit_circle(n)
 
 
 def _winding_from_values(vals: np.ndarray) -> int:
@@ -659,8 +640,7 @@ def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> i
     """
     if not 0.0 < r <= R_MAX:
         raise ParameterError(f"contour radius must lie in (0, {R_MAX}]")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    vals = f(r * np.exp(1j * theta))
+    vals = f(r * unit_circle(n))
     if float(np.min(np.abs(vals))) < _ZERO_THRESHOLD:
         raise ContourZero(f"function modulus below {_ZERO_THRESHOLD} on the circle of radius {r}")
     return _winding_from_values(vals)

@@ -14,14 +14,13 @@ caught by numbers rather than by downstream nonsense.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
-from .analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, as_family, image_family
+from .analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, as_family, image_family, unit_circle
 from .errors import ParameterError, UnsupportedSpace
 from .operators import DEFAULT_SEED, monomial, random_polynomials
-from .quadrature import GridConfig, unit_circle
+from .quadrature import GridConfig
 from .spaces import SpaceSpec, _norm_parts, norm, norms, pointeval_bound, seminorms
 
 A1_RADII = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -64,7 +63,7 @@ def harness_family(seed: int = DEFAULT_SEED) -> tuple:
 
 
 class _Probes:
-    """A probe family with its norms and seminorms, each computed at most once.
+    """A probe family with its norms and seminorms, from one evaluation.
 
     run_all hands one to every check, so the base family is measured
     once per space instead of once per check.
@@ -74,14 +73,7 @@ class _Probes:
         self.space = space
         self.cfg = cfg
         self.family = as_family(harness_family() if family is None else family)
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        return norms(self.space, self.family, self.cfg)
-
-    @functools.cached_property
-    def seminorms(self) -> np.ndarray:
-        return seminorms(self.space, self.family, self.cfg)
+        self.norms, _, self.seminorms = _norm_parts(space, self.family, cfg)
 
 
 def _probes(space: SpaceSpec, cfg: GridConfig, family) -> _Probes:
@@ -104,12 +96,12 @@ def _image_bound(probes: _Probes, image_of) -> tuple:
     near = ratios >= bound * (1.0 - 1e-12) if np.isfinite(bound) else ratios
     worst = int(np.argmax(near))
     member = as_family([probes.family[worst]])
-    fine = cfg.refined(2)
+    fine = cfg.refined()
     refined = float(norms(space, image_of(member), fine)[0] / norms(space, member, fine)[0])
     return bound, refined, max(bound / refined, refined / bound), semi
 
 
-def check_a1(space: SpaceSpec, cfg: GridConfig, family=None, radii=A1_RADII) -> AxiomReport:
+def check_a1(space: SpaceSpec, cfg: GridConfig, family=None) -> AxiomReport:
     """Point evaluations are bounded by the per-space growth estimate.
 
     For each radius the largest value of |f(z)| / ||f|| over the family
@@ -117,10 +109,10 @@ def check_a1(space: SpaceSpec, cfg: GridConfig, family=None, radii=A1_RADII) -> 
     slack covering quadrature error in the norms.
     """
     probes = _probes(space, cfg, family)
-    z = np.asarray(radii, dtype=float)[:, None] * unit_circle(cfg.n_theta)[None, :]
+    z = np.asarray(A1_RADII)[:, None] * unit_circle(cfg.n_theta)[None, :]
     peaks = np.abs(probes.family.derivative(z, 0)).max(axis=-1, initial=0.0) / probes.norms[:, None]
     estimates, bounds, witnesses = [], [], []
-    for r, est in zip(radii, peaks.max(axis=0, initial=0.0)):
+    for r, est in zip(A1_RADII, peaks.max(axis=0, initial=0.0)):
         est = float(est)
         bound = CHAIN_SLACK * (1.0 + pointeval_bound(space, r))
         estimates.append(est)
@@ -131,7 +123,7 @@ def check_a1(space: SpaceSpec, cfg: GridConfig, family=None, radii=A1_RADII) -> 
         "A1",
         space,
         not witnesses,
-        {"radii": list(radii), "estimates": estimates, "bounds": bounds},
+        {"radii": list(A1_RADII), "estimates": estimates, "bounds": bounds},
         tuple(witnesses),
     )
 
@@ -244,14 +236,14 @@ def _shifted(f, c: complex):
     return f + Const(c)
 
 
-def check_a6(space: SpaceSpec, cfg: GridConfig, family=None, constants=A6_CONSTANTS) -> AxiomReport:
+def check_a6(space: SpaceSpec, cfg: GridConfig, family=None) -> AxiomReport:
     """Seminorm kills constants and the norm decomposes as |f(0)| + p(f)."""
     if not space.has_a6_form:
         raise UnsupportedSpace(f"{space} has no decomposed norm; the seminorm check does not apply")
     probes = _probes(space, cfg, family)
     p0 = probes.seminorms
     increment = 0.0
-    for c in constants:
+    for c in A6_CONSTANTS:
         # One family per constant: the same shape as the base family, so
         # the stacked evaluation runs exactly as it did for p0.
         p1 = seminorms(space, [_shifted(f, c) for f in probes.family], cfg)

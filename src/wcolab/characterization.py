@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .analytic_core import (
     as_family,
     image_family,
     moebius_inverse,
+    unit_circle,
     winding_number,
 )
 from .errors import (
@@ -50,7 +50,7 @@ from .operators import (
     isometry_defect,
     random_polynomials,
 )
-from .quadrature import FLAT_WEIGHT, GridConfig, refined_modulus_sup, scan_radii, unit_circle
+from .quadrature import FLAT_WEIGHT, GridConfig, refined_modulus_sup, scan_grid
 from .spaces import SpaceSpec, _logbloch_weight, norms, seminorm
 
 AUTOMORPHISM_TOL = 1e-8
@@ -82,13 +82,6 @@ def _count_zeros_retry(f: AnalyticExpr, cfg: GridConfig) -> int:
     raise last
 
 
-@functools.lru_cache(maxsize=32)
-def _grid_points(cfg: GridConfig) -> np.ndarray:
-    # Cached, like scan_radii: a check scans this grid up to three times,
-    # and a fresh 512 KB array per scan page-faults in a small heap.
-    return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
-
-
 @dataclasses.dataclass(frozen=True)
 class AutomorphismFit:
     """Result of matching a symbol against the Moebius family."""
@@ -111,7 +104,7 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     if zeros != 1:
         return AutomorphismFit(False, None, float("inf"))
 
-    pts = _grid_points(cfg)
+    pts = scan_grid(cfg)
     vals = phi(pts)
     flat = int(np.argmin(np.abs(vals)))
     z = complex(pts.flat[flat])
@@ -252,7 +245,7 @@ def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: 
     matrix product per order; every composed point is checked to lie in
     the disk.
     """
-    pts = _grid_points(cfg)
+    pts = scan_grid(cfg)
     family = as_family(random_polynomials(20, seed))
     worst = 0.0
     for rows in family.row_blocks(pts):
@@ -279,7 +272,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     """
     fit = detect_automorphism(w.phi, cfg)
     zeros = _count_zeros_retry(w.F, cfg)
-    min_mod = float(np.min(np.abs(w.F(_grid_points(cfg)))))
+    min_mod = float(np.min(np.abs(w.F(scan_grid(cfg)))))
     report = InvertibilityReport(space, fit, zeros, min_mod, None, "Inconclusive")
 
     # A zero count on a circle short of R_MAX misses the zeros beyond it,
@@ -352,7 +345,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
             f"surjective isometry rigidity needs the decomposed norm; {space} does not have it"
         )
     sup_f = float(refined_modulus_sup(w.F, 0, *FLAT_WEIGHT, cfg)[0])
-    inf_f = float(np.min(np.abs(w.F(_grid_points(cfg)))))
+    inf_f = float(np.min(np.abs(w.F(scan_grid(cfg)))))
     unimodular = (
         abs(sup_f - 1.0) <= UNIMODULAR_TOL
         and abs(inf_f - 1.0) <= UNIMODULAR_TOL

@@ -13,9 +13,9 @@ import dataclasses
 import numpy as np
 import numpy.random  # loaded here rather than by the first random_polynomials call
 
-from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, R_MAX, as_family, image_family
+from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, R_MAX, as_family, image_family, unit_circle
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
-from .quadrature import GridConfig, taylor_coefficients, unit_circle
+from .quadrature import GridConfig, taylor_coefficients
 from .spaces import SpaceSpec, norms
 
 DEFAULT_SEED = 0x5EED

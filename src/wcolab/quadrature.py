@@ -19,18 +19,8 @@ import numpy as np
 import numpy.fft
 import numpy.polynomial.legendre
 
-from .analytic_core import R_MAX, Family, as_family
+from .analytic_core import R_MAX, Family, as_family, unit_circle
 from .errors import ParameterError
-
-
-def _default_sup_radii(r_max: float) -> tuple:
-    radii = []
-    for k in range(1, 21):
-        r = min(1.0 - 2.0 ** (-k), r_max)
-        if radii and r <= radii[-1]:
-            continue
-        radii.append(r)
-    return tuple(radii)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,13 +28,12 @@ class GridConfig:
     """Grid sizes shared by all quadrature routines.
 
     n_theta angular nodes (a power of two, so coefficient extraction can
-    use the FFT), n_radial Gauss-Legendre nodes, and a ladder of radii
-    approaching r_max for supremum scans and boundary-trend fits.
+    use the FFT), n_radial Gauss-Legendre nodes, and the outermost radius
+    r_max, which fixes the ladder of radii approaching it (sup_radii).
     """
 
     n_theta: int = 512
     n_radial: int = 64
-    sup_radii: tuple | None = None
     r_max: float = R_MAX
 
     def __post_init__(self):
@@ -57,36 +46,23 @@ class GridConfig:
         r_max = float(self.r_max)
         if not 0.0 < r_max < 1.0:
             raise ParameterError(f"r_max must lie in (0, 1), got {r_max}")
-        radii = self.sup_radii
-        if radii is None:
-            radii = _default_sup_radii(r_max)
-        radii = tuple(float(r) for r in radii)
-        if not radii or any(b <= a for a, b in zip(radii, radii[1:])) or radii[-1] >= 1.0:
-            raise ParameterError("sup_radii must be strictly increasing and below 1")
         object.__setattr__(self, "n_theta", n)
         object.__setattr__(self, "n_radial", m)
         object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "sup_radii", radii)
 
-    def refined(self, factor: int = 2) -> "GridConfig":
-        """A copy with angular and radial node counts scaled by factor."""
-        return GridConfig(
-            n_theta=max(64, int(self.n_theta * factor)),
-            n_radial=max(4, int(self.n_radial * factor)),
-            sup_radii=self.sup_radii,
-            r_max=self.r_max,
-        )
+    @functools.cached_property
+    def sup_radii(self) -> tuple:
+        """Radii min(1 - 2^-k, r_max), k = 1 .. 20, without repeats: the supremum and trend ladder."""
+        return tuple(sorted({min(1.0 - 2.0 ** (-k), self.r_max) for k in range(1, 21)}))
+
+    def refined(self) -> "GridConfig":
+        """A copy with twice the angular and radial nodes."""
+        return GridConfig(2 * self.n_theta, 2 * self.n_radial, self.r_max)
 
 
 def default_config() -> GridConfig:
     """The default grid: 512 angles, 64 radial nodes, r_max = R_MAX."""
     return GridConfig()
-
-
-@functools.lru_cache(maxsize=32)
-def unit_circle(n: int) -> np.ndarray:
-    """n equispaced points on the unit circle, starting at 1."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -233,11 +209,21 @@ def scan_radii(cfg: GridConfig) -> np.ndarray:
     return base[np.concatenate([[True], base[1:] != base[:-1]])]
 
 
+@functools.lru_cache(maxsize=32)
+def scan_grid(cfg: GridConfig) -> np.ndarray:
+    """The scan radii times the angular nodes: the grid that the checks sample.
+
+    Cached, like scan_radii: a check scans it up to three times, and a
+    fresh 512 KB array per scan page-faults in a small heap.
+    """
+    return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
+
+
 def _golden_max_batch(fun, lo, hi, iters: int):
     """Vectorized golden-section maximization on a batch of brackets.
 
     fun maps an array of abscissae (one per bracket) to values.  Returns
-    the best value seen across all brackets and iterations.
+    the best value seen in each bracket over all iterations.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -245,7 +231,6 @@ def _golden_max_batch(fun, lo, hi, iters: int):
     d = lo + _INVPHI * (hi - lo)
     fc = fun(c)
     fd = fun(d)
-    best_x = np.where(fc >= fd, c, d)
     best_f = np.maximum(fc, fd)
     for _ in range(iters):
         cond = fc >= fd
@@ -256,15 +241,13 @@ def _golden_max_batch(fun, lo, hi, iters: int):
         width = new_hi - new_lo
         x = np.where(cond, new_hi - _INVPHI * width, new_lo + _INVPHI * width)
         fx = fun(x)
-        improved = fx > best_f
-        best_x = np.where(improved, x, best_x)
-        best_f = np.where(improved, fx, best_f)
+        best_f = np.where(fx > best_f, fx, best_f)
         c = np.where(cond, x, carried)
         fc = np.where(cond, fx, f_carried)
         d = np.where(cond, carried, x)
         fd = np.where(cond, f_carried, fx)
         lo, hi = new_lo, new_hi
-    return best_x, best_f
+    return best_f
 
 
 def _select_candidates(vals: np.ndarray, k: int):
@@ -309,7 +292,7 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig) 
     family = as_family(family)
     radii = scan_radii(cfg)
     angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
+    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
     weight = omega(radii[:, None] ** 2)
     vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
     best = vals.reshape(len(family), -1).max(axis=1)

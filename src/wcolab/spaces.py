@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Family, as_family
+from .analytic_core import AnalyticExpr, Family, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -21,7 +21,6 @@ from .quadrature import (
     gauss01,
     refined_modulus_sup,
     scan_radii,
-    unit_circle,
     weighted_radial_integral,
 )
 
@@ -75,9 +74,8 @@ class SpaceSpec:
                 raise ParameterError(f"{self.family} takes no parameter {name}")
         if self.p is not None and not (self.p >= 1.0 and np.isfinite(self.p)):
             raise ParameterError(f"p must lie in [1, inf), got {self.p}")
-        if self.q is not None:
-            if self.q != np.inf and self.q < 1.0:
-                raise ParameterError(f"q must lie in [1, inf], got {self.q}")
+        if self.q is not None and not self.q >= 1.0:
+            raise ParameterError(f"q must lie in [1, inf], got {self.q}")
         if self.alpha is not None and not (self.alpha > -1.0 and np.isfinite(self.alpha)):
             raise ParameterError(f"alpha must exceed -1, got {self.alpha}")
         if self.beta is not None and not (0.0 < self.beta < np.inf):
@@ -140,8 +138,9 @@ class NormBreakdown:
     """Total norm with its point and seminorm parts.
 
     For the five families with the |f(0)| + p(f) decomposition the total
-    is exactly point_part + seminorm_part; for the rest the whole value
-    sits in seminorm_part and point_part is 0.
+    is exactly point_part + seminorm_part, with point_part = |f(0)| and
+    seminorm_part = p(f) as seminorm returns it; for the rest the whole
+    value sits in seminorm_part and point_part is 0.
     """
 
     total: float
@@ -187,8 +186,7 @@ def _mixed_sup_norms(fam: Family, p: float, alpha: float, cfg: GridConfig) -> np
     i = np.argmax(vals, axis=1)
     lo = np.where(i > 0, radii[np.maximum(i - 1, 0)], 0.0)
     hi = np.where(i + 1 < len(radii), radii[np.minimum(i + 1, len(radii) - 1)], cfg.r_max)
-    _, golden = _golden_max_batch(at, lo, hi, 60)
-    return np.maximum(vals.max(axis=1), golden)
+    return np.maximum(vals.max(axis=1), _golden_max_batch(at, lo, hi, 60))
 
 
 def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
@@ -230,7 +228,7 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
         powers = np.cumprod(np.repeat(np.exp(1j * beta)[:, :, None], m_max, axis=-1), axis=-1)
         return s0[:, 1:] + 2.0 * np.einsum("kam,kam->ka", s, powers).real
 
-    _, golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
+    golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
     best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), golden).max(axis=1))
     return np.sqrt(np.maximum(best, 0.0))
 
@@ -242,7 +240,7 @@ def _b1_area_cfg(cfg: GridConfig) -> GridConfig:
     return dataclasses.replace(cfg, n_theta=cfg.n_theta * 4)
 
 
-def _b1_seminorm_parts(fam: Family, cfg: GridConfig) -> np.ndarray:
+def _b1_area_integrals(fam: Family, cfg: GridConfig) -> np.ndarray:
     """Area integral of |f''| for each member, on the refined angular grid."""
     area = _b1_area_cfg(cfg)
     t, w = gauss01(area.n_radial)
@@ -251,36 +249,47 @@ def _b1_seminorm_parts(fam: Family, cfg: GridConfig) -> np.ndarray:
 
 
 def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
-    """(total, point part, seminorm part) of every member, as arrays."""
+    """(total, point part, seminorm part) of every member, as arrays.
+
+    On the decomposed families the parts are |f(0)| and p(f); on the
+    others the point part is 0 and the seminorm part the whole norm.
+    """
+    if not len(fam):
+        return np.zeros(0), np.zeros(0), np.zeros(0)
     kind = space.family
-    if kind in _A6_FAMILIES:
+    if space.has_a6_form:
         origin = fam.jets(np.zeros(1))
-        point = np.abs(origin.f[:, 0])
-        if kind == "b1":
-            point = point + np.abs(origin.df[:, 0])
-            semi = _b1_seminorm_parts(fam, cfg)
-        else:
-            semi = _plain_seminorms(space, fam, cfg)
-        return point + semi, point, semi
     if kind == "hinf":
-        total = refined_modulus_sup(fam, 0, *FLAT_WEIGHT, cfg)
+        part = refined_modulus_sup(fam, 0, *FLAT_WEIGHT, cfg)
     elif kind == "hardy":
-        total = _power_mean_profile(fam, space.p, cfg, 0)(cfg.sup_radii[-1:])[:, 0] ** (1.0 / space.p)
+        part = _power_mean_profile(fam, space.p, cfg, 0)(cfg.sup_radii[-1:])[:, 0] ** (1.0 / space.p)
     elif kind == "bergman":
         h = _power_mean_profile(fam, space.p, cfg, 0)
-        total = weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
+        part = weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
     elif kind == "mixed":
         if space.q == np.inf:
-            total = _mixed_sup_norms(fam, space.p, space.alpha, cfg)
+            part = _mixed_sup_norms(fam, space.p, space.alpha, cfg)
         else:
             hp = _power_mean_profile(fam, space.p, cfg, 0)
             hq = lambda radii: hp(radii) ** (space.q / space.p)
-            total = weighted_radial_integral(hq, space.alpha * space.q - 1.0, cfg) ** (1.0 / space.q)
+            part = weighted_radial_integral(hq, space.alpha * space.q - 1.0, cfg) ** (1.0 / space.q)
     elif kind == "growth":
-        total = refined_modulus_sup(fam, 0, *_power_weight(space.gamma), cfg)
-    else:
-        raise ParameterError(f"unknown space family {kind!r}")
-    return total, np.zeros_like(total), total
+        part = refined_modulus_sup(fam, 0, *_power_weight(space.gamma), cfg)
+    elif kind == "bloch":
+        part = refined_modulus_sup(fam, 1, *_power_weight(space.beta), cfg)
+    elif kind == "logbloch":
+        part = refined_modulus_sup(fam, 1, *_logbloch_weight(space.gamma), cfg)
+    elif kind == "bmoa":
+        part = _bmoa_seminorms(fam, cfg)
+    elif kind == "besov":
+        h = _power_mean_profile(fam, space.p, cfg, 1)
+        part = weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
+    else:  # b1
+        part = np.abs(origin.df[:, 0]) + _b1_area_integrals(fam, cfg)
+    if not space.has_a6_form:
+        return part, np.zeros_like(part), part
+    point = np.abs(origin.f[:, 0])
+    return point + part, point, part
 
 
 def norms(space: SpaceSpec, family, cfg: GridConfig) -> np.ndarray:
@@ -289,30 +298,13 @@ def norms(space: SpaceSpec, family, cfg: GridConfig) -> np.ndarray:
     family is a Family or a sequence of expressions (see as_family); the
     members are evaluated together, as stacked jets.
     """
-    fam = as_family(family)
-    if not len(fam):
-        return np.zeros(0)
-    return _norm_parts(space, fam, cfg)[0]
+    return _norm_parts(space, as_family(family), cfg)[0]
 
 
 def norm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> NormBreakdown:
     """Norm of f in the given space, with its decomposition when present."""
     total, point, semi = _norm_parts(space, as_family(f), cfg)
     return NormBreakdown(float(total[0]), float(point[0]), float(semi[0]), space.has_a6_form)
-
-
-def _plain_seminorms(space: SpaceSpec, fam: Family, cfg: GridConfig) -> np.ndarray:
-    kind = space.family
-    if kind == "bloch":
-        return refined_modulus_sup(fam, 1, *_power_weight(space.beta), cfg)
-    if kind == "logbloch":
-        return refined_modulus_sup(fam, 1, *_logbloch_weight(space.gamma), cfg)
-    if kind == "bmoa":
-        return _bmoa_seminorms(fam, cfg)
-    if kind == "besov":
-        h = _power_mean_profile(fam, space.p, cfg, 1)
-        return weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)
-    raise UnsupportedSpace(f"{kind} has no plain seminorm")
 
 
 def seminorms(space: SpaceSpec, family, cfg: GridConfig) -> np.ndarray:
@@ -324,12 +316,7 @@ def seminorms(space: SpaceSpec, family, cfg: GridConfig) -> np.ndarray:
     """
     if not space.has_a6_form:
         raise UnsupportedSpace(f"{space.family} has no |f(0)| + p(f) decomposition")
-    fam = as_family(family)
-    if not len(fam):
-        return np.zeros(0)
-    if space.family == "b1":
-        return np.abs(fam.derivative(np.zeros(1), 1)[:, 0]) + _b1_seminorm_parts(fam, cfg)
-    return _plain_seminorms(space, fam, cfg)
+    return _norm_parts(space, as_family(family), cfg)[2]
 
 
 def seminorm(space: SpaceSpec, f: AnalyticExpr, cfg: GridConfig) -> float:

@@ -19,7 +19,6 @@ from wcolab import (
     R_MAX,
     Recip,
     BranchError,
-    compose_moebius,
     moebius_inverse,
     rotation_map,
     winding_number,
@@ -132,13 +131,6 @@ class TestMoebius:
         for z in (0.1, -0.3 + 0.4j, 0.7j):
             assert inv(m(z)) == pytest.approx(z)
             assert m(inv(z)) == pytest.approx(z)
-
-    def test_composition_matches_pointwise(self):
-        m1 = MoebiusMap(0.3, np.exp(0.5j))
-        m2 = MoebiusMap(-0.2 + 0.4j, np.exp(-1.1j))
-        comp = compose_moebius(m1, m2)
-        for z in (0.0, 0.5, -0.4 + 0.1j):
-            assert comp(z) == pytest.approx(m1(m2(z)))
 
     def test_rotation_map(self):
         rot = rotation_map(0.7)

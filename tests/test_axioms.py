@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wcolab.analytic_core import Compose, Const, Moebius, MoebiusMap, Mul, Poly
+from wcolab.analytic_core import Compose, Const, Family, Moebius, MoebiusMap, Mul, Poly, PolyFamily
 from wcolab.axiom_harness import (
     A1_RADII,
     A5_POINTS,
@@ -51,6 +51,24 @@ class TestRunAll:
         b = run_all(parse_space("hardy:2"), cfg, seed=5)
         assert a[0].measured == b[0].measured
         assert a[2].measured == b[2].measured
+
+    @pytest.mark.parametrize("text", ["bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1"])
+    def test_base_seminorms_measured_once(self, coarse_cfg, monkeypatch, text):
+        # Every seminorm evaluator scans its family once through
+        # row_blocks, and the norms of a decomposed family carry the
+        # seminorms, so run_all scans the base family once.
+        base = harness_family()
+        scans = []
+        row_blocks = Family.row_blocks
+
+        def counted(fam, z):
+            if isinstance(fam, PolyFamily) and fam.polys == base:
+                scans.append(z.shape)
+            return row_blocks(fam, z)
+
+        monkeypatch.setattr(Family, "row_blocks", counted)
+        run_all(parse_space(text), coarse_cfg)
+        assert len(scans) == 1
 
     def test_family_list_is_complete(self):
         assert len(ALL_FAMILIES) == 10
@@ -115,7 +133,7 @@ DECOMPOSED_FAMILIES = ("bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1")
 def _reference_reports(space, cfg, family) -> dict:
     """A1, A3, A5 and A6 measured one member at a time, one norm call per expression."""
     fam_norms = [norm(space, f, cfg).total for f in family]
-    fine = cfg.refined(2)
+    fine = cfg.refined()
 
     def bound(images):
         ratios = [norm(space, g, cfg).total / nf for g, nf in zip(images, fam_norms)]

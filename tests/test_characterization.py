@@ -14,13 +14,11 @@ from wcolab.analytic_core import (
     R_MAX,
     Recip,
     as_family,
-    compose_moebius,
     rotation_map,
 )
 from wcolab.characterization import (
     AUTOMORPHISM_TOL,
     SECTION_DIMENSIONS,
-    _grid_points,
     _roundtrip_residual,
     check_invertible,
     check_isometry,
@@ -31,6 +29,7 @@ from wcolab.characterization import (
 )
 from wcolab.errors import DomainError, NonVanishingViolation, ParameterError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, condition_number, finite_section, random_polynomials
+from wcolab.quadrature import scan_grid
 from wcolab.spaces import parse_space
 
 IDENTITY = Poly((0.0, 1.0))
@@ -86,9 +85,15 @@ class TestDetectAutomorphism:
         m1 = MoebiusMap(0.4, np.exp(0.3j))
         m2 = MoebiusMap(-0.2j, np.exp(1.7j))
         fit = detect_automorphism(Compose(Moebius(m1), Moebius(m2)), cfg)
-        combined = compose_moebius(m1, m2)
-        assert abs(fit.map.a - combined.a) < 1e-9
-        assert abs(fit.map.lam - combined.lam) < 1e-9
+
+        def matrix(m):
+            # m acts by fractions as this matrix; m1 o m2 as the product.
+            return np.array([[-m.lam, m.lam * m.a], [-np.conj(m.a), 1.0]])
+
+        # Scaled to end in 1, the product reads [[-lam, lam a], [-conj(a), 1]].
+        (top_left, _), (bot_left, bot_right) = matrix(m1) @ matrix(m2)
+        assert abs(fit.map.a + np.conj(bot_left / bot_right)) < 1e-9
+        assert abs(fit.map.lam + top_left / bot_right) < 1e-9
 
     def test_rejects_contraction(self, cfg):
         fit = detect_automorphism(Poly((0.0, 0.5)), cfg)
@@ -190,8 +195,8 @@ class TestEvidence:
         inv = WcoSymbols(G, psi)
         family = as_family(random_polynomials(20, 7))
         worst = 0.0
-        for rows in family.row_blocks(_grid_points(cfg)):
-            z = _grid_points(cfg)[rows]
+        for rows in family.row_blocks(scan_grid(cfg)):
+            z = scan_grid(cfg)[rows]
             for image in (apply(inv, apply(self.W, family)), apply(self.W, apply(inv, family))):
                 worst = max(worst, float(np.max(np.abs(image.derivative(z, 0) - family.derivative(z, 0)))))
         got = _roundtrip_residual(self.W, G, psi, cfg, 7)

@@ -20,7 +20,7 @@ from wcolab.axiom_harness import ALL_FAMILIES
 from wcolab.errors import DomainError
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import gauss01, scan_radii, unit_circle
-from wcolab.spaces import norm, norms, parse_space
+from wcolab.spaces import norm, norms, parse_space, seminorms
 
 SYMBOLS = {
     "rotation": WcoSymbols(Const(np.exp(0.9j)), Moebius(rotation_map(2.1))),
@@ -160,3 +160,4 @@ def test_norms_of_images_match_one_member_norms(cfg):
 
 def test_empty_family_has_no_norms(cfg):
     assert norms(parse_space("hardy:2"), (), cfg).shape == (0,)
+    assert seminorms(parse_space("b1"), (), cfg).shape == (0,)

@@ -11,7 +11,7 @@ from wcolab import (
     Poly,
     taylor_coefficients,
 )
-from wcolab.analytic_core import Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
+from wcolab.analytic_core import R_MAX, Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
@@ -37,10 +37,17 @@ class TestGridConfig:
         assert cfg == GridConfig()
         assert cfg.n_theta == 512
         assert cfg.n_radial == 64
-        radii = np.asarray(cfg.sup_radii)
-        assert np.all(np.diff(radii) > 0)
-        assert radii[-1] == cfg.r_max
-        assert radii[0] == 0.5
+        assert cfg.r_max == R_MAX
+        for r_max in (0.3, R_MAX, 0.9999999):
+            grid = GridConfig(r_max=r_max)
+            ladder = []
+            for k in range(1, 21):
+                r = min(1.0 - 2.0 ** -k, r_max)
+                if r not in ladder:
+                    ladder.append(r)
+            assert grid.sup_radii == tuple(ladder)
+            fine = grid.refined()
+            assert (fine.n_theta, fine.n_radial, fine.r_max) == (1024, 128, r_max)
 
     def test_power_of_two_required(self):
         with pytest.raises(ParameterError):
@@ -59,7 +66,7 @@ class TestGridConfig:
             GridConfig(r_max=0.0)
 
     def test_refined_doubles(self, cfg):
-        fine = cfg.refined(2)
+        fine = cfg.refined()
         assert fine.n_theta == 1024
         assert fine.n_radial == 128
 

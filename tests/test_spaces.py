@@ -74,7 +74,17 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text",
-        ["hardy:0.5", "hardy:inf", "bergman:2,-1.5", "growth:0", "growth:-1", "bloch:0", "mixed:2,0.5,0", "besov:0.9,0"],
+        [
+            "hardy:0.5",
+            "hardy:inf",
+            "bergman:2,-1.5",
+            "growth:0",
+            "growth:-1",
+            "bloch:0",
+            "mixed:2,0.5,0",
+            "mixed:2,nan,0.5",
+            "besov:0.9,0",
+        ],
     )
     def test_out_of_range(self, text):
         with pytest.raises(ParseError):
@@ -183,7 +193,8 @@ class TestDecomposition:
         got = norm(space, f, cfg)
         assert got.has_a6_form
         assert got.total == got.point_part + got.seminorm_part
-        assert got.total == pytest.approx(abs(f.jet(0.0).f) + seminorm(space, f, cfg), rel=1e-12)
+        assert got.point_part == abs(f(0.0))
+        assert got.seminorm_part == seminorm(space, f, cfg)
 
     @pytest.mark.parametrize("text", ["bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1"])
     def test_seminorm_kills_constants(self, cfg, text):
@@ -276,7 +287,7 @@ def _bmoa_reference(fam, cfg):
     def at(beta):
         return s0[:, 1:] + 2.0 * (s * np.exp(1j * ms * beta[:, :, None])).sum(axis=-1).real
 
-    _, golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
+    golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
     best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), golden).max(axis=1))
     return np.sqrt(np.maximum(best, 0.0))
 
