@@ -355,8 +355,8 @@ class Family:
         """Stacked derivatives of the given orders at z of shape (1 or len(self), n)."""
         raise NotImplementedError
 
-    def _height(self) -> int:
-        # Rows of the tallest stacked array an evaluation holds, per point.
+    def _height(self, order: int) -> int:
+        # Rows of the tallest stacked array one evaluation of this order holds, per point.
         return len(self)
 
     def _points(self, z) -> np.ndarray:
@@ -387,14 +387,14 @@ class Family:
         out = [d.reshape(z.shape) for d in self._evaluate(z.reshape(len(z), -1), orders)]
         return out if isinstance(order, tuple) else out[0]
 
-    def row_blocks(self, z: np.ndarray) -> list:
-        """Row slices of the 2-D grid z that keep a stacked array under BLOCK_BYTES.
+    def row_blocks(self, z: np.ndarray, order: int) -> list:
+        """Row slices of the 2-D grid z that keep a stacked array of the order under BLOCK_BYTES.
 
         A family whose stacked arrays have one row, such as one expression
         tree, takes the whole grid at once.
         """
         n_rows, n_cols = z.shape
-        height = max(1, self._height())
+        height = max(1, self._height(order))
         step = n_rows if height == 1 else max(1, BLOCK_BYTES // (height * n_cols * 16))
         return [slice(i, i + step) for i in range(0, n_rows, step)]
 
@@ -405,7 +405,7 @@ class Family:
         reduce returns an array of shape (len(self), number of rows, ...).
         """
         z = np.asarray(z, dtype=complex)
-        blocks = self.row_blocks(z)
+        blocks = self.row_blocks(z, order)
         if len(blocks) == 1:
             return reduce(self.derivative(z, order), blocks[0])
         out = None
@@ -443,33 +443,33 @@ class TreeFamily(Family):
 class _LinearFamily(Family):
     """A family linear in a stacked coefficient matrix.
 
-    Derivative d at points z is sum over j of C_j @ T_j, where C_j are
-    the coefficients of the j-th derivatives of the root polynomials and
-    T_j tables over z returned by _terms(z, d) as a dict {j: T_j}.  The
-    tables have shape (width - j, 1 or len(self), n): one row per power.
+    _pieces(z, orders) gives derivative d at z as pieces (j, factor, T_j) of
+    sum factor * (C_j @ T_j): C_j holds the coefficients of the root's j-th
+    derivatives and T_j, (width - j, 1 or len(self), n), the powers of the
+    points where the root is evaluated; _fused_rows(d) bounds their rows.
+    Each order is one product, of its scaled T_j stacked and C_j side by side.
     """
 
-    def _terms(self, z: np.ndarray, order: int) -> list:
-        """Term dicts of the derivatives of orders 0 .. order."""
-        raise NotImplementedError
-
     def _evaluate(self, z, orders):
-        terms = self._terms(z, max(orders))
-        matrices = self._root._matrices
         out = []
-        for order in orders:
-            total = None
-            for j, table in terms[order].items():
-                if table.shape[1] == 1:
-                    part = matrices[j] @ table[:, 0]
-                else:
-                    part = np.einsum("kd,dkn->kn", matrices[j], table)
-                total = part if total is None else total + part
-            out.append(total)
+        for pieces in self._pieces(z, orders):
+            # A scalar factor is the 1 of a PolyFamily piece or a missing F or phi.
+            if len(pieces) == 1 and not isinstance(pieces[0][1], np.ndarray):
+                table = pieces[0][2]
+            else:
+                # Factor first: numpy's complex multiply is not bitwise
+                # commutative, and a one-piece order keeps factor * table.
+                table = np.empty((sum(len(t) for _, _, t in pieces),) + z.shape, dtype=complex)
+                start = 0
+                for _, factor, part in pieces:
+                    np.multiply(factor, part, out=table[start : start + len(part)])
+                    start += len(part)
+            matrix = self._root._side_by_side(tuple(j for j, _, _ in pieces))
+            out.append(matrix @ table[:, 0] if table.shape[1] == 1 else np.einsum("kd,dkn->kn", matrix, table))
         return out
 
-    def _height(self):
-        return max(len(self), self._root._matrices[0].shape[1])
+    def _height(self, order):
+        return max(len(self), self._root._width, self._fused_rows(order))
 
 
 class PolyFamily(_LinearFamily):
@@ -488,7 +488,10 @@ class PolyFamily(_LinearFamily):
         n = np.arange(width)
         # Coefficients of f, f' and f'' against z^0, z^1, ...
         self._matrices = (coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1)))
+        # Side-by-side matrices by the tuple of their j, built on first use.
+        self._joined = {}
         self._root = self
+        self._width = width
 
     def __len__(self):
         return len(self.polys)
@@ -498,13 +501,24 @@ class PolyFamily(_LinearFamily):
 
     _points = staticmethod(_checked_points)
 
-    def _terms(self, z, order):
-        width = self._matrices[0].shape[1]
-        table = np.empty((width,) + z.shape, dtype=complex)
+    def _side_by_side(self, js: tuple) -> np.ndarray:
+        if js not in self._joined:
+            self._joined[js] = np.concatenate([self._matrices[0][:, :0]] + [self._matrices[j] for j in js], axis=1)
+        return self._joined[js]
+
+    def _powers(self, z: np.ndarray) -> np.ndarray:
+        table = np.empty((self._width,) + z.shape, dtype=complex)
         table[0] = 1.0
-        for j in range(1, width):
+        for j in range(1, self._width):
             np.multiply(table[j - 1], z, out=table[j])
-        return [{d: table[: width - d]} for d in range(order + 1)]
+        return table
+
+    def _pieces(self, z, orders):
+        table = self._powers(z)
+        return [[(d, 1, table[: self._fused_rows(d)])] for d in orders]
+
+    def _fused_rows(self, order):
+        return max(self._width - order, 0)
 
     def combination(self, pairs) -> np.ndarray:
         """Sum of a * f(v) over the pairs (a, v) for every member f, by one matrix product.
@@ -513,21 +527,26 @@ class PolyFamily(_LinearFamily):
         """
         total = None
         for a, v in pairs:
-            table = self._terms(_checked_points(v), 0)[0][0]
+            table = self._powers(_checked_points(v))
             table *= a
             total = table if total is None else np.add(total, table, out=total)
         coeffs = self._matrices[0]
         return (coeffs @ total.reshape(coeffs.shape[1], -1)).reshape((len(self),) + total.shape[1:])
 
 
-def _scaled(pairs) -> dict:
-    # sum of factor * terms over (factor, terms) pairs, tables merged by j
-    out = {}
-    for factor, terms in pairs:
-        for j, table in terms.items():
-            part = factor * table
-            out[j] = out[j] + part if j in out else part
-    return out
+def _chain_terms(F: list, d: list, order: int) -> list:
+    """Pairs (k, factor): the derivative of this order of F * (g o phi) sums factor * g^(k) o phi.
+
+    Factors zero at every point are left out; the scalars that stand for the
+    derivatives of a missing F or phi are tested without numpy, slow on them.
+    """
+    if order == 0:
+        factors = [F[0]]
+    elif order == 1:
+        factors = [F[1], F[0] * d[1]]
+    else:
+        factors = [F[2], 2.0 * F[1] * d[1] + F[0] * d[2], F[0] * d[1] * d[1]]
+    return [(k, g) for k, g in enumerate(factors) if (g.any() if isinstance(g, np.ndarray) else g)]
 
 
 def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) -> AnalyticExpr:
@@ -542,10 +561,12 @@ class ImageFamily(_LinearFamily):
 
     With phi None the images are F * f, and with F None they are f o phi.
     F and phi are evaluated once per call, up to the order asked, phi
-    with the disk check that Compose makes.  The
-    product and chain rules then act on the base family's power tables
-    at phi(z), before the matrix product, which by linearity equals
-    acting on the base family's stacked jets.
+    with the disk check that Compose makes.  The product and chain rules
+    give the image's derivative of order d as factors times the base's
+    derivatives of orders 0 .. d; a factor zero at every point, such as
+    F' of a constant F, drops its term, and the base is asked only for
+    the orders that remain.  Their pieces, scaled by the factors, are the
+    image's pieces: by linearity that equals acting on the stacked jets.
     """
 
     def __init__(self, F: AnalyticExpr | None, phi: AnalyticExpr | None, base: _LinearFamily):
@@ -560,27 +581,21 @@ class ImageFamily(_LinearFamily):
     def __getitem__(self, k):
         return _image(self.F, self.phi, self.base[k])
 
-    def _terms(self, z, order):
-        if self.phi is None:
-            base = self.base._terms(z, order)
-            d = [z, 1.0, 0.0]
-        else:
-            d = self.phi.derivatives(z, order)
-            base = self.base._terms(_inner_points(d[0]), order)
-        if self.F is None:
-            out = [base[0]]
-            if order >= 1:
-                out.append(_scaled([(d[1], base[1])]))
-            if order >= 2:
-                out.append(_scaled([(d[2], base[1]), (d[1] * d[1], base[2])]))
-            return out
-        F = self.F.derivatives(z, order)
-        out = [_scaled([(F[0], base[0])])]
-        if order >= 1:
-            out.append(_scaled([(F[1], base[0]), (F[0] * d[1], base[1])]))
-        if order >= 2:
-            out.append(_scaled([(F[2], base[0]), (2.0 * F[1] * d[1] + F[0] * d[2], base[1]), (F[0] * d[1] * d[1], base[2])]))
-        return out
+    def _fused_rows(self, order):
+        # Only a missing F or phi makes a factor zero for sure.
+        F = [1, 0, 0] if self.F is None else [1, 1, 1]
+        d = [1, 1, 0] if self.phi is None else [1, 1, 1]
+        return sum(self.base._fused_rows(k) for k, _ in _chain_terms(F, d, order))
+
+    def _pieces(self, z, orders):
+        top = max(orders, default=0)
+        d = [z, 1, 0] if self.phi is None else self.phi.derivatives(z, top)
+        F = [1, 0, 0] if self.F is None else self.F.derivatives(z, top)
+        terms = [_chain_terms(F, d, order) for order in orders]
+        needed = tuple(sorted({k for t in terms for k, _ in t}))
+        base = dict(zip(needed, self.base._pieces(z if self.phi is None else _inner_points(d[0]), needed)))
+        return [[(j, g * f if isinstance(f, np.ndarray) else g, table) for k, g in t for j, f, table in base[k]]
+                for t in terms]
 
 
 def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family) -> Family:

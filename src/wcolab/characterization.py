@@ -248,7 +248,7 @@ def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: 
     pts = scan_grid(cfg)
     family = as_family(random_polynomials(20, seed))
     worst = 0.0
-    for rows in family.row_blocks(pts):
+    for rows in family.row_blocks(pts, 0):
         z = pts[rows]
         psi_z, phi_z = psi(z), w.phi(z)
         for weight, point in ((G(z) * w.F(psi_z), w.phi(psi_z)), (w.F(z) * G(phi_z), psi(phi_z))):

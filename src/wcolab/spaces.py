@@ -209,7 +209,7 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     kernel = pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(m_max + 1)
     # sums[k, a, m] = sum over r of kernel[a, r, m] d_m(r) for member k
     sums = np.zeros((len(fam), len(mods), m_max + 1), dtype=complex)
-    for rows in fam.row_blocks(z):
+    for rows in fam.row_blocks(z, 1):
         D = np.abs(fam.derivative(z[rows], 1)) ** 2
         coeffs = np.fft.fft(D, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
         sums += np.matmul(coeffs.transpose(2, 0, 1), kernel[:, rows].transpose(2, 1, 0)).transpose(1, 2, 0)
@@ -233,18 +233,15 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def _b1_area_cfg(cfg: GridConfig) -> GridConfig:
-    # |f''| is not a trigonometric polynomial, so the angular rule sees
-    # soft kinks at zeros of f''; four times the angular nodes keeps the
-    # aliasing error well under the isometry tolerances.
-    return dataclasses.replace(cfg, n_theta=cfg.n_theta * 4)
-
-
 def _b1_area_integrals(fam: Family, cfg: GridConfig) -> np.ndarray:
-    """Area integral of |f''| for each member, on the refined angular grid."""
-    area = _b1_area_cfg(cfg)
-    t, w = gauss01(area.n_radial)
-    z = np.sqrt(t)[:, None] * unit_circle(area.n_theta)[None, :]
+    """Area integral of |f''| for each member, on four times the angular nodes.
+
+    |f''| is not a trigonometric polynomial, so the angular rule sees
+    soft kinks at zeros of f''; the finer rule keeps the aliasing error
+    well under the isometry tolerances.
+    """
+    t, w = gauss01(cfg.n_radial)
+    z = np.sqrt(t)[:, None] * unit_circle(4 * cfg.n_theta)[None, :]
     return fam.rowwise(z, 2, lambda vals, rows: np.abs(vals).mean(axis=-1)) @ w
 
 
@@ -262,7 +259,7 @@ def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     if kind == "hinf":
         part = refined_modulus_sup(fam, 0, *FLAT_WEIGHT, cfg)
     elif kind == "hardy":
-        part = _power_mean_profile(fam, space.p, cfg, 0)(cfg.sup_radii[-1:])[:, 0] ** (1.0 / space.p)
+        part = _power_mean_profile(fam, space.p, cfg, 0)((cfg.r_max,))[:, 0] ** (1.0 / space.p)
     elif kind == "bergman":
         h = _power_mean_profile(fam, space.p, cfg, 0)
         part = weighted_radial_integral(h, space.alpha, cfg) ** (1.0 / space.p)

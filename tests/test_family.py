@@ -84,19 +84,58 @@ def test_nested_images_and_products_match_trees(cfg):
 
 
 def test_values_equal_stacked_jet_values_bitwise(cfg):
-    # Values alone skip the derivatives of the members, F and phi, and
-    # must equal the value rows of the full jets.
+    # One order alone skips the terms that only the others use, and must
+    # equal its rows of the full jets.  Points per member take their own
+    # contraction, so derivative_at is compared with itself.
     w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
     fam = as_family(default_probe_family()[:12])
     z = scan_grid(cfg)[::4]
     for family in (
+        fam,
         apply(v, fam),
+        apply(w, fam),
         apply(w, apply(v, fam)),
         ImageFamily(v.F, None, fam),
         ImageFamily(None, v.phi, fam),
         TreeFamily((Recip(Poly((2.0, 1.0))), v.F, Poly((0.0, 1.0)))),
     ):
-        assert family.derivative(z, 0).tobytes() == family.jets(z).f.tobytes()
+        jets = family.jets(z)
+        zk = np.linspace(0.1, 0.9, len(family))[:, None] * unit_circle(64)[None, :]
+        several = family.derivative_at(zk, (0, 1, 2))
+        for order, stacked in enumerate((jets.f, jets.df, jets.d2f)):
+            assert family.derivative(z, order).tobytes() == stacked.tobytes()
+            assert family.derivative_at(zk, order).tobytes() == several[order].tobytes()
+
+
+def test_zero_weight_images_are_zero(cfg):
+    # Every factor of F = 0 vanishes, so every piece is dropped.
+    fam = as_family(default_probe_family()[:12])
+    images = ImageFamily(Const(0.0), SYMBOLS["involution"].phi, fam)
+    z = scan_grid(cfg)[::4]
+    zk = np.linspace(0.1, 0.9, len(fam))[:, None] * unit_circle(64)[None, :]
+    for order in (0, 1, 2):
+        got = images.derivative(z, order)
+        assert got.shape == (len(fam),) + z.shape
+        assert not np.any(got)
+        assert images.derivative_at(zk, order).shape == zk.shape
+        assert not np.any(images.derivative_at(zk, order))
+
+
+def test_constants_have_zero_derivatives():
+    # Width one: the derivative tables and matrices have no columns.
+    fam = PolyFamily([Poly((2.0,)), Poly((0.5j,))])
+    z = np.array([0.0, 0.3, -0.5j])
+    jets = fam.jets(z)
+    np.testing.assert_array_equal(jets.f, [[2.0] * 3, [0.5j] * 3])
+    for order in (1, 2):
+        assert fam.derivative(z, order).shape == (2, 3)
+        assert not np.any(fam.derivative(z, order))
+    # Images of constants: F times the constant, and F' times it.
+    F = Poly((1.0, 2.0))
+    images = ImageFamily(F, SYMBOLS["involution"].phi, fam)
+    jets = images.jets(z)
+    for got, want in zip((jets.f, jets.df, jets.d2f), ([2.0 * F(z), 0.5j * F(z)], [[4.0] * 3, [1j] * 3], np.zeros((2, 3)))):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_member_points(cfg):

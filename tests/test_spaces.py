@@ -23,7 +23,7 @@ from wcolab.analytic_core import (
 from wcolab.analytic_core import MoebiusMap, as_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, default_probe_family
-from wcolab.quadrature import _golden_max_batch, gauss01, unit_circle
+from wcolab.quadrature import GridConfig, _golden_max_batch, gauss01, unit_circle
 from conftest import seeded_polys
 from wcolab.spaces import (
     _BMOA_A_RADII,
@@ -127,6 +127,11 @@ class TestGoldens:
         f = Poly(coeffs)
         exact = np.sqrt(sum(abs(c) ** 2 * R_MAX ** (2 * k) for k, c in enumerate(coeffs)))
         assert norm(parse_space("hardy:2"), f, cfg).total == pytest.approx(exact, rel=1e-12)
+
+    def test_hardy_on_the_r_max_circle(self):
+        # r_max beyond the last ladder radius 1 - 2^-20: the mean is still taken on |z| = r_max.
+        cfg = GridConfig(r_max=0.9999999)
+        assert norm(parse_space("hardy:2"), Poly((0.0, 1.0)), cfg).total == pytest.approx(0.9999999, rel=1e-14)
 
     @pytest.mark.parametrize("p,alpha", [(2.0, 0.0), (2.0, 1.5), (4.0, 0.5), (1.0, 3.0), (1.0, 0.0)])
     def test_bergman_monomials(self, cfg, p, alpha):
