@@ -264,7 +264,8 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     automorphism fit, or zeros of F inside the disk, or an exact
     multiplier criterion failing for 1/F.  Inconclusive covers the
     empirical-multiplier families, weights whose minimum modulus is too
-    small to exclude near-boundary zeros, and grids with r_max short of
+    small to exclude near-boundary zeros, maps phi without a zero in
+    |z| < r_max but with |phi(0)| >= r_max, and grids with r_max short of
     R_MAX, whose zero counts miss part of the disk.  A positive verdict ships
     with the inverse symbols, a roundtrip residual on seeded
     polynomials, and section condition numbers as corroborating
@@ -280,11 +281,15 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     counts_decide = cfg.r_max == R_MAX
     partial_count = f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
     if not fit.found:
-        # Without a measured residual the fit was rejected by phi's zero count.
-        if counts_decide or np.isfinite(fit.residual):
+        # An automorphism has exactly one zero a, and |phi(0)| = |a|.  So a
+        # count of none rejects phi when a would lie inside the counting
+        # circle, and so does two or more; a count of one failed the fit.
+        if abs(w.phi(0j)) < cfg.r_max or count_zeros(w.phi, cfg.r_max, cfg) != 0:
             report.verdict = "NotInvertible"
         else:
-            report.caveat = partial_count
+            report.caveat = (
+                f"phi has no zero in |z| < {cfg.r_max}; an automorphism with its zero beyond that circle is not excluded"
+            )
         return report
     if not counts_decide:
         report.caveat = partial_count

@@ -146,10 +146,6 @@ def _writable(path: str) -> bool:
     return os.path.isdir(directory) and not os.path.isdir(path) and os.access(target, os.W_OK)
 
 
-def _grid_inputs(cfg: GridConfig) -> dict:
-    return {"n_theta": cfg.n_theta, "n_radial": cfg.n_radial, "r_max": cfg.r_max}
-
-
 def _run_section(w: WcoSymbols, args, cfg) -> tuple:
     section = finite_section(w, args.dim, cfg)
     result = {"dimension": section.dimension, "radius": section.radius}
@@ -180,10 +176,11 @@ def main(argv=None) -> int:
     # Input phase: anything rejected here is a usage error, not a crash.
     try:
         cfg = _grid_from_args(args)
-        space = parse_space(args.space) if getattr(args, "space", None) else None
-        fn = parse_expression(args.fn) if getattr(args, "fn", None) else None
+        # An empty string given for a flag is parsed, and rejected, like any other.
+        space = parse_space(args.space) if getattr(args, "space", None) is not None else None
+        fn = parse_expression(args.fn) if getattr(args, "fn", None) is not None else None
         w = None
-        if getattr(args, "F", None):
+        if getattr(args, "F", None) is not None:
             w = WcoSymbols(parse_expression(args.F), parse_expression(args.phi))
         dim = getattr(args, "dim", None)
         if dim is not None and not 2 <= dim <= cfg.n_theta // 2:
@@ -197,7 +194,7 @@ def main(argv=None) -> int:
         print(f"wcolab: {exc}", file=sys.stderr)
         return 64
 
-    inputs = {"seed": args.seed, "grid": _grid_inputs(cfg)}
+    inputs = {"seed": args.seed, "grid": cfg}
     for key in ("fn", "F", "phi"):
         value = getattr(args, key, None)
         if value is not None:

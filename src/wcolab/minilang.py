@@ -23,6 +23,10 @@ from .errors import ParseError
 
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
+# Deepest nesting of calls the parser accepts; a leaf call is depth 1.
+# Deeper input is a ParseError, long before Python's recursion limit.
+_MAX_DEPTH = 100
+
 
 class _ExprParser:
     """Recursive-descent parser for the function mini-language."""
@@ -79,8 +83,10 @@ class _ExprParser:
             self.fail("expected a function name")
         return self.text[start : self.pos]
 
-    def expression(self) -> AnalyticExpr:
+    def expression(self, depth: int = 1) -> AnalyticExpr:
         self.skip_ws()
+        if depth > _MAX_DEPTH:
+            self.fail(f"expression nested deeper than {_MAX_DEPTH} calls")
         start = self.pos
         name = self.name()
         self.expect("(")
@@ -108,18 +114,18 @@ class _ExprParser:
             self.expect(")")
             return Moebius(MoebiusMap(complex(a_re, a_im), cmath.exp(1j * theta)))
         if name in ("add", "mul", "compose"):
-            left = self.expression()
+            left = self.expression(depth + 1)
             self.expect(",")
-            right = self.expression()
+            right = self.expression(depth + 1)
             self.expect(")")
             node = {"add": Add, "mul": Mul, "compose": Compose}[name]
             return node(left, right)
         if name == "recip":
-            inner = self.expression()
+            inner = self.expression(depth + 1)
             self.expect(")")
             return Recip(inner)
         if name == "pow":
-            inner = self.expression()
+            inner = self.expression(depth + 1)
             self.expect(",")
             exponent = self.number()
             self.expect(")")
@@ -131,9 +137,10 @@ class _ExprParser:
 def parse_expression(s: str) -> AnalyticExpr:
     """Parse a mini-language string into an expression tree.
 
-    Raises ParseError with the failing position; node constructors may
-    additionally reject semantically invalid input (a mobius parameter
-    outside the disk, a reciprocal of a vanishing function).
+    Raises ParseError with the failing position, also for calls nested
+    more than _MAX_DEPTH deep; node constructors may additionally reject
+    semantically invalid input (a mobius parameter outside the disk, a
+    reciprocal of a vanishing function).
     """
     if s is None or not s.strip():
         raise ParseError("empty expression", 0)

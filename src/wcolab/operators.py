@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import numpy.random  # loaded here rather than by the first random_polynomials call
 
-from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, R_MAX, as_family, image_family, unit_circle
+from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, _validation_circle, as_family, image_family
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from .quadrature import GridConfig, taylor_coefficients
 from .spaces import SpaceSpec, norms
@@ -38,7 +38,7 @@ class WcoSymbols:
     phi: AnalyticExpr
 
     def __post_init__(self):
-        circle = R_MAX * unit_circle(256)
+        circle = _validation_circle()
         phi_vals = self.phi(circle)
         if float(np.max(np.abs(phi_vals))) >= 1.0:
             raise DomainError("phi is not a self-map of the disk on the validation circle")

@@ -1,17 +1,23 @@
 """End-to-end command-line behavior: grammar, envelopes, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wcolab
-from wcolab.analytic_core import Add, Compose, Const, Moebius, MoebiusMap, Poly, Pow, Recip
+from wcolab import minilang
+from wcolab.analytic_core import R_MAX, Add, Compose, Const, Moebius, MoebiusMap, Poly, Pow, Recip
+from wcolab.axiom_harness import ALL_FAMILIES
 from wcolab.cli import format_expression, main, parse_expression
 from wcolab.errors import ParseError
 
@@ -272,6 +278,37 @@ class TestOutputContract:
         assert doc["result"]["verdict"] == "Inconclusive"
         assert "0.3" in doc["result"]["caveat"]
 
+    @pytest.mark.parametrize("phi", ["poly(0.1,0.2)", "poly(0.0,0.0,0.5)"], ids=["no-zero", "two-zeros"])
+    def test_zero_count_rejects_on_partial_grid(self, capsys, phi):
+        # An automorphism has exactly one zero a, and |phi(0)| = |a|.  Inside
+        # |z| < 0.3, 0.1 + 0.2 z has no zero although |phi(0)| < 0.3, and
+        # 0.5 z^2 has two: neither can be an automorphism.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "poly(2.0,1.0)",
+            "--phi", phi,
+            "--rmax", "0.3",
+        )
+        assert code == 1
+        assert doc["result"]["verdict"] == "NotInvertible"
+
+    def test_automorphism_zero_beyond_counting_circle_is_inconclusive(self, capsys):
+        # The zero 0.99999999 of this automorphism lies beyond |z| = R_MAX,
+        # so its zero count of 0 rejects nothing.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "poly(2.0,1.0)",
+            "--phi", "mobius(0.99999999,0.0,0.0)",
+        )
+        assert code == 2
+        assert doc["result"]["verdict"] == "Inconclusive"
+        assert doc["result"]["automorphism"]["residual"] is None
+        assert str(R_MAX) in doc["result"]["caveat"]
+
 
 class TestAxiomsCommand:
     def test_axioms_pass(self, capsys):
@@ -330,6 +367,32 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "norm", "--space", "hardy:2", "--fn", "poly(")
         assert code == 64
         assert "position" in err
+
+    def test_nesting_limit_is_usage(self, capsys):
+        # One call deeper than the parser's limit is a usage error, not a
+        # RecursionError; exactly the limit still parses.
+        def nested(depth):
+            return "recip(" * (depth - 1) + "poly(2.0,1.0)" + ")" * (depth - 1)
+
+        code, out, err = run_cli(capsys, "norm", "--space", "hardy:2", "--fn", nested(minilang._MAX_DEPTH + 1))
+        assert (code, out) == (64, "")
+        assert err.startswith("wcolab:") and err.count("\n") == 1
+        code, _, _ = run_checked(capsys, "norm", "--space", "hardy:2", "--fn", nested(minilang._MAX_DEPTH), "--ntheta", "64")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "", "--fn", "poly(1.0)"),
+            ("norm", "--space", "hardy:2", "--fn", ""),
+            ("check-invertible", "--space", "hardy:2", "--F", "", "--phi", "poly(0.0,1.0)"),
+        ],
+        ids=["space", "fn", "F"],
+    )
+    def test_empty_input_is_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("wcolab:") and err.count("\n") == 1
 
     def test_bad_symbol_pair_is_usage(self, capsys):
         # phi fails the self-map validation during input construction
@@ -401,6 +464,100 @@ class TestErrorPaths:
         )
         assert (code, out) == (64, "")
         assert err.startswith("wcolab:") and err.count("\n") == 1 and "--dim" in err
+
+
+_NUMBERS = st.floats(-3.0, 3.0, allow_nan=False).map(repr)
+_SMALL = st.floats(-0.45, 0.45).map(repr)
+# Self-maps of the disk, so that more symbol pairs pass their validation.
+_MAPS = st.recursive(
+    st.one_of(st.builds("mobius({},{},{})".format, _SMALL, _SMALL, _NUMBERS), st.builds("poly({},{})".format, _SMALL, _SMALL)),
+    lambda inner: st.builds("compose({},{})".format, inner, inner),
+    max_leaves=3,
+)
+# Leaves without zeros in the disk keep most reciprocals and powers valid.
+_TREES = st.recursive(
+    st.one_of(
+        st.builds("const({},{})".format, _NUMBERS, _NUMBERS),
+        st.builds("poly({},{},{})".format, st.floats(2.0, 3.0).map(repr), _SMALL, _SMALL),
+        _MAPS,
+    ),
+    lambda inner: st.one_of(
+        st.builds("{}({},{})".format, st.sampled_from(["add", "mul"]), inner, inner),
+        st.builds("compose({},{})".format, inner, _MAPS),
+        inner.map("recip({})".format),
+        st.builds("pow({},{})".format, inner, _NUMBERS),
+    ),
+    max_leaves=6,
+)
+
+
+def _chain(node: str, depth: int) -> str:
+    # node(node(...node(leaf)...)): depth calls in all.
+    tail = {"recip": ")", "pow": ",1.5)", "add": ",poly(0.5))"}[node]
+    return f"{node}(" * (depth - 1) + "poly(2.0,1.0)" + tail * (depth - 1)
+
+
+@st.composite
+def _mutated(draw, texts):
+    # A valid text with one character deleted, replaced or inserted, or cut short.
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from("(),.+-ei0159acdmopxz "))
+    return draw(st.sampled_from([text[:i] + text[i + 1 :], text[:i] + ch + text[i + 1 :], text[:i] + ch + text[i:], text[:i]]))
+
+
+# Text that often fails to parse or to validate.
+_BROKEN = st.one_of(
+    _mutated(_TREES),
+    st.builds(_chain, st.sampled_from(["recip", "pow", "add"]), st.integers(-2, 2).map(minilang._MAX_DEPTH.__add__) | st.just(1000)),
+    _TREES,
+)
+_SPACES = st.sampled_from(ALL_FAMILIES + ("mixed:2,inf,0.5", "bloch:1.5", "besov:2,-0.5"))
+_BROKEN_SPACES = st.sampled_from(("nope:1", "bergman:2,-1", "hardy", "")) | st.text("abcdeghilmnoprsty:,.0123456789-", max_size=12)
+_COARSE = ("--ntheta", "64", "--nradial", "4")
+
+
+@st.composite
+def _argv(draw):
+    # A subcommand with valid inputs, one of which may be swapped for broken text.
+    command = draw(st.sampled_from(["norm", "seminorm", "check-invertible", "check-isometry", "invert", "axioms", "section"]))
+    inputs = {"--space": draw(_SPACES)} if command != "section" else {}
+    if command in ("norm", "seminorm"):
+        inputs["--fn"] = draw(_TREES)
+    elif command != "axioms":
+        inputs["--F"], inputs["--phi"] = draw(_TREES), draw(_MAPS)
+    broken = draw(st.sampled_from([None, *inputs]))
+    if broken is not None:
+        inputs[broken] = draw(_BROKEN_SPACES if broken == "--space" else _BROKEN)
+    return [command, *(x for item in inputs.items() for x in item), *_COARSE]
+
+
+class TestCliContract:
+    # Any mini-language text, space and subcommand: the exit code says
+    # what happened, and the output is what the code promises.
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv())
+    # A plain process overflows Python's recursion limit at 1000 nested
+    # calls; hypothesis lifts that limit while it runs, hence the deeper twin.
+    @example(argv=["norm", "--space", "hardy:2", "--fn", "add(" * 1000 + "const(1.0,0.0)" + ",const(1.0,0.0))" * 1000, *_COARSE])
+    @example(argv=["norm", "--space", "hardy:2", "--fn", "recip(" * 10000 + "poly(2.0,1.0)" + ")" * 10000, *_COARSE])
+    def test_exit_code_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        # As in a plain CLI process, no filter turns a warning into an
+        # error; numpy's floating-point warnings are off.
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.resetwarnings()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 64)
+        if code == 64:
+            assert out == ""
+        else:
+            jsonschema.validate(json.loads(out, parse_constant=_reject_constant), SCHEMA)
+        if code == 1:
+            assert "Traceback" not in err
 
 
 def _python(*args, path=()):
