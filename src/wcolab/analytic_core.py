@@ -376,16 +376,10 @@ class Family:
         """Derivative of the given order of every member at the shared points z."""
         return self._shared(z, (order,))[0]
 
-    def derivative_at(self, z, order):
-        """Derivative of the given order of member k at the points z[k].
-
-        With a tuple of orders the derivatives come as a list, one per
-        order, from a single evaluation.
-        """
+    def derivative_at(self, z, order: int) -> np.ndarray:
+        """Derivative of the given order of member k at the points z[k]."""
         z = self._points(z)
-        orders = order if isinstance(order, tuple) else (order,)
-        out = [d.reshape(z.shape) for d in self._evaluate(z.reshape(len(z), -1), orders)]
-        return out if isinstance(order, tuple) else out[0]
+        return self._evaluate(z.reshape(len(z), -1), (order,))[0].reshape(z.shape)
 
     def row_blocks(self, z: np.ndarray, order: int) -> list:
         """Row slices of the 2-D grid z that keep a stacked array of the order under BLOCK_BYTES.

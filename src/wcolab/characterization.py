@@ -178,21 +178,21 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
         slope = _trend_slope(radii, profile)
         if slope > TREND_SLOPE_TOL:
             return MultiplierVerdict("No_Exact", float(profile[-1]), "bounded modulus")
-        sup_u = float(refined_modulus_sup(u, 0, *FLAT_WEIGHT, cfg)[0])
+        sup_u = float(refined_modulus_sup(u, 0, FLAT_WEIGHT, cfg)[0])
         return MultiplierVerdict("Yes_Exact", sup_u, "bounded modulus")
 
     if space.family == "bloch" and space.beta == 1.0:
         radii, profile0 = _ladder_profile(u, cfg)
         slope0 = _trend_slope(radii, profile0)
         _, dprofile = _ladder_profile(u, cfg, order=1)
-        omega, dlog_omega = _logbloch_weight(1.0)
+        omega = _logbloch_weight(1.0)
         weighted = omega(radii**2) * dprofile
         slope1 = _trend_slope(radii, weighted)
         criterion = "bounded modulus and log-weighted derivative"
         if slope0 > TREND_SLOPE_TOL or slope1 > TREND_SLOPE_TOL:
             worst = float(max(profile0[-1], weighted[-1]))
             return MultiplierVerdict("No_Exact", worst, criterion)
-        measured = float(refined_modulus_sup(u, 1, omega, dlog_omega, cfg)[0])
+        measured = float(refined_modulus_sup(u, 1, omega, cfg)[0])
         return MultiplierVerdict("Yes_Exact", measured, criterion)
 
     probes = as_family(default_probe_family(seed))
@@ -349,7 +349,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
         raise UnsupportedSpace(
             f"surjective isometry rigidity needs the decomposed norm; {space} does not have it"
         )
-    sup_f = float(refined_modulus_sup(w.F, 0, *FLAT_WEIGHT, cfg)[0])
+    sup_f = float(refined_modulus_sup(w.F, 0, FLAT_WEIGHT, cfg)[0])
     inf_f = float(np.min(np.abs(w.F(scan_grid(cfg)))))
     unimodular = (
         abs(sup_f - 1.0) <= UNIMODULAR_TOL

@@ -112,10 +112,8 @@ def weighted_radial_integral(h, exponent: float, cfg: GridConfig) -> float | np.
     return aq * ((2.0 * r * (1.0 + r) ** (aq - 1.0) * vals) @ w)
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-# omega = 1 and the derivative of its logarithm, for refined_modulus_sup.
-FLAT_WEIGHT = (np.ones_like, np.zeros_like)
+# omega = 1, for refined_modulus_sup.
+FLAT_WEIGHT = np.ones_like
 
 
 @functools.lru_cache(maxsize=32)
@@ -137,37 +135,6 @@ def scan_grid(cfg: GridConfig) -> np.ndarray:
     fresh 512 KB array per scan page-faults in a small heap.
     """
     return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
-
-
-def _golden_max_batch(fun, lo, hi, iters: int):
-    """Vectorized golden-section maximization on a batch of brackets.
-
-    fun maps an array of abscissae (one per bracket) to values.  Returns
-    the best value seen in each bracket over all iterations.
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = fun(c)
-    fd = fun(d)
-    best_f = np.maximum(fc, fd)
-    for _ in range(iters):
-        cond = fc >= fd
-        new_lo = np.where(cond, lo, c)
-        new_hi = np.where(cond, d, hi)
-        carried = np.where(cond, c, d)
-        f_carried = np.where(cond, fc, fd)
-        width = new_hi - new_lo
-        x = np.where(cond, new_hi - _INVPHI * width, new_lo + _INVPHI * width)
-        fx = fun(x)
-        best_f = np.where(fx > best_f, fx, best_f)
-        c = np.where(cond, x, carried)
-        fc = np.where(cond, fx, f_carried)
-        d = np.where(cond, carried, x)
-        fd = np.where(cond, f_carried, fx)
-        lo, hi = new_lo, new_hi
-    return best_f
 
 
 def _select_candidates(vals: np.ndarray, k: int):
@@ -194,17 +161,16 @@ def _select_candidates(vals: np.ndarray, k: int):
     return picked
 
 
-def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig) -> np.ndarray:
+def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarray:
     """Supremum over the disk of omega(|z|^2) * |h(z)| for every member.
 
     h is the member itself (order 0) or its derivative (order 1); a
-    single expression counts as a one-member family.  omega and
-    dlog_omega are the radial weight and the derivative of its logarithm
-    in t = |z|^2.  The grid scan reduces the family's stacked values.  Up
-    to _POLISH_CANDIDATES of each member's leading grid maxima, spread
-    over the grid, are then polished together in a box of one ladder step
-    in r and two grid steps in theta around each (see _polish): having the
-    exact gradient lets a Newton step converge into each maximum, where
+    single expression counts as a one-member family.  omega is the
+    radial weight in t = |z|^2.  The grid scan reduces the family's
+    stacked values.  Up to _POLISH_CANDIDATES of each member's leading
+    grid maxima, spread over the grid, are then polished together in a
+    box of one ladder step in r and two grid steps in theta around each
+    (see _polish): a Newton step converges into each maximum, where
     plain coordinate search stalls on diagonal ridges.  Each result is
     the largest value at an evaluated point, so still a lower bound for
     the sup.
@@ -226,91 +192,95 @@ def refined_modulus_sup(family, order: int, omega, dlog_omega, cfg: GridConfig) 
     lo = np.stack([ladder[i], angles[j] - 2.0 * dtheta], axis=-1)
     hi = np.stack([ladder[i + 2], angles[j] + 2.0 * dtheta], axis=-1)
 
-    def log_weighted(x):
-        # phi = omega(r^2) |h| at the points x[k, :] = (r, theta) of member
-        # k, and the gradient of log phi there: zero where h vanishes.
-        r, th = x[..., 0], x[..., 1]
-        unit = np.exp(1j * th)
-        h, dh = family.derivative_at(r * unit, (order, order + 1))
-        mod = np.abs(h)
-        q = dh / np.where(mod < 1e-300, 1.0, h)
-        grad = np.stack([2.0 * r * dlog_omega(r * r) + (q * unit).real, -(q * r * unit).imag], axis=-1)
-        grad[mod < 1e-300] = 0.0
-        return omega(r * r) * mod, grad
+    def weighted(x):
+        # phi = omega(r^2) |h| at the points x[k, ...] = (r, theta) of member k
+        r = x[..., 0]
+        return omega(r * r) * np.abs(family.derivative_at(r * np.exp(1j * x[..., 1]), order))
 
-    polished = _polish(log_weighted, np.stack([radii[i], angles[j]], axis=-1), lo, hi)
+    polished = _polish(weighted, np.stack([radii[i], angles[j]], axis=-1), lo, hi)
     return np.maximum(best, np.where(np.isfinite(polished), polished, -np.inf).max(axis=1))
 
 
-# The polish starts from up to _POLISH_CANDIDATES grid maxima of each
-# member.  It stops a candidate once its scaled projected gradient is at
-# most _POLISH_GTOL, once no step of the line search ascends, or after
+# The polish stops a start once its scaled projected gradient is at most
+# _POLISH_GTOL, once no step of the line search ascends, or after
 # _POLISH_ITERATIONS Newton steps.  Each step tries the full step and up
-# to _POLISH_HALVINGS halvings of it.  The Hessian is taken by central
-# differences of the gradient at _POLISH_FD_STEP box widths.
+# to _POLISH_HALVINGS halvings of it.  The derivatives of log phi are
+# differences at _POLISH_FD_STEP box widths.  refined_modulus_sup starts
+# it from up to _POLISH_CANDIDATES grid maxima of each member.
 _POLISH_CANDIDATES = 4
 _POLISH_ITERATIONS = 20
 _POLISH_HALVINGS = 8
-_POLISH_GTOL = 1e-13
-_POLISH_FD_STEP = 1e-5
+_POLISH_GTOL = 1e-10
+_POLISH_FD_STEP = 1e-4
 
 
 def _polish(fn, x, lo, hi) -> np.ndarray:
-    """Largest phi reached from each start x[k, c] in its box [lo, hi]; shape (members, candidates).
+    """Largest phi reached from each start x in its box [lo, hi]; shape x.shape[:-1].
 
     A projected Newton ascent on log phi (Bertsekas, SIAM J. Control
-    Optim. 20, 1982) for every member and candidate at once, in box
-    coordinates scaled to unit width.  A coordinate at a face whose
-    gradient points out of the box is held there; the Newton step acts
-    on the others, with the Hessian's eigenvalues taken in modulus so
-    that the step ascends.  The step is projected onto the box, and it
-    is accepted only where phi strictly increases.  fn maps points of
-    shape (members, m, 2) to phi and the gradient of log phi there.
+    Optim. 20, 1982) for every start at once, in box coordinates scaled
+    to unit width.  x, lo and hi have shape batch + (d,), the batch led
+    by the members; fn maps points of shape batch + (m, d) to phi there,
+    of shape batch + (m,).  The gradient and Hessian of log phi come
+    from three-point differences of its values at steps (1, -1), or
+    (1, 2) or (-1, -2) next to a face, and one step along each pair of
+    axes: no point leaves the box.  A coordinate within one step of a
+    face that its gradient points out of is held and moved onto that
+    face; the Newton step acts on the others, with the Hessian's
+    eigenvalues taken in modulus so that it ascends, and is scaled to at
+    most one box width along any axis.  The step is projected onto the
+    box and accepted only where phi strictly increases.
     """
+    d = x.shape[-1]
     width = hi - lo
     delta = _POLISH_FD_STEP * width
-    shift = np.eye(2) * delta[..., None, :]  # shift[..., i, :]: the i-th stencil step
-    n_members, n_cand = x.shape[:2]
+    eye = np.eye(d)
+    a, b = np.triu_indices(d, 1)
+    pairs = eye[a] + eye[b]
     x = x.copy()
-    phi = None
-    running = np.ones((n_members, n_cand), dtype=bool)
+    phi = fn(x[..., None, :])[..., 0]
+    running = np.ones(phi.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_ITERATIONS):
-            # The stencil sits inside the box: its center is moved in from the faces.
-            center = np.clip(x, lo + delta, hi - delta)[..., None, :]
-            points = np.concatenate([x[..., None, :], center + shift, center - shift], axis=-2)
-            values, grads = fn(points.reshape(n_members, -1, 2))
-            values = values.reshape(n_members, n_cand, 5)
-            grads = grads.reshape(n_members, n_cand, 5, 2)
-            if phi is None:
-                phi = values[..., 0]
-            grad = grads[..., 0, :] * width
-            # hess[..., i, j] = width_i width_j d^2 log phi / dx_i dx_j
-            hess = (grads[..., 1:3, :] - grads[..., 3:5, :]).swapaxes(-1, -2) * (
-                width[..., :, None] / (2.0 * _POLISH_FD_STEP)
-            )
-            hess = 0.5 * (hess + hess.swapaxes(-1, -2))
-            held = ((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0))
+            near_lo = x - delta < lo
+            near_hi = x + delta > hi
+            # Steps in units of delta: s1 along each axis stays in the box.
+            s1 = np.where(near_hi, -1.0, 1.0)
+            s2 = np.where(near_lo, 2.0, np.where(near_hi, -2.0, -1.0))
+            step1 = (s1 * delta)[..., None, :]
+            offsets = np.concatenate([step1 * eye, (s2 * delta)[..., None, :] * eye, step1 * pairs], axis=-2)
+            f = np.log(fn(x[..., None, :] + offsets)) - np.log(phi)[..., None]
+            d1, d2 = f[..., :d], f[..., d : 2 * d]
+            # The quadratic through the differences d1, d2 at s1, s2 = -s1 or 2 s1.
+            grad = s1 * (s2 * s2 * d1 - d2) / (2.0 * _POLISH_FD_STEP)
+            hess = eye * ((d2 - s1 * s2 * d1) / _POLISH_FD_STEP**2)[..., None, :]
+            cross = (f[..., 2 * d :] - d1[..., a] - d1[..., b]) * s1[..., a] * s1[..., b] / _POLISH_FD_STEP**2
+            hess[..., a, b] = cross
+            hess[..., b, a] = cross
+            held = (near_lo & (grad < 0.0)) | (near_hi & (grad > 0.0))
+            face = np.where(near_lo, lo, hi)
             grad = np.where(held, 0.0, grad)
             ok = np.isfinite(grad).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(phi)
-            running &= ok & (np.abs(grad).max(axis=-1) > _POLISH_GTOL)
+            running &= ok & ((np.abs(grad).max(axis=-1) > _POLISH_GTOL) | (held & (x != face)).any(axis=-1))
             if not running.any():
                 break
             # Newton step on the free coordinates: held rows and columns
             # of -hess become those of the identity, with a zero gradient.
             free = ~held[..., :, None] & ~held[..., None, :]
-            neg = np.where(free, -hess, np.eye(2))
-            neg[~running] = np.eye(2)
+            neg = np.where(free, -hess, eye)
+            neg[~running] = eye
             lam, vec = np.linalg.eigh(neg)
             lam = np.abs(lam)
             lam = np.maximum(lam, 1e-12 * lam.max(axis=-1, keepdims=True) + 1e-300)
             coef = np.einsum("...ji,...j->...i", vec, np.where(running[..., None], grad, 0.0)) / lam
-            step = np.einsum("...ij,...j->...i", vec, coef) * width
+            step = np.einsum("...ij,...j->...i", vec, coef)
+            step *= width / np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True))
             pending = running.copy()
             alpha = 1.0
             for _ in range(_POLISH_HALVINGS + 1):
-                trial = np.where(pending[..., None], np.clip(x + alpha * step, lo, hi), x)
-                value, _ = fn(trial)
+                trial = np.where(held, face, np.clip(x + alpha * step, lo, hi))
+                trial = np.where(pending[..., None], trial, x)
+                value = fn(trial[..., None, :])[..., 0]
                 up = pending & (value > phi)
                 x[up] = trial[up]
                 phi = np.where(up, value, phi)

@@ -17,7 +17,7 @@ from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
     GridConfig,
-    _golden_max_batch,
+    _polish,
     gauss01,
     refined_modulus_sup,
     scan_radii,
@@ -150,17 +150,11 @@ class NormBreakdown:
 
 
 def _power_weight(beta: float):
-    return (lambda t: (1.0 - t) ** beta), (lambda t: -beta / (1.0 - t))
+    return lambda t: (1.0 - t) ** beta
 
 
 def _logbloch_weight(gamma: float):
-    def omega(t):
-        return (1.0 - t) * np.log(2.0 / (1.0 - t)) ** gamma
-
-    def dlog(t):
-        return -1.0 / (1.0 - t) + gamma / ((1.0 - t) * np.log(2.0 / (1.0 - t)))
-
-    return omega, dlog
+    return lambda t: (1.0 - t) * np.log(2.0 / (1.0 - t)) ** gamma
 
 
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
@@ -179,14 +173,15 @@ def _mixed_sup_norms(fam: Family, p: float, alpha: float, cfg: GridConfig) -> np
     means = _power_mean_profile(fam, p, cfg, 0)(radii) ** (1.0 / p)
     vals = (1.0 - radii ** 2) ** alpha * means
 
-    def at(r):
-        mods = np.abs(fam.derivative_at(r[:, None] * circle[None, :], 0))
+    def at(x):
+        r = x[..., 0]
+        mods = np.abs(fam.derivative_at(r[..., None] * circle, 0))
         return (1.0 - r * r) ** alpha * np.mean(mods ** p, axis=-1) ** (1.0 / p)
 
     i = np.argmax(vals, axis=1)
     lo = np.where(i > 0, radii[np.maximum(i - 1, 0)], 0.0)
     hi = np.where(i + 1 < len(radii), radii[np.minimum(i + 1, len(radii) - 1)], cfg.r_max)
-    return np.maximum(vals.max(axis=1), _golden_max_batch(at, lo, hi, 60))
+    return np.maximum(vals.max(axis=1), _polish(at, radii[i, None], lo[:, None], hi[:, None]))
 
 
 def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
@@ -223,13 +218,14 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
     width = 2.0 * np.pi / cfg.n_theta
 
-    def at(beta):
+    def at(x):
         # e^{i m beta} for m = 1 .. m_max as running products of e^{i beta}
-        powers = np.cumprod(np.repeat(np.exp(1j * beta)[:, :, None], m_max, axis=-1), axis=-1)
-        return s0[:, 1:] + 2.0 * np.einsum("kam,kam->ka", s, powers).real
+        powers = np.cumprod(np.repeat(np.exp(1j * x), m_max, axis=-1), axis=-1)
+        return s0[:, 1:, None] + 2.0 * np.einsum("kam,kajm->kaj", s, powers).real
 
-    golden = _golden_max_batch(at, beta0 - width, beta0 + width, 60)
-    best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), golden).max(axis=1))
+    start = beta0[..., None]
+    polished = _polish(at, start, start - width, start + width)
+    best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), polished).max(axis=1))
     return np.sqrt(np.maximum(best, 0.0))
 
 
@@ -257,7 +253,7 @@ def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     if space.has_a6_form:
         origin = fam.jets(np.zeros(1))
     if kind == "hinf":
-        part = refined_modulus_sup(fam, 0, *FLAT_WEIGHT, cfg)
+        part = refined_modulus_sup(fam, 0, FLAT_WEIGHT, cfg)
     elif kind == "hardy":
         part = _power_mean_profile(fam, space.p, cfg, 0)((cfg.r_max,))[:, 0] ** (1.0 / space.p)
     elif kind == "bergman":
@@ -271,11 +267,11 @@ def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
             hq = lambda radii: hp(radii) ** (space.q / space.p)
             part = weighted_radial_integral(hq, space.alpha * space.q - 1.0, cfg) ** (1.0 / space.q)
     elif kind == "growth":
-        part = refined_modulus_sup(fam, 0, *_power_weight(space.gamma), cfg)
+        part = refined_modulus_sup(fam, 0, _power_weight(space.gamma), cfg)
     elif kind == "bloch":
-        part = refined_modulus_sup(fam, 1, *_power_weight(space.beta), cfg)
+        part = refined_modulus_sup(fam, 1, _power_weight(space.beta), cfg)
     elif kind == "logbloch":
-        part = refined_modulus_sup(fam, 1, *_logbloch_weight(space.gamma), cfg)
+        part = refined_modulus_sup(fam, 1, _logbloch_weight(space.gamma), cfg)
     elif kind == "bmoa":
         part = _bmoa_seminorms(fam, cfg)
     elif kind == "besov":

@@ -86,7 +86,8 @@ def test_nested_images_and_products_match_trees(cfg):
 def test_values_equal_stacked_jet_values_bitwise(cfg):
     # One order alone skips the terms that only the others use, and must
     # equal its rows of the full jets.  Points per member take their own
-    # contraction, so derivative_at is compared with itself.
+    # contraction, so derivative_at is compared with an evaluation of all
+    # three orders at the same points.
     w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
     fam = as_family(default_probe_family()[:12])
     z = scan_grid(cfg)[::4]
@@ -101,7 +102,7 @@ def test_values_equal_stacked_jet_values_bitwise(cfg):
     ):
         jets = family.jets(z)
         zk = np.linspace(0.1, 0.9, len(family))[:, None] * unit_circle(64)[None, :]
-        several = family.derivative_at(zk, (0, 1, 2))
+        several = family._evaluate(zk, (0, 1, 2))
         for order, stacked in enumerate((jets.f, jets.df, jets.d2f)):
             assert family.derivative(z, order).tobytes() == stacked.tobytes()
             assert family.derivative_at(zk, order).tobytes() == several[order].tobytes()
@@ -141,14 +142,14 @@ def test_constants_have_zero_derivatives():
 def test_member_points(cfg):
     fam = apply(SYMBOLS["involution"], as_family(default_probe_family()[:9]))
     z = np.linspace(0.1, 0.9, 9)[:, None] * unit_circle(64)[None, :]
-    got = fam.derivative_at(z, 1)
-    for k, member in enumerate(fam):
-        np.testing.assert_allclose(got[k], member.jet(z[k]).df, rtol=1e-12, atol=1e-12)
-    # Several orders from one evaluation, each as the one-order call gives it.
-    for several in (fam.derivative_at(z, (0, 1, 2)), TreeFamily(list(fam)).derivative_at(z, (0, 1, 2))):
-        assert len(several) == 3
-        for order, d in enumerate(several):
-            np.testing.assert_allclose(d, fam.derivative_at(z, order), rtol=1e-12, atol=1e-12)
+    trees = TreeFamily(list(fam))
+    for order in (0, 1, 2):
+        for family in (fam, trees):
+            got = family.derivative_at(z, order)
+            for k, member in enumerate(fam):
+                jet = member.jet(z[k])
+                want = (jet.f, jet.df, jet.d2f)[order]
+                np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12)
 
 
 def test_tree_family_fallback(cfg):

@@ -10,12 +10,13 @@ from wcolab import (
     Poly,
     taylor_coefficients,
 )
-from wcolab.analytic_core import R_MAX, Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
+from wcolab.analytic_core import R_MAX, Compose, Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
     _POLISH_CANDIDATES,
     _jacobi01,
+    _polish,
     _select_candidates,
     gauss01,
     refined_modulus_sup,
@@ -159,15 +160,11 @@ def _disk_weight(t):
     return 1.0 - t
 
 
-def _dlog_disk_weight(t):
-    return -1.0 / (1.0 - t)
-
-
 class TestSupEngines:
     def test_angularly_constant_profile(self, cfg):
         # (1-|z|^2)|2z|, the weighted derivative of z^2, peaks at
         # r = 1/sqrt(3) with value 4 sqrt(3)/9.
-        [val] = refined_modulus_sup(Poly((0.0, 0.0, 1.0)), 1, _disk_weight, _dlog_disk_weight, cfg)
+        [val] = refined_modulus_sup(Poly((0.0, 0.0, 1.0)), 1, _disk_weight, cfg)
         assert val == pytest.approx(4.0 * math.sqrt(3.0) / 9.0, abs=1e-9)
 
     def test_boundary_supremum(self, cfg):
@@ -175,12 +172,12 @@ class TestSupEngines:
         from wcolab import Recip
 
         f = Recip(Poly((1.0, -1.0)))
-        [val] = refined_modulus_sup(f, 0, _disk_weight, _dlog_disk_weight, cfg)
+        [val] = refined_modulus_sup(f, 0, _disk_weight, cfg)
         assert val == pytest.approx(2.0, abs=2e-6)
 
     def test_refined_sup_flat_weight(self, cfg):
         f = Poly((0.3, 1.0, -0.5j, 0.25))
-        [got] = refined_modulus_sup(f, 0, *FLAT_WEIGHT, cfg)
+        [got] = refined_modulus_sup(f, 0, FLAT_WEIGHT, cfg)
         # dense reference on a fine boundary ring
         ring = cfg.r_max * np.exp(2j * np.pi * np.linspace(0, 1, 1 << 16, endpoint=False))
         ref = float(np.max(np.abs(f.jet(ring).f)))
@@ -194,10 +191,7 @@ class TestSupEngines:
         def omega(t):
             return (1.0 - t) * np.log(2.0 / (1.0 - t))
 
-        def dlog(t):
-            return -1.0 / (1.0 - t) + 1.0 / ((1.0 - t) * np.log(2.0 / (1.0 - t)))
-
-        [got] = refined_modulus_sup(Const(1.0), 0, omega, dlog, cfg)
+        [got] = refined_modulus_sup(Const(1.0), 0, omega, cfg)
         assert got == pytest.approx(2.0 / math.e, abs=1e-12)
 
 
@@ -254,11 +248,22 @@ def _lbfgsb_sup(family, order, omega, dlog_omega, cfg):
     return best
 
 
+def _dlog_power_weight(t):
+    # d/dt log (1 - t)
+    return -1.0 / (1.0 - t)
+
+
+def _dlog_logbloch_weight(t):
+    # d/dt log ((1 - t) log(2 / (1 - t)))
+    return -1.0 / (1.0 - t) + 1.0 / ((1.0 - t) * np.log(2.0 / (1.0 - t)))
+
+
+# order, weight and the derivative of its logarithm in t = |z|^2
 POLISH_WEIGHTS = {
-    "bloch:1": (1, _power_weight(1.0)),
-    "logbloch:1": (1, _logbloch_weight(1.0)),
-    "flat": (0, FLAT_WEIGHT),
-    "growth:1": (0, _power_weight(1.0)),
+    "bloch:1": (1, _power_weight(1.0), _dlog_power_weight),
+    "logbloch:1": (1, _logbloch_weight(1.0), _dlog_logbloch_weight),
+    "flat": (0, FLAT_WEIGHT, np.zeros_like),
+    "growth:1": (0, _power_weight(1.0), _dlog_power_weight),
 }
 
 POLISH_FAMILIES = {
@@ -274,23 +279,111 @@ class TestBatchedPolish:
     @pytest.mark.parametrize("name", sorted(POLISH_FAMILIES))
     def test_matches_per_member_lbfgsb(self, cfg, name, weight):
         family = POLISH_FAMILIES[name](as_family(default_probe_family()))
-        order, (omega, dlog_omega) = POLISH_WEIGHTS[weight]
-        got = refined_modulus_sup(family, order, omega, dlog_omega, cfg)
-        want = _lbfgsb_sup(family, order, omega, dlog_omega, cfg)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-        # A lower bound that still improves on the grid.
-        grid = _grid_scan(family, order, omega, cfg)[2].reshape(len(family), -1).max(axis=1)
-        assert np.all(got >= grid)
+        order, omega, dlog_omega = POLISH_WEIGHTS[weight]
+        for grid in (cfg, GridConfig(r_max=0.6)):
+            got = refined_modulus_sup(family, order, omega, grid)
+            want = _lbfgsb_sup(family, order, omega, dlog_omega, grid)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            # A lower bound that still improves on the grid.
+            scan = _grid_scan(family, order, omega, grid)[2].reshape(len(family), -1).max(axis=1)
+            assert np.all(got >= scan)
 
     def test_monomials_stay_below_the_bloch_sup(self, cfg):
         # (1 - r^2) n r^(n-1) peaks at r^2 = (n-1)/(n+1).
         ns = np.arange(1, 25)
-        got = refined_modulus_sup([Poly((0.0,) * n + (1.0,)) for n in ns], 1, *_power_weight(1.0), cfg)
+        got = refined_modulus_sup([Poly((0.0,) * n + (1.0,)) for n in ns], 1, _power_weight(1.0), cfg)
         t = (ns - 1.0) / (ns + 1.0)
         exact = (1.0 - t) * ns * np.sqrt(t) ** (ns - 1)
         # Up to the rounding of both sides, a few units in the last place.
         assert np.all(got <= exact * (1.0 + 1e-14))
         assert np.all(got >= exact * (1.0 - 1e-12))
+
+
+    def test_box_that_ends_next_to_the_circle(self):
+        # |z + z^2/2| peaks at z = r_max.  The stencil must not leave the
+        # box for |z| >= 1, and the start must reach the face r = r_max.
+        cfg = GridConfig(r_max=1.0 - 1e-13)
+        [got] = refined_modulus_sup(Poly((0.0, 1.0, 0.5)), 0, FLAT_WEIGHT, cfg)
+        r = cfg.r_max
+        assert got == pytest.approx(r + 0.5 * r * r, rel=0.0, abs=1e-15)
+
+
+def _circle_max(f, r):
+    """Max of |f| on |z| = r: the best of 2^16 samples, polished by a bounded scalar search."""
+    import scipy.optimize
+
+    n = 1 << 16
+    theta = 2.0 * np.pi * np.arange(n) / n
+    mod = np.abs(f(r * np.exp(1j * theta)))
+    k = int(np.argmax(mod))
+    res = scipy.optimize.minimize_scalar(
+        lambda t: -abs(complex(f(r * np.exp(1j * t)))),
+        bounds=(theta[k] - 2.0 * np.pi / n, theta[k] + 2.0 * np.pi / n),
+        method="bounded",
+        options={"xatol": 1e-15},
+    )
+    return max(float(mod[k]), -float(res.fun))
+
+
+class TestSupOnOtherGrids:
+    # By the maximum principle the H-infinity norm on a grid is the max of
+    # |f| on |z| = r_max.  On 0.9999999 the scan ladder stops below r_max;
+    # on 0.9 the scan radii hold both 0.9 and the float just below it.
+    @pytest.mark.parametrize(
+        "f, r_max",
+        [
+            (Poly((1.0, 1.0, 1.0j)), 0.9999999),
+            (Compose(Poly((1.0, 1.0j)), Moebius(MoebiusMap(0.5 - 0.3j, 1.0))), 0.9),
+        ],
+        ids=["poly-0.9999999", "compose-0.9"],
+    )
+    def test_hinf_reaches_the_circle_maximum(self, f, r_max):
+        [got] = norms(parse_space("hinf"), [f], GridConfig(r_max=r_max))
+        want = _circle_max(f, r_max)
+        assert abs(got - want) <= 1e-12 * want
+
+
+class TestPolish:
+    def test_interior_maximum_in_one_dimension(self):
+        # 2 + sin(3x + c) peaks at 3 where 3x + c = pi/2.
+        c = np.linspace(0.0, 1.0, 5)[:, None, None]
+        top = (np.pi / 2.0 - c) / 3.0
+        x = top + np.array([-0.1, 0.15])[:, None]
+        got = _polish(lambda p: 2.0 + np.sin(3.0 * p[..., 0] + c), x, top - 0.3, top + 0.2)
+        assert got.shape == (5, 2)
+        np.testing.assert_allclose(got, 3.0, rtol=1e-15, atol=0.0)
+
+    def test_maximum_on_a_face_in_one_dimension(self):
+        # exp(x) and exp(-x) on [0, 1] peak on opposite faces.
+        sign = np.array([1.0, -1.0])[:, None, None]
+        x = np.array([0.3, 0.99995, 0.00005])[:, None] * np.ones((2, 1, 1))
+        got = _polish(lambda p: np.exp(sign * p[..., 0]), x, np.zeros_like(x), np.ones_like(x))
+        np.testing.assert_array_equal(got, [[np.e] * 3, [1.0] * 3])
+
+    def test_rotated_ridge(self):
+        # exp(-(u^2 + 100 v^2)) with (u, v) turned 45 degrees from (x, y):
+        # a ridge along the diagonal, where coordinate steps stall.
+        def ridge(p):
+            dx, dy = p[..., 0] - 0.2, p[..., 1] + 0.1
+            u, v = (dx + dy) / np.sqrt(2.0), (dx - dy) / np.sqrt(2.0)
+            return np.exp(-(u * u + 100.0 * v * v))
+
+        x = np.array([[0.7, 0.6], [-0.6, -0.8], [0.5, -0.5]])
+        lo, hi = np.full_like(x, -1.0), np.full_like(x, 1.0)
+        got = _polish(ridge, x, lo, hi)
+        np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=1e-15)
+
+    def test_maximum_outside_the_box(self):
+        # The peaks at (2, 3) and (0.25, 3) lie outside [0, 1]^2: the best
+        # points of the box are the corner (1, 1) and the face point (0.25, 1).
+        peaks = np.array([[2.0, 3.0], [0.25, 3.0]])[:, None, :]
+
+        def bump(p):
+            return np.exp(-((p - peaks) ** 2).sum(axis=-1))
+
+        x = np.full((2, 2), 0.5)
+        got = _polish(bump, x, np.zeros_like(x), np.ones_like(x))
+        np.testing.assert_allclose(got, [np.exp(-5.0), np.exp(-4.0)], rtol=1e-15, atol=0.0)
 
 
 class TestTaylorCoefficients:
