@@ -627,9 +627,9 @@ def unit_circle(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-@functools.lru_cache(maxsize=8)
-def _validation_circle(n: int = _VALIDATION_SAMPLES) -> np.ndarray:
-    return R_MAX * unit_circle(n)
+@functools.cache
+def _validation_circle() -> np.ndarray:
+    return R_MAX * unit_circle(_VALIDATION_SAMPLES)
 
 
 def _winding_from_values(vals: np.ndarray) -> int:

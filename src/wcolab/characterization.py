@@ -50,8 +50,8 @@ from .operators import (
     isometry_defect,
     random_polynomials,
 )
-from .quadrature import FLAT_WEIGHT, GridConfig, refined_modulus_sup, scan_grid
-from .spaces import SpaceSpec, _logbloch_weight, norms, seminorm
+from .quadrature import GridConfig, scan_grid
+from .spaces import SpaceSpec, norm, norms, seminorm, sup_form
 
 AUTOMORPHISM_TOL = 1e-8
 UNIMODULAR_TOL = 1e-9
@@ -63,6 +63,8 @@ SECTION_DIMENSIONS = (8, 16, 32)
 # Families where the multiplier algebra is exactly the bounded analytic
 # functions, so boundedness of |u| settles membership.
 _BOUNDED_MODULUS_FAMILIES = frozenset({"hinf", "hardy", "bergman", "growth", "mixed"})
+_HINF = SpaceSpec("hinf")
+_LOGBLOCH_1 = SpaceSpec("logbloch", gamma=1.0)
 
 
 def count_zeros(f: AnalyticExpr, r: float, cfg: GridConfig) -> int:
@@ -94,43 +96,21 @@ class AutomorphismFit:
 def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     """Decide whether phi is a disk automorphism and recover its parameters.
 
-    An automorphism lam * (a - z) / (1 - conj(a) z) has exactly one zero
-    in the disk, at z = a.  The zero count gates the attempt; the zero
-    location is polished by Newton from the best grid point, lam is read
-    off at the origin, and the candidate is accepted only when the sup
-    of |phi - candidate| over the grid is at most 1e-8.
+    An automorphism lam * (a - z) / (1 - conj(a) z) is fixed by its 1-jet
+    at the origin: phi(0) = lam a and phi'(0) = lam (|a|^2 - 1) (Schwarz-Pick;
+    Conway, Functions of One Complex Variable, VI.2).  So phi(0) and
+    phi'(0) give the only candidate, which is accepted only when the sup
+    of |phi - candidate| over the scan grid is at most AUTOMORPHISM_TOL.
     """
-    zeros = count_zeros(phi, cfg.r_max, cfg)
-    if zeros != 1:
+    p0, dp0 = phi.derivatives(0j, 1)
+    # lam = phi'(0) / (|phi(0)|^2 - 1) must be unimodular, so it is the direction
+    # of -phi'(0); a phi'(0) that leaves |lam| below 1e-12 (c z^2) has none.
+    if abs(p0) >= 1.0 or abs(dp0) < 1e-12 * (1.0 - abs(p0) ** 2):
         return AutomorphismFit(False, None, float("inf"))
-
+    lam = -dp0 / abs(dp0) + 0j  # + 0j turns a signed zero -0.0 in lam into 0.0
+    candidate = MoebiusMap(lam.conjugate() * p0, lam)
     pts = scan_grid(cfg)
-    vals = phi(pts)
-    flat = int(np.argmin(np.abs(vals)))
-    z = complex(pts.flat[flat])
-    for _ in range(60):
-        f, df = phi.derivatives(z, 1)
-        if abs(df) < 1e-30:
-            break
-        step = f / df
-        z = z - step
-        if abs(z) >= 1.0:
-            return AutomorphismFit(False, None, float("inf"))
-        if abs(step) < 1e-15:
-            break
-
-    a_star = z if abs(z) > 1e-9 else 0.0 + 0.0j
-    if a_star == 0:
-        lam = -phi.derivatives(0.0 + 0.0j, 1)[1]
-    else:
-        lam = phi(0.0 + 0.0j) / a_star
-    scale = abs(lam)
-    if scale < 1e-12:
-        return AutomorphismFit(False, None, float("inf"))
-    lam = lam / scale
-
-    candidate = MoebiusMap(a_star, lam)
-    residual = float(np.max(np.abs(vals - candidate(pts))))
+    residual = float(np.max(np.abs(phi(pts) - candidate(pts))))
     if residual <= AUTOMORPHISM_TOL:
         return AutomorphismFit(True, candidate, residual)
     return AutomorphismFit(False, None, residual)
@@ -145,16 +125,17 @@ class MultiplierVerdict:
     criterion: str
 
 
-def _ladder_profile(u: AnalyticExpr, cfg: GridConfig, order: int = 0):
+def _ladder_profile(u: AnalyticExpr, cfg: GridConfig, order: int, omega) -> np.ndarray:
+    """max over |z| = r of omega(r^2) |u^(order)(z)| for each r of the sup_radii ladder."""
     radii = np.asarray(cfg.sup_radii, dtype=float)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
     vals = u.derivatives(z, order)[order]
-    return radii, np.max(np.abs(vals), axis=1)
+    return omega(radii**2) * np.max(np.abs(vals), axis=1)
 
 
-def _trend_slope(radii: np.ndarray, profile: np.ndarray) -> float:
-    """Relative slope of the profile against log(1/(1-r)) near the boundary."""
-    x = np.log(1.0 / (1.0 - radii[-6:]))
+def _trend_slope(cfg: GridConfig, profile: np.ndarray) -> float:
+    """Relative slope of a sup_radii profile against log(1/(1-r)) near the boundary."""
+    x = np.log(1.0 / (1.0 - np.asarray(cfg.sup_radii[-6:])))
     y = profile[-6:]
     slope = float(np.polyfit(x, y, 1)[0])
     return slope / max(float(np.max(np.abs(y))), 1e-12)
@@ -164,36 +145,25 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     """Test whether u is a pointwise multiplier of the space.
 
     Exact criteria exist where the multiplier algebra is known in closed
-    form: bounded modulus for the integral and growth families, and for
-    the classical Bloch space boundedness of both |u| and the
-    log-weighted derivative (1-|z|^2) log(2/(1-|z|^2)) |u'(z)|.
+    form: u in hinf for the integral and growth families, and u in hinf
+    and logbloch:1 for the classical Bloch space.  A membership fails when
+    the sup over |z| = r grows with r; the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
     family, capped at 1e3.
     """
     if isinstance(u, Const):
         return MultiplierVerdict("Yes_Exact", abs(complex(u.value)), "constant symbol")
 
+    spaces = ()
     if space.family in _BOUNDED_MODULUS_FAMILIES:
-        radii, profile = _ladder_profile(u, cfg)
-        slope = _trend_slope(radii, profile)
-        if slope > TREND_SLOPE_TOL:
-            return MultiplierVerdict("No_Exact", float(profile[-1]), "bounded modulus")
-        sup_u = float(refined_modulus_sup(u, 0, FLAT_WEIGHT, cfg)[0])
-        return MultiplierVerdict("Yes_Exact", sup_u, "bounded modulus")
-
-    if space.family == "bloch" and space.beta == 1.0:
-        radii, profile0 = _ladder_profile(u, cfg)
-        slope0 = _trend_slope(radii, profile0)
-        _, dprofile = _ladder_profile(u, cfg, order=1)
-        omega = _logbloch_weight(1.0)
-        weighted = omega(radii**2) * dprofile
-        slope1 = _trend_slope(radii, weighted)
-        criterion = "bounded modulus and log-weighted derivative"
-        if slope0 > TREND_SLOPE_TOL or slope1 > TREND_SLOPE_TOL:
-            worst = float(max(profile0[-1], weighted[-1]))
-            return MultiplierVerdict("No_Exact", worst, criterion)
-        measured = float(refined_modulus_sup(u, 1, omega, cfg)[0])
-        return MultiplierVerdict("Yes_Exact", measured, criterion)
+        criterion, spaces = "bounded modulus", (_HINF,)
+    elif space.family == "bloch" and space.beta == 1.0:
+        criterion, spaces = "bounded modulus and log-weighted derivative", (_HINF, _LOGBLOCH_1)
+    if spaces:
+        profiles = [_ladder_profile(u, cfg, *sup_form(s)) for s in spaces]
+        if any(_trend_slope(cfg, profile) > TREND_SLOPE_TOL for profile in profiles):
+            return MultiplierVerdict("No_Exact", float(max(profile[-1] for profile in profiles)), criterion)
+        return MultiplierVerdict("Yes_Exact", norm(spaces[-1], u, cfg).seminorm_part, criterion)
 
     probes = as_family(default_probe_family(seed))
     base = norms(space, probes, cfg)
@@ -264,8 +234,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     automorphism fit, or zeros of F inside the disk, or an exact
     multiplier criterion failing for 1/F.  Inconclusive covers the
     empirical-multiplier families, weights whose minimum modulus is too
-    small to exclude near-boundary zeros, maps phi without a zero in
-    |z| < r_max but with |phi(0)| >= r_max, and grids with r_max short of
+    small to exclude near-boundary zeros, and grids with r_max short of
     R_MAX, whose zero counts miss part of the disk.  A positive verdict ships
     with the inverse symbols, a roundtrip residual on seeded
     polynomials, and section condition numbers as corroborating
@@ -276,23 +245,13 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     min_mod = float(np.min(np.abs(w.F(scan_grid(cfg)))))
     report = InvertibilityReport(space, fit, zeros, min_mod, None, "Inconclusive")
 
-    # A zero count on a circle short of R_MAX misses the zeros beyond it,
-    # so there it settles no verdict.
-    counts_decide = cfg.r_max == R_MAX
-    partial_count = f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
     if not fit.found:
-        # An automorphism has exactly one zero a, and |phi(0)| = |a|.  So a
-        # count of none rejects phi when a would lie inside the counting
-        # circle, and so does two or more; a count of one failed the fit.
-        if abs(w.phi(0j)) < cfg.r_max or count_zeros(w.phi, cfg.r_max, cfg) != 0:
-            report.verdict = "NotInvertible"
-        else:
-            report.caveat = (
-                f"phi has no zero in |z| < {cfg.r_max}; an automorphism with its zero beyond that circle is not excluded"
-            )
+        # The fit's candidate is the only automorphism with phi's 1-jet at 0.
+        report.verdict = "NotInvertible"
         return report
-    if not counts_decide:
-        report.caveat = partial_count
+    if cfg.r_max != R_MAX:
+        # A zero count on a circle short of R_MAX misses the zeros beyond it.
+        report.caveat = f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
         return report
     if zeros != 0:
         report.verdict = "NotInvertible"
@@ -349,7 +308,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
         raise UnsupportedSpace(
             f"surjective isometry rigidity needs the decomposed norm; {space} does not have it"
         )
-    sup_f = float(refined_modulus_sup(w.F, 0, FLAT_WEIGHT, cfg)[0])
+    sup_f = norm(_HINF, w.F, cfg).total
     inf_f = float(np.min(np.abs(w.F(scan_grid(cfg)))))
     unimodular = (
         abs(sup_f - 1.0) <= UNIMODULAR_TOL
@@ -357,7 +316,7 @@ def check_isometry(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int =
         and seminorm(space, w.F, cfg) <= UNIMODULAR_TOL
     )
     fit = detect_automorphism(w.phi, cfg)
-    rotation = fit.found and fit.map is not None and abs(fit.map.a) <= UNIMODULAR_TOL
+    rotation = fit.found and abs(fit.map.a) <= UNIMODULAR_TOL
     origin = w.phi(0.0 + 0.0j)
     defect = isometry_defect(w, space, default_probe_family(seed), cfg)
     return IsometryReport(

@@ -178,7 +178,7 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
     family = as_family(family)
     radii = scan_radii(cfg)
     angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
+    z = scan_grid(cfg)
     weight = omega(radii[:, None] ** 2)
     vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
     best = vals.reshape(len(family), -1).max(axis=1)

@@ -157,6 +157,19 @@ def _logbloch_weight(gamma: float):
     return lambda t: (1.0 - t) * np.log(2.0 / (1.0 - t)) ** gamma
 
 
+def sup_form(space: SpaceSpec):
+    """(order, omega) if the norm part is sup omega(|z|^2) |f^(order)(z)| (see refined_modulus_sup), else None."""
+    if space.family == "hinf":
+        return 0, FLAT_WEIGHT
+    if space.family == "growth":
+        return 0, _power_weight(space.gamma)
+    if space.family == "bloch":
+        return 1, _power_weight(space.beta)
+    if space.family == "logbloch":
+        return 1, _logbloch_weight(space.gamma)
+    return None
+
+
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     """Callable radii -> M_p(r)^p of each member (order 0) or its derivative (order 1)."""
 
@@ -250,10 +263,11 @@ def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     if not len(fam):
         return np.zeros(0), np.zeros(0), np.zeros(0)
     kind = space.family
+    form = sup_form(space)
     if space.has_a6_form:
         origin = fam.jets(np.zeros(1))
-    if kind == "hinf":
-        part = refined_modulus_sup(fam, 0, FLAT_WEIGHT, cfg)
+    if form is not None:
+        part = refined_modulus_sup(fam, *form, cfg)
     elif kind == "hardy":
         part = _power_mean_profile(fam, space.p, cfg, 0)((cfg.r_max,))[:, 0] ** (1.0 / space.p)
     elif kind == "bergman":
@@ -266,12 +280,6 @@ def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
             hp = _power_mean_profile(fam, space.p, cfg, 0)
             hq = lambda radii: hp(radii) ** (space.q / space.p)
             part = weighted_radial_integral(hq, space.alpha * space.q - 1.0, cfg) ** (1.0 / space.q)
-    elif kind == "growth":
-        part = refined_modulus_sup(fam, 0, _power_weight(space.gamma), cfg)
-    elif kind == "bloch":
-        part = refined_modulus_sup(fam, 1, _power_weight(space.beta), cfg)
-    elif kind == "logbloch":
-        part = refined_modulus_sup(fam, 1, _logbloch_weight(space.gamma), cfg)
     elif kind == "bmoa":
         part = _bmoa_seminorms(fam, cfg)
     elif kind == "besov":

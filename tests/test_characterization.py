@@ -30,7 +30,7 @@ from wcolab.characterization import (
 from wcolab.errors import DomainError, NonVanishingViolation, ParameterError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, condition_number, finite_section, random_polynomials
 from wcolab.quadrature import scan_grid
-from wcolab.spaces import parse_space
+from wcolab.spaces import norm, parse_space, seminorm
 
 IDENTITY = Poly((0.0, 1.0))
 
@@ -65,6 +65,19 @@ class TestDetectAutomorphism:
         assert fit.residual <= AUTOMORPHISM_TOL
         assert abs(fit.map.a - m.a) < 1e-9
         assert abs(fit.map.lam - m.lam) < 1e-9
+
+    @pytest.mark.parametrize("modulus", [0.995, 0.999, 0.9999, 0.99999, 0.9999989])
+    def test_recovers_zero_near_the_boundary(self, cfg, modulus):
+        # Along |z| = R_MAX the phase of these maps turns by 2 pi within
+        # about 1 - |a| of arg a, here midway between two of the 512
+        # samples of a winding count; the 1-jet at 0 still fixes them.
+        for k in range(8):
+            m = MoebiusMap(modulus * np.exp(2j * np.pi * (64 * k + 0.5) / 512), np.exp(1j * (0.7 * k - 2.0)))
+            fit = detect_automorphism(Moebius(m), cfg)
+            assert fit.found
+            assert fit.residual <= 1e-12
+            assert abs(fit.map.a - m.a) <= 1e-12
+            assert abs(fit.map.lam - m.lam) <= 1e-12
 
     def test_identity_expression(self, cfg):
         fit = detect_automorphism(IDENTITY, cfg)
@@ -146,6 +159,19 @@ class TestMultiplierTest:
         assert v.status == "Yes_Exact"
         # sup of (1-t) log(2/(1-t)) over t in [0, 1)
         assert v.measured_constant == pytest.approx(2.0 / np.e, abs=1e-10)
+
+    @pytest.mark.parametrize("text", ["hinf", "hardy:2", "bergman:2,0", "growth:1", "mixed:2,inf,0.5", "bloch:1"])
+    def test_measured_constant_is_the_criterion_sup(self, cfg, text):
+        # The sup of |u| on the bounded-modulus families; on bloch:1 the
+        # logbloch:1 seminorm, the sup of the log-weighted derivative.
+        u = Recip(Poly((2.0, 0.5 - 0.5j)))
+        space = parse_space(text)
+        v = multiplier_test(u, space, cfg)
+        assert v.status == "Yes_Exact"
+        if space.family == "bloch":
+            assert v.measured_constant == seminorm(parse_space("logbloch:1"), u, cfg)
+        else:
+            assert v.measured_constant == norm(parse_space("hinf"), u, cfg).total
 
     def test_bloch_rejects_unbounded(self, cfg):
         v = multiplier_test(Recip(Poly((1.0, -1.0))), parse_space("bloch:1"), cfg)

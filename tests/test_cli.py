@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import wcolab
 from wcolab import minilang
-from wcolab.analytic_core import R_MAX, Add, Compose, Const, Moebius, MoebiusMap, Poly, Pow, Recip
+from wcolab.analytic_core import Add, Compose, Const, Moebius, MoebiusMap, Poly, Pow, Recip
 from wcolab.axiom_harness import ALL_FAMILIES
 from wcolab.cli import format_expression, main, parse_expression
 from wcolab.errors import ParseError
@@ -294,9 +294,9 @@ class TestOutputContract:
         assert code == 1
         assert doc["result"]["verdict"] == "NotInvertible"
 
-    def test_automorphism_zero_beyond_counting_circle_is_inconclusive(self, capsys):
-        # The zero 0.99999999 of this automorphism lies beyond |z| = R_MAX,
-        # so its zero count of 0 rejects nothing.
+    def test_automorphism_zero_beyond_counting_circle_is_invertible(self, capsys):
+        # The zero 0.99999999 of this automorphism lies beyond |z| = R_MAX;
+        # the fit reads it off phi(0) and phi'(0) all the same.
         code, doc, _ = run_checked(
             capsys,
             "check-invertible",
@@ -304,10 +304,38 @@ class TestOutputContract:
             "--F", "poly(2.0,1.0)",
             "--phi", "mobius(0.99999999,0.0,0.0)",
         )
-        assert code == 2
-        assert doc["result"]["verdict"] == "Inconclusive"
-        assert doc["result"]["automorphism"]["residual"] is None
-        assert str(R_MAX) in doc["result"]["caveat"]
+        assert code == 0
+        assert doc["result"]["verdict"] == "Invertible"
+        assert doc["result"]["automorphism"]["found"]
+        assert abs(doc["result"]["automorphism"]["map"]["a"]["re"] - 0.99999999) < 1e-12
+
+    def test_automorphism_with_zero_between_count_samples_is_invertible(self, capsys):
+        # |a| = 0.99760: along |z| = R_MAX the phase of phi turns by 2 pi
+        # between two samples of a 512-point winding count.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "poly(2.0,1.0)",
+            "--phi", "mobius(0.6,0.797,1.0)",
+        )
+        assert code == 0
+        assert doc["result"]["verdict"] == "Invertible"
+        assert doc["result"]["automorphism"]["residual"] <= 1e-12
+
+    def test_failed_fit_beyond_counting_circle_is_not_invertible(self, capsys):
+        # |phi(0)| >= R_MAX, but phi is no automorphism: the only candidate
+        # with its 1-jet at 0 fails the fit, wherever phi's zero lies.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "poly(2.0,1.0)",
+            "--phi", "poly(0.9999995,1e-7)",
+        )
+        assert code == 1
+        assert doc["result"]["verdict"] == "NotInvertible"
+        assert not doc["result"]["automorphism"]["found"]
 
 
 class TestAxiomsCommand:
