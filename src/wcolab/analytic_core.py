@@ -46,11 +46,11 @@ class Jet2:
 
 def _checked_points(z) -> np.ndarray:
     arr = np.asarray(z, dtype=complex)
-    if arr.size:
+    # The comparison fails for NaN and inf too; only then is finiteness tested.
+    if arr.size and not np.max(np.abs(arr)) < 1.0:
         if not np.all(np.isfinite(arr)):
             raise DomainError("evaluation point is not finite")
-        if np.max(np.abs(arr)) >= 1.0:
-            raise DomainError("evaluation point lies outside the open unit disk")
+        raise DomainError("evaluation point lies outside the open unit disk")
     return arr
 
 
@@ -207,12 +207,13 @@ class Moebius(AnalyticExpr):
     def _derivatives(self, z, n):
         out = [self.map(z)]
         if n:
+            # f' = lam (|a|^2 - 1) q^2 and f'' = 2 conj(a) f' q, q = 1 / (1 - conj(a) z):
+            # one complex division instead of two and numpy's general complex power.
             a = self.map.a
-            d = 1.0 - np.conj(a) * z
-            top = self.map.lam * (abs(a) ** 2 - 1.0)
-            out.append(top / d ** 2)
+            q = 1.0 / (1.0 - np.conj(a) * z)
+            out.append(self.map.lam * (abs(a) ** 2 - 1.0) * q * q)
             if n == 2:
-                out.append(2.0 * np.conj(a) * top / d ** 3)
+                out.append(2.0 * np.conj(a) * out[1] * q)
         return out
 
 
@@ -323,7 +324,13 @@ class Pow(AnalyticExpr):
         if np.any((u.real <= 0.0) & (u.imag == 0.0)):
             raise BranchError("Pow encountered a value on the branch cut (−∞, 0]")
         alpha = self.exponent
-        f = np.exp(alpha * np.log(u))
+        # |u|^alpha e^(i alpha arg u) from real kernels: numpy's complex log
+        # and exp cost several times more, most of all near |u| = 1.
+        modulus = np.abs(u) ** alpha
+        angle = alpha * np.arctan2(u.imag, u.real)
+        f = np.empty_like(u)
+        f.real = modulus * np.cos(angle)
+        f.imag = modulus * np.sin(angle)
         out = [f]
         if n:
             s1 = f / u
@@ -356,8 +363,8 @@ class Family:
         raise NotImplementedError
 
     def _height(self, order: int) -> int:
-        # Rows of the tallest stacked array one evaluation of this order holds, per point.
-        return len(self)
+        """Rows of the tallest stacked array one evaluation of this order holds, per point."""
+        raise NotImplementedError
 
     def _points(self, z) -> np.ndarray:
         # Members evaluated through AnalyticExpr.derivatives check the points there.
@@ -382,14 +389,9 @@ class Family:
         return self._evaluate(z.reshape(len(z), -1), (order,))[0].reshape(z.shape)
 
     def row_blocks(self, z: np.ndarray, order: int) -> list:
-        """Row slices of the 2-D grid z that keep a stacked array of the order under BLOCK_BYTES.
-
-        A family whose stacked arrays have one row, such as one expression
-        tree, takes the whole grid at once.
-        """
+        """Row slices of the 2-D grid z that keep a stacked array of the order under BLOCK_BYTES."""
         n_rows, n_cols = z.shape
-        height = max(1, self._height(order))
-        step = n_rows if height == 1 else max(1, BLOCK_BYTES // (height * n_cols * 16))
+        step = max(1, BLOCK_BYTES // (max(1, self._height(order)) * n_cols * 16))
         return [slice(i, i + step) for i in range(0, n_rows, step)]
 
     def rowwise(self, z, order: int, reduce) -> np.ndarray:
@@ -416,6 +418,10 @@ def _stacked(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _node_count(f: AnalyticExpr) -> int:
+    return 1 + sum(_node_count(v) for v in vars(f).values() if isinstance(v, AnalyticExpr))
+
+
 class TreeFamily(Family):
     """Any expressions, each evaluated by its own derivatives up to the highest order asked."""
 
@@ -427,6 +433,10 @@ class TreeFamily(Family):
 
     def __getitem__(self, k):
         return self.members[k]
+
+    def _height(self, order):
+        # Each node of a tree holds its derivatives up to the order asked.
+        return max(len(self), max((_node_count(f) for f in self.members), default=0) * (order + 1))
 
     def _evaluate(self, z, orders):
         points = [z[0]] * len(self) if len(z) == 1 else z

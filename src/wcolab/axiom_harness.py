@@ -66,7 +66,8 @@ class _Probes:
     """A probe family with its norms and seminorms, from one evaluation.
 
     run_all hands one to every check, so the base family is measured
-    once per space instead of once per check.
+    once per space instead of once per check, and each member's norm on
+    the refined grid at most once.
     """
 
     def __init__(self, space: SpaceSpec, cfg: GridConfig, family=None):
@@ -74,6 +75,8 @@ class _Probes:
         self.cfg = cfg
         self.family = as_family(harness_family() if family is None else family)
         self.norms, _, self.seminorms = _norm_parts(space, self.family, cfg)
+        # Norms on the refined grid, by member index, filled by _image_bound.
+        self.refined = {}
 
 
 def _probes(space: SpaceSpec, cfg: GridConfig, family) -> _Probes:
@@ -97,7 +100,9 @@ def _image_bound(probes: _Probes, image_of) -> tuple:
     worst = int(np.argmax(near))
     member = as_family([probes.family[worst]])
     fine = cfg.refined()
-    refined = float(norms(space, image_of(member), fine)[0] / norms(space, member, fine)[0])
+    if worst not in probes.refined:
+        probes.refined[worst] = norms(space, member, fine)[0]
+    refined = float(norms(space, image_of(member), fine)[0] / probes.refined[worst])
     return bound, refined, max(bound / refined, refined / bound), semi
 
 

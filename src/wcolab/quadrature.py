@@ -37,12 +37,13 @@ class GridConfig:
     r_max: float = R_MAX
 
     def __post_init__(self):
+        # A size that int() would truncate names another grid: it is rejected.
         n = int(self.n_theta)
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ParameterError(f"n_theta must be a power of two and at least 64, got {n}")
+        if n != self.n_theta or n < 64 or (n & (n - 1)) != 0:
+            raise ParameterError(f"n_theta must be a power of two and at least 64, got {self.n_theta}")
         m = int(self.n_radial)
-        if m < 4:
-            raise ParameterError(f"n_radial must be at least 4, got {m}")
+        if m != self.n_radial or m < 4:
+            raise ParameterError(f"n_radial must be an integer of at least 4, got {self.n_radial}")
         r_max = float(self.r_max)
         if not 0.0 < r_max < 1.0:
             raise ParameterError(f"r_max must lie in (0, 1), got {r_max}")

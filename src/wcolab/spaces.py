@@ -9,6 +9,7 @@ translation-invariant seminorm p, the breakdown is exposed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -197,6 +198,18 @@ def _mixed_sup_norms(fam: Family, p: float, alpha: float, cfg: GridConfig) -> np
     return np.maximum(vals.max(axis=1), _polish(at, radii[i, None], lo[:, None], hi[:, None]))
 
 
+@functools.lru_cache(maxsize=32)
+def _bmoa_kernel(cfg: GridConfig) -> np.ndarray:
+    # kernel[a, r, m]: radial factor of the integrand after the angular
+    # average, times (|a| r)^m, for the Fourier modes m = 0 .. m_max.
+    # Cached like scan_grid: every BMOA norm on a grid uses the same one.
+    t, w = gauss01(cfg.n_radial)
+    radii = np.sqrt(t)
+    mods = np.asarray(_BMOA_A_RADII)
+    pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
+    return pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(cfg.n_theta // 2)
+
+
 def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     """Star seminorm: sup over a of the weighted area L2 norm of f'.
 
@@ -206,20 +219,15 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     |a| r turns the integral into a Fourier series in arg(a), which is
     maximized continuously; |a| runs over a fixed ladder of moduli.
     """
-    t, w = gauss01(cfg.n_radial)
-    radii = np.sqrt(t)
-    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
+    z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
     m_max = cfg.n_theta // 2 - 1
-    mods = np.asarray(_BMOA_A_RADII)
-    # kernel[a, r, m]: radial factor of the integrand after the angular
-    # average, times (|a| r)^m, for the Fourier modes m = 0 .. m_max.
-    pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
-    kernel = pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(m_max + 1)
+    kernel = _bmoa_kernel(cfg)
     # sums[k, a, m] = sum over r of kernel[a, r, m] d_m(r) for member k
-    sums = np.zeros((len(fam), len(mods), m_max + 1), dtype=complex)
+    sums = np.zeros((len(fam), len(_BMOA_A_RADII), m_max + 1), dtype=complex)
     for rows in fam.row_blocks(z, 1):
-        D = np.abs(fam.derivative(z[rows], 1)) ** 2
-        coeffs = np.fft.fft(D, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
+        v = fam.derivative(z[rows], 1)
+        D = v.real * v.real + v.imag * v.imag
+        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
         sums += np.matmul(coeffs.transpose(2, 0, 1), kernel[:, rows].transpose(2, 1, 0)).transpose(1, 2, 0)
     # _BMOA_A_RADII starts at |a| = 0, whose profile is the constant s0.
     s0 = sums[:, :, 0].real

@@ -23,8 +23,9 @@ from wcolab import (
     rotation_map,
     winding_number,
 )
-from wcolab.analytic_core import TreeFamily
-from wcolab.quadrature import scan_radii, unit_circle
+from wcolab.analytic_core import TreeFamily, _checked_points
+from wcolab.quadrature import gauss01, scan_radii, unit_circle
+from wcolab.spaces import norms, parse_space
 
 from conftest import seeded_polys
 
@@ -261,6 +262,82 @@ class TestValuePath:
         for k, f in enumerate(family):
             want = f.derivatives(z[k], 1)
             assert [_bits(got[0][k]), _bits(got[1][k])] == [_bits(want[0]), _bits(want[1])]
+
+
+def _normwise(got, ref) -> float:
+    # Largest deviation over the largest modulus of the reference.
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+class TestKernels:
+    """Pow and Moebius agree with the textbook complex forms to rounding."""
+
+    @staticmethod
+    def grid(cfg):
+        return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.5, 3.5])
+    @pytest.mark.parametrize("u", [Poly((2.0 / 3.0, 1.0 / 3.0)), Poly((2.5, 0.4, 0.3))], ids=["a4", "quadratic"])
+    def test_pow_matches_complex_log_rule(self, cfg, u, alpha):
+        z = self.grid(cfg)
+        v = u.derivatives(z, 2)
+        f = np.exp(alpha * np.log(v[0]))
+        s1 = f / v[0]
+        ref = [f, alpha * s1 * v[1], alpha * (alpha - 1.0) * (s1 / v[0]) * v[1] ** 2 + alpha * s1 * v[2]]
+        for got, want in zip(Pow(u, alpha).derivatives(z, 2), ref):
+            assert _normwise(got, want) <= 2e-15
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_pow_branch_cut_either_signed_zero(self, imag):
+        inner = Const(complex(-1.0, imag))
+        assert np.signbit(inner(0.1).imag) == np.signbit(imag)
+        for n in (0, 1, 2):
+            with pytest.raises(BranchError):
+                Pow(inner, 0.5).derivatives(np.array([0.1, 0.5j]), n)
+            with pytest.raises(BranchError):
+                Pow(Poly((-0.5, 0.1)), 2.5).derivatives(np.array([0.5j, 0.0]), n)
+
+    @pytest.mark.parametrize("modulus", [0.0, 0.5, 0.99])
+    def test_moebius_matches_closed_forms(self, cfg, modulus):
+        a, lam = modulus * np.exp(0.7j), np.exp(-0.4j)
+        z = self.grid(cfg)
+        d = 1.0 - np.conj(a) * z
+        top = lam * (abs(a) ** 2 - 1.0)
+        ref = [top / d**2, 2.0 * np.conj(a) * top / d**3]
+        for got, want in zip(Moebius(MoebiusMap(a, lam)).derivatives(z, 2)[1:], ref):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    NOT_FINITE = "evaluation point is not finite"
+    OUTSIDE = "evaluation point lies outside the open unit disk"
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            (np.nan, NOT_FINITE),
+            (complex(np.inf, 0.0), NOT_FINITE),
+            (1.0, OUTSIDE),
+            (2.0, OUTSIDE),
+            (np.array([0.1, np.nan, 2.0]), NOT_FINITE),
+        ],
+    )
+    def test_checked_points_messages(self, z, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            _checked_points(z)
+        assert _checked_points(np.array([0.0, 0.999j])).shape == (2,)
+        assert _checked_points(np.zeros(0)).shape == (0,)
+
+    def test_tree_is_evaluated_in_row_blocks(self, cfg, monkeypatch):
+        # A4's tree on the b1 area grid: blocked, its norms agree with
+        # the whole-grid evaluation to rounding.
+        family = TreeFamily((Mul(Poly((0.0, 0.0, 1.0)), Pow(Poly((2.0 / 3.0, 1.0 / 3.0)), 3.5)),))
+        z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(4 * cfg.n_theta)[None, :]
+        assert len(family.row_blocks(z, 2)) > 1
+        spaces = [parse_space(s) for s in ("hinf", "b1", "bmoa")]
+        blocked = [norms(space, family, cfg)[0] for space in spaces]
+        monkeypatch.setattr(TreeFamily, "row_blocks", lambda self, z, order: [slice(0, len(z))])
+        for space, value in zip(spaces, blocked):
+            whole = norms(space, family, cfg)[0]
+            assert abs(value - whole) <= 1e-15 * whole
 
 
 class TestWinding:

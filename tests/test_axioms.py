@@ -1,8 +1,11 @@
 """Structure and behavior of the per-space axiom battery."""
 
+import collections
+
 import numpy as np
 import pytest
 
+from wcolab import axiom_harness
 from wcolab.analytic_core import Compose, Const, Family, Moebius, MoebiusMap, Mul, Poly, PolyFamily
 from wcolab.axiom_harness import (
     A1_RADII,
@@ -240,3 +243,20 @@ class TestStackedHarness:
         assert report.witnesses == (
             {"a": -0.7 + 0j, "invariance_defect": report.measured["seminorm_invariance_defect"]},
         )
+
+
+def test_run_all_measures_each_refined_base_member_once(cfg, monkeypatch):
+    # On bmoa the shift and the three involutions all re-measure z on
+    # the refined grid; its norm there is taken once.
+    space, fine = parse_space("bmoa"), cfg.refined()
+    counts = collections.Counter()
+    measure = axiom_harness.norms
+
+    def counting(space, family, grid):
+        if grid == fine and isinstance(family, PolyFamily):
+            counts.update(family.polys)
+        return measure(space, family, grid)
+
+    monkeypatch.setattr(axiom_harness, "norms", counting)
+    run_all(space, cfg)
+    assert counts and max(counts.values()) == 1

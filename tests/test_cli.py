@@ -226,8 +226,8 @@ class TestVerdictCommands:
 
 class TestOutputContract:
     def test_failed_fit_reports_null_residual(self, capsys):
-        # z -> 0.5 z^2 is two-to-one: the fit is rejected by the zero count
-        # before a residual is measured.
+        # z -> 0.5 z^2 is two-to-one: phi'(0) = 0 leaves no candidate
+        # automorphism, so the fit is rejected before a residual is measured.
         code, doc, _ = run_checked(
             capsys,
             "check-invertible",

@@ -52,6 +52,14 @@ class TestGridConfig:
         with pytest.raises(ParameterError):
             GridConfig(n_theta=32)
 
+    def test_non_integral_sizes_rejected(self):
+        for sizes in ({"n_theta": 512.9}, {"n_radial": 64.5}, {"n_theta": 512.9, "n_radial": 64.5}):
+            with pytest.raises(ParameterError):
+                GridConfig(**sizes)
+        grid = GridConfig(n_theta=512.0, n_radial=64.0)
+        assert (grid.n_theta, grid.n_radial) == (512, 64)
+        assert type(grid.n_theta) is int and type(grid.n_radial) is int
+
     def test_radial_minimum(self):
         with pytest.raises(ParameterError):
             GridConfig(n_radial=2)

@@ -30,6 +30,7 @@ from wcolab.spaces import (
     SpaceSpec,
     _bmoa_seminorms,
     norm,
+    norms,
     parse_space,
     pointeval_bound,
     seminorm,
@@ -241,6 +242,17 @@ class TestInvariances:
 
 
 class TestBmoa:
+    def test_kernel_built_once_per_grid(self, coarse_cfg):
+        from wcolab import spaces
+
+        spaces._bmoa_kernel.cache_clear()
+        family = [CHI, Poly((0.5, 0.0, 1.0j))]
+        first = norms(parse_space("bmoa"), family, coarse_cfg)
+        for grid in (coarse_cfg.refined(), coarse_cfg, coarse_cfg.refined()):
+            norms(parse_space("bmoa"), family, grid)
+        assert spaces._bmoa_kernel.cache_info().misses == 2
+        assert np.array_equal(norms(parse_space("bmoa"), family, coarse_cfg), first)
+
     def test_constant(self, cfg):
         got = norm(parse_space("bmoa"), Const(2.0j), cfg)
         assert got.total == pytest.approx(2.0, abs=1e-12)
