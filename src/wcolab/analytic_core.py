@@ -344,9 +344,10 @@ class Family:
     """Expressions evaluated together, their values stacked on a leading axis.
 
     Member k's derivative of order 0, 1 or 2 comes out at index k.  The
-    points are shared by every member, or given per member as z[k] (the
-    `_at` forms).  Indexing and iteration give the members as expression
-    trees, the reference that family evaluation must match.
+    points are shared by every member, or given row by row with the
+    member of each row (derivative_at).  Indexing and iteration give the
+    members as expression trees, the reference that family evaluation
+    must match.
     """
 
     def __len__(self) -> int:
@@ -358,8 +359,13 @@ class Family:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    def _evaluate(self, z: np.ndarray, orders: tuple) -> list:
-        """Stacked derivatives of the given orders at z of shape (1 or len(self), n)."""
+    def _evaluate(self, z: np.ndarray, orders: tuple, members=None) -> list:
+        """Stacked derivatives of the given orders at z.
+
+        Without members, z of shape (1, n) holds points shared by every
+        member.  With an integer array members, z has one row per entry
+        and row i holds the points of member members[i].
+        """
         raise NotImplementedError
 
     def _height(self, order: int) -> int:
@@ -383,10 +389,10 @@ class Family:
         """Derivative of the given order of every member at the shared points z."""
         return self._shared(z, (order,))[0]
 
-    def derivative_at(self, z, order: int) -> np.ndarray:
-        """Derivative of the given order of member k at the points z[k]."""
+    def derivative_at(self, z, order: int, members) -> np.ndarray:
+        """Derivative of the given order of member members[i] at the points z[i]."""
         z = self._points(z)
-        return self._evaluate(z.reshape(len(z), -1), (order,))[0].reshape(z.shape)
+        return self._evaluate(z.reshape(len(z), -1), (order,), np.asarray(members))[0].reshape(z.shape)
 
     def row_blocks(self, z: np.ndarray, order: int) -> list:
         """Row slices of the 2-D grid z that keep a stacked array of the order under BLOCK_BYTES."""
@@ -438,10 +444,18 @@ class TreeFamily(Family):
         # Each node of a tree holds its derivatives up to the order asked.
         return max(len(self), max((_node_count(f) for f in self.members), default=0) * (order + 1))
 
-    def _evaluate(self, z, orders):
-        points = [z[0]] * len(self) if len(z) == 1 else z
-        derivs = [f.derivatives(p, max(orders)) for f, p in zip(self.members, points)]
-        return [_stacked([d[order] for d in derivs]) for order in orders]
+    def _evaluate(self, z, orders, members=None):
+        if members is None:
+            derivs = [f.derivatives(z[0], max(orders)) for f in self.members]
+            return [_stacked([d[order] for d in derivs]) for order in orders]
+        # Each distinct member is walked once, over all of its rows.
+        out = [np.empty(z.shape, dtype=complex) for _ in orders]
+        for k in dict.fromkeys(members.tolist()):
+            rows = members == k
+            derivs = self.members[k].derivatives(z[rows], max(orders))
+            for o, order in zip(out, orders):
+                o[rows] = derivs[order]
+        return out
 
 
 class _LinearFamily(Family):
@@ -454,7 +468,7 @@ class _LinearFamily(Family):
     Each order is one product, of its scaled T_j stacked and C_j side by side.
     """
 
-    def _evaluate(self, z, orders):
+    def _evaluate(self, z, orders, members=None):
         out = []
         for pieces in self._pieces(z, orders):
             # A scalar factor is the 1 of a PolyFamily piece or a missing F or phi.
@@ -469,7 +483,7 @@ class _LinearFamily(Family):
                     np.multiply(factor, part, out=table[start : start + len(part)])
                     start += len(part)
             matrix = self._root._side_by_side(tuple(j for j, _, _ in pieces))
-            out.append(matrix @ table[:, 0] if table.shape[1] == 1 else np.einsum("kd,dkn->kn", matrix, table))
+            out.append(matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table))
         return out
 
     def _height(self, order):

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_SEED,
-    SECTION_RADIUS,
     FiniteSection,
     WcoSymbols,
     condition_number,
@@ -279,10 +278,10 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     conditions = report.section_conditions = dict.fromkeys(SECTION_DIMENSIONS, float("inf"))
     # Each section is a leading block of the largest one: the same FFT on the same circle.
     with contextlib.suppress(WcolabError):
-        entries = finite_section(w, max(SECTION_DIMENSIONS), cfg).entries
+        largest = finite_section(w, max(SECTION_DIMENSIONS), cfg)
         for N in SECTION_DIMENSIONS:
             with contextlib.suppress(WcolabError, np.linalg.LinAlgError):
-                conditions[N] = condition_number(FiniteSection(N, entries[:N, :N], SECTION_RADIUS))
+                conditions[N] = condition_number(FiniteSection(N, largest.entries[:N, :N], largest.radius))
     return report
 
 

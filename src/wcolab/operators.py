@@ -20,9 +20,11 @@ from .spaces import SpaceSpec, norms
 
 DEFAULT_SEED = 0x5EED
 
-# Finite sections extract coefficients on this circle; at dimension 32
-# the rescaling factor r^-k stays comfortably conditioned.
-SECTION_RADIUS = 0.5
+# Finite sections extract coefficients on this circle.  Coefficient k is
+# the k-th Fourier coefficient times r^-k, so it carries the rounding of
+# the samples times r^-k: at dimension 32 that is 2^31 on r = 0.5 and 26
+# on r = 0.9.  A grid whose r_max is smaller takes them on |z| = r_max.
+SECTION_RADIUS = 0.9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,8 +89,8 @@ def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> FiniteSection:
     if not 2 <= N <= cfg.n_theta // 2:
         raise ParameterError(f"section dimension must lie in [2, n_theta/2], got {N}")
     images = apply(w, PolyFamily([monomial(k) for k in range(N)]))
-    entries = taylor_coefficients(images, N, SECTION_RADIUS, cfg).T
-    return FiniteSection(N, entries, SECTION_RADIUS)
+    radius = min(SECTION_RADIUS, cfg.r_max)
+    return FiniteSection(N, taylor_coefficients(images, N, radius, cfg).T, radius)
 
 
 def condition_number(s: FiniteSection) -> float:

@@ -172,14 +172,18 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
     grid maxima, spread over the grid, are then polished together in a
     box of one ladder step in r and two grid steps in theta around each
     (see _polish): a Newton step converges into each maximum, where
-    plain coordinate search stalls on diagonal ridges.  Each result is
-    the largest value at an evaluated point, so still a lower bound for
-    the sup.
+    plain coordinate search stalls on diagonal ridges.  With FLAT_WEIGHT
+    at order 0 the maximum principle puts the sup of a member analytic
+    on the disk on |z| = r_max: the scan is that one circle and the
+    polish moves theta alone, in the same boxes of two grid steps.  A
+    pole inside the disk is not seen there.  Each result is the largest
+    value at an evaluated point, so still a lower bound for the sup.
     """
     family = as_family(family)
-    radii = scan_radii(cfg)
+    on_circle = omega is FLAT_WEIGHT and order == 0
+    radii = np.array([cfg.r_max]) if on_circle else scan_radii(cfg)
     angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    z = scan_grid(cfg)
+    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :] if on_circle else scan_grid(cfg)
     weight = omega(radii[:, None] ** 2)
     vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
     best = vals.reshape(len(family), -1).max(axis=1)
@@ -189,25 +193,36 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
     # member has the same number of boxes.
     n_boxes = max(len(p) for p in picks)
     i, j = np.array([p + p[:1] * (n_boxes - len(p)) for p in picks]).transpose(2, 0, 1)
-    ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
-    lo = np.stack([ladder[i], angles[j] - 2.0 * dtheta], axis=-1)
-    hi = np.stack([ladder[i + 2], angles[j] + 2.0 * dtheta], axis=-1)
+    theta = angles[j]
+    if on_circle:
 
-    def weighted(x):
-        # phi = omega(r^2) |h| at the points x[k, ...] = (r, theta) of member k
-        r = x[..., 0]
-        return omega(r * r) * np.abs(family.derivative_at(r * np.exp(1j * x[..., 1]), order))
+        def weighted(x, starts):
+            return np.abs(family.derivative_at(cfg.r_max * np.exp(1j * x[..., 0]), 0, starts[0]))
 
-    polished = _polish(weighted, np.stack([radii[i], angles[j]], axis=-1), lo, hi)
+        start, lo, hi = theta[..., None], (theta - 2.0 * dtheta)[..., None], (theta + 2.0 * dtheta)[..., None]
+    else:
+
+        def weighted(x, starts):
+            # phi = omega(r^2) |h| at the points x[n, ...] = (r, theta) of member starts[0][n]
+            r = x[..., 0]
+            return omega(r * r) * np.abs(family.derivative_at(r * np.exp(1j * x[..., 1]), order, starts[0]))
+
+        ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
+        start = np.stack([radii[i], theta], axis=-1)
+        lo = np.stack([ladder[i], theta - 2.0 * dtheta], axis=-1)
+        hi = np.stack([ladder[i + 2], theta + 2.0 * dtheta], axis=-1)
+    polished = _polish(weighted, start, lo, hi)
     return np.maximum(best, np.where(np.isfinite(polished), polished, -np.inf).max(axis=1))
 
 
 # The polish stops a start once its scaled projected gradient is at most
 # _POLISH_GTOL, once no step of the line search ascends, or after
 # _POLISH_ITERATIONS Newton steps.  Each step tries the full step and up
-# to _POLISH_HALVINGS halvings of it.  The derivatives of log phi are
-# differences at _POLISH_FD_STEP box widths.  refined_modulus_sup starts
-# it from up to _POLISH_CANDIDATES grid maxima of each member.
+# to _POLISH_HALVINGS halvings of it.  A stopped start is not evaluated
+# again, and a trial only for the starts whose line search goes on.  The
+# derivatives of log phi are differences at _POLISH_FD_STEP box widths.
+# refined_modulus_sup starts it from up to _POLISH_CANDIDATES grid maxima
+# of each member, on the circle |z| = r_max alone for a flat weight.
 _POLISH_CANDIDATES = 4
 _POLISH_ITERATIONS = 20
 _POLISH_HALVINGS = 8
@@ -220,79 +235,92 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
 
     A projected Newton ascent on log phi (Bertsekas, SIAM J. Control
     Optim. 20, 1982) for every start at once, in box coordinates scaled
-    to unit width.  x, lo and hi have shape batch + (d,), the batch led
-    by the members; fn maps points of shape batch + (m, d) to phi there,
-    of shape batch + (m,).  The gradient and Hessian of log phi come
-    from three-point differences of its values at steps (1, -1), or
-    (1, 2) or (-1, -2) next to a face, and one step along each pair of
-    axes: no point leaves the box.  A coordinate within one step of a
-    face that its gradient points out of is held and moved onto that
-    face; the Newton step acts on the others, with the Hessian's
-    eigenvalues taken in modulus so that it ascends, and is scaled to at
-    most one box width along any axis.  The step is projected onto the
-    box and accepted only where phi strictly increases.
+    to unit width.  x has shape batch + (d,), the batch led by the
+    members, and lo and hi broadcast to it.  fn(points, starts) maps
+    points of shape (n, m, d) of n starts to phi there, of shape (n, m);
+    starts indexes those starts in the batch, a tuple of index arrays
+    as np.nonzero gives them, so starts[0] names their members.  Only
+    starts still running are evaluated.  The gradient and Hessian of
+    log phi come from three-point differences of its values at steps
+    (1, -1), or (1, 2) or (-1, -2) next to a face, and one step along
+    each pair of axes: no point leaves the box.  A coordinate within one
+    step of a face that its gradient points out of is held and moved
+    onto that face; the Newton step acts on the others, with the
+    Hessian's eigenvalues taken in modulus so that it ascends, and is
+    scaled to at most one box width along any axis.  The step is
+    projected onto the box and accepted only where phi strictly
+    increases.
     """
-    d = x.shape[-1]
+    batch, d = x.shape[:-1], x.shape[-1]
+    x = x.reshape(-1, d).copy()
+    lo = np.broadcast_to(lo, batch + (d,)).reshape(-1, d)
+    hi = np.broadcast_to(hi, batch + (d,)).reshape(-1, d)
     width = hi - lo
     delta = _POLISH_FD_STEP * width
     eye = np.eye(d)
     a, b = np.triu_indices(d, 1)
     pairs = eye[a] + eye[b]
-    x = x.copy()
-    phi = fn(x[..., None, :])[..., 0]
-    running = np.ones(phi.shape, dtype=bool)
+
+    def at(points, idx):
+        return fn(points, np.unravel_index(idx, batch))
+
+    # run: flat indices of the starts still running, in batch order
+    run = np.arange(len(x))
+    phi = at(x[:, None, :], run)[:, 0]
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_ITERATIONS):
-            near_lo = x - delta < lo
-            near_hi = x + delta > hi
+            xr, lor, hir, dr = x[run], lo[run], hi[run], delta[run]
+            near_lo = xr - dr < lor
+            near_hi = xr + dr > hir
             # Steps in units of delta: s1 along each axis stays in the box.
             s1 = np.where(near_hi, -1.0, 1.0)
             s2 = np.where(near_lo, 2.0, np.where(near_hi, -2.0, -1.0))
-            step1 = (s1 * delta)[..., None, :]
-            offsets = np.concatenate([step1 * eye, (s2 * delta)[..., None, :] * eye, step1 * pairs], axis=-2)
-            f = np.log(fn(x[..., None, :] + offsets)) - np.log(phi)[..., None]
-            d1, d2 = f[..., :d], f[..., d : 2 * d]
+            step1 = (s1 * dr)[:, None, :]
+            offsets = np.concatenate([step1 * eye, (s2 * dr)[:, None, :] * eye, step1 * pairs], axis=-2)
+            f = np.log(at(xr[:, None, :] + offsets, run)) - np.log(phi[run])[:, None]
+            d1, d2 = f[:, :d], f[:, d : 2 * d]
             # The quadratic through the differences d1, d2 at s1, s2 = -s1 or 2 s1.
             grad = s1 * (s2 * s2 * d1 - d2) / (2.0 * _POLISH_FD_STEP)
-            hess = eye * ((d2 - s1 * s2 * d1) / _POLISH_FD_STEP**2)[..., None, :]
-            cross = (f[..., 2 * d :] - d1[..., a] - d1[..., b]) * s1[..., a] * s1[..., b] / _POLISH_FD_STEP**2
-            hess[..., a, b] = cross
-            hess[..., b, a] = cross
+            hess = eye * ((d2 - s1 * s2 * d1) / _POLISH_FD_STEP**2)[:, None, :]
+            cross = (f[:, 2 * d :] - d1[:, a] - d1[:, b]) * s1[:, a] * s1[:, b] / _POLISH_FD_STEP**2
+            hess[:, a, b] = cross
+            hess[:, b, a] = cross
             held = (near_lo & (grad < 0.0)) | (near_hi & (grad > 0.0))
-            face = np.where(near_lo, lo, hi)
+            face = np.where(near_lo, lor, hir)
             grad = np.where(held, 0.0, grad)
-            ok = np.isfinite(grad).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(phi)
-            running &= ok & ((np.abs(grad).max(axis=-1) > _POLISH_GTOL) | (held & (x != face)).any(axis=-1))
-            if not running.any():
+            ok = np.isfinite(grad).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(phi[run])
+            going = ok & ((np.abs(grad).max(axis=-1) > _POLISH_GTOL) | (held & (xr != face)).any(axis=-1))
+            if not going.any():
                 break
+            run, xr, lor, hir, grad, hess, held, face = (
+                v[going] for v in (run, xr, lor, hir, grad, hess, held, face)
+            )
             # Newton step on the free coordinates: held rows and columns
             # of -hess become those of the identity, with a zero gradient.
-            free = ~held[..., :, None] & ~held[..., None, :]
-            neg = np.where(free, -hess, eye)
-            neg[~running] = eye
-            lam, vec = np.linalg.eigh(neg)
+            free = ~held[:, :, None] & ~held[:, None, :]
+            lam, vec = np.linalg.eigh(np.where(free, -hess, eye))
             lam = np.abs(lam)
             lam = np.maximum(lam, 1e-12 * lam.max(axis=-1, keepdims=True) + 1e-300)
-            coef = np.einsum("...ji,...j->...i", vec, np.where(running[..., None], grad, 0.0)) / lam
+            coef = np.einsum("...ji,...j->...i", vec, grad) / lam
             step = np.einsum("...ij,...j->...i", vec, coef)
-            step *= width / np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True))
-            pending = running.copy()
+            step *= width[run] / np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True))
+            # pending: positions in run of the starts whose line search goes on
+            pending = np.arange(len(run))
             alpha = 1.0
             for _ in range(_POLISH_HALVINGS + 1):
-                trial = np.where(held, face, np.clip(x + alpha * step, lo, hi))
-                trial = np.where(pending[..., None], trial, x)
-                value = fn(trial[..., None, :])[..., 0]
-                up = pending & (value > phi)
-                x[up] = trial[up]
-                phi = np.where(up, value, phi)
-                pending &= ~up
-                if not pending.any():
+                trial = np.where(held, face, np.clip(xr + alpha * step, lor, hir))[pending]
+                value = at(trial[:, None, :], run[pending])[:, 0]
+                up = value > phi[run[pending]]
+                x[run[pending[up]]] = trial[up]
+                phi[run[pending[up]]] = value[up]
+                pending = pending[~up]
+                if not len(pending):
                     break
                 alpha *= 0.5
-            running &= ~pending
-            if not running.any():
+            run = np.delete(run, pending)
+            if not len(run):
                 break
-    return phi
+    return phi.reshape(batch)
 
 
 def taylor_coefficients(f, count: int, r: float, cfg: GridConfig) -> np.ndarray:

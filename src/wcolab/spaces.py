@@ -187,9 +187,9 @@ def _mixed_sup_norms(fam: Family, p: float, alpha: float, cfg: GridConfig) -> np
     means = _power_mean_profile(fam, p, cfg, 0)(radii) ** (1.0 / p)
     vals = (1.0 - radii ** 2) ** alpha * means
 
-    def at(x):
+    def at(x, starts):
         r = x[..., 0]
-        mods = np.abs(fam.derivative_at(r[..., None] * circle, 0))
+        mods = np.abs(fam.derivative_at(r[..., None] * circle, 0, starts[0]))
         return (1.0 - r * r) ** alpha * np.mean(mods ** p, axis=-1) ** (1.0 / p)
 
     i = np.argmax(vals, axis=1)
@@ -199,15 +199,18 @@ def _mixed_sup_norms(fam: Family, p: float, alpha: float, cfg: GridConfig) -> np
 
 
 @functools.lru_cache(maxsize=32)
-def _bmoa_kernel(cfg: GridConfig) -> np.ndarray:
-    # kernel[a, r, m]: radial factor of the integrand after the angular
-    # average, times (|a| r)^m, for the Fourier modes m = 0 .. m_max.
-    # Cached like scan_grid: every BMOA norm on a grid uses the same one.
+def _bmoa_kernel(cfg: GridConfig) -> tuple:
+    # The radial factor of the integrand after the angular average, times
+    # (|a| r)^m for the Fourier modes m = 0 .. m_max, as its three
+    # factors pref[a, r], r^m and |a|^m; r^m carries the 1 / n_theta of
+    # the angular mean, an exact power of two.  Cached like scan_grid:
+    # every BMOA norm on a grid uses the same one.
     t, w = gauss01(cfg.n_radial)
     radii = np.sqrt(t)
     mods = np.asarray(_BMOA_A_RADII)
     pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
-    return pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(cfg.n_theta // 2)
+    m = np.arange(cfg.n_theta // 2)
+    return pref, radii[:, None] ** m / cfg.n_theta, mods[:, None] ** m
 
 
 def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
@@ -221,14 +224,16 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     """
     z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
     m_max = cfg.n_theta // 2 - 1
-    kernel = _bmoa_kernel(cfg)
-    # sums[k, a, m] = sum over r of kernel[a, r, m] d_m(r) for member k
-    sums = np.zeros((len(fam), len(_BMOA_A_RADII), m_max + 1), dtype=complex)
+    pref, r_pow, a_pow = _bmoa_kernel(cfg)
+    # acc[a, k, m] = sum over r of pref[a, r] r^m d_m(r) for member k, as
+    # real and imaginary parts side by side: one real product per block.
+    acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))
     for rows in fam.row_blocks(z, 1):
-        v = fam.derivative(z[rows], 1)
-        D = v.real * v.real + v.imag * v.imag
-        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
-        sums += np.matmul(coeffs.transpose(2, 0, 1), kernel[:, rows].transpose(2, 1, 0)).transpose(1, 2, 0)
+        D = np.abs(fam.derivative(z[rows], 1).transpose(1, 0, 2)) ** 2
+        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] * r_pow[rows, None, :]
+        acc += (pref[:, rows] @ coeffs.view(float).reshape(len(coeffs), -1)).reshape(acc.shape)
+    # sums[k, a, m] = |a|^m acc[a, k, m]
+    sums = (acc.view(complex) * a_pow[:, None, :]).transpose(1, 0, 2)
     # _BMOA_A_RADII starts at |a| = 0, whose profile is the constant s0.
     s0 = sums[:, :, 0].real
     s = sums[:, 1:, 1:]
@@ -239,10 +244,10 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
     width = 2.0 * np.pi / cfg.n_theta
 
-    def at(x):
+    def at(x, starts):
         # e^{i m beta} for m = 1 .. m_max as running products of e^{i beta}
         powers = np.cumprod(np.repeat(np.exp(1j * x), m_max, axis=-1), axis=-1)
-        return s0[:, 1:, None] + 2.0 * np.einsum("kam,kajm->kaj", s, powers).real
+        return s0[:, 1:][starts][:, None] + 2.0 * np.einsum("nm,njm->nj", s[starts], powers).real
 
     start = beta0[..., None]
     polished = _polish(at, start, start - width, start + width)

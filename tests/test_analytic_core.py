@@ -258,7 +258,7 @@ class TestValuePath:
     def test_tree_family_orders_match_members(self, cfg):
         family = TreeFamily(self.NODES[name] for name in sorted(self.NODES))
         z = self.grid(cfg)[: len(family)]
-        got = [family.derivative_at(z, order) for order in (0, 1)]
+        got = [family.derivative_at(z, order, np.arange(len(family))) for order in (0, 1)]
         for k, f in enumerate(family):
             want = f.derivatives(z[k], 1)
             assert [_bits(got[0][k]), _bits(got[1][k])] == [_bits(want[0]), _bits(want[1])]

@@ -365,6 +365,19 @@ class TestSectionCommand:
                 assert entries[i][j]["re"] == pytest.approx(expected, abs=1e-12)
                 assert entries[i][j]["im"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_grid_inside_the_section_circle(self, capsys):
+        # With r_max below SECTION_RADIUS the section is taken on |z| = r_max.
+        code, doc, _ = run_checked(
+            capsys,
+            "section",
+            "--F", "poly(1.0)",
+            "--phi", "poly(0.0,1.0)",
+            "--dim", "4",
+            "--rmax", "0.6",
+        )
+        assert code == 0
+        assert doc["result"]["radius"] == 0.6
+
     def test_csv_export(self, capsys, tmp_path):
         path = tmp_path / "section.csv"
         code, doc, _ = run_checked(

@@ -102,10 +102,36 @@ def test_values_equal_stacked_jet_values_bitwise(cfg):
     ):
         jets = family.jets(z)
         zk = np.linspace(0.1, 0.9, len(family))[:, None] * unit_circle(64)[None, :]
-        several = family._evaluate(zk, (0, 1, 2))
+        several = family._evaluate(zk, (0, 1, 2), np.arange(len(family)))
         for order, stacked in enumerate((jets.f, jets.df, jets.d2f)):
             assert family.derivative(z, order).tobytes() == stacked.tobytes()
-            assert family.derivative_at(zk, order).tobytes() == several[order].tobytes()
+            assert family.derivative_at(zk, order, np.arange(len(family))).tobytes() == several[order].tobytes()
+
+
+def test_member_rows_equal_member_aligned_calls_bitwise():
+    # derivative_at(z, order, members) evaluates member members[i] at
+    # z[i]: each row must equal that member's row of a call where every
+    # member has its own row, whatever the order or repeats of members.
+    w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
+    fam = as_family(default_probe_family()[:12])
+    members = np.array([7, 2, 7, 0, 11, 2, 2, 5])
+    scales = np.linspace(0.05, 0.95, len(members)) * np.exp(0.3j * np.arange(len(members)))
+    z = scales[:, None] * unit_circle(16)[None, :]
+    for family in (
+        fam,
+        apply(w, fam),
+        apply(v, fam),
+        ImageFamily(v.F, None, fam),
+        ImageFamily(None, v.phi, fam),
+        TreeFamily(list(apply(v, fam))),
+    ):
+        for order in (0, 1, 2):
+            got = family.derivative_at(z, order, members)
+            assert got.shape == z.shape
+            for i, k in enumerate(members):
+                rows = np.broadcast_to(z[i], (len(family),) + z[i].shape)
+                aligned = family.derivative_at(rows, order, np.arange(len(family)))
+                assert got[i].tobytes() == aligned[k].tobytes()
 
 
 def test_zero_weight_images_are_zero(cfg):
@@ -118,8 +144,8 @@ def test_zero_weight_images_are_zero(cfg):
         got = images.derivative(z, order)
         assert got.shape == (len(fam),) + z.shape
         assert not np.any(got)
-        assert images.derivative_at(zk, order).shape == zk.shape
-        assert not np.any(images.derivative_at(zk, order))
+        assert images.derivative_at(zk, order, np.arange(len(fam))).shape == zk.shape
+        assert not np.any(images.derivative_at(zk, order, np.arange(len(fam))))
 
 
 def test_constants_have_zero_derivatives():
@@ -145,7 +171,7 @@ def test_member_points(cfg):
     trees = TreeFamily(list(fam))
     for order in (0, 1, 2):
         for family in (fam, trees):
-            got = family.derivative_at(z, order)
+            got = family.derivative_at(z, order, np.arange(len(family)))
             for k, member in enumerate(fam):
                 jet = member.jet(z[k])
                 want = (jet.f, jet.df, jet.d2f)[order]

@@ -19,7 +19,7 @@ from wcolab.operators import (
     monomial,
     random_polynomials,
 )
-from wcolab.quadrature import unit_circle
+from wcolab.quadrature import GridConfig, unit_circle
 from wcolab.spaces import parse_space
 
 IDENTITY = Poly((0.0, 1.0))
@@ -82,6 +82,15 @@ class TestFiniteSection:
         assert s.radius == SECTION_RADIUS
         assert np.max(np.abs(s.entries - np.eye(8))) < 1e-12
 
+    def test_sections_on_a_grid_inside_the_section_circle(self):
+        # A grid whose r_max lies below SECTION_RADIUS takes the sections
+        # on its outer circle |z| = r_max.
+        grid = GridConfig(r_max=0.6)
+        theta = 1.1
+        s = finite_section(WcoSymbols(Const(1.0), Moebius(rotation_map(theta))), 8, grid)
+        assert s.radius == grid.r_max
+        assert np.max(np.abs(s.entries - np.diag(np.exp(1j * theta * np.arange(8))))) < 1e-11
+
     def test_rotation_is_diagonal(self, cfg):
         theta = 1.1
         w = WcoSymbols(Const(1.0), Moebius(rotation_map(theta)))
@@ -110,6 +119,28 @@ class TestFiniteSection:
             for j in range(k, N):
                 expected[j, k] = c ** k * coeffs[j - k]
         assert np.max(np.abs(s.entries - expected)) < 1e-11
+
+    def test_sections_match_power_series(self, cfg):
+        # F = c0^alpha (1 + (c1/c0) z)^alpha by the binomial series and
+        # phi = lam (a - z) sum (conj(a) z)^n by the geometric series; the
+        # first N coefficients of F phi^k are exact truncated convolutions.
+        # On r = 0.5 the 32-section is off by about 6e-8.
+        c0, c1, alpha = 2.2558, 0.9 + 0.4j, 1.3113
+        a, lam = 0.5 - 0.2j, np.exp(0.4j)
+        N = 32
+        j = np.arange(1, N)
+        binom = np.concatenate([[1.0], np.cumprod((alpha - j + 1.0) / j)])
+        F = c0**alpha * binom * (c1 / c0) ** np.arange(N)
+        phi = lam * np.convolve([a, -1.0], np.conj(a) ** np.arange(N))[:N]
+        want = np.empty((N, N), dtype=complex)
+        power = np.eye(1, N, dtype=complex)[0]
+        for k in range(N):
+            want[:, k] = np.convolve(F, power)[:N]
+            power = np.convolve(power, phi)[:N]
+        w = WcoSymbols(Pow(Poly((c0, c1)), alpha), Moebius(MoebiusMap(a, lam)))
+        for n in (8, 16, 32):
+            got = finite_section(w, n, cfg).entries
+            assert np.max(np.abs(got - want[:n, :n])) < 1e-12
 
     def test_condition_number_identity(self, cfg):
         w = WcoSymbols(Const(1.0), IDENTITY)

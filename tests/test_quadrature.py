@@ -256,6 +256,25 @@ def _lbfgsb_sup(family, order, omega, dlog_omega, cfg):
     return best
 
 
+def _disk_polish_sup(family, cfg):
+    """The flat sup by the 2-D scan and polish of the weighted sups, as a reference for the circle rule."""
+    radii, angles, vals = _grid_scan(family, 0, FLAT_WEIGHT, cfg)
+    best = vals.reshape(len(family), -1).max(axis=1)
+    dtheta = 2.0 * np.pi / cfg.n_theta
+    picks = [_select_candidates(v, _POLISH_CANDIDATES) for v in vals]
+    n_boxes = max(len(p) for p in picks)
+    i, j = np.array([p + p[:1] * (n_boxes - len(p)) for p in picks]).transpose(2, 0, 1)
+    ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
+    lo = np.stack([ladder[i], angles[j] - 2.0 * dtheta], axis=-1)
+    hi = np.stack([ladder[i + 2], angles[j] + 2.0 * dtheta], axis=-1)
+
+    def modulus(x, starts):
+        return np.abs(family.derivative_at(x[..., 0] * np.exp(1j * x[..., 1]), 0, starts[0]))
+
+    polished = _polish(modulus, np.stack([radii[i], angles[j]], axis=-1), lo, hi)
+    return np.maximum(best, np.where(np.isfinite(polished), polished, -np.inf).max(axis=1))
+
+
 def _dlog_power_weight(t):
     # d/dt log (1 - t)
     return -1.0 / (1.0 - t)
@@ -295,6 +314,18 @@ class TestBatchedPolish:
             # A lower bound that still improves on the grid.
             scan = _grid_scan(family, order, omega, grid)[2].reshape(len(family), -1).max(axis=1)
             assert np.all(got >= scan)
+
+    @pytest.mark.parametrize("name", sorted(POLISH_FAMILIES))
+    def test_flat_sup_on_the_circle_matches_the_disk_polish(self, cfg, name):
+        # By the maximum principle the circle |z| = r_max holds the flat
+        # sup: scanning and polishing it alone loses nothing against the
+        # 2-D scan and polish that the weighted sups keep.
+        family = POLISH_FAMILIES[name](as_family(default_probe_family()))
+        for grid in (cfg, GridConfig(r_max=0.6)):
+            got = refined_modulus_sup(family, 0, FLAT_WEIGHT, grid)
+            want = _disk_polish_sup(family, grid)
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+            assert np.all(got >= want)
 
     def test_monomials_stay_below_the_bloch_sup(self, cfg):
         # (1 - r^2) n r^(n-1) peaks at r^2 = (n-1)/(n+1).
@@ -357,7 +388,7 @@ class TestPolish:
         c = np.linspace(0.0, 1.0, 5)[:, None, None]
         top = (np.pi / 2.0 - c) / 3.0
         x = top + np.array([-0.1, 0.15])[:, None]
-        got = _polish(lambda p: 2.0 + np.sin(3.0 * p[..., 0] + c), x, top - 0.3, top + 0.2)
+        got = _polish(lambda p, s: 2.0 + np.sin(3.0 * p[..., 0] + c[s[0], 0]), x, top - 0.3, top + 0.2)
         assert got.shape == (5, 2)
         np.testing.assert_allclose(got, 3.0, rtol=1e-15, atol=0.0)
 
@@ -365,13 +396,13 @@ class TestPolish:
         # exp(x) and exp(-x) on [0, 1] peak on opposite faces.
         sign = np.array([1.0, -1.0])[:, None, None]
         x = np.array([0.3, 0.99995, 0.00005])[:, None] * np.ones((2, 1, 1))
-        got = _polish(lambda p: np.exp(sign * p[..., 0]), x, np.zeros_like(x), np.ones_like(x))
+        got = _polish(lambda p, s: np.exp(sign[s[0], 0] * p[..., 0]), x, np.zeros_like(x), np.ones_like(x))
         np.testing.assert_array_equal(got, [[np.e] * 3, [1.0] * 3])
 
     def test_rotated_ridge(self):
         # exp(-(u^2 + 100 v^2)) with (u, v) turned 45 degrees from (x, y):
         # a ridge along the diagonal, where coordinate steps stall.
-        def ridge(p):
+        def ridge(p, starts):
             dx, dy = p[..., 0] - 0.2, p[..., 1] + 0.1
             u, v = (dx + dy) / np.sqrt(2.0), (dx - dy) / np.sqrt(2.0)
             return np.exp(-(u * u + 100.0 * v * v))
@@ -386,8 +417,8 @@ class TestPolish:
         # points of the box are the corner (1, 1) and the face point (0.25, 1).
         peaks = np.array([[2.0, 3.0], [0.25, 3.0]])[:, None, :]
 
-        def bump(p):
-            return np.exp(-((p - peaks) ** 2).sum(axis=-1))
+        def bump(p, starts):
+            return np.exp(-((p - peaks[starts]) ** 2).sum(axis=-1))
 
         x = np.full((2, 2), 0.5)
         got = _polish(bump, x, np.zeros_like(x), np.ones_like(x))

@@ -23,7 +23,7 @@ from wcolab.analytic_core import (
 from wcolab.analytic_core import MoebiusMap, as_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, default_probe_family
-from wcolab.quadrature import GridConfig, gauss01, unit_circle
+from wcolab.quadrature import GridConfig, _polish, gauss01, unit_circle
 from conftest import seeded_polys
 from wcolab.spaces import (
     _BMOA_A_RADII,
@@ -339,6 +339,87 @@ class TestBmoaArgumentSearch:
         got = _bmoa_seminorms(fam, cfg)
         want = _bmoa_reference(fam, cfg)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _bmoa_per_mode(fam, cfg):
+    """BMOA star seminorms with the radial sums taken mode by mode.
+
+    The kernel pref[a, r] (|a| r)^m as one array and one complex product
+    per Fourier mode and row block; the rest as in _bmoa_seminorms.
+    """
+    t, w = gauss01(cfg.n_radial)
+    radii = np.sqrt(t)
+    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
+    m_max = cfg.n_theta // 2 - 1
+    mods = np.asarray(_BMOA_A_RADII)
+    pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
+    kernel = pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(m_max + 1)
+    sums = np.zeros((len(fam), len(mods), m_max + 1), dtype=complex)
+    for rows in fam.row_blocks(z, 1):
+        v = fam.derivative(z[rows], 1)
+        coeffs = np.fft.rfft(v.real * v.real + v.imag * v.imag, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
+        sums += np.matmul(coeffs.transpose(2, 0, 1), kernel[:, rows].transpose(2, 1, 0)).transpose(1, 2, 0)
+    s0 = sums[:, :, 0].real
+    s = sums[:, 1:, 1:]
+    padded = np.zeros(s.shape[:2] + (cfg.n_theta,), dtype=complex)
+    padded[:, :, 0] = s0[:, 1:]
+    padded[:, :, 1 : m_max + 1] = 2.0 * s
+    profile = np.fft.ifft(padded, axis=-1).real * cfg.n_theta
+    beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
+    width = 2.0 * np.pi / cfg.n_theta
+
+    def at(x, starts):
+        powers = np.cumprod(np.repeat(np.exp(1j * x), m_max, axis=-1), axis=-1)
+        return s0[:, 1:][starts][:, None] + 2.0 * np.einsum("nm,njm->nj", s[starts], powers).real
+
+    start = beta0[..., None]
+    polished = _polish(at, start, start - width, start + width)
+    best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), polished).max(axis=1))
+    return np.sqrt(np.maximum(best, 0.0))
+
+
+class TestBmoaRadialSums:
+    @pytest.mark.parametrize("images", [False, True])
+    def test_matches_the_per_mode_products(self, cfg, images):
+        fam = as_family(default_probe_family())
+        if images:
+            fam = apply(WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.5 - 0.3j, 1.0))), fam)
+        for grid in (cfg, cfg.refined()):
+            got = _bmoa_seminorms(fam, grid)
+            want = _bmoa_per_mode(fam, grid)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_polish_evaluates_running_starts_only(self, cfg, monkeypatch):
+        # Every call names the starts it evaluates.  A start left out of
+        # a difference stencil (two points per start here) has stopped
+        # and is never passed again; the starts still running are a few
+        # of the 47 x 5 after two Newton steps.
+        from wcolab import spaces
+
+        real_polish = spaces._polish
+        batches, calls = [], []
+
+        def counting(fn, x, lo, hi):
+            def counted(points, starts):
+                calls.append((points.shape[1], set(zip(*(s.tolist() for s in starts)))))
+                return fn(points, starts)
+
+            batches.append(x.shape[:-1])
+            return real_polish(counted, x, lo, hi)
+
+        monkeypatch.setattr(spaces, "_polish", counting)
+        _bmoa_seminorms(as_family(default_probe_family()), cfg)
+        [batch] = batches
+        alive = set(np.ndindex(batch))
+        assert calls[0] == (1, alive)
+        for m, starts in calls[1:]:
+            assert starts <= alive
+            if m > 1:
+                alive = starts
+        # The full batch would evaluate every start at every call.
+        evaluated = sum(m * len(starts) for m, starts in calls)
+        full_batch = sum(m for m, _ in calls) * int(np.prod(batch))
+        assert evaluated < 0.5 * full_batch
 
 
 class TestPointEvalBound:
