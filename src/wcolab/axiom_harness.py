@@ -168,13 +168,13 @@ def check_a4(space: SpaceSpec, u, f, alpha: float, cfg: GridConfig) -> AxiomRepo
     """
     if alpha <= 1.0 or float(alpha).is_integer():
         raise ParameterError(f"alpha must be a non-integer above 1, got {alpha}")
-    if space.family == "b1" and alpha <= 2.0:
+    if space.shape.order == 2 and alpha <= 2.0:
         raise ParameterError("the minimal space needs alpha > 2, two derivatives fall on u^alpha")
     sup_u = norm(SpaceSpec("hinf"), u, cfg).total
     left = norm(space, Mul(f, Pow(u, alpha)), cfg).total
     norm_f = norm(space, f, cfg).total
     powers = {n: norm(space, Mul(f, Pow(u, float(n))), cfg).total for n in (1, 2, 3)}
-    if space.family == "b1":
+    if space.shape.order == 2:
         right = (
             alpha * (alpha - 1.0) / 2.0 * sup_u ** (alpha - 2.0) * powers[2]
             + alpha * (alpha - 2.0) * sup_u ** (alpha - 1.0) * powers[1]
@@ -261,7 +261,7 @@ def check_a6(space: SpaceSpec, cfg: GridConfig, family=None) -> AxiomReport:
 def run_all(space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> tuple:
     """All six axiom checks on one space, reports ordered A1 through A6."""
     probes = _Probes(space, cfg, harness_family(seed))
-    alpha = 3.5 if space.family == "b1" else 2.5
+    alpha = 3.5 if space.shape.order == 2 else 2.5
     u = Poly((2.0 / 3.0, 1.0 / 3.0))
     f = monomial(2)
     reports = [

@@ -50,7 +50,7 @@ from .operators import (
     random_polynomials,
 )
 from .quadrature import GridConfig, scan_grid
-from .spaces import SpaceSpec, norm, norms, seminorm, sup_form
+from .spaces import SpaceSpec, norm, norms, seminorm
 
 AUTOMORPHISM_TOL = 1e-8
 UNIMODULAR_TOL = 1e-9
@@ -59,9 +59,6 @@ EMPIRICAL_RATIO_CAP = 1e3
 TREND_SLOPE_TOL = 0.05
 SECTION_DIMENSIONS = (8, 16, 32)
 
-# Families where the multiplier algebra is exactly the bounded analytic
-# functions, so boundedness of |u| settles membership.
-_BOUNDED_MODULUS_FAMILIES = frozenset({"hinf", "hardy", "bergman", "growth", "mixed"})
 _HINF = SpaceSpec("hinf")
 _LOGBLOCH_1 = SpaceSpec("logbloch", gamma=1.0)
 
@@ -124,8 +121,9 @@ class MultiplierVerdict:
     criterion: str
 
 
-def _ladder_profile(u: AnalyticExpr, cfg: GridConfig, order: int, omega) -> np.ndarray:
-    """max over |z| = r of omega(r^2) |u^(order)(z)| for each r of the sup_radii ladder."""
+def _ladder_profile(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig) -> np.ndarray:
+    """max over |z| = r of omega(r^2) |u^(k)(z)| for each sup_radii r; (k, omega) from a sup space's NormShape."""
+    order, _, _, omega, _ = space.shape
     radii = np.asarray(cfg.sup_radii, dtype=float)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
     vals = u.derivatives(z, order)[order]
@@ -144,9 +142,10 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     """Test whether u is a pointwise multiplier of the space.
 
     Exact criteria exist where the multiplier algebra is known in closed
-    form: u in hinf for the integral and growth families, and u in hinf
-    and logbloch:1 for the classical Bloch space.  A membership fails when
-    the sup over |z| = r grows with r; the last space's sup is the constant.
+    form: u in hinf for the k = 0 families (order 0 in the space's
+    NormShape), and u in hinf and logbloch:1 for the classical Bloch
+    space.  A membership fails when the sup over |z| = r grows with r;
+    the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
     family, capped at 1e3.
     """
@@ -154,12 +153,12 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
         return MultiplierVerdict("Yes_Exact", abs(complex(u.value)), "constant symbol")
 
     spaces = ()
-    if space.family in _BOUNDED_MODULUS_FAMILIES:
+    if space.shape.order == 0:
         criterion, spaces = "bounded modulus", (_HINF,)
     elif space.family == "bloch" and space.beta == 1.0:
         criterion, spaces = "bounded modulus and log-weighted derivative", (_HINF, _LOGBLOCH_1)
     if spaces:
-        profiles = [_ladder_profile(u, cfg, *sup_form(s)) for s in spaces]
+        profiles = [_ladder_profile(u, s, cfg) for s in spaces]
         if any(_trend_slope(cfg, profile) > TREND_SLOPE_TOL for profile in profiles):
             return MultiplierVerdict("No_Exact", float(max(profile[-1] for profile in profiles)), criterion)
         return MultiplierVerdict("Yes_Exact", norm(spaces[-1], u, cfg).seminorm_part, criterion)

@@ -404,6 +404,18 @@ class TestErrorPaths:
         assert out == ""
         assert "wcolab:" in err
 
+    def test_degenerate_mixed_weight_is_usage(self, capsys):
+        # Every nonzero f has infinite norm on mixed:2,2,0; no verdict is given.
+        code, out, err = run_cli(
+            capsys,
+            "check-invertible",
+            "--space", "mixed:2,2,0",
+            "--F", "poly(2.0,1.0)",
+            "--phi", "mobius(0.5,0.0,0.0)",
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("wcolab:") and "alpha" in err
+
     def test_bad_expression_is_usage(self, capsys):
         code, out, err = run_cli(capsys, "norm", "--space", "hardy:2", "--fn", "poly(")
         assert code == 64

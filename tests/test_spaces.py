@@ -20,10 +20,10 @@ from wcolab.analytic_core import (
     Recip,
     rotation_map,
 )
-from wcolab.analytic_core import MoebiusMap, as_family
+from wcolab.analytic_core import MoebiusMap, as_family, image_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, default_probe_family
-from wcolab.quadrature import GridConfig, _polish, gauss01, unit_circle
+from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, gauss01, unit_circle
 from conftest import seeded_polys
 from wcolab.spaces import (
     _BMOA_A_RADII,
@@ -84,6 +84,9 @@ class TestParse:
             "bloch:0",
             "mixed:2,0.5,0",
             "mixed:2,nan,0.5",
+            "mixed:2,2,0",
+            "mixed:2,2,-0.5",
+            "mixed:2,inf,-0.5",
             "besov:0.9,0",
         ],
     )
@@ -107,6 +110,34 @@ class TestParse:
         a6 = {"bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1"}
         for text in ALL_SPACE_STRINGS:
             assert parse_space(text).has_a6_form == (text in a6)
+
+    @pytest.mark.parametrize(
+        "text, order, p, q, weight, point",
+        [
+            ("hinf", 0, np.inf, np.inf, FLAT_WEIGHT, ()),
+            ("hardy:3", 0, 3.0, np.inf, FLAT_WEIGHT, ()),
+            ("bergman:3,1", 0, 3.0, 3.0, 1.0, ()),
+            ("mixed:3,1.5,0.7", 0, 3.0, 1.5, 0.7 * 1.5 - 1.0, ()),
+            ("mixed:2,inf,0", 0, 2.0, np.inf, FLAT_WEIGHT, ()),
+            ("mixed:2,inf,0.5", 0, 2.0, np.inf, lambda t: (1.0 - t) ** 0.5, ()),
+            ("growth:0.5", 0, np.inf, np.inf, lambda t: (1.0 - t) ** 0.5, ()),
+            ("bloch:2", 1, np.inf, np.inf, lambda t: (1.0 - t) ** 2.0, (0,)),
+            ("logbloch:2", 1, np.inf, np.inf, lambda t: (1.0 - t) * np.log(2.0 / (1.0 - t)) ** 2.0, (0,)),
+            ("bmoa", 1, 2.0, 2.0, None, (0,)),
+            ("besov:3,0.5", 1, 3.0, 3.0, 0.5, (0,)),
+            ("b1", 2, 1.0, 1.0, 0.0, (0, 1)),
+        ],
+    )
+    def test_shape(self, text, order, p, q, weight, point):
+        space = parse_space(text)
+        shape = space.shape
+        assert (shape.order, shape.p, shape.q, shape.point) == (order, p, q, point)
+        if weight is FLAT_WEIGHT or not callable(weight):
+            assert shape.weight is weight or shape.weight == weight
+        else:
+            t = np.array([0.0, 0.3, 0.9])
+            assert np.array_equal(shape.weight(t), weight(t))
+        assert space.has_a6_form == (order >= 1)
 
 
 class TestGoldens:
@@ -239,6 +270,17 @@ class TestInvariances:
             a = norm(parse_space(f"mixed:{p},{p},{alpha}"), f, cfg).total
             b = norm(parse_space(f"bergman:{p},{alpha * p - 1.0}"), f, cfg).total
             assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_mixed_flat_sup_is_hardy(self, cfg, p):
+        # With alpha = 0 the sup over r of M_p(r) is the mean on the outer
+        # circle, the Hardy norm, bit for bit.
+        probes = as_family(default_probe_family())
+        images = image_family(None, Moebius(MoebiusMap(0.5 - 0.3j, 1.0)), probes)
+        for fam in (probes, images):
+            a = norms(parse_space(f"mixed:{p},inf,0"), fam, cfg)
+            b = norms(parse_space(f"hardy:{p}"), fam, cfg)
+            assert np.array_equal(a, b)
 
 
 class TestBmoa:
