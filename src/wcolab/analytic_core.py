@@ -23,7 +23,8 @@ R_MAX = 1.0 - 1e-6
 # Circle samples used by cheap construction-time checks.
 _VALIDATION_SAMPLES = 256
 
-# Moduli below this are treated as zeros of a denominator.
+# Moduli below this fraction of the largest modulus on the same samples
+# are treated as zeros: relative, since c·F has the zeros of F.
 _ZERO_THRESHOLD = 1e-9
 
 # Families evaluate a 2-D grid in blocks of rows so that no stacked
@@ -118,6 +119,8 @@ class AnalyticExpr:
     computes no derivative beyond order n; a derivative does not depend
     on the order asked for.  Public evaluation goes through derivatives,
     jet and __call__, which validate the points and convert scalars.
+    Nodes carry no arithmetic operators: a tree is built from the node
+    classes, as Add(f, Const(c)) or Mul(F, Compose(f, phi)).
     """
 
     def _derivatives(self, z: np.ndarray, n: int) -> list:
@@ -138,20 +141,6 @@ class AnalyticExpr:
     def __call__(self, z):
         """Value at z; z a complex scalar or array, |z| < 1."""
         return self.derivatives(z, 0)[0]
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Const(other)
-        return Add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Const(other)
-        return Mul(self, other)
-
-    __rmul__ = __mul__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,7 +266,7 @@ class Recip(AnalyticExpr):
 
     Construction samples the circle of radius R_MAX: the winding number
     there must be 0 (no zeros inside, by the argument principle) and the
-    minimum modulus must clear the zero threshold.
+    minimum modulus must clear the zero threshold times the maximum.
     """
 
     inner: AnalyticExpr
@@ -306,6 +295,7 @@ class Pow(AnalyticExpr):
 
     Valid when inner has no zeros on the closed grid disk and winding
     number 0 around the origin, so a continuous logarithm exists.
+    Construction checks both as Recip does.
     """
 
     inner: AnalyticExpr
@@ -668,21 +658,24 @@ def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> i
     """Winding number of f along |z| = r, sampled at n angles.
 
     By the argument principle this counts zeros of f inside the circle.
-    Raises ContourZero when the sampled modulus dips below the zero
-    threshold, since the phase is then unreliable.
+    Raises ContourZero when the sampled modulus dips to the zero
+    threshold times its largest sample, since the phase is then
+    unreliable; the count of c·f is that of f for every c != 0.
     """
     if not 0.0 < r <= R_MAX:
         raise ParameterError(f"contour radius must lie in (0, {R_MAX}]")
     vals = f(r * unit_circle(n))
-    if float(np.min(np.abs(vals))) < _ZERO_THRESHOLD:
-        raise ContourZero(f"function modulus below {_ZERO_THRESHOLD} on the circle of radius {r}")
+    modulus = np.abs(vals)
+    if float(np.min(modulus)) <= _ZERO_THRESHOLD * float(np.max(modulus)):
+        raise ContourZero(f"function modulus below {_ZERO_THRESHOLD} of its maximum on the circle of radius {r}")
     return _winding_from_values(vals)
 
 
 def _check_nonvanishing(inner: AnalyticExpr, node_name: str) -> None:
     vals = inner._derivatives(_validation_circle(), 0)[0]
-    low = float(np.min(np.abs(vals)))
-    if low < _ZERO_THRESHOLD:
+    modulus = np.abs(vals)
+    low = float(np.min(modulus))
+    if low <= _ZERO_THRESHOLD * float(np.max(modulus)):
         raise DomainError(
             f"{node_name} inner function nearly vanishes on the validation circle (min modulus {low})"
         )

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, as_family, image_family, unit_circle
+from .analytic_core import Add, Const, Moebius, MoebiusMap, Mul, Poly, Pow, as_family, image_family, unit_circle
 from .errors import ParameterError, UnsupportedSpace
 from .operators import DEFAULT_SEED, monomial, random_polynomials
 from .quadrature import GridConfig
@@ -238,7 +238,7 @@ def _shifted(f, c: complex):
     # f + c, kept a polynomial when f is one so the shifted family stacks
     if type(f) is Poly:
         return Poly((f.coeffs[0] + c,) + f.coeffs[1:])
-    return f + Const(c)
+    return Add(f, Const(c))
 
 
 def check_a6(space: SpaceSpec, cfg: GridConfig, family=None) -> AxiomReport:

@@ -231,16 +231,20 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     NotInvertible always rests on an exact negative: a failed
     automorphism fit, or zeros of F inside the disk, or an exact
     multiplier criterion failing for 1/F.  Inconclusive covers the
-    empirical-multiplier families, weights whose minimum modulus is too
+    empirical-multiplier families, weights whose minimum modulus on the
+    scan grid is at most MIN_MODULUS_TOL times their maximum there, too
     small to exclude near-boundary zeros, and grids with r_max short of
-    R_MAX, whose zero counts miss part of the disk.  A positive verdict ships
+    R_MAX, whose zero counts miss part of the disk.  Like the zero count,
+    that test is relative, so c * F has the verdict of F for every c != 0;
+    the report's min_modulus is absolute.  A positive verdict ships
     with the inverse symbols, a roundtrip residual on seeded
     polynomials, and section condition numbers as corroborating
     evidence.
     """
     fit = detect_automorphism(w.phi, cfg)
     zeros = _count_zeros_retry(w.F, cfg)
-    min_mod = float(np.min(np.abs(w.F(scan_grid(cfg)))))
+    modulus = np.abs(w.F(scan_grid(cfg)))
+    min_mod = float(np.min(modulus))
     report = InvertibilityReport(space, fit, zeros, min_mod, None, "Inconclusive")
 
     if not fit.found:
@@ -254,7 +258,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     if zeros != 0:
         report.verdict = "NotInvertible"
         return report
-    if min_mod <= MIN_MODULUS_TOL:
+    if min_mod <= MIN_MODULUS_TOL * float(np.max(modulus)):
         report.caveat = (
             f"min |F| on the grid is {min_mod:.3e}; zeros near the boundary cannot be excluded"
         )

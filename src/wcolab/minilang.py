@@ -9,7 +9,9 @@ Functions are written in a small prefix language:
     compose(e,e)            left argument composed with the right
     recip(e)  pow(e,alpha)  reciprocal and principal-branch power
 
-format_expression renders a tree back into the language.
+parse_expression reads the language and format_expression renders a tree
+back into it; both take the five combinators from one table, _COMBINATORS,
+and only the three literal forms have code of their own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 # Deepest nesting of calls the parser accepts; a leaf call is depth 1.
 # Deeper input is a ParseError, long before Python's recursion limit.
 _MAX_DEPTH = 100
+
+# Each combinator's node class and argument kinds, in the order of the
+# node's dataclass fields: "e" an expression, "r" a real number.
+_COMBINATORS = {"add": (Add, "ee"), "mul": (Mul, "ee"), "compose": (Compose, "ee"),
+                "recip": (Recip, "e"), "pow": (Pow, "er")}
 
 
 class _ExprParser:
@@ -83,6 +90,16 @@ class _ExprParser:
             self.fail("expected a function name")
         return self.text[start : self.pos]
 
+    def arguments(self, kinds: str, depth: int) -> list:
+        # Comma-separated arguments of the given kinds, as in _COMBINATORS, then ")".
+        args = []
+        for k, kind in enumerate(kinds):
+            if k:
+                self.expect(",")
+            args.append(self.expression(depth + 1) if kind == "e" else self.number())
+        self.expect(")")
+        return args
+
     def expression(self, depth: int = 1) -> AnalyticExpr:
         self.skip_ws()
         if depth > _MAX_DEPTH:
@@ -91,10 +108,7 @@ class _ExprParser:
         name = self.name()
         self.expect("(")
         if name == "const":
-            re_part = self.number()
-            self.expect(",")
-            im_part = self.number()
-            self.expect(")")
+            re_part, im_part = self.arguments("rr", depth)
             return Const(complex(re_part, im_part))
         if name == "poly":
             coeffs = [self.complex_literal()]
@@ -106,30 +120,11 @@ class _ExprParser:
             self.expect(")")
             return Poly(tuple(coeffs))
         if name == "mobius":
-            a_re = self.number()
-            self.expect(",")
-            a_im = self.number()
-            self.expect(",")
-            theta = self.number()
-            self.expect(")")
+            a_re, a_im, theta = self.arguments("rrr", depth)
             return Moebius(MoebiusMap(complex(a_re, a_im), cmath.exp(1j * theta)))
-        if name in ("add", "mul", "compose"):
-            left = self.expression(depth + 1)
-            self.expect(",")
-            right = self.expression(depth + 1)
-            self.expect(")")
-            node = {"add": Add, "mul": Mul, "compose": Compose}[name]
-            return node(left, right)
-        if name == "recip":
-            inner = self.expression(depth + 1)
-            self.expect(")")
-            return Recip(inner)
-        if name == "pow":
-            inner = self.expression(depth + 1)
-            self.expect(",")
-            exponent = self.number()
-            self.expect(")")
-            return Pow(inner, exponent)
+        if name in _COMBINATORS:
+            node, kinds = _COMBINATORS[name]
+            return node(*self.arguments(kinds, depth))
         self.pos = start
         self.fail(f"unknown function '{name}'")
 
@@ -177,14 +172,8 @@ def format_expression(e: AnalyticExpr) -> str:
         a = complex(e.map.a)
         theta = math.atan2(e.map.lam.imag, e.map.lam.real)
         return f"mobius({_fmt_real(a.real)},{_fmt_real(a.imag)},{_fmt_real(theta)})"
-    if isinstance(e, Add):
-        return f"add({format_expression(e.left)},{format_expression(e.right)})"
-    if isinstance(e, Mul):
-        return f"mul({format_expression(e.left)},{format_expression(e.right)})"
-    if isinstance(e, Compose):
-        return f"compose({format_expression(e.outer)},{format_expression(e.inner)})"
-    if isinstance(e, Recip):
-        return f"recip({format_expression(e.inner)})"
-    if isinstance(e, Pow):
-        return f"pow({format_expression(e.inner)},{_fmt_real(e.exponent)})"
+    for name, (node, kinds) in _COMBINATORS.items():
+        if isinstance(e, node):
+            args = (format_expression(a) if kind == "e" else _fmt_real(a) for kind, a in zip(kinds, vars(e).values()))
+            return f"{name}({','.join(args)})"
     raise ParseError(f"no mini-language form for {type(e).__name__}")

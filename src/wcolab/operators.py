@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import numpy.random  # loaded here rather than by the first random_polynomials call
 
-from .analytic_core import AnalyticExpr, Compose, Family, Mul, Poly, PolyFamily, _validation_circle, as_family, image_family
+from .analytic_core import AnalyticExpr, Family, Poly, PolyFamily, _image, _validation_circle, as_family, image_family
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from .quadrature import GridConfig, taylor_coefficients
 from .spaces import SpaceSpec, norms
@@ -57,9 +57,7 @@ def apply(w: WcoSymbols, f):
     For a Family f it is the family of the members' images, evaluated
     as stacked batches (see image_family).
     """
-    if isinstance(f, Family):
-        return image_family(w.F, w.phi, f)
-    return Mul(w.F, Compose(f, w.phi))
+    return image_family(w.F, w.phi, f) if isinstance(f, Family) else _image(w.F, w.phi, f)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -119,12 +117,12 @@ def isometry_defect(w: WcoSymbols, space: SpaceSpec, family, cfg: GridConfig) ->
     return float(np.max(np.abs(ratios - 1.0)))
 
 
-def random_polynomials(count: int, seed: int = DEFAULT_SEED, max_degree: int = 12) -> tuple:
-    """Reproducible polynomials with coefficients in the unit polydisk."""
+def random_polynomials(count: int, seed: int = DEFAULT_SEED) -> tuple:
+    """Reproducible polynomials of degree 2 to 12 with coefficients in the unit polydisk."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        degree = int(rng.integers(2, max_degree + 1))
+        degree = int(rng.integers(2, 13))
         radius = np.sqrt(rng.uniform(0.0, 1.0, degree + 1))
         angle = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
         out.append(Poly(tuple(radius * np.exp(1j * angle))))

@@ -46,7 +46,7 @@ def test_criterion_1_rotation_isometry(cfg):
     """Unimodular constant times rotation: defect < 1e-7 on each
     decomposed-norm space (1e-3 on the star norm, whose sup over the
     automorphism parameter is grid-limited)."""
-    family = random_polynomials(50, DEFAULT_SEED, max_degree=12)
+    family = random_polynomials(50, DEFAULT_SEED)
     w = WcoSymbols(Const(np.exp(0.9j)), Moebius(rotation_map(2.1)))
     tolerances = {
         "bloch:0.5": 1e-7,

@@ -358,6 +358,20 @@ class TestWinding:
         with pytest.raises(ContourZero):
             winding_number(f, 0.5)
 
+    def test_zero_threshold_is_relative(self):
+        # c * f has the zeros of f: the tests scale with the largest sample.
+        for c in (1e-12, 1.0, 1e12):
+            assert winding_number(Poly((2.0 * c, c)), 0.5) == 0
+            assert winding_number(Poly((0.25 * c, c)), 0.5) == 1
+            Recip(Const(c))
+            Pow(Poly((2.0 * c, c)), 0.5)
+            with pytest.raises(ContourZero):
+                winding_number(Poly((-0.5 * c, c)), 0.5)
+        with pytest.raises(ContourZero):
+            winding_number(Const(0.0), 0.5)
+        with pytest.raises(DomainError):
+            Recip(Const(0.0))
+
     def test_radius_validation(self):
         f = Poly((1.0,))
         with pytest.raises(ParameterError):

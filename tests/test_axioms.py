@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wcolab import axiom_harness
-from wcolab.analytic_core import Compose, Const, Family, Moebius, MoebiusMap, Mul, Poly, PolyFamily
+from wcolab.analytic_core import Add, Compose, Const, Family, Moebius, MoebiusMap, Mul, Poly, PolyFamily
 from wcolab.axiom_harness import (
     A1_RADII,
     A5_POINTS,
@@ -187,7 +187,7 @@ def _reference_reports(space, cfg, family) -> dict:
         for f in family:
             p0 = seminorm(space, f, cfg)
             for c in A6_CONSTANTS:
-                increment = max(increment, abs(seminorm(space, f + Const(c), cfg) - p0))
+                increment = max(increment, abs(seminorm(space, Add(f, Const(c)), cfg) - p0))
         passed = increment < 1e-10
         out["A6"] = (passed, {"increment_defect": increment}, [] if passed else [{"increment_defect": increment}])
     return out

@@ -9,6 +9,7 @@ from wcolab.analytic_core import (
     Const,
     Moebius,
     MoebiusMap,
+    Mul,
     Poly,
     Pow,
     R_MAX,
@@ -120,7 +121,7 @@ class TestDetectAutomorphism:
 
     def test_rejects_degree_two_blaschke(self, cfg):
         inner = Moebius(MoebiusMap(0.5, 1.0))
-        fit = detect_automorphism(IDENTITY * inner, cfg)
+        fit = detect_automorphism(Mul(IDENTITY, inner), cfg)
         assert not fit.found
 
     def test_rejects_perturbed_automorphism(self, cfg):

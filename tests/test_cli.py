@@ -397,6 +397,24 @@ class TestSectionCommand:
         assert float(first[0]) == 1.0
 
 
+class TestScaleOfF:
+    # M_{cF} C_phi = c M_F C_phi, so the verdict cannot depend on c != 0.
+    @pytest.mark.parametrize("space", ["hardy:2", "bloch:1"])
+    @pytest.mark.parametrize("phi", ["mobius(0.5,0,0)", "poly(0,0,0.5)"])
+    @pytest.mark.parametrize("weight", ["poly({two_c!r},{c!r})", "const({c!r},0.0)"], ids=["poly", "const"])
+    def test_verdict_independent_of_scale(self, capsys, space, phi, weight):
+        def outcome(c):
+            code, doc, _ = run_checked(
+                capsys, "check-invertible", "--space", space, "--F", weight.format(c=c, two_c=2.0 * c), "--phi", phi
+            )
+            return code, doc["result"].get("verdict"), doc["result"].get("zero_count")
+
+        expected = outcome(1.0)
+        assert expected[1] in ("Invertible", "NotInvertible")
+        for c in (1e-10, 1e10):
+            assert outcome(c) == expected, c
+
+
 class TestErrorPaths:
     def test_unknown_space_is_usage(self, capsys):
         code, out, err = run_cli(capsys, "norm", "--space", "nope:1", "--fn", "poly(1.0)")

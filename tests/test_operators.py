@@ -208,7 +208,7 @@ class TestFamilies:
         assert any(x.coeffs != y.coeffs for x, y in zip(a, c))
 
     def test_random_polynomials_shape(self):
-        for f in random_polynomials(20, seed=DEFAULT_SEED, max_degree=7):
+        for f in seeded_polys(20, DEFAULT_SEED, 7):
             assert 3 <= len(f.coeffs) <= 8
             assert max(abs(c) for c in f.coeffs) <= 1.0
 
