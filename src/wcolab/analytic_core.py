@@ -9,6 +9,7 @@ expressions at once, their derivatives stacked along a leading axis.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 
@@ -277,7 +278,7 @@ class Recip(AnalyticExpr):
     def _derivatives(self, z, n):
         v = self.inner._derivatives(z, n)
         u = v[0]
-        if np.min(np.abs(u)) < 1e-14:
+        if not np.all(u):
             raise DomainError("reciprocal evaluated at a zero of the inner function")
         inv = 1.0 / u
         out = [inv]
@@ -362,12 +363,8 @@ class Family:
         """Rows of the tallest stacked array one evaluation of this order holds, per point."""
         raise NotImplementedError
 
-    def _points(self, z) -> np.ndarray:
-        # Members evaluated through AnalyticExpr.derivatives check the points there.
-        return np.asarray(z, dtype=complex)
-
     def _shared(self, z, orders: tuple) -> list:
-        z = self._points(z)
+        z = np.asarray(z, dtype=complex)
         shape = (len(self),) + z.shape
         return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders)]
 
@@ -381,7 +378,7 @@ class Family:
 
     def derivative_at(self, z, order: int, members) -> np.ndarray:
         """Derivative of the given order of member members[i] at the points z[i]."""
-        z = self._points(z)
+        z = np.asarray(z, dtype=complex)
         return self._evaluate(z.reshape(len(z), -1), (order,), np.asarray(members))[0].reshape(z.shape)
 
     def row_blocks(self, z: np.ndarray, order: int) -> list:
@@ -448,47 +445,25 @@ class TreeFamily(Family):
         return out
 
 
-class _LinearFamily(Family):
-    """A family linear in a stacked coefficient matrix.
+class PolyFamily(Family):
+    """Polynomials f whose coefficients are stacked as a matrix, or their images F * (f o phi).
 
-    _pieces(z, orders) gives derivative d at z as pieces (j, factor, T_j) of
-    sum factor * (C_j @ T_j): C_j holds the coefficients of the root's j-th
-    derivatives and T_j, (width - j, 1 or len(self), n), the powers of the
-    points where the root is evaluated; _fused_rows(d) bounds their rows.
-    Each order is one product, of its scaled T_j stacked and C_j side by side.
-    """
-
-    def _evaluate(self, z, orders, members=None):
-        out = []
-        for pieces in self._pieces(z, orders):
-            # A scalar factor is the 1 of a PolyFamily piece or a missing F or phi.
-            if len(pieces) == 1 and not isinstance(pieces[0][1], np.ndarray):
-                table = pieces[0][2]
-            else:
-                # Factor first: numpy's complex multiply is not bitwise
-                # commutative, and a one-piece order keeps factor * table.
-                table = np.empty((sum(len(t) for _, _, t in pieces),) + z.shape, dtype=complex)
-                start = 0
-                for _, factor, part in pieces:
-                    np.multiply(factor, part, out=table[start : start + len(part)])
-                    start += len(part)
-            matrix = self._root._side_by_side(tuple(j for j, _, _ in pieces))
-            out.append(matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table))
-        return out
-
-    def _height(self, order):
-        return max(len(self), self._root._width, self._fused_rows(order))
-
-
-class PolyFamily(_LinearFamily):
-    """Polynomials whose coefficients are stacked as a matrix.
-
-    Every member's f, f' or f'' at shared points comes from one power
-    table of the points and one matrix product.
+    F and phi are None for the polynomials themselves; image_family sets
+    them, and with phi None the images are F * f, with F None f o phi.
+    Every member's derivative of order d at shared points comes from one
+    power table, of the points or of their phi values, and one matrix
+    product.  The product and chain rules give it as factors times the
+    polynomials' derivatives of orders 0 .. d: each order stacks the
+    table rows of each term, scaled by its factor, against the
+    coefficient matrices of those orders placed side by side.  A factor
+    zero at every point, such as F' of a constant F, drops its term.
+    F and phi are evaluated once per call, up to the order asked, phi
+    with the disk check that Compose makes.
     """
 
     def __init__(self, polys):
         self.polys = tuple(polys)
+        self.F = self.phi = None
         width = max(len(p.coeffs) for p in self.polys)
         coeffs = np.zeros((len(self.polys), width), dtype=complex)
         for k, p in enumerate(self.polys):
@@ -496,23 +471,54 @@ class PolyFamily(_LinearFamily):
         n = np.arange(width)
         # Coefficients of f, f' and f'' against z^0, z^1, ...
         self._matrices = (coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1)))
-        # Side-by-side matrices by the tuple of their j, built on first use.
+        # Side-by-side matrices by the tuple of their orders, built on first use.
         self._joined = {}
-        self._root = self
         self._width = width
 
     def __len__(self):
         return len(self.polys)
 
     def __getitem__(self, k):
-        return self.polys[k]
+        return _image(self.F, self.phi, self.polys[k])
 
-    _points = staticmethod(_checked_points)
+    def _rows(self, k: int) -> int:
+        # Powers z^0 .. z^(width-k-1) meet the coefficients of the k-th derivatives.
+        return max(self._width - k, 0)
 
-    def _side_by_side(self, js: tuple) -> np.ndarray:
-        if js not in self._joined:
-            self._joined[js] = np.concatenate([self._matrices[0][:, :0]] + [self._matrices[j] for j in js], axis=1)
-        return self._joined[js]
+    def _height(self, order):
+        # Only a missing F or phi makes a factor zero for sure.
+        F = [1, 0, 0] if self.F is None else [1, 1, 1]
+        d = [1, 1, 0] if self.phi is None else [1, 1, 1]
+        rows = sum(self._rows(k) for k, _ in _chain_terms(F, d, order))
+        return max(len(self), self._width, rows)
+
+    def _evaluate(self, z, orders, members=None):
+        z = _checked_points(z)
+        top = max(orders)
+        d = [z, 1, 0] if self.phi is None else self.phi._derivatives(z, top)
+        F = [1, 0, 0] if self.F is None else self.F._derivatives(z, top)
+        powers = self._powers(z if self.phi is None else _inner_points(d[0]))
+        out = []
+        for order in orders:
+            terms = _chain_terms(F, d, order)
+            # A scalar factor is the 1 of a missing F or phi.
+            if len(terms) == 1 and not isinstance(terms[0][1], np.ndarray):
+                table = powers[: self._rows(terms[0][0])]
+            else:
+                # Factor first: numpy's complex multiply is not bitwise
+                # commutative, and a one-term order keeps factor * powers.
+                table = np.empty((sum(self._rows(k) for k, _ in terms),) + z.shape, dtype=complex)
+                start = 0
+                for k, g in terms:
+                    rows = self._rows(k)
+                    np.multiply(g, powers[:rows], out=table[start : start + rows])
+                    start += rows
+            js = tuple(k for k, _ in terms)
+            if js not in self._joined:
+                self._joined[js] = np.concatenate([self._matrices[0][:, :0]] + [self._matrices[k] for k in js], axis=1)
+            matrix = self._joined[js]
+            out.append(matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table))
+        return out
 
     def _powers(self, z: np.ndarray) -> np.ndarray:
         table = np.empty((self._width,) + z.shape, dtype=complex)
@@ -521,17 +527,11 @@ class PolyFamily(_LinearFamily):
             np.multiply(table[j - 1], z, out=table[j])
         return table
 
-    def _pieces(self, z, orders):
-        table = self._powers(z)
-        return [[(d, 1, table[: self._fused_rows(d)])] for d in orders]
-
-    def _fused_rows(self, order):
-        return max(self._width - order, 0)
-
     def combination(self, pairs) -> np.ndarray:
-        """Sum of a * f(v) over the pairs (a, v) for every member f, by one matrix product.
+        """Sum of a * f(v) over the pairs (a, v) for every polynomial f, by one matrix product.
 
-        The points v share one shape and each factor a broadcasts to it.
+        The points v share one shape and each factor a broadcasts to it;
+        F and phi play no part.
         """
         total = None
         for a, v in pairs:
@@ -552,8 +552,10 @@ def _chain_terms(F: list, d: list, order: int) -> list:
         factors = [F[0]]
     elif order == 1:
         factors = [F[1], F[0] * d[1]]
-    else:
+    elif order == 2:
         factors = [F[2], 2.0 * F[1] * d[1] + F[0] * d[2], F[0] * d[1] * d[1]]
+    else:
+        raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
     return [(k, g) for k, g in enumerate(factors) if (g.any() if isinstance(g, np.ndarray) else g)]
 
 
@@ -564,59 +566,22 @@ def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) ->
     return f if F is None else Mul(F, f)
 
 
-class ImageFamily(_LinearFamily):
-    """The images F * (f o phi) of the members f of a PolyFamily or ImageFamily.
-
-    With phi None the images are F * f, and with F None they are f o phi.
-    F and phi are evaluated once per call, up to the order asked, phi
-    with the disk check that Compose makes.  The product and chain rules
-    give the image's derivative of order d as factors times the base's
-    derivatives of orders 0 .. d; a factor zero at every point, such as
-    F' of a constant F, drops its term, and the base is asked only for
-    the orders that remain.  Their pieces, scaled by the factors, are the
-    image's pieces: by linearity that equals acting on the stacked jets.
-    """
-
-    def __init__(self, F: AnalyticExpr | None, phi: AnalyticExpr | None, base: _LinearFamily):
-        self.F = F
-        self.phi = phi
-        self.base = base
-        self._root = base._root
-
-    def __len__(self):
-        return len(self.base)
-
-    def __getitem__(self, k):
-        return _image(self.F, self.phi, self.base[k])
-
-    def _fused_rows(self, order):
-        # Only a missing F or phi makes a factor zero for sure.
-        F = [1, 0, 0] if self.F is None else [1, 1, 1]
-        d = [1, 1, 0] if self.phi is None else [1, 1, 1]
-        return sum(self.base._fused_rows(k) for k, _ in _chain_terms(F, d, order))
-
-    def _pieces(self, z, orders):
-        top = max(orders, default=0)
-        d = [z, 1, 0] if self.phi is None else self.phi.derivatives(z, top)
-        F = [1, 0, 0] if self.F is None else self.F.derivatives(z, top)
-        terms = [_chain_terms(F, d, order) for order in orders]
-        needed = tuple(sorted({k for t in terms for k, _ in t}))
-        base = dict(zip(needed, self.base._pieces(z if self.phi is None else _inner_points(d[0]), needed)))
-        return [[(j, g * f if isinstance(f, np.ndarray) else g, table) for k, g in t for j, f, table in base[k]]
-                for t in terms]
-
-
 def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family) -> Family:
     """The images F * (f o phi) of a family's members.
 
     A None F or phi drops that factor: the images are then f o phi or
-    F * f.  Images of a PolyFamily or ImageFamily are an ImageFamily;
-    images of any other family are expression trees, each evaluated by
-    its own derivatives.
+    F * f.  Images of a PolyFamily are a shallow copy of it with F and
+    phi set, which shares its coefficient matrices and their side-by-side
+    cache.  Images of images F0 * (f o phi0) fold into one level, with
+    weight F * (F0 o phi) and map phi0 o phi.  Images of any other family
+    are expression trees, each evaluated by its own derivatives.
     """
-    if isinstance(base, _LinearFamily):
-        return ImageFamily(F, phi, base)
-    return TreeFamily(_image(F, phi, f) for f in base)
+    if not isinstance(base, PolyFamily):
+        return TreeFamily(_image(F, phi, f) for f in base)
+    images = copy.copy(base)
+    images.F = F if base.F is None else _image(F, phi, base.F)
+    images.phi = phi if base.phi is None else _image(None, phi, base.phi)
+    return images
 
 
 def as_family(obj) -> Family:

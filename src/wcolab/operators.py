@@ -47,7 +47,7 @@ class WcoSymbols:
         if float(np.max(np.abs(phi_vals - phi_vals[0]))) < 1e-15:
             raise DegenerateInput("phi is constant on the validation circle")
         f_vals = self.F(circle)
-        if float(np.max(np.abs(f_vals))) < 1e-15:
+        if not np.any(f_vals):
             raise DegenerateInput("F vanishes identically on the validation circle")
 
 

@@ -65,7 +65,7 @@ class TestRunAll:
         row_blocks = Family.row_blocks
 
         def counted(fam, z, order):
-            if isinstance(fam, PolyFamily) and fam.polys == base:
+            if isinstance(fam, PolyFamily) and fam.F is fam.phi is None and fam.polys == base:
                 scans.append(z.shape)
             return row_blocks(fam, z, order)
 
@@ -253,7 +253,7 @@ def test_run_all_measures_each_refined_base_member_once(cfg, monkeypatch):
     measure = axiom_harness.norms
 
     def counting(space, family, grid):
-        if grid == fine and isinstance(family, PolyFamily):
+        if grid == fine and isinstance(family, PolyFamily) and family.F is family.phi is None:
             counts.update(family.polys)
         return measure(space, family, grid)
 

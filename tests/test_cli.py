@@ -411,7 +411,7 @@ class TestScaleOfF:
 
         expected = outcome(1.0)
         assert expected[1] in ("Invertible", "NotInvertible")
-        for c in (1e-10, 1e10):
+        for c in (1e-20, 1e-10, 1e10, 1e20):
             assert outcome(c) == expected, c
 
 

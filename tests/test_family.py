@@ -5,7 +5,6 @@ import pytest
 
 from wcolab.analytic_core import (
     Const,
-    ImageFamily,
     Moebius,
     MoebiusMap,
     Poly,
@@ -14,10 +13,11 @@ from wcolab.analytic_core import (
     Recip,
     TreeFamily,
     as_family,
+    image_family,
     rotation_map,
 )
 from wcolab.axiom_harness import ALL_FAMILIES
-from wcolab.errors import DomainError
+from wcolab.errors import DomainError, ParameterError
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import gauss01, scan_radii, unit_circle
 from wcolab.spaces import norm, norms, parse_space, seminorms
@@ -70,7 +70,7 @@ def b1_grid_rows(cfg):
 @pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
 def test_image_jets_match_trees(cfg, name, grid):
     images = apply(SYMBOLS[name], as_family(default_probe_family()))
-    assert isinstance(images, ImageFamily)
+    assert isinstance(images, PolyFamily)
     assert_stacked_matches_trees(images, grid(cfg))
 
 
@@ -79,8 +79,27 @@ def test_nested_images_and_products_match_trees(cfg):
     fam = as_family(default_probe_family()[:12])
     z = scan_grid(cfg)
     assert_stacked_matches_trees(apply(w, apply(v, fam)), z)
-    assert_stacked_matches_trees(ImageFamily(v.F, None, fam), z)
-    assert_stacked_matches_trees(ImageFamily(None, v.phi, fam), z)
+    assert_stacked_matches_trees(image_family(v.F, None, fam), z)
+    assert_stacked_matches_trees(image_family(None, v.phi, fam), z)
+
+
+def test_images_share_the_polynomials_matrices(cfg):
+    # An image is a copy of the polynomials' family with F and phi set,
+    # and an image of an image folds into one level over the same matrices.
+    w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
+    fam = as_family(default_probe_family()[:12])
+    single, nested = apply(w, fam), apply(w, apply(v, fam))
+    for images in (single, nested):
+        assert images._matrices is fam._matrices
+        assert images._joined is fam._joined
+    assert nested.polys is fam.polys
+    assert fam.F is fam.phi is None
+    z = scan_grid(cfg)[::4]
+    unfolded = TreeFamily(apply(w, apply(v, f)) for f in fam.polys)
+    for reference in (TreeFamily(list(nested)), unfolded):
+        for order in (0, 1, 2):
+            got, want = nested.derivative(z, order), reference.derivative(z, order)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_values_equal_stacked_jet_values_bitwise(cfg):
@@ -96,8 +115,8 @@ def test_values_equal_stacked_jet_values_bitwise(cfg):
         apply(v, fam),
         apply(w, fam),
         apply(w, apply(v, fam)),
-        ImageFamily(v.F, None, fam),
-        ImageFamily(None, v.phi, fam),
+        image_family(v.F, None, fam),
+        image_family(None, v.phi, fam),
         TreeFamily((Recip(Poly((2.0, 1.0))), v.F, Poly((0.0, 1.0)))),
     ):
         jets = family.jets(z)
@@ -121,8 +140,8 @@ def test_member_rows_equal_member_aligned_calls_bitwise():
         fam,
         apply(w, fam),
         apply(v, fam),
-        ImageFamily(v.F, None, fam),
-        ImageFamily(None, v.phi, fam),
+        image_family(v.F, None, fam),
+        image_family(None, v.phi, fam),
         TreeFamily(list(apply(v, fam))),
     ):
         for order in (0, 1, 2):
@@ -137,7 +156,7 @@ def test_member_rows_equal_member_aligned_calls_bitwise():
 def test_zero_weight_images_are_zero(cfg):
     # Every factor of F = 0 vanishes, so every piece is dropped.
     fam = as_family(default_probe_family()[:12])
-    images = ImageFamily(Const(0.0), SYMBOLS["involution"].phi, fam)
+    images = image_family(Const(0.0), SYMBOLS["involution"].phi, fam)
     z = scan_grid(cfg)[::4]
     zk = np.linspace(0.1, 0.9, len(fam))[:, None] * unit_circle(64)[None, :]
     for order in (0, 1, 2):
@@ -159,7 +178,7 @@ def test_constants_have_zero_derivatives():
         assert not np.any(fam.derivative(z, order))
     # Images of constants: F times the constant, and F' times it.
     F = Poly((1.0, 2.0))
-    images = ImageFamily(F, SYMBOLS["involution"].phi, fam)
+    images = image_family(F, SYMBOLS["involution"].phi, fam)
     jets = images.jets(z)
     for got, want in zip((jets.f, jets.df, jets.d2f), ([2.0 * F(z), 0.5j * F(z)], [[4.0] * 3, [1j] * 3], np.zeros((2, 3)))):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -188,12 +207,20 @@ def test_tree_family_fallback(cfg):
 
 def test_image_leaving_the_disk_raises():
     # phi = 2z leaves the disk for |z| >= 1/2.
-    images = ImageFamily(Const(1.0), Poly((0.0, 2.0)), as_family(default_probe_family()))
+    images = image_family(Const(1.0), Poly((0.0, 2.0)), as_family(default_probe_family()))
     images.jets(np.array([0.1, 0.4j]))
     with pytest.raises(DomainError):
         images.jets(np.array([0.1, 0.6]))
     with pytest.raises(DomainError):
         images.derivative(np.array([0.1, 0.6]), 0)
+
+
+def test_orders_beyond_two_raise():
+    fam = as_family(default_probe_family()[:12])
+    z = np.array([0.1, 0.4j])
+    for family in (fam, apply(SYMBOLS["involution"], fam)):
+        with pytest.raises(ParameterError):
+            family.derivative(z, 3)
 
 
 def test_points_outside_the_disk_raise():
