@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wcolab import axiom_harness
-from wcolab.analytic_core import Add, Compose, Const, Family, Moebius, MoebiusMap, Mul, Poly, PolyFamily
+from wcolab.analytic_core import Add, Compose, Const, Family, Moebius, MoebiusMap, Mul, PolyFamily
 from wcolab.axiom_harness import (
     A1_RADII,
     A5_POINTS,
@@ -21,7 +21,7 @@ from wcolab.axiom_harness import (
     harness_family,
     run_all,
 )
-from wcolab.errors import ParameterError, UnsupportedSpace
+from wcolab.errors import UnsupportedSpace
 from wcolab.operators import monomial
 from wcolab.quadrature import unit_circle
 from wcolab.spaces import norm, parse_space, pointeval_bound, seminorm, seminorms
@@ -86,42 +86,29 @@ class TestIndividualChecks:
         assert report.passed
         assert report.measured["norm_of_one"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_a4_alpha_validation(self, cfg):
-        u = Poly((2.0 / 3.0, 1.0 / 3.0))
-        f = monomial(2)
-        space = parse_space("hardy:2")
-        with pytest.raises(ParameterError):
-            check_a4(space, u, f, 2.0, cfg)
-        with pytest.raises(ParameterError):
-            check_a4(space, u, f, 0.5, cfg)
-        with pytest.raises(ParameterError):
-            check_a4(parse_space("b1"), u, f, 1.5, cfg)
-
     def test_a4_slack_nonnegative_on_b1(self, cfg):
-        u = Poly((2.0 / 3.0, 1.0 / 3.0))
-        report = check_a4(parse_space("b1"), u, monomial(2), 3.5, cfg)
+        report = check_a4(parse_space("b1"), cfg)
         assert report.passed
         assert report.measured["slack"] >= 0.0
         assert set(report.measured["sampled_powers"]) == {"1", "2", "3"}
 
     def test_a4_slack_nonnegative_on_growth(self, cfg):
-        u = Poly((2.0 / 3.0, 1.0 / 3.0))
-        report = check_a4(parse_space("growth:1"), u, monomial(2), 2.5, cfg)
+        report = check_a4(parse_space("growth:1"), cfg)
         assert report.passed
         assert report.measured["slack"] >= 0.0
 
-    def test_a5_parameter_validation(self, cfg):
-        with pytest.raises(ParameterError):
-            check_a5(parse_space("hardy:2"), 1.0, cfg)
-
     def test_a5_bloch_invariance_recorded(self, cfg):
-        report = check_a5(parse_space("bloch:1"), 0.3, cfg, harness_family()[:4])
+        report = check_a5(parse_space("bloch:1"), cfg, harness_family()[:4])
         assert report.passed
-        assert report.measured["seminorm_invariance_defect"] < 1e-8
+        for a in A5_POINTS:
+            assert report.measured[f"a={a}"]["seminorm_invariance_defect"] < 1e-8
 
     def test_a6_requires_decomposition(self, cfg):
-        with pytest.raises(UnsupportedSpace):
-            check_a6(parse_space("hardy:2"), cfg)
+        report = check_a6(parse_space("hardy:2"), cfg)
+        assert report.passed
+        assert report.measured == {"status": "unsupported"}
+        assert report.witnesses == ()
+        assert "not applicable" in report.note
 
     def test_a6_defects_tiny_on_besov(self, cfg):
         report = check_a6(parse_space("besov:2,0"), cfg, harness_family()[:5])
@@ -237,12 +224,11 @@ class TestStackedHarness:
     def test_known_bloch_invariance_defect(self, cfg):
         # Harness seed of axioms benchmark seed 2: refined_modulus_sup, a
         # lower bound, misses the maximum of f o phi_a for one probe.
-        report = check_a5(parse_space("bloch:1"), -0.7, cfg, harness_family(248106442))
+        report = check_a5(parse_space("bloch:1"), cfg, harness_family(248106442))
         assert not report.passed
-        assert report.measured["seminorm_invariance_defect"] == pytest.approx(8.16e-3, rel=1e-3)
-        assert report.witnesses == (
-            {"a": -0.7 + 0j, "invariance_defect": report.measured["seminorm_invariance_defect"]},
-        )
+        measured = report.measured["a=-0.7"]
+        assert measured["seminorm_invariance_defect"] == pytest.approx(8.16e-3, rel=1e-3)
+        assert report.witnesses == ({"a": -0.7 + 0j, "invariance_defect": measured["seminorm_invariance_defect"]},)
 
 
 def test_run_all_measures_each_refined_base_member_once(cfg, monkeypatch):
