@@ -282,11 +282,13 @@ class Recip(AnalyticExpr):
             raise DomainError("reciprocal evaluated at a zero of the inner function")
         inv = 1.0 / u
         out = [inv]
+        # Each product carries one factor of inv, so no intermediate
+        # overflows or underflows where the derivative itself fits.
         if n:
-            inv2 = inv * inv
-            out.append(-v[1] * inv2)
+            q = v[1] * inv
+            out.append(-q * inv)
         if n == 2:
-            out.append((2.0 * v[1] ** 2 - u * v[2]) * inv2 * inv)
+            out.append((2.0 * q * q - v[2] * inv) * inv)
         return out
 
 

@@ -399,7 +399,7 @@ class TestSectionCommand:
 
 class TestScaleOfF:
     # M_{cF} C_phi = c M_F C_phi, so the verdict cannot depend on c != 0.
-    @pytest.mark.parametrize("space", ["hardy:2", "bloch:1"])
+    @pytest.mark.parametrize("space", ["hardy:2", "bloch:1", "b1"])
     @pytest.mark.parametrize("phi", ["mobius(0.5,0,0)", "poly(0,0,0.5)"])
     @pytest.mark.parametrize("weight", ["poly({two_c!r},{c!r})", "const({c!r},0.0)"], ids=["poly", "const"])
     def test_verdict_independent_of_scale(self, capsys, space, phi, weight):
@@ -410,8 +410,9 @@ class TestScaleOfF:
             return code, doc["result"].get("verdict"), doc["result"].get("zero_count")
 
         expected = outcome(1.0)
-        assert expected[1] in ("Invertible", "NotInvertible")
-        for c in (1e-20, 1e-10, 1e10, 1e20):
+        # On b1 the multiplier test of 1/F is empirical, so a positive verdict is Inconclusive.
+        assert expected[1] in (("Inconclusive" if space == "b1" else "Invertible"), "NotInvertible")
+        for c in (1e-200, 1e-20, 1e-10, 1e10, 1e20, 1e200):
             assert outcome(c) == expected, c
 
 
