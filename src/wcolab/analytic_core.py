@@ -46,22 +46,14 @@ class Jet2:
     d2f: complex
 
 
-def _checked_points(z) -> np.ndarray:
+def _checked_points(z, what: str = "evaluation point") -> np.ndarray:
     arr = np.asarray(z, dtype=complex)
     # The comparison fails for NaN and inf too; only then is finiteness tested.
     if arr.size and not np.max(np.abs(arr)) < 1.0:
         if not np.all(np.isfinite(arr)):
-            raise DomainError("evaluation point is not finite")
-        raise DomainError("evaluation point lies outside the open unit disk")
+            raise DomainError(f"{what} is not finite")
+        raise DomainError(f"{what} lies outside the open unit disk")
     return arr
-
-
-def _inner_points(w) -> np.ndarray:
-    # Values of an inner function, checked as points for the outer one.
-    w = np.asarray(w)
-    if w.size and np.max(np.abs(w)) >= 1.0:
-        raise DomainError("composition inner value left the unit disk")
-    return w
 
 
 def _require_finite(c: complex, what: str) -> complex:
@@ -244,7 +236,7 @@ class Compose(AnalyticExpr):
     def __post_init__(self):
         vals = self.inner._derivatives(_validation_circle(), 0)[0]
         worst = float(np.max(np.abs(vals)))
-        if worst >= 1.0:
+        if not worst < 1.0:
             raise DomainError(
                 f"composition inner function is not a disk self-map on the validation circle (max modulus {worst})"
             )
@@ -252,7 +244,7 @@ class Compose(AnalyticExpr):
     def _derivatives(self, z, n):
         # Chain rule, with the outer derivatives taken at the inner values.
         v = self.inner._derivatives(z, n)
-        u = self.outer._derivatives(_inner_points(v[0]), n)
+        u = self.outer._derivatives(_checked_points(v[0], "composition inner value"), n)
         out = [u[0]]
         if n:
             out.append(u[1] * v[1])
@@ -499,7 +491,7 @@ class PolyFamily(Family):
         top = max(orders)
         d = [z, 1, 0] if self.phi is None else self.phi._derivatives(z, top)
         F = [1, 0, 0] if self.F is None else self.F._derivatives(z, top)
-        powers = self._powers(z if self.phi is None else _inner_points(d[0]))
+        powers = self._powers(z if self.phi is None else _checked_points(d[0], "composition inner value"))
         out = []
         for order in orders:
             terms = _chain_terms(F, d, order)

@@ -21,7 +21,7 @@ import os
 import sys
 import traceback
 
-from ..analytic_core import AnalyticExpr, MoebiusMap
+from ..analytic_core import AnalyticExpr
 from ..axiom_harness import run_all
 from ..characterization import (
     AutomorphismFit,
@@ -50,8 +50,6 @@ def _jsonify(obj):
         return format_expression(obj)
     if isinstance(obj, SpaceSpec):
         return str(obj)
-    if isinstance(obj, MoebiusMap):
-        return {"a": _jsonify(obj.a), "lam": _jsonify(obj.lam)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, complex):

@@ -42,7 +42,7 @@ class WcoSymbols:
     def __post_init__(self):
         circle = _validation_circle()
         phi_vals = self.phi(circle)
-        if float(np.max(np.abs(phi_vals))) >= 1.0:
+        if not float(np.max(np.abs(phi_vals))) < 1.0:
             raise DomainError("phi is not a self-map of the disk on the validation circle")
         if float(np.max(np.abs(phi_vals - phi_vals[0]))) < 1e-15:
             raise DegenerateInput("phi is constant on the validation circle")

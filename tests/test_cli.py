@@ -466,6 +466,23 @@ class TestErrorPaths:
         assert (code, out) == (64, "")
         assert err.startswith("wcolab:") and err.count("\n") == 1
 
+    # 2^2000 overflows and 0.5^2000 underflows, so this phi is inf * 0 = NaN on the disk.
+    NAN_MAP = "mul(pow(poly(2.0),2000.0),pow(poly(0.5),2000.0))"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "hardy:2", "--fn", f"compose(poly(0.0,1.0),{NAN_MAP})"),
+            ("check-invertible", "--space", "hardy:2", "--F", "poly(2.0,1.0)", "--phi", NAN_MAP),
+        ],
+        ids=["compose", "phi"],
+    )
+    def test_non_finite_self_map_is_usage(self, argv):
+        # A fresh interpreter: under pytest the overflow warning is an error.
+        proc = _python("-m", "wcolab.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert "wcolab:" in proc.stderr and "self-map" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_bad_symbol_pair_is_usage(self, capsys):
         # phi fails the self-map validation during input construction
         code, out, err = run_cli(
