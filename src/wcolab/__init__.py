@@ -1,10 +1,10 @@
 """Numerical toolkit for weighted composition operators on disk function spaces.
 
-Builds the operators f -> F * (f o phi) from exact 2-jet expression
-trees, evaluates norms in ten families of analytic function spaces on
-the unit disk, and decides invertibility and surjective isometry from
-the structure of the symbols, reporting measured evidence for every
-verdict.
+Builds the operators f -> F * (f o phi) from expression trees with
+exact Taylor rules, evaluates norms in ten families of analytic
+function spaces on the unit disk, and decides invertibility and
+surjective isometry from the structure of the symbols, reporting
+measured evidence for every verdict.
 """
 
 from .analytic_core import (
@@ -27,6 +27,7 @@ from .analytic_core import (
     image_family,
     moebius_inverse,
     rotation_map,
+    series,
     winding_number,
 )
 from .axiom_harness import ALL_FAMILIES, AxiomReport, run_all
@@ -67,7 +68,7 @@ from .operators import (
     monomial,
     random_polynomials,
 )
-from .quadrature import GridConfig, default_config, taylor_coefficients, weighted_radial_integral
+from .quadrature import GridConfig, default_config, weighted_radial_integral
 from .spaces import NormBreakdown, SpaceSpec, norm, norms, parse_space, pointeval_bound, seminorm, seminorms
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Expression trees for analytic functions on the unit disk.
 
 Functions are represented structurally (polynomials, Moebius maps, sums,
-products, compositions, reciprocals, real powers) and differentiated by
-one Taylor-mode rule per node, to second order.  Trees are immutable;
+products, compositions, reciprocals, real powers) and expanded by one
+Taylor rule per node, to any order: truncated power-series arithmetic
+(Knuth, TAOCP vol. 2, 4.7).  The same rules give the derivatives at a
+grid of points and the power series at 0.  Trees are immutable;
 evaluation is vectorized over numpy arrays of points.  Families evaluate many
 expressions at once, their derivatives stacked along a leading axis.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import operator
 
 import numpy as np
 
@@ -104,19 +107,32 @@ def rotation_map(theta: float) -> MoebiusMap:
     return MoebiusMap(0.0, -np.exp(1j * theta))
 
 
+def _sum(terms):
+    # Adds in order into the first term, a fresh product: sum() would
+    # start from 0, copy the first array and turn a -0.0 into 0.0.
+    return functools.reduce(operator.iadd, terms)
+
+
+def _coefficient(u: list, v: list, k: int):
+    """Coefficient k of the product of the truncated series u and v, the largest index of u first."""
+    hi, lo = min(k, len(u) - 1), max(0, k - len(v) + 1)
+    return _sum(u[j] * v[k - j] for j in range(hi, lo - 1, -1))
+
+
 class AnalyticExpr:
     """Base class of expression-tree nodes.
 
-    Each subclass has one evaluator, _derivatives(z, n) on a numpy array
-    of points, which returns [f, f', ..., f^(n)] for n in {0, 1, 2} and
-    computes no derivative beyond order n; a derivative does not depend
-    on the order asked for.  Public evaluation goes through derivatives,
-    jet and __call__, which validate the points and convert scalars.
+    Each subclass has one evaluator, _taylor(z, n) on a numpy array of
+    points, which returns the Taylor coefficients [f, f', f''/2, ...,
+    f^(n)/n!] about every point for any n >= 0 and computes none beyond
+    order n; a coefficient does not depend on the order asked for.
+    Public evaluation goes through derivatives, jet, __call__ and
+    series, which validate the points and convert scalars.
     Nodes carry no arithmetic operators: a tree is built from the node
     classes, as Add(f, Const(c)) or Mul(F, Compose(f, phi)).
     """
 
-    def _derivatives(self, z: np.ndarray, n: int) -> list:
+    def _taylor(self, z: np.ndarray, n: int) -> list:
         raise NotImplementedError
 
     def derivatives(self, z, n: int) -> list:
@@ -124,7 +140,7 @@ class AnalyticExpr:
         if n not in (0, 1, 2):
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {n!r}")
         arr = _checked_points(z)
-        out = self._derivatives(arr, n)
+        out = _derivatives_at(self, arr, n)
         return [complex(d) for d in out] if arr.ndim == 0 else out
 
     def jet(self, z) -> Jet2:
@@ -136,6 +152,30 @@ class AnalyticExpr:
         return self.derivatives(z, 0)[0]
 
 
+# An overflow in a node rule leaves a non-finite value, which the point
+# checks reject; numpy's warning about it would only reach stderr.
+@np.errstate(all="ignore")
+def _walk(f: AnalyticExpr, z: np.ndarray, n: int) -> list:
+    return f._taylor(z, n)
+
+
+def _derivatives_at(f: AnalyticExpr, z: np.ndarray, n: int) -> list:
+    """[f, f', ..., f^(n)] at the checked points z, n <= 2: the Taylor coefficients times k!."""
+    out = _walk(f, z, n)
+    if n == 2:
+        # In place: every rule returns a fresh array, and a grid-sized
+        # result would be one more allocation per evaluation.
+        out[2] *= 2.0
+    return out
+
+
+def series(f: AnalyticExpr, N: int) -> np.ndarray:
+    """The first N Taylor coefficients of f at 0."""
+    if N < 1:
+        raise ParameterError(f"series length must be at least 1, got {N!r}")
+    return np.array(_walk(f, np.zeros((), dtype=complex), N - 1), dtype=complex)
+
+
 @dataclasses.dataclass(frozen=True)
 class Const(AnalyticExpr):
     """Constant function."""
@@ -145,7 +185,7 @@ class Const(AnalyticExpr):
     def __post_init__(self):
         object.__setattr__(self, "value", _require_finite(self.value, "Const value"))
 
-    def _derivatives(self, z, n):
+    def _taylor(self, z, n):
         return [np.full_like(z, self.value)] + [np.zeros_like(z) for _ in range(n)]
 
 
@@ -161,23 +201,22 @@ class Poly(AnalyticExpr):
             raise ParameterError("Poly requires at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
 
-    def _derivatives(self, z, n):
-        # Horner recurrences for the value and the derivatives asked for.
-        # No array outlives its first update: one kept alive through the
-        # loop slows every product on a large grid by about a third.
-        f = np.zeros_like(z)
+    def _taylor(self, z, n):
+        # Horner's rule for the Taylor shift: after coefficient c, t[k] is
+        # coefficient k about z of the polynomial read so far.  No array
+        # outlives its first update: one kept alive through the loop slows
+        # every product on a large grid by about a third.
         if n == 0:
+            f = np.zeros_like(z)
             for c in reversed(self.coeffs):
                 f = f * z + c
             return [f]
-        df = np.zeros_like(z)
-        d2f = np.zeros_like(z) if n == 2 else None
+        t = [np.zeros_like(z) for _ in range(n + 1)]
         for c in reversed(self.coeffs):
-            if n == 2:
-                d2f = d2f * z + 2.0 * df
-            df = df * z + f
-            f = f * z + c
-        return [f, df, d2f][: n + 1]
+            for k in range(n, 0, -1):
+                t[k] = t[k] * z + t[k - 1]
+            t[0] = t[0] * z + c
+        return t
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,16 +225,16 @@ class Moebius(AnalyticExpr):
 
     map: MoebiusMap
 
-    def _derivatives(self, z, n):
+    def _taylor(self, z, n):
         out = [self.map(z)]
         if n:
-            # f' = lam (|a|^2 - 1) q^2 and f'' = 2 conj(a) f' q, q = 1 / (1 - conj(a) z):
-            # one complex division instead of two and numpy's general complex power.
+            # A geometric series: c_1 = lam (|a|^2 - 1) q^2 and c_(k+1) = conj(a) c_k q,
+            # q = 1 / (1 - conj(a) z); one complex division for all of them.
             a = self.map.a
             q = 1.0 / (1.0 - np.conj(a) * z)
             out.append(self.map.lam * (abs(a) ** 2 - 1.0) * q * q)
-            if n == 2:
-                out.append(2.0 * np.conj(a) * out[1] * q)
+            for _ in range(1, n):
+                out.append(np.conj(a) * out[-1] * q)
         return out
 
 
@@ -204,10 +243,10 @@ class Add(AnalyticExpr):
     left: AnalyticExpr
     right: AnalyticExpr
 
-    def _derivatives(self, z, n):
+    def _taylor(self, z, n):
         # Terms popped off their lists are temporaries, which numpy sums
         # in place instead of allocating a grid-sized result.
-        u, v = self.left._derivatives(z, n), self.right._derivatives(z, n)
+        u, v = self.left._taylor(z, n), self.right._taylor(z, n)
         return [u.pop(0) + v.pop(0) for _ in range(n + 1)]
 
 
@@ -216,13 +255,11 @@ class Mul(AnalyticExpr):
     left: AnalyticExpr
     right: AnalyticExpr
 
-    def _derivatives(self, z, n):
-        # Leibniz rule.  The values go last, popped, so that numpy
-        # multiplies them in place as in Add.
-        u, v = self.left._derivatives(z, n), self.right._derivatives(z, n)
-        out = [u[1] * v[0] + u[0] * v[1]] if n else []
-        if n == 2:
-            out.append(u[2] * v[0] + 2.0 * u[1] * v[1] + u[0] * v[2])
+    def _taylor(self, z, n):
+        # The truncated product of the two series.  The values go last,
+        # popped, so that numpy multiplies them in place as in Add.
+        u, v = self.left._taylor(z, n), self.right._taylor(z, n)
+        out = [_coefficient(u, v, k) for k in range(1, n + 1)]
         return [u.pop(0) * v.pop(0)] + out
 
 
@@ -234,22 +271,22 @@ class Compose(AnalyticExpr):
     inner: AnalyticExpr
 
     def __post_init__(self):
-        vals = self.inner._derivatives(_validation_circle(), 0)[0]
+        vals = _walk(self.inner, _validation_circle(), 0)[0]
         worst = float(np.max(np.abs(vals)))
         if not worst < 1.0:
             raise DomainError(
                 f"composition inner function is not a disk self-map on the validation circle (max modulus {worst})"
             )
 
-    def _derivatives(self, z, n):
-        # Chain rule, with the outer derivatives taken at the inner values.
-        v = self.inner._derivatives(z, n)
-        u = self.outer._derivatives(_checked_points(v[0], "composition inner value"), n)
-        out = [u[0]]
-        if n:
-            out.append(u[1] * v[1])
-        if n == 2:
-            out.append(u[2] * v[1] ** 2 + u[1] * v[2])
+    def _taylor(self, z, n):
+        # The outer series about the inner values, summed by Horner's rule
+        # in powers of inner - inner(z), whose series is v[1:].  Step k
+        # keeps the orders up to n - k, all that k more products can use.
+        v = self.inner._taylor(z, n)
+        u = self.outer._taylor(_checked_points(v[0], "composition inner value"), n)
+        out = [u[n]]
+        for k in range(n - 1, -1, -1):
+            out = [u[k]] + [_coefficient(out, v[1:], i) for i in range(n - k)]
         return out
 
 
@@ -267,20 +304,17 @@ class Recip(AnalyticExpr):
     def __post_init__(self):
         _check_nonvanishing(self.inner, "Recip")
 
-    def _derivatives(self, z, n):
-        v = self.inner._derivatives(z, n)
-        u = v[0]
-        if not np.all(u):
+    def _taylor(self, z, n):
+        v = self.inner._taylor(z, n)
+        if not np.all(v[0]):
             raise DomainError("reciprocal evaluated at a zero of the inner function")
-        inv = 1.0 / u
+        inv = 1.0 / v[0]
         out = [inv]
-        # Each product carries one factor of inv, so no intermediate
-        # overflows or underflows where the derivative itself fits.
-        if n:
-            q = v[1] * inv
-            out.append(-q * inv)
-        if n == 2:
-            out.append((2.0 * q * q - v[2] * inv) * inv)
+        # c_k = -(v_k c_0 + ... + v_1 c_(k-1)) / v_0.  Each product pairs a
+        # v_j with a c_i, which carries one factor of inv, so no intermediate
+        # overflows or underflows where the coefficient itself fits.
+        for k in range(1, n + 1):
+            out.append(-_coefficient(v[1:], out, k - 1) * inv)
         return out
 
 
@@ -303,8 +337,8 @@ class Pow(AnalyticExpr):
         object.__setattr__(self, "exponent", e)
         _check_nonvanishing(self.inner, "Pow")
 
-    def _derivatives(self, z, n):
-        v = self.inner._derivatives(z, n)
+    def _taylor(self, z, n):
+        v = self.inner._taylor(z, n)
         u = np.asarray(v[0])
         if np.any((u.real <= 0.0) & (u.imag == 0.0)):
             raise BranchError("Pow encountered a value on the branch cut (−∞, 0]")
@@ -317,11 +351,12 @@ class Pow(AnalyticExpr):
         f.real = modulus * np.cos(angle)
         f.imag = modulus * np.sin(angle)
         out = [f]
-        if n:
-            s1 = f / u
-            out.append(alpha * s1 * v[1])
-        if n == 2:
-            out.append(alpha * (alpha - 1.0) * (s1 / u) * v[1] ** 2 + alpha * s1 * v[2])
+        # Miller's recurrence k c_k = sum over j of ((alpha + 1) j - k) v_j c_(k-j) / v_0,
+        # with each c_i / v_0 formed once: c_1 = alpha (f / u) v_1.
+        ratios = []
+        for k in range(1, n + 1):
+            ratios.append(out[-1] / u)
+            out.append(_sum((alpha * j - (k - j)) / k * ratios[k - j] * v[j] for j in range(k, 0, -1)))
         return out
 
 
@@ -489,8 +524,8 @@ class PolyFamily(Family):
     def _evaluate(self, z, orders, members=None):
         z = _checked_points(z)
         top = max(orders)
-        d = [z, 1, 0] if self.phi is None else self.phi._derivatives(z, top)
-        F = [1, 0, 0] if self.F is None else self.F._derivatives(z, top)
+        d = [z, 1, 0] if self.phi is None else _derivatives_at(self.phi, z, top)
+        F = [1, 0, 0] if self.F is None else _derivatives_at(self.F, z, top)
         powers = self._powers(z if self.phi is None else _checked_points(d[0], "composition inner value"))
         out = []
         for order in orders:
@@ -631,10 +666,12 @@ def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> i
 
 
 def _check_nonvanishing(inner: AnalyticExpr, node_name: str) -> None:
-    vals = inner._derivatives(_validation_circle(), 0)[0]
+    vals = _walk(inner, _validation_circle(), 0)[0]
     modulus = np.abs(vals)
-    low = float(np.min(modulus))
-    if low <= _ZERO_THRESHOLD * float(np.max(modulus)):
+    low, high = float(np.min(modulus)), float(np.max(modulus))
+    if not np.isfinite(high):
+        raise DomainError(f"{node_name} inner function is not finite on the validation circle")
+    if low <= _ZERO_THRESHOLD * high:
         raise DomainError(
             f"{node_name} inner function nearly vanishes on the validation circle (min modulus {low})"
         )

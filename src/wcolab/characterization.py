@@ -279,12 +279,12 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     report.inverse_map = psi
     report.roundtrip_residual = _roundtrip_residual(w, G, psi, cfg, seed)
     conditions = report.section_conditions = dict.fromkeys(SECTION_DIMENSIONS, float("inf"))
-    # Each section is a leading block of the largest one: the same FFT on the same circle.
+    # Each section is a leading block of the largest one.
     with contextlib.suppress(WcolabError):
         largest = finite_section(w, max(SECTION_DIMENSIONS), cfg)
         for N in SECTION_DIMENSIONS:
             with contextlib.suppress(WcolabError, np.linalg.LinAlgError):
-                conditions[N] = condition_number(FiniteSection(N, largest.entries[:N, :N], largest.radius))
+                conditions[N] = condition_number(FiniteSection(N, largest.entries[:N, :N]))
     return report
 
 

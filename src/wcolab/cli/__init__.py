@@ -146,7 +146,7 @@ def _writable(path: str) -> bool:
 
 def _run_section(w: WcoSymbols, args, cfg) -> tuple:
     section = finite_section(w, args.dim, cfg)
-    result = {"dimension": section.dimension, "radius": section.radius}
+    result = {"dimension": section.dimension}
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -188,8 +188,10 @@ def main(argv=None) -> int:
             path = getattr(args, flag, None)
             if path and not _writable(path):
                 raise _Usage(f"--{flag}: cannot write {path}")
-    except (WcolabError, _Usage) as exc:
-        print(f"wcolab: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Whatever rejects the input, it is unusable input, reported on one line.
+        message = str(exc) if isinstance(exc, (WcolabError, _Usage)) else f"{type(exc).__name__}: {exc}"
+        print("wcolab:", " ".join(message.split()), file=sys.stderr)
         return 64
 
     inputs = {"seed": args.seed, "grid": cfg}

@@ -13,18 +13,12 @@ import dataclasses
 import numpy as np
 import numpy.random  # loaded here rather than by the first random_polynomials call
 
-from .analytic_core import AnalyticExpr, Family, Poly, PolyFamily, _image, _validation_circle, as_family, image_family
+from .analytic_core import AnalyticExpr, Family, Poly, _image, _validation_circle, as_family, image_family, series
 from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
-from .quadrature import GridConfig, taylor_coefficients
+from .quadrature import GridConfig
 from .spaces import SpaceSpec, norms
 
 DEFAULT_SEED = 0x5EED
-
-# Finite sections extract coefficients on this circle.  Coefficient k is
-# the k-th Fourier coefficient times r^-k, so it carries the rounding of
-# the samples times r^-k: at dimension 32 that is 2^31 on r = 0.5 and 26
-# on r = 0.9.  A grid whose r_max is smaller takes them on |z| = r_max.
-SECTION_RADIUS = 0.9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,12 +58,12 @@ def apply(w: WcoSymbols, f):
 class FiniteSection:
     """Leading N x N block of the coefficient matrix of an operator.
 
-    Column k holds the first N Taylor coefficients of the image of z^k.
+    Column k holds the first N Taylor coefficients at 0 of the image
+    F * phi^k of z^k.
     """
 
     dimension: int
     entries: np.ndarray
-    radius: float
 
 
 def monomial(k: int) -> Poly:
@@ -80,15 +74,20 @@ def monomial(k: int) -> Poly:
 
 
 def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> FiniteSection:
-    """The N-section from the images of z^0 .. z^(N-1), one stacked family and one FFT.
+    """The N-section from the power series of F and phi at 0.
 
-    Its leading n x n block is the n-section: the same FFT on the same circle.
+    Column k is the series of F times that of phi^k, truncated to N
+    terms, so its leading n x n block is the n-section.  The grid only
+    bounds N by n_theta/2.
     """
     if not 2 <= N <= cfg.n_theta // 2:
         raise ParameterError(f"section dimension must lie in [2, n_theta/2], got {N}")
-    images = apply(w, PolyFamily([monomial(k) for k in range(N)]))
-    radius = min(SECTION_RADIUS, cfg.r_max)
-    return FiniteSection(N, taylor_coefficients(images, N, radius, cfg).T, radius)
+    phi = series(w.phi, N)
+    entries = np.empty((N, N), dtype=complex)
+    entries[:, 0] = series(w.F, N)
+    for k in range(1, N):
+        entries[:, k] = np.convolve(entries[:, k - 1], phi)[:N]
+    return FiniteSection(N, entries)
 
 
 def condition_number(s: FiniteSection) -> float:

@@ -3,15 +3,13 @@
 Everything funnels through a GridConfig: angular trapezoid nodes (exact
 for trigonometric polynomials below the Nyquist degree), Gauss-Legendre
 radial nodes in t = r^2, a Gauss-Jacobi rule for weighted radial
-integrals with an endpoint weight, a refined grid supremum, and
-Cauchy coefficient extraction on circles.
+integrals with an endpoint weight, and a refined grid supremum.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import warnings
 
 import numpy as np
 # numpy imports its submodules on first attribute access; importing them
@@ -19,7 +17,7 @@ import numpy as np
 import numpy.fft
 import numpy.polynomial.legendre
 
-from .analytic_core import R_MAX, Family, as_family, unit_circle
+from .analytic_core import R_MAX, as_family, unit_circle
 from .errors import ParameterError
 
 
@@ -27,7 +25,7 @@ from .errors import ParameterError
 class GridConfig:
     """Grid sizes shared by all quadrature routines.
 
-    n_theta angular nodes (a power of two, so coefficient extraction can
+    n_theta angular nodes (a power of two, so that angular transforms
     use the FFT), n_radial Gauss-Legendre nodes, and the outermost radius
     r_max, which fixes the ladder of radii approaching it (sup_radii).
     """
@@ -321,31 +319,3 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
             if not len(run):
                 break
     return phi.reshape(batch)
-
-
-def taylor_coefficients(f, count: int, r: float, cfg: GridConfig) -> np.ndarray:
-    """First count Taylor coefficients of f via the FFT on a circle.
-
-    c_k equals the k-th Fourier coefficient of f on |z| = r divided by
-    r^k.  For a Family f the result has one row per member, from one FFT
-    along the last axis.  Warns when r^count drops below 1e-12: the
-    rescaling is then ill-conditioned and high coefficients are
-    unreliable.
-    """
-    if not 0.0 < r <= cfg.r_max:
-        raise ParameterError(f"extraction radius must lie in (0, r_max], got {r}")
-    if count > cfg.n_theta // 2:
-        raise ParameterError(
-            f"count must not exceed n_theta/2 = {cfg.n_theta // 2}, got {count}"
-        )
-    if r ** count < 1e-12:
-        warnings.warn(
-            f"coefficient extraction at radius {r} is ill-conditioned beyond degree "
-            f"{int(np.log(1e-12) / np.log(r))}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    z = r * unit_circle(cfg.n_theta)
-    vals = f.derivative(z, 0) if isinstance(f, Family) else f(z)
-    hat = np.fft.fft(vals) / cfg.n_theta
-    return hat[..., :count] / r ** np.arange(count)

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from wcolab import (
     BranchError,
     moebius_inverse,
     rotation_map,
+    series,
     winding_number,
 )
 from wcolab.analytic_core import TreeFamily, _checked_points
@@ -166,6 +168,13 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             Recip(Poly((-0.25, 0.0, 1.0)))
 
+    def test_nonfinite_inner_rejected(self):
+        # 2^2000 overflows and 0.5^2000 underflows: the inner function is NaN on the circle.
+        nan = Mul(Pow(Poly((2.0,)), 2000.0), Pow(Poly((0.5,)), 2000.0))
+        for node in (Recip, lambda u: Pow(u, 0.5)):
+            with pytest.raises(DomainError, match="not finite"):
+                node(nan)
+
     def test_recip_jet_closed_form(self):
         f = Recip(Poly((2.0, 1.0)))
         z = 0.3 + 0.2j
@@ -262,6 +271,92 @@ class TestValuePath:
         for k, f in enumerate(family):
             want = f.derivatives(z[k], 1)
             assert [_bits(got[0][k]), _bits(got[1][k])] == [_bits(want[0]), _bits(want[1])]
+
+
+class TestSeries:
+    """series(f, N) against references built without the Taylor rules, at orders above 2."""
+
+    N = 24
+    U = Poly((2.0, 0.5j, 0.25))
+    MAP = MoebiusMap(0.3 - 0.4j, np.exp(0.7j))
+    OUTER = Poly((0.5, -1.0, 0.25j, 0.3, -0.2, 0.1j))
+    INNER = Poly((0.1, 0.5, 0.2j))
+
+    @classmethod
+    def padded(cls, coeffs):
+        out = np.zeros(cls.N, dtype=complex)
+        coeffs = np.asarray(coeffs, dtype=complex)[: cls.N]
+        out[: len(coeffs)] = coeffs
+        return out
+
+    @classmethod
+    def reciprocal(cls, coeffs):
+        # The quotient of w^(N-1+d) by the reversed polynomial lists the series of 1/p from its top.
+        d = len(coeffs) - 1
+        quotient, _ = P.polydiv(np.eye(1, cls.N + d)[0][::-1], np.asarray(coeffs)[::-1])
+        return quotient[::-1]
+
+    @classmethod
+    def geometric(cls, m):
+        # lam (a - z) / (1 - conj(a) z) = lam (a - z) sum (conj(a) z)^k
+        k = np.arange(cls.N)
+        return cls.padded(P.polymul([m.lam * m.a, -m.lam], np.conj(m.a) ** k))
+
+    @classmethod
+    def composed(cls, outer, inner):
+        out = np.zeros(cls.N, dtype=complex)
+        for c in reversed(outer):
+            out = cls.padded(P.polymul(out, inner))
+            out[0] += c
+        return out
+
+    @classmethod
+    def cases(cls):
+        alpha = 1.3113
+        binomial = np.concatenate([[1.0], np.cumprod((alpha - np.arange(cls.N - 1)) / np.arange(1, cls.N))])
+        pow_real = (Pow(Poly((2.2558, 0.9 + 0.4j)), alpha), 2.2558**alpha * binomial * ((0.9 + 0.4j) / 2.2558) ** np.arange(cls.N))
+        recip = (Recip(cls.U), cls.reciprocal(cls.U.coeffs))
+        moebius = (Moebius(cls.MAP), cls.geometric(cls.MAP))
+        compose = (Compose(cls.OUTER, Moebius(cls.MAP)), cls.composed(cls.OUTER.coeffs, moebius[1]))
+        return {
+            "poly": (cls.OUTER, cls.padded(cls.OUTER.coeffs)),
+            "recip": recip,
+            "pow_integer": (Pow(cls.U, 3.0), cls.padded(P.polypow(cls.U.coeffs, 3))),
+            "pow_real": pow_real,
+            "moebius": moebius,
+            "compose_moebius": compose,
+            "compose_poly": (Compose(cls.OUTER, cls.INNER), cls.composed(cls.OUTER.coeffs, cls.padded(cls.INNER.coeffs))),
+            "mul": (Mul(recip[0], compose[0]), cls.padded(P.polymul(recip[1], compose[1]))),
+            "add": (Add(pow_real[0], moebius[0]), pow_real[1] + moebius[1]),
+        }
+
+    @pytest.mark.parametrize("name", ["poly", "recip", "pow_integer", "pow_real", "moebius", "compose_moebius", "compose_poly", "mul", "add"])
+    def test_matches_reference(self, name):
+        f, want = self.cases()[name]
+        got = series(f, self.N)
+        assert got.shape == (self.N,)
+        if name == "poly":
+            assert got.tobytes() == want.tobytes()
+        assert _normwise(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(TestValuePath.NODES))
+    def test_derivatives_are_scaled_coefficients(self, name):
+        f = TestValuePath.NODES[name]
+        for c in (0.3 - 0.2j, -0.55 + 0.61j, 0.9j):
+            t = f._taylor(_checked_points(c), 2)
+            assert [_bits(d) for d in f.derivatives(c, 2)] == [_bits(complex(d)) for d in (t[0], t[1], 2 * t[2])]
+
+    @pytest.mark.parametrize("name", sorted(TestValuePath.NODES))
+    def test_coefficients_do_not_depend_on_the_order(self, name, cfg):
+        f = TestValuePath.NODES[name]
+        for z in (TestValuePath.grid(cfg)[::8, ::16], np.asarray(0.3 - 0.2j)):
+            full = [_bits(c) for c in f._taylor(z, self.N)]
+            for n in (0, 1, 2, 7):
+                assert [_bits(c) for c in f._taylor(z, n)] == full[: n + 1]
+
+    def test_length_validation(self):
+        with pytest.raises(ParameterError):
+            series(self.U, 0)
 
 
 def _normwise(got, ref) -> float:

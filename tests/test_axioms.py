@@ -5,7 +5,7 @@ import collections
 import numpy as np
 import pytest
 
-from wcolab import axiom_harness
+from wcolab import axiom_harness, spaces
 from wcolab.analytic_core import Add, Compose, Const, Family, Moebius, MoebiusMap, Mul, PolyFamily
 from wcolab.axiom_harness import (
     A1_RADII,
@@ -111,9 +111,24 @@ class TestIndividualChecks:
         assert "not applicable" in report.note
 
     def test_a6_defects_tiny_on_besov(self, cfg):
-        report = check_a6(parse_space("besov:2,0"), cfg, harness_family()[:5])
+        report = check_a6(parse_space("besov:2,0"), cfg)
         assert report.passed
         assert report.measured["increment_defect"] < 1e-10
+
+    def test_a6_fails_on_a_seminorm_that_sees_constants(self, cfg, monkeypatch):
+        # A seminorm with an order-0 leak: p(f) + 1e-6 |f(0)|.
+        parts = spaces._norm_parts
+
+        def leaky(space, fam, cfg):
+            total, point, semi = parts(space, fam, cfg)
+            return total, point, semi + 1e-6 * point
+
+        monkeypatch.setattr(spaces, "_norm_parts", leaky)
+        report = check_a6(parse_space("bloch:1"), cfg)
+        assert not report.passed
+        defect = report.measured["increment_defect"]
+        assert defect == pytest.approx(1e-6 * max(abs(c) for c in A6_CONSTANTS), rel=1e-12)
+        assert report.witnesses == ({"increment_defect": defect},)
 
 
 DECOMPOSED_FAMILIES = ("bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1")

@@ -365,19 +365,6 @@ class TestSectionCommand:
                 assert entries[i][j]["re"] == pytest.approx(expected, abs=1e-12)
                 assert entries[i][j]["im"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_grid_inside_the_section_circle(self, capsys):
-        # With r_max below SECTION_RADIUS the section is taken on |z| = r_max.
-        code, doc, _ = run_checked(
-            capsys,
-            "section",
-            "--F", "poly(1.0)",
-            "--phi", "poly(0.0,1.0)",
-            "--dim", "4",
-            "--rmax", "0.6",
-        )
-        assert code == 0
-        assert doc["result"]["radius"] == 0.6
-
     def test_csv_export(self, capsys, tmp_path):
         path = tmp_path / "section.csv"
         code, doc, _ = run_checked(
@@ -482,6 +469,14 @@ class TestErrorPaths:
         proc = _python("-m", "wcolab.cli", *argv)
         assert (proc.returncode, proc.stdout) == (64, "")
         assert "wcolab:" in proc.stderr and "self-map" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["plain", "warnings-as-errors"])
+    def test_overflow_at_input_is_one_line(self, flags):
+        # numpy's overflow warnings stay inside the node rules, so even
+        # with warnings turned into errors the input is rejected in one line.
+        proc = _python(*flags, "-m", "wcolab.cli", "norm", "--space", "hardy:2", "--fn", f"compose(poly(0.0,1.0),{self.NAN_MAP})")
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr.startswith("wcolab:") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_bad_symbol_pair_is_usage(self, capsys):
         # phi fails the self-map validation during input construction
@@ -633,9 +628,8 @@ class TestCliContract:
     @example(argv=["norm", "--space", "hardy:2", "--fn", "recip(" * 10000 + "poly(2.0,1.0)" + ")" * 10000, *_COARSE])
     def test_exit_code_and_output(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        # As in a plain CLI process, no filter turns a warning into an
-        # error; numpy's floating-point warnings are off.
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
+        # As in a plain CLI process, no filter turns a warning into an error.
+        with warnings.catch_warnings():
             warnings.resetwarnings()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -643,6 +637,7 @@ class TestCliContract:
         assert code in (0, 1, 2, 64)
         if code == 64:
             assert out == ""
+            assert err.startswith("wcolab:") and err.count("\n") == 1, err
         else:
             jsonschema.validate(json.loads(out, parse_constant=_reject_constant), SCHEMA)
         if code == 1:

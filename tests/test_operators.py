@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import seeded_polys
-from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, Pow, Recip, rotation_map
+from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, Pow, Recip, rotation_map, series
 from wcolab.errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from wcolab.operators import (
     DEFAULT_SEED,
     FiniteSection,
-    SECTION_RADIUS,
     WcoSymbols,
     apply,
     condition_number,
@@ -19,7 +18,7 @@ from wcolab.operators import (
     monomial,
     random_polynomials,
 )
-from wcolab.quadrature import GridConfig, unit_circle
+from wcolab.quadrature import GridConfig
 from wcolab.spaces import parse_space
 
 IDENTITY = Poly((0.0, 1.0))
@@ -68,28 +67,21 @@ class TestFiniteSection:
     def test_matches_one_image_per_monomial(self, cfg):
         w = WcoSymbols(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j))))
         N = 12
-        z = SECTION_RADIUS * unit_circle(cfg.n_theta)
-        want = np.empty((N, N), dtype=complex)
-        for k in range(N):
-            hat = np.fft.fft(apply(w, monomial(k))(z)) / cfg.n_theta
-            want[:, k] = hat[:N] / SECTION_RADIUS ** np.arange(N)
-        assert finite_section(w, N, cfg).entries.tobytes() == want.tobytes()
+        want = np.stack([series(apply(w, monomial(k)), N) for k in range(N)], axis=1)
+        got = finite_section(w, N, cfg).entries
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_identity_operator(self, cfg):
         w = WcoSymbols(Const(1.0), IDENTITY)
         s = finite_section(w, 8, cfg)
         assert s.dimension == 8
-        assert s.radius == SECTION_RADIUS
         assert np.max(np.abs(s.entries - np.eye(8))) < 1e-12
 
-    def test_sections_on_a_grid_inside_the_section_circle(self):
-        # A grid whose r_max lies below SECTION_RADIUS takes the sections
-        # on its outer circle |z| = r_max.
-        grid = GridConfig(r_max=0.6)
-        theta = 1.1
-        s = finite_section(WcoSymbols(Const(1.0), Moebius(rotation_map(theta))), 8, grid)
-        assert s.radius == grid.r_max
-        assert np.max(np.abs(s.entries - np.diag(np.exp(1j * theta * np.arange(8))))) < 1e-11
+    def test_independent_of_r_max(self, cfg):
+        # Sections come from the series at 0, so the grid's outer radius plays no part.
+        w = WcoSymbols(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j))))
+        s = finite_section(w, 16, GridConfig(r_max=0.6))
+        assert s.entries.tobytes() == finite_section(w, 16, cfg).entries.tobytes()
 
     def test_rotation_is_diagonal(self, cfg):
         theta = 1.1
@@ -124,7 +116,7 @@ class TestFiniteSection:
         # F = c0^alpha (1 + (c1/c0) z)^alpha by the binomial series and
         # phi = lam (a - z) sum (conj(a) z)^n by the geometric series; the
         # first N coefficients of F phi^k are exact truncated convolutions.
-        # On r = 0.5 the 32-section is off by about 6e-8.
+        # Taken on the circle r = 0.5, the 32-section was off by about 6e-8.
         c0, c1, alpha = 2.2558, 0.9 + 0.4j, 1.3113
         a, lam = 0.5 - 0.2j, np.exp(0.4j)
         N = 32
@@ -141,6 +133,7 @@ class TestFiniteSection:
         for n in (8, 16, 32):
             got = finite_section(w, n, cfg).entries
             assert np.max(np.abs(got - want[:n, :n])) < 1e-12
+            assert np.max(np.abs(got - want[:n, :n])) <= 1e-14 * np.max(np.abs(want[:n, :n]))
 
     def test_condition_number_identity(self, cfg):
         w = WcoSymbols(Const(1.0), IDENTITY)
@@ -155,12 +148,12 @@ class TestFiniteSection:
 
     def test_singular_section_raises(self):
         entries = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        s = FiniteSection(2, entries, SECTION_RADIUS)
+        s = FiniteSection(2, entries)
         with pytest.raises(SingularMatrix):
             condition_number(s)
 
     def test_condition_number_dimension_guard(self):
-        s = FiniteSection(1, np.array([[1.0]], dtype=complex), SECTION_RADIUS)
+        s = FiniteSection(1, np.array([[1.0]], dtype=complex))
         with pytest.raises(ParameterError):
             condition_number(s)
 
