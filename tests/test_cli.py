@@ -365,6 +365,15 @@ class TestSectionCommand:
                 assert entries[i][j]["re"] == pytest.approx(expected, abs=1e-12)
                 assert entries[i][j]["im"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_grid_inside_the_section_circle(self, capsys):
+        # A grid with a small r_max gives the same section as the default grid.
+        argv = ("section", "--F", "poly(1.0)", "--phi", "poly(0.0,1.0)", "--dim", "4")
+        code, doc, _ = run_checked(capsys, *argv, "--rmax", "0.6")
+        assert code == 0
+        assert "radius" not in doc["result"]
+        _, default, _ = run_checked(capsys, *argv)
+        assert doc["result"]["entries"] == default["result"]["entries"]
+
     def test_csv_export(self, capsys, tmp_path):
         path = tmp_path / "section.csv"
         code, doc, _ = run_checked(

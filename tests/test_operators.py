@@ -83,6 +83,13 @@ class TestFiniteSection:
         s = finite_section(w, 16, GridConfig(r_max=0.6))
         assert s.entries.tobytes() == finite_section(w, 16, cfg).entries.tobytes()
 
+    def test_sections_on_a_grid_inside_the_section_circle(self):
+        # A grid with a small r_max still gives the exact rotation section.
+        grid = GridConfig(r_max=0.6)
+        theta = 1.1
+        s = finite_section(WcoSymbols(Const(1.0), Moebius(rotation_map(theta))), 8, grid)
+        assert np.max(np.abs(s.entries - np.diag(np.exp(1j * theta * np.arange(8))))) < 1e-11
+
     def test_rotation_is_diagonal(self, cfg):
         theta = 1.1
         w = WcoSymbols(Const(1.0), Moebius(rotation_map(theta)))
