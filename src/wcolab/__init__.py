@@ -13,7 +13,6 @@ from .analytic_core import (
     Compose,
     Const,
     Family,
-    Jet2,
     Moebius,
     MoebiusMap,
     Mul,

@@ -27,26 +27,14 @@ R_MAX = 1.0 - 1e-6
 # Circle samples used by cheap construction-time checks.
 _VALIDATION_SAMPLES = 256
 
-# Moduli below this fraction of the largest modulus on the same samples
+# Moduli at most this fraction of the largest modulus on the same samples
 # are treated as zeros: relative, since c·F has the zeros of F.
-_ZERO_THRESHOLD = 1e-9
+ZERO_THRESHOLD = 1e-9
 
 # Families evaluate a 2-D grid in blocks of rows so that no stacked
 # intermediate (one complex array over members x block) exceeds this;
 # a block still holds at least one whole row, which reductions need.
 BLOCK_BYTES = 1 << 20
-
-
-@dataclasses.dataclass(frozen=True)
-class Jet2:
-    """Value and first two derivatives of an analytic function at a point.
-
-    The fields are complex scalars or numpy arrays (one jet per point).
-    """
-
-    f: complex
-    df: complex
-    d2f: complex
 
 
 def _checked_points(z, what: str = "evaluation point") -> np.ndarray:
@@ -126,8 +114,8 @@ class AnalyticExpr:
     points, which returns the Taylor coefficients [f, f', f''/2, ...,
     f^(n)/n!] about every point for any n >= 0 and computes none beyond
     order n; a coefficient does not depend on the order asked for.
-    Public evaluation goes through derivatives, jet, __call__ and
-    series, which validate the points and convert scalars.
+    Public evaluation goes through derivatives, __call__ and series,
+    which validate the points and convert scalars.
     Nodes carry no arithmetic operators: a tree is built from the node
     classes, as Add(f, Const(c)) or Mul(F, Compose(f, phi)).
     """
@@ -143,9 +131,9 @@ class AnalyticExpr:
         out = _derivatives_at(self, arr, n)
         return [complex(d) for d in out] if arr.ndim == 0 else out
 
-    def jet(self, z) -> Jet2:
-        """2-jet (f, f', f'') at z; z a complex scalar or array, |z| < 1."""
-        return Jet2(*self.derivatives(z, 2))
+    def jet(self, z) -> list:
+        """derivatives(z, 2): only perfbench/tracer.py's patch point, until the tracer reads spans (ROADMAP)."""
+        return self.derivatives(z, 2)
 
     def __call__(self, z):
         """Value at z; z a complex scalar or array, |z| < 1."""
@@ -206,11 +194,6 @@ class Poly(AnalyticExpr):
         # coefficient k about z of the polynomial read so far.  No array
         # outlives its first update: one kept alive through the loop slows
         # every product on a large grid by about a third.
-        if n == 0:
-            f = np.zeros_like(z)
-            for c in reversed(self.coeffs):
-                f = f * z + c
-            return [f]
         t = [np.zeros_like(z) for _ in range(n + 1)]
         for c in reversed(self.coeffs):
             for k in range(n, 0, -1):
@@ -271,12 +254,7 @@ class Compose(AnalyticExpr):
     inner: AnalyticExpr
 
     def __post_init__(self):
-        vals = _walk(self.inner, _validation_circle(), 0)[0]
-        worst = float(np.max(np.abs(vals)))
-        if not worst < 1.0:
-            raise DomainError(
-                f"composition inner function is not a disk self-map on the validation circle (max modulus {worst})"
-            )
+        validation_values(self.inner, "composition inner function is not a disk self-map", 1.0)
 
     def _taylor(self, z, n):
         # The outer series about the inner values, summed by Horner's rule
@@ -393,13 +371,10 @@ class Family:
         raise NotImplementedError
 
     def _shared(self, z, orders: tuple) -> list:
+        """Stacked derivatives of the given orders at the shared points z, each of shape (len(self),) + z.shape."""
         z = np.asarray(z, dtype=complex)
         shape = (len(self),) + z.shape
         return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders)]
-
-    def jets(self, z) -> Jet2:
-        """2-jets of every member at the shared points z, shape (len(self),) + z.shape."""
-        return Jet2(*self._shared(z, (0, 1, 2)))
 
     def derivative(self, z, order: int) -> np.ndarray:
         """Derivative of the given order of every member at the shared points z."""
@@ -635,17 +610,21 @@ def unit_circle(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-@functools.cache
-def _validation_circle() -> np.ndarray:
-    return R_MAX * unit_circle(_VALIDATION_SAMPLES)
-
-
 def _winding_from_values(vals: np.ndarray) -> int:
     """Winding number about 0 of a sampled closed curve by phase unwrapping."""
     phases = np.angle(vals)
     jumps = np.diff(np.concatenate([phases, phases[:1]]))
     jumps = (jumps + np.pi) % (2.0 * np.pi) - np.pi
     return int(np.round(jumps.sum() / (2.0 * np.pi)))
+
+
+def validation_values(f: AnalyticExpr, what: str, bound: float = np.inf) -> np.ndarray:
+    """f on the circle |z| = R_MAX; DomainError unless every modulus is below bound, which NaN is not."""
+    vals = _walk(f, R_MAX * unit_circle(_VALIDATION_SAMPLES), 0)[0]
+    worst = float(np.max(np.abs(vals)))
+    if not worst < bound:
+        raise DomainError(f"{what} on the validation circle (max modulus {worst})")
+    return vals
 
 
 def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> int:
@@ -660,18 +639,17 @@ def winding_number(f: AnalyticExpr, r: float, n: int = _VALIDATION_SAMPLES) -> i
         raise ParameterError(f"contour radius must lie in (0, {R_MAX}]")
     vals = f(r * unit_circle(n))
     modulus = np.abs(vals)
-    if float(np.min(modulus)) <= _ZERO_THRESHOLD * float(np.max(modulus)):
-        raise ContourZero(f"function modulus below {_ZERO_THRESHOLD} of its maximum on the circle of radius {r}")
+    # Fails closed: a NaN sample gives no phase either.
+    if not float(np.min(modulus)) > ZERO_THRESHOLD * float(np.max(modulus)):
+        raise ContourZero(f"function modulus below {ZERO_THRESHOLD} of its maximum on the circle of radius {r}")
     return _winding_from_values(vals)
 
 
 def _check_nonvanishing(inner: AnalyticExpr, node_name: str) -> None:
-    vals = _walk(inner, _validation_circle(), 0)[0]
+    vals = validation_values(inner, f"{node_name} inner function is not finite")
     modulus = np.abs(vals)
     low, high = float(np.min(modulus)), float(np.max(modulus))
-    if not np.isfinite(high):
-        raise DomainError(f"{node_name} inner function is not finite on the validation circle")
-    if low <= _ZERO_THRESHOLD * high:
+    if low <= ZERO_THRESHOLD * high:
         raise DomainError(
             f"{node_name} inner function nearly vanishes on the validation circle (min modulus {low})"
         )

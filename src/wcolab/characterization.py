@@ -25,6 +25,7 @@ from .analytic_core import (
     MoebiusMap,
     R_MAX,
     Recip,
+    ZERO_THRESHOLD,
     as_family,
     image_family,
     moebius_inverse,
@@ -54,7 +55,6 @@ from .spaces import SpaceSpec, norm, norms, seminorm
 
 AUTOMORPHISM_TOL = 1e-8
 UNIMODULAR_TOL = 1e-9
-MIN_MODULUS_TOL = 1e-9
 EMPIRICAL_RATIO_CAP = 1e3
 TREND_SLOPE_TOL = 0.05
 SECTION_DIMENSIONS = (8, 16, 32)
@@ -232,7 +232,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     automorphism fit, or zeros of F inside the disk, or an exact
     multiplier criterion failing for 1/F.  Inconclusive covers the
     empirical-multiplier families, weights whose minimum modulus on the
-    scan grid is at most MIN_MODULUS_TOL times their maximum there, too
+    scan grid is at most ZERO_THRESHOLD times their maximum there, too
     small to exclude near-boundary zeros, and grids with r_max short of
     R_MAX, whose zero counts miss part of the disk.  Like the zero count,
     that test is relative, so c * F has the verdict of F for every c != 0;
@@ -258,7 +258,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     if zeros != 0:
         report.verdict = "NotInvertible"
         return report
-    if min_mod <= MIN_MODULUS_TOL * float(np.max(modulus)):
+    if min_mod <= ZERO_THRESHOLD * float(np.max(modulus)):
         report.caveat = (
             f"min |F| on the grid is {min_mod:.3e}; zeros near the boundary cannot be excluded"
         )

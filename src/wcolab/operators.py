@@ -13,8 +13,8 @@ import dataclasses
 import numpy as np
 import numpy.random  # loaded here rather than by the first random_polynomials call
 
-from .analytic_core import AnalyticExpr, Family, Poly, _image, _validation_circle, as_family, image_family, series
-from .errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
+from .analytic_core import AnalyticExpr, Family, Poly, _image, as_family, image_family, series, validation_values
+from .errors import DegenerateInput, ParameterError, SingularMatrix
 from .quadrature import GridConfig
 from .spaces import SpaceSpec, norms
 
@@ -25,23 +25,19 @@ DEFAULT_SEED = 0x5EED
 class WcoSymbols:
     """Symbols of a weighted composition operator.
 
-    phi must map the disk into itself on the sampled grid; F must not be
-    identically zero and phi must not be constant, which would make the
-    operator degenerate.
+    phi must map the disk into itself on the sampled grid and F must be
+    finite there; F must not be identically zero and phi must not be
+    constant, which would make the operator degenerate.
     """
 
     F: AnalyticExpr
     phi: AnalyticExpr
 
     def __post_init__(self):
-        circle = _validation_circle()
-        phi_vals = self.phi(circle)
-        if not float(np.max(np.abs(phi_vals))) < 1.0:
-            raise DomainError("phi is not a self-map of the disk on the validation circle")
+        phi_vals = validation_values(self.phi, "phi is not a self-map of the disk", 1.0)
         if float(np.max(np.abs(phi_vals - phi_vals[0]))) < 1e-15:
             raise DegenerateInput("phi is constant on the validation circle")
-        f_vals = self.F(circle)
-        if not np.any(f_vals):
+        if not np.any(validation_values(self.F, "F is not finite")):
             raise DegenerateInput("F vanishes identically on the validation circle")
 
 

@@ -150,7 +150,7 @@ def _reference_reports(space, cfg, family) -> dict:
     estimates, bounds, witnesses = [], [], []
     for r in A1_RADII:
         z = r * unit_circle(cfg.n_theta)
-        est = max(float(np.max(np.abs(f.jet(z).f))) / nf for f, nf in zip(family, fam_norms))
+        est = max(float(np.max(np.abs(f(z)))) / nf for f, nf in zip(family, fam_norms))
         b = CHAIN_SLACK * (1.0 + pointeval_bound(space, r))
         estimates.append(est)
         bounds.append(b)

@@ -213,15 +213,37 @@ class TestVerdictCommands:
             "--phi", "mobius(0.3,0.0,0.0)",
         )
         assert code == 0
-        G = parse_expression(doc["result"]["inverse_weight"])
-        psi = parse_expression(doc["result"]["inverse_map"])
-        w = parse_expression("poly(2.0,0.5)")
-        phi = parse_expression("mobius(0.3,0.0,0.0)")
-        # G(z) * (W z^2)(psi(z)) must recover z^2
-        z = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
-        psi_z = psi.jet(z).f
-        recovered = G.jet(z).f * (w.jet(psi_z).f * (phi.jet(psi_z).f) ** 2)
-        assert np.max(np.abs(recovered - z**2)) < 1e-10
+        assert_inverse_recovers(doc["result"], "poly(2.0,0.5)", "mobius(0.3,0.0,0.0)")
+
+    def test_invert_emits_formal_inverse_when_inconclusive(self, capsys):
+        # 1/F is only tested empirically on besov:2,0, so the verdict is
+        # Inconclusive; phi is an automorphism and F has no zeros, so the
+        # formal inverse is printed with the caveat.
+        code, doc, _ = run_checked(
+            capsys,
+            "invert",
+            "--space", "besov:2,0",
+            "--F", "poly(2.0,0.5)",
+            "--phi", "mobius(0.3,0.0,0.0)",
+        )
+        result = doc["result"]
+        assert code == 2
+        assert result["verdict"] == "Inconclusive"
+        assert result["inverse_weight"] == "recip(compose(poly(2.0,0.5),mobius(0.3,0.0,-0.0)))"
+        assert result["roundtrip_residual"] is None
+        assert result["caveat"] == "multiplier membership of 1/F is only tested empirically in this space"
+        assert_inverse_recovers(result, "poly(2.0,0.5)", "mobius(0.3,0.0,0.0)")
+
+
+def assert_inverse_recovers(result, F, phi):
+    """G(z) * (W z^2)(psi(z)) must recover z^2, for the printed inverse symbols G and psi of W."""
+    G = parse_expression(result["inverse_weight"])
+    psi = parse_expression(result["inverse_map"])
+    w, phi = parse_expression(F), parse_expression(phi)
+    z = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+    psi_z = psi(z)
+    recovered = G(z) * (w(psi_z) * phi(psi_z) ** 2)
+    assert np.max(np.abs(recovered - z**2)) < 1e-10
 
 
 class TestOutputContract:
@@ -462,7 +484,7 @@ class TestErrorPaths:
         assert (code, out) == (64, "")
         assert err.startswith("wcolab:") and err.count("\n") == 1
 
-    # 2^2000 overflows and 0.5^2000 underflows, so this phi is inf * 0 = NaN on the disk.
+    # 2^2000 overflows and 0.5^2000 underflows, so this function is inf * 0 = NaN on the disk.
     NAN_MAP = "mul(pow(poly(2.0),2000.0),pow(poly(0.5),2000.0))"
 
     @pytest.mark.parametrize(
@@ -486,6 +508,16 @@ class TestErrorPaths:
         proc = _python(*flags, "-m", "wcolab.cli", "norm", "--space", "hardy:2", "--fn", f"compose(poly(0.0,1.0),{self.NAN_MAP})")
         assert (proc.returncode, proc.stdout) == (64, "")
         assert proc.stderr.startswith("wcolab:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["plain", "warnings-as-errors"])
+    @pytest.mark.parametrize("command", ["check-invertible", "invert", "check-isometry", "section"])
+    def test_non_finite_weight_is_usage(self, command, flags):
+        # The same NaN function as the weight F: rejected as it is read,
+        # not by the zero count or the envelope's JSON check.
+        space = () if command == "section" else ("--space", "hardy:2")
+        proc = _python(*flags, "-m", "wcolab.cli", command, *space, "--F", self.NAN_MAP, "--phi", "mobius(0.5,0.0,0.0)")
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr.startswith("wcolab: F is not finite") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_bad_symbol_pair_is_usage(self, capsys):
         # phi fails the self-map validation during input construction

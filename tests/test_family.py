@@ -42,11 +42,10 @@ def assert_stacked_matches_trees(family, z):
     # Eight rows at a time, so the stacked arrays stay small.
     for start in range(0, len(z), 8):
         rows = slice(start, start + 8)
-        jets = family.jets(z[rows])
+        stacked = [family.derivative(z[rows], order) for order in (0, 1, 2)]
         for k, member in enumerate(family):
-            ref = member.jet(z[rows])
-            for got, want in ((jets.f[k], ref.f), (jets.df[k], ref.df), (jets.d2f[k], ref.d2f)):
-                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            for got, want in zip(stacked, member.derivatives(z[rows], 2)):
+                assert np.all(np.abs(got[k] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_probe_family_is_a_poly_family():
@@ -104,9 +103,9 @@ def test_images_share_the_polynomials_matrices(cfg):
 
 def test_values_equal_stacked_jet_values_bitwise(cfg):
     # One order alone skips the terms that only the others use, and must
-    # equal its rows of the full jets.  Points per member take their own
-    # contraction, so derivative_at is compared with an evaluation of all
-    # three orders at the same points.
+    # equal its rows of one evaluation of all three orders.  Points per
+    # member take their own contraction, so derivative_at is compared with
+    # an evaluation of all three orders at the same points.
     w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
     fam = as_family(default_probe_family()[:12])
     z = scan_grid(cfg)[::4]
@@ -119,10 +118,10 @@ def test_values_equal_stacked_jet_values_bitwise(cfg):
         image_family(None, v.phi, fam),
         TreeFamily((Recip(Poly((2.0, 1.0))), v.F, Poly((0.0, 1.0)))),
     ):
-        jets = family.jets(z)
+        together = family._shared(z, (0, 1, 2))
         zk = np.linspace(0.1, 0.9, len(family))[:, None] * unit_circle(64)[None, :]
         several = family._evaluate(zk, (0, 1, 2), np.arange(len(family)))
-        for order, stacked in enumerate((jets.f, jets.df, jets.d2f)):
+        for order, stacked in enumerate(together):
             assert family.derivative(z, order).tobytes() == stacked.tobytes()
             assert family.derivative_at(zk, order, np.arange(len(family))).tobytes() == several[order].tobytes()
 
@@ -171,17 +170,15 @@ def test_constants_have_zero_derivatives():
     # Width one: the derivative tables and matrices have no columns.
     fam = PolyFamily([Poly((2.0,)), Poly((0.5j,))])
     z = np.array([0.0, 0.3, -0.5j])
-    jets = fam.jets(z)
-    np.testing.assert_array_equal(jets.f, [[2.0] * 3, [0.5j] * 3])
+    np.testing.assert_array_equal(fam.derivative(z, 0), [[2.0] * 3, [0.5j] * 3])
     for order in (1, 2):
         assert fam.derivative(z, order).shape == (2, 3)
         assert not np.any(fam.derivative(z, order))
     # Images of constants: F times the constant, and F' times it.
     F = Poly((1.0, 2.0))
     images = image_family(F, SYMBOLS["involution"].phi, fam)
-    jets = images.jets(z)
-    for got, want in zip((jets.f, jets.df, jets.d2f), ([2.0 * F(z), 0.5j * F(z)], [[4.0] * 3, [1j] * 3], np.zeros((2, 3)))):
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    for order, want in enumerate(([2.0 * F(z), 0.5j * F(z)], [[4.0] * 3, [1j] * 3], np.zeros((2, 3)))):
+        np.testing.assert_allclose(images.derivative(z, order), want, rtol=1e-15, atol=0.0)
 
 
 def test_member_points(cfg):
@@ -192,8 +189,7 @@ def test_member_points(cfg):
         for family in (fam, trees):
             got = family.derivative_at(z, order, np.arange(len(family)))
             for k, member in enumerate(fam):
-                jet = member.jet(z[k])
-                want = (jet.f, jet.df, jet.d2f)[order]
+                want = member.derivatives(z[k], order)[order]
                 np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12)
 
 
@@ -208,9 +204,9 @@ def test_tree_family_fallback(cfg):
 def test_image_leaving_the_disk_raises():
     # phi = 2z leaves the disk for |z| >= 1/2.
     images = image_family(Const(1.0), Poly((0.0, 2.0)), as_family(default_probe_family()))
-    images.jets(np.array([0.1, 0.4j]))
+    images.derivative(np.array([0.1, 0.4j]), 2)
     with pytest.raises(DomainError):
-        images.jets(np.array([0.1, 0.6]))
+        images.derivative(np.array([0.1, 0.6]), 2)
     with pytest.raises(DomainError):
         images.derivative(np.array([0.1, 0.6]), 0)
 
@@ -226,7 +222,7 @@ def test_orders_beyond_two_raise():
 def test_points_outside_the_disk_raise():
     fam = as_family(default_probe_family())
     with pytest.raises(DomainError):
-        fam.jets(np.array([0.2, 1.0]))
+        fam.derivative(np.array([0.2, 1.0]), 2)
     with pytest.raises(DomainError):
         fam.derivative(np.array([np.nan]), 0)
 

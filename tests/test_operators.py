@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded_polys
-from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, Pow, Recip, rotation_map, series
+from wcolab.analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, Recip, rotation_map, series
 from wcolab.errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from wcolab.operators import (
     DEFAULT_SEED,
@@ -46,14 +46,20 @@ class TestSymbols:
         with pytest.raises(DegenerateInput):
             WcoSymbols(Const(0.0), IDENTITY)
 
+    def test_non_finite_weight_rejected(self):
+        # inf * 0 = NaN on the whole disk, which a test of F for nonzero values passes.
+        nan = Mul(Pow(Poly((2.0,)), 2000.0), Pow(Poly((0.5,)), 2000.0))
+        with pytest.raises(DomainError, match="^F is not finite"):
+            WcoSymbols(nan, IDENTITY)
+
     def test_apply_pointwise(self):
         F = Poly((1.0, 0.5j))
         phi = Poly((0.1, 0.0, 0.4))
         w = WcoSymbols(F, phi)
         image = apply(w, Poly((2.0, 0.0, 1.0)))
         z = 0.3 - 0.2j
-        expected = F.jet(z).f * (2.0 + phi.jet(z).f ** 2)
-        assert image.jet(z).f == pytest.approx(expected, rel=1e-14)
+        expected = F(z) * (2.0 + phi(z) ** 2)
+        assert image(z) == pytest.approx(expected, rel=1e-14)
 
 
 class TestFiniteSection:

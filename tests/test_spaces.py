@@ -313,7 +313,7 @@ class TestBmoa:
         t, w = gauss01(cfg.n_radial)
         z = np.sqrt(t)[:, None] * unit_circle(cfg.n_theta)[None, :]
         for f in seeded_polys(4, seed=11, max_degree=6):
-            base = float(w @ (np.abs(f.jet(z).df) ** 2 * (1.0 - np.abs(z) ** 2)).mean(axis=1))
+            base = float(w @ (np.abs(f.derivatives(z, 1)[1]) ** 2 * (1.0 - np.abs(z) ** 2)).mean(axis=1))
             assert seminorm(space, f, cfg) ** 2 >= base - 1e-10
 
 
@@ -516,7 +516,7 @@ class TestPointEvalBound:
         z = r * np.exp(2j * np.pi * np.arange(32) / 32)
         for f in seeded_polys(5, seed=7, max_degree=8):
             total = norm(space, f, cfg).total
-            gap = np.max(np.abs(f.jet(z).f - f.jet(0.0).f))
+            gap = np.max(np.abs(f(z) - f(0.0)))
             assert gap <= bound * total * (1.0 + 1e-9)
 
 
