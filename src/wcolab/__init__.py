@@ -57,7 +57,6 @@ from .errors import (
     WcolabError,
 )
 from .operators import (
-    FiniteSection,
     WcoSymbols,
     apply,
     condition_number,

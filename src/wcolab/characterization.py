@@ -42,7 +42,6 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_SEED,
-    FiniteSection,
     WcoSymbols,
     condition_number,
     default_probe_family,
@@ -70,14 +69,14 @@ def count_zeros(f: AnalyticExpr, r: float, cfg: GridConfig) -> int:
 
 def _count_zeros_retry(f: AnalyticExpr, cfg: GridConfig) -> int:
     # A zero sitting on the contour defeats the winding count; perturb
-    # the radius inward a few times before giving up.
-    last = None
+    # the radius inward a few times before giving up with the first failure.
+    first = None
     for shrink in (1.0, 1.0 - 1e-4, 1.0 - 7e-4, 1.0 - 3e-3):
         try:
             return count_zeros(f, cfg.r_max * shrink, cfg)
         except ContourZero as exc:
-            last = exc
-    raise last
+            first = first or exc
+    raise first
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,21 +120,19 @@ class MultiplierVerdict:
     criterion: str
 
 
-def _ladder_profile(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig) -> np.ndarray:
-    """max over |z| = r of omega(r^2) |u^(k)(z)| for each sup_radii r; (k, omega) from a sup space's NormShape."""
+def _grows_at_boundary(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig) -> tuple:
+    """Whether y(r) = max over |z| = r of omega(r^2) |u^(k)(z)| grows near the boundary, and y on the outermost circle.
+
+    (k, omega) come from a sup space's NormShape.  y grows when its slope
+    against log(1/(1-r)) over the six outermost sup_radii exceeds
+    TREND_SLOPE_TOL times its largest value there, so c * u grows when u does.
+    """
     order, _, _, omega, _ = space.shape
-    radii = np.asarray(cfg.sup_radii, dtype=float)
+    radii = np.asarray(cfg.sup_radii[-6:], dtype=float)
     z = radii[:, None] * unit_circle(cfg.n_theta)[None, :]
-    vals = u.derivatives(z, order)[order]
-    return omega(radii**2) * np.max(np.abs(vals), axis=1)
-
-
-def _trend_slope(cfg: GridConfig, profile: np.ndarray) -> float:
-    """Relative slope of a sup_radii profile against log(1/(1-r)) near the boundary."""
-    x = np.log(1.0 / (1.0 - np.asarray(cfg.sup_radii[-6:])))
-    y = profile[-6:]
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope / max(float(np.max(np.abs(y))), 1e-12)
+    y = omega(radii**2) * np.max(np.abs(u.derivatives(z, order)[order]), axis=1)
+    slope = float(np.polyfit(np.log(1.0 / (1.0 - radii)), y, 1)[0])
+    return slope > TREND_SLOPE_TOL * float(np.max(np.abs(y))), y[-1]
 
 
 def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> MultiplierVerdict:
@@ -144,8 +141,9 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     Exact criteria exist where the multiplier algebra is known in closed
     form: u in hinf for the k = 0 families (order 0 in the space's
     NormShape), and u in hinf and logbloch:1 for the classical Bloch
-    space.  A membership fails when the sup over |z| = r grows with r;
-    the last space's sup is the constant.
+    space.  A membership fails when the sup over |z| = r grows with r
+    near the boundary, relative to its own size, so c * u gets the
+    verdict of u for every c != 0; the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
     family, capped at 1e3.
     """
@@ -158,9 +156,9 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     elif space.family == "bloch" and space.beta == 1.0:
         criterion, spaces = "bounded modulus and log-weighted derivative", (_HINF, _LOGBLOCH_1)
     if spaces:
-        profiles = [_ladder_profile(u, s, cfg) for s in spaces]
-        if any(_trend_slope(cfg, profile) > TREND_SLOPE_TOL for profile in profiles):
-            return MultiplierVerdict("No_Exact", float(max(profile[-1] for profile in profiles)), criterion)
+        trends = [_grows_at_boundary(u, s, cfg) for s in spaces]
+        if any(grows for grows, _ in trends):
+            return MultiplierVerdict("No_Exact", float(max(last for _, last in trends)), criterion)
         return MultiplierVerdict("Yes_Exact", norm(spaces[-1], u, cfg).seminorm_part, criterion)
 
     probes = as_family(default_probe_family(seed))
@@ -284,7 +282,7 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
         largest = finite_section(w, max(SECTION_DIMENSIONS), cfg)
         for N in SECTION_DIMENSIONS:
             with contextlib.suppress(WcolabError, np.linalg.LinAlgError):
-                conditions[N] = condition_number(FiniteSection(N, largest.entries[:N, :N]))
+                conditions[N] = condition_number(largest[:N, :N])
     return report
 
 

@@ -146,11 +146,11 @@ def _writable(path: str) -> bool:
 
 def _run_section(w: WcoSymbols, args, cfg) -> tuple:
     section = finite_section(w, args.dim, cfg)
-    result = {"dimension": section.dimension}
+    result = {"dimension": len(section)}
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            for row in section.entries:
+            for row in section:
                 flat = []
                 for v in row:
                     flat.extend((repr(float(v.real)), repr(float(v.imag))))
@@ -158,7 +158,7 @@ def _run_section(w: WcoSymbols, args, cfg) -> tuple:
         result["csv_path"] = args.csv
     else:
         result["entries"] = [
-            [{"re": float(v.real), "im": float(v.imag)} for v in row] for row in section.entries
+            [{"re": float(v.real), "im": float(v.imag)} for v in row] for row in section
         ]
     return result, 0
 

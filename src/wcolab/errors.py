@@ -36,7 +36,7 @@ class ParseError(WcolabError):
 
 
 class ContourZero(WcolabError):
-    """A function vanished on (or too near) a sampling contour."""
+    """A function vanished on, or was not finite on, a sampling contour."""
 
 
 class NonVanishingViolation(WcolabError):

@@ -50,18 +50,6 @@ def apply(w: WcoSymbols, f):
     return image_family(w.F, w.phi, f) if isinstance(f, Family) else _image(w.F, w.phi, f)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class FiniteSection:
-    """Leading N x N block of the coefficient matrix of an operator.
-
-    Column k holds the first N Taylor coefficients at 0 of the image
-    F * phi^k of z^k.
-    """
-
-    dimension: int
-    entries: np.ndarray
-
-
 def monomial(k: int) -> Poly:
     """The monomial z^k."""
     if k < 0:
@@ -69,12 +57,12 @@ def monomial(k: int) -> Poly:
     return Poly((0.0,) * k + (1.0,))
 
 
-def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> FiniteSection:
-    """The N-section from the power series of F and phi at 0.
+def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> np.ndarray:
+    """The N-section, the leading N x N block of the operator's matrix, as an array.
 
-    Column k is the series of F times that of phi^k, truncated to N
-    terms, so its leading n x n block is the n-section.  The grid only
-    bounds N by n_theta/2.
+    Column k holds the first N Taylor coefficients at 0 of the image
+    F * phi^k of z^k, so its leading n x n block is the n-section.  The
+    grid only bounds N by n_theta/2.
     """
     if not 2 <= N <= cfg.n_theta // 2:
         raise ParameterError(f"section dimension must lie in [2, n_theta/2], got {N}")
@@ -83,20 +71,20 @@ def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> FiniteSection:
     entries[:, 0] = series(w.F, N)
     for k in range(1, N):
         entries[:, k] = np.convolve(entries[:, k - 1], phi)[:N]
-    return FiniteSection(N, entries)
+    return entries
 
 
-def condition_number(s: FiniteSection) -> float:
-    """Ratio of extreme singular values of the section matrix.
+def condition_number(matrix: np.ndarray) -> float:
+    """Ratio of extreme singular values of a section matrix; SingularMatrix at 1e300 or more.
 
     Heuristic evidence only: growth across dimensions suggests the full
     operator is not boundedly invertible, but no verdict rests on it.
     """
-    if s.dimension < 2:
+    if len(matrix) < 2:
         raise ParameterError("condition number needs dimension at least 2")
-    singular = np.linalg.svd(s.entries, compute_uv=False)
-    if singular[-1] < 1e-300:
-        raise SingularMatrix("smallest singular value below 1e-300")
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    if singular[-1] <= 1e-300 * singular[0]:
+        raise SingularMatrix("smallest singular value at most 1e-300 of the largest")
     return float(singular[0] / singular[-1])
 
 

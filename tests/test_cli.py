@@ -149,16 +149,14 @@ class TestNormCommands:
 
 class TestVerdictCommands:
     def test_invertible_exit_zero(self, capsys):
-        code, doc, _ = run_checked(
-            capsys,
-            "check-invertible",
-            "--space", "hardy:2",
-            "--F", "poly(2.0,0.5)",
-            "--phi", "mobius(0.3,0.0,0.0)",
-        )
-        assert code == 0
-        assert doc["result"]["verdict"] == "Invertible"
-        assert doc["result"]["roundtrip_residual"] < 1e-9
+        # The second weight is tiny, yet its sections are no more singular
+        # than those of poly(2.0,1.0): strict JSON holds no inf condition.
+        for F, phi in (("poly(2.0,0.5)", "mobius(0.3,0.0,0.0)"), ("poly(2e-300,1e-300)", "mobius(0.5,0.0,0.0)")):
+            code, doc, _ = run_checked(capsys, "check-invertible", "--space", "hardy:2", "--F", F, "--phi", phi)
+            assert code == 0, F
+            assert doc["result"]["verdict"] == "Invertible"
+            assert doc["result"]["roundtrip_residual"] < 1e-9
+            assert sorted(doc["result"]["section_conditions"]) == ["16", "32", "8"]
 
     def test_not_invertible_exit_one(self, capsys):
         code, doc, _ = run_checked(
@@ -284,6 +282,21 @@ class TestOutputContract:
         assert code == 2
         assert doc["result"]["error"] == "OverflowError"
         assert "Traceback" in err
+
+    def test_weight_not_finite_on_the_counting_circle_is_an_error(self, capsys):
+        # The peak of 1/(1 - 0.999 e^(i pi/256) z) lies between two of the 256
+        # samples that validate F, but on one of the 512 of the zero count,
+        # where its 110th power overflows: the count names that cause.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "pow(recip(poly(1.0,-0.9989247771373053-0.012259266747434206i)),110.0)",
+            "--phi", "mobius(0.5,0.0,0.0)",
+        )
+        assert code == 2
+        assert doc["result"]["error"] == "ContourZero"
+        assert doc["result"]["message"] == "function is not finite on the circle of radius 0.999999"
 
     def test_partial_zero_count_is_inconclusive(self, capsys):
         # The zero of phi at 0.5 lies outside the counting circle |z| = 0.3,
@@ -419,7 +432,11 @@ class TestScaleOfF:
     # M_{cF} C_phi = c M_F C_phi, so the verdict cannot depend on c != 0.
     @pytest.mark.parametrize("space", ["hardy:2", "bloch:1", "b1"])
     @pytest.mark.parametrize("phi", ["mobius(0.5,0,0)", "poly(0,0,0.5)"])
-    @pytest.mark.parametrize("weight", ["poly({two_c!r},{c!r})", "const({c!r},0.0)"], ids=["poly", "const"])
+    @pytest.mark.parametrize(
+        "weight",
+        ["poly({two_c!r},{c!r})", "const({c!r},0.0)", "mul(const({c!r},0.0),pow(poly(1.0,-1.0),0.5))"],
+        ids=["poly", "const", "sqrt"],
+    )
     def test_verdict_independent_of_scale(self, capsys, space, phi, weight):
         def outcome(c):
             code, doc, _ = run_checked(
@@ -518,6 +535,22 @@ class TestErrorPaths:
         proc = _python(*flags, "-m", "wcolab.cli", command, *space, "--F", self.NAN_MAP, "--phi", "mobius(0.5,0.0,0.0)")
         assert (proc.returncode, proc.stdout) == (64, "")
         assert proc.stderr.startswith("wcolab: F is not finite") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["plain", "warnings-as-errors"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "b1", "--fn", "recip(mul(const(1e-300,0.0),pow(poly(1.0,-1.0),0.5)))"),
+            ("check-invertible", "--space", "b1", "--F", "mul(const(1e-300,0.0),pow(poly(1.0,-1.0),0.5))", "--phi", "mobius(0.5,0,0)"),
+        ],
+        ids=["norm", "check-invertible"],
+    )
+    def test_overflow_in_second_derivative_is_an_error(self, argv, flags):
+        # f'' of 1/F overflows near z = 1: numpy's warning about it stays
+        # inside the evaluation, and the envelope says the result is not finite.
+        proc = _python(*flags, "-m", "wcolab.cli", *argv)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout)["result"]["error"] == "NonFiniteResult"
 
     def test_bad_symbol_pair_is_usage(self, capsys):
         # phi fails the self-map validation during input construction
