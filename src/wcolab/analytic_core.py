@@ -499,7 +499,11 @@ class PolyFamily(Family):
         top = max(orders)
         d = [z, 1, 0] if self.phi is None else _derivatives_at(self.phi, z, top)
         F = [1, 0, 0] if self.F is None else _derivatives_at(self.F, z, top)
-        powers = self._powers(z if self.phi is None else _checked_points(d[0], "composition inner value"))
+        base = z if self.phi is None else _checked_points(d[0], "composition inner value")
+        powers = np.empty((self._width,) + base.shape, dtype=complex)
+        powers[0] = 1.0
+        for j in range(1, self._width):
+            np.multiply(powers[j - 1], base, out=powers[j])
         out = []
         for order in orders:
             terms = _chain_terms(F, d, order)
@@ -521,27 +525,6 @@ class PolyFamily(Family):
             matrix = self._joined[js]
             out.append(matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table))
         return out
-
-    def _powers(self, z: np.ndarray) -> np.ndarray:
-        table = np.empty((self._width,) + z.shape, dtype=complex)
-        table[0] = 1.0
-        for j in range(1, self._width):
-            np.multiply(table[j - 1], z, out=table[j])
-        return table
-
-    def combination(self, pairs) -> np.ndarray:
-        """Sum of a * f(v) over the pairs (a, v) for every polynomial f, by one matrix product.
-
-        The points v share one shape and each factor a broadcasts to it;
-        F and phi play no part.
-        """
-        total = None
-        for a, v in pairs:
-            table = self._powers(_checked_points(v))
-            table *= a
-            total = table if total is None else np.add(total, table, out=total)
-        coeffs = self._matrices[0]
-        return (coeffs @ total.reshape(coeffs.shape[1], -1)).reshape((len(self),) + total.shape[1:])
 
 
 def _chain_terms(F: list, d: list, order: int) -> list:

@@ -2,8 +2,10 @@
 
 The logic mirrors the structure of the underlying function theory: an
 operator f -> F * (f o phi) is invertible on these spaces exactly when
-phi is a disk automorphism, F has no zeros in the disk, and 1/F
-multiplies the space into itself.  On spaces whose norm decomposes as
+phi is a disk automorphism and F and 1/F multiply the space into
+itself.  The fit and roundtrip residuals behind a positive verdict are
+analytic, so they are read on |z| = r_max, where the maximum principle
+puts their sup over |z| <= r_max.  On spaces whose norm decomposes as
 |f(0)| + p(f) with a conformally invariant seminorm, the surjective
 isometries are even more rigid: F a unimodular constant and phi a
 rotation.  Each procedure reports the measured evidence alongside its
@@ -23,6 +25,7 @@ from .analytic_core import (
     Const,
     Moebius,
     MoebiusMap,
+    Mul,
     R_MAX,
     Recip,
     ZERO_THRESHOLD,
@@ -30,6 +33,7 @@ from .analytic_core import (
     image_family,
     moebius_inverse,
     unit_circle,
+    validation_values,
     winding_number,
 )
 from .errors import (
@@ -95,7 +99,9 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     at the origin: phi(0) = lam a and phi'(0) = lam (|a|^2 - 1) (Schwarz-Pick;
     Conway, Functions of One Complex Variable, VI.2).  So phi(0) and
     phi'(0) give the only candidate, which is accepted only when the sup
-    of |phi - candidate| over the scan grid is at most AUTOMORPHISM_TOL.
+    of |phi - candidate| is at most AUTOMORPHISM_TOL.  That sup is read on
+    |z| = r_max: phi - candidate is analytic wherever phi is, so by the
+    maximum principle it is the sup over |z| <= r_max.
     """
     p0, dp0 = phi.derivatives(0j, 1)
     # lam = phi'(0) / (|phi(0)|^2 - 1) must be unimodular, so it is the direction
@@ -104,8 +110,8 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
         return AutomorphismFit(False, None, float("inf"))
     lam = -dp0 / abs(dp0) + 0j  # + 0j turns a signed zero -0.0 in lam into 0.0
     candidate = MoebiusMap(lam.conjugate() * p0, lam)
-    pts = scan_grid(cfg)
-    residual = float(np.max(np.abs(phi(pts) - candidate(pts))))
+    z = cfg.r_max * unit_circle(cfg.n_theta)
+    residual = float(np.max(np.abs(phi(z) - candidate(z))))
     if residual <= AUTOMORPHISM_TOL:
         return AutomorphismFit(True, candidate, residual)
     return AutomorphismFit(False, None, residual)
@@ -145,7 +151,9 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     near the boundary, relative to its own size, so c * u gets the
     verdict of u for every c != 0; the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
-    family, capped at 1e3.
+    family, capped at 1e3, read as ||u f|| = s ||(u / s) f|| with s the
+    power of two at or above max |u| on the validation circle: exact in
+    binary, it keeps the ratios of c * u at |c| times those of u.
     """
     if isinstance(u, Const):
         return MultiplierVerdict("Yes_Exact", abs(complex(u.value)), "constant symbol")
@@ -164,7 +172,8 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     probes = as_family(default_probe_family(seed))
     base = norms(space, probes, cfg)
     kept = base >= 1e-14
-    ratios = norms(space, image_family(u, None, probes), cfg)[kept] / base[kept]
+    s = np.ldexp(1.0, np.frexp(np.max(np.abs(validation_values(u, "multiplier"))))[1])
+    ratios = norms(space, image_family(Mul(Const(1.0 / s), u), None, probes), cfg)[kept] / base[kept] * s
     worst = float(np.max(ratios, initial=0.0))
     if worst <= EMPIRICAL_RATIO_CAP:
         return MultiplierVerdict("Yes_Empirical", worst, "empirical norm ratios")
@@ -196,6 +205,7 @@ class InvertibilityReport:
     min_modulus: float
     multiplier: MultiplierVerdict | None
     verdict: str
+    weight_multiplier: MultiplierVerdict | None = None
     inverse_weight: AnalyticExpr | None = None
     inverse_map: AnalyticExpr | None = None
     roundtrip_residual: float | None = None
@@ -204,23 +214,20 @@ class InvertibilityReport:
 
 
 def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: GridConfig, seed: int = DEFAULT_SEED) -> float:
-    """sup-grid residual of both composition orders against the identity.
+    """Sup on |z| = r_max of both roundtrips minus f, over the seeded polynomials f.
 
     The roundtrips G (F o psi) (f o phi o psi) and F (G o phi) (f o psi o phi)
-    minus f are taken on the power tables of the seeded polynomials f, one
-    matrix product per order; every composed point is checked to lie in
-    the disk.
+    are images of images, folded into one image each with its points checked
+    to lie in the disk.  Minus f they are analytic: their sup is on the circle.
     """
-    pts = scan_grid(cfg)
+    z = cfg.r_max * unit_circle(cfg.n_theta)
     family = as_family(random_polynomials(20, seed))
-    worst = 0.0
-    for rows in family.row_blocks(pts, 0):
-        z = pts[rows]
-        psi_z, phi_z = psi(z), w.phi(z)
-        for weight, point in ((G(z) * w.F(psi_z), w.phi(psi_z)), (w.F(z) * G(phi_z), psi(phi_z))):
-            residual = family.combination(((weight, point), (-1.0, z)))
-            worst = max(worst, float(np.max(np.abs(residual))))
-    return worst
+    f = family.derivative(z, 0)
+    roundtrips = (
+        image_family(G, psi, image_family(w.F, w.phi, family)),
+        image_family(w.F, w.phi, image_family(G, psi, family)),
+    )
+    return max(float(np.max(np.abs(r.derivative(z, 0) - f))) for r in roundtrips)
 
 
 def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> InvertibilityReport:
@@ -228,7 +235,9 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
 
     NotInvertible always rests on an exact negative: a failed
     automorphism fit, or zeros of F inside the disk, or an exact
-    multiplier criterion failing for 1/F.  Inconclusive covers the
+    multiplier criterion failing for 1/F or, once 1/F passes, for F: an
+    invertible operator is bounded, and with phi an automorphism it is
+    bounded exactly when F is a multiplier.  Inconclusive covers the
     empirical-multiplier families, weights whose minimum modulus on the
     scan grid is at most ZERO_THRESHOLD times their maximum there, too
     small to exclude near-boundary zeros, and grids with r_max short of
@@ -262,13 +271,18 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
         )
         return report
 
-    recip = Recip(w.F)
-    report.multiplier = multiplier_test(recip, space, cfg, seed)
+    report.multiplier = multiplier_test(Recip(w.F), space, cfg, seed)
     if report.multiplier.status == "No_Exact":
         report.verdict = "NotInvertible"
         return report
     if report.multiplier.status != "Yes_Exact":
         report.caveat = "multiplier membership of 1/F is only tested empirically in this space"
+        return report
+    # 1/F's exact test passed, so F's is exact too.
+    report.weight_multiplier = multiplier_test(w.F, space, cfg, seed)
+    if report.weight_multiplier.status == "No_Exact":
+        report.verdict = "NotInvertible"
+        report.caveat = "F is not a multiplier, so the operator is unbounded"
         return report
 
     report.verdict = "Invertible"

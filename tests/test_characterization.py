@@ -230,6 +230,13 @@ class TestEvidence:
         assert abs(got - worst) <= 1e-14
         assert got < 1e-9
 
+    def test_roundtrip_sees_a_wrong_inverse(self, cfg):
+        # psi's a shifted by 1e-6, with G from the true psi and then from the shifted one.
+        G, psi = inverse_symbols(self.W, detect_automorphism(self.W.phi, cfg))
+        shifted = Moebius(MoebiusMap(psi.map.a + 1e-6, psi.map.lam))
+        assert _roundtrip_residual(self.W, G, shifted, cfg) > 1e-7
+        assert _roundtrip_residual(self.W, Recip(Compose(self.W.F, shifted)), shifted, cfg) > 1e-7
+
     def test_roundtrip_rejects_points_leaving_the_disk(self, cfg):
         # psi = 1.5 z sends the outer grid radii out of the disk.
         with pytest.raises(DomainError):

@@ -158,6 +158,19 @@ class TestVerdictCommands:
             assert doc["result"]["roundtrip_residual"] < 1e-9
             assert sorted(doc["result"]["section_conditions"]) == ["16", "32", "8"]
 
+    @pytest.mark.parametrize("space", ["hinf", "hardy:2", "bloch:1", "bergman:2,0"])
+    def test_unbounded_weight_exit_one(self, capsys, space):
+        # 1/F = (1 - z)^0.5 is a multiplier, but F = (1 - z)^-0.5 is not,
+        # so the operator is unbounded, let alone invertible.
+        code, doc, _ = run_checked(
+            capsys, "check-invertible", "--space", space, "--F", "pow(poly(1.0,-1.0),-0.5)", "--phi", "poly(0.0,1.0)"
+        )
+        result = doc["result"]
+        assert (code, result["verdict"]) == (1, "NotInvertible")
+        assert result["multiplier"]["status"] == "Yes_Exact"
+        assert result["weight_multiplier"]["status"] == "No_Exact"
+        assert result["caveat"] == "F is not a multiplier, so the operator is unbounded"
+
     def test_not_invertible_exit_one(self, capsys):
         code, doc, _ = run_checked(
             capsys,
@@ -449,6 +462,25 @@ class TestScaleOfF:
         assert expected[1] in (("Inconclusive" if space == "b1" else "Invertible"), "NotInvertible")
         for c in (1e-200, 1e-20, 1e-10, 1e10, 1e20, 1e200):
             assert outcome(c) == expected, c
+
+
+class TestScaleOfEmpiricalRatios:
+    # ||M_{cu}|| = |c| ||M_u||: on the empirical families the probe ratios
+    # of 1/(cF) are those of 1/F over |c|, with no overflow or underflow.
+    @pytest.mark.parametrize("space", ["besov:2,0", "bmoa"])
+    def test_ratios_scale_with_the_weight(self, capsys, space):
+        def outcome(c):
+            code, doc, err = run_checked(
+                capsys, "check-invertible", "--space", space, "--F", f"poly({2.0 * c!r},{c!r})", "--phi", "mobius(0.5,0,0)"
+            )
+            result = doc["result"]
+            return code, result.get("verdict"), (result.get("multiplier") or {}).get("measured_constant"), err
+
+        code, verdict, constant, _ = outcome(1.0)
+        for c in (1e-200, 1e200):
+            got = outcome(c)
+            assert got[0:2] == (code, verdict) and got[3] == "", c
+            assert abs(got[2] - constant / c) <= 1e-14 * constant / c, c
 
 
 class TestErrorPaths:
