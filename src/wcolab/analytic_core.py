@@ -452,30 +452,56 @@ class PolyFamily(Family):
 
     F and phi are None for the polynomials themselves; image_family sets
     them, and with phi None the images are F * f, with F None f o phi.
-    Every member's derivative of order d at shared points comes from one
-    power table, of the points or of their phi values, and one matrix
-    product.  The product and chain rules give it as factors times the
-    polynomials' derivatives of orders 0 .. d: each order stacks the
-    table rows of each term, scaled by its factor, against the
-    coefficient matrices of those orders placed side by side.  A factor
-    zero at every point, such as F' of a constant F, drops its term.
-    F and phi are evaluated once per call, up to the order asked, phi
-    with the disk check that Compose makes.
+    Every member's derivative of order d at shared points is one matrix
+    product against a power table, of the points or of their phi values.
+
+    Folded images, F None or a Const with phi None or a Moebius node,
+    and F * f for a Poly F (the product polynomial), are one pointwise
+    factor times a polynomial whose coefficient matrix is built once per
+    family.  With w = phi(z) and q = 1/(1 - conj(a) z), 1 - conj(a) conj(lam) w
+    is (1 - |a|^2) q, so (f o phi)' = phi' f'(w) and
+    (f o phi)'' = -lam phi' q ((1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w)).
+    Expanding the factor into powers of w would lose digits as |a| nears 1.
+    Every other image takes the product and chain rules: order d stacks
+    the power table rows of each term, scaled by its factor, against the
+    matrices of f's derivatives placed side by side, and a factor zero at
+    every point drops its term.  phi's values are checked to lie in the
+    disk on both paths, as Compose checks them.
     """
 
     def __init__(self, polys):
         self.polys = tuple(polys)
-        self.F = self.phi = None
         width = max(len(p.coeffs) for p in self.polys)
         coeffs = np.zeros((len(self.polys), width), dtype=complex)
         for k, p in enumerate(self.polys):
             coeffs[k, : len(p.coeffs)] = p.coeffs
-        n = np.arange(width)
-        # Coefficients of f, f' and f'' against z^0, z^1, ...
-        self._matrices = (coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1)))
-        # Side-by-side matrices by the tuple of their orders, built on first use.
+        # The polynomials' coefficients and those of f' and f'' against
+        # z^0, z^1, ..., and the chain rule's side-by-side matrices by the
+        # tuple of their orders, built on first use: shared by every image.
+        self._plain = _derivative_matrices(coeffs)
         self._joined = {}
-        self._width = width
+        self._set_symbols(None, None)
+
+    def _set_symbols(self, F, phi):
+        # The images' F and phi, and the matrices that fold them where they can.
+        self.F, self.phi = F, phi
+        matrices = self._plain
+        c = 1.0 if F is None else F.value if isinstance(F, Const) else None
+        if phi is None and isinstance(F, Poly):
+            product = np.array([np.convolve(F.coeffs, f) for f in matrices[0]])
+            matrices, c = _derivative_matrices(product), 1.0
+        self._folded = c is not None and (phi is None or isinstance(phi, Moebius))
+        if self._folded and c != 1.0:
+            matrices = tuple(c * m for m in matrices)
+        if self._folded and phi is not None:
+            a, lam = phi.map.a, phi.map.lam
+            first, second = matrices[1:]
+            # (1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w), against w^0 .. w^(width-2)
+            bracket = -2.0 * np.conj(a) / lam * first
+            bracket[:, : second.shape[1]] += second
+            bracket[:, 1 : second.shape[1] + 1] -= np.conj(a) * np.conj(lam) * second
+            matrices = (matrices[0], first, -lam * bracket)
+        self._matrices, self._width = matrices, matrices[0].shape[1]
 
     def __len__(self):
         return len(self.polys)
@@ -488,43 +514,72 @@ class PolyFamily(Family):
         return max(self._width - k, 0)
 
     def _height(self, order):
-        # Only a missing F or phi makes a factor zero for sure.
-        F = [1, 0, 0] if self.F is None else [1, 1, 1]
-        d = [1, 1, 0] if self.phi is None else [1, 1, 1]
-        rows = sum(self._rows(k) for k, _ in _chain_terms(F, d, order))
+        # The members' values and the power table, and the chain rule's
+        # stacked table, at most one term per derivative of f.
+        rows = 0 if self._folded else sum(self._rows(k) for k in range(order + 1))
         return max(len(self), self._width, rows)
 
     def _evaluate(self, z, orders, members=None):
+        if not set(orders) <= {0, 1, 2}:
+            raise ParameterError(f"derivative order must be 0, 1 or 2, got {max(orders)!r}")
         z = _checked_points(z)
+        if not self._folded:
+            return self._chain(z, orders, members)
+        base = z if self.phi is None else _checked_points(self.phi.map(z), "composition inner value")
+        powers = _powers(base, self._width)
+        if self.phi is not None and max(orders):
+            a, lam = self.phi.map.a, self.phi.map.lam
+            q = 1.0 / (1.0 - np.conj(a) * z)
+            d1 = lam * (abs(a) ** 2 - 1.0) * q * q
+        out = []
+        for order in orders:
+            matrix = self._matrices[order]
+            out.append(_contract(matrix, powers[: matrix.shape[1]], members))
+            if order and self.phi is not None:
+                out[-1] *= d1 if order == 1 else d1 * q
+        return out
+
+    def _chain(self, z, orders, members):
         top = max(orders)
         d = [z, 1, 0] if self.phi is None else _derivatives_at(self.phi, z, top)
         F = [1, 0, 0] if self.F is None else _derivatives_at(self.F, z, top)
         base = z if self.phi is None else _checked_points(d[0], "composition inner value")
-        powers = np.empty((self._width,) + base.shape, dtype=complex)
-        powers[0] = 1.0
-        for j in range(1, self._width):
-            np.multiply(powers[j - 1], base, out=powers[j])
+        powers = _powers(base, self._width)
         out = []
         for order in orders:
             terms = _chain_terms(F, d, order)
-            # A scalar factor is the 1 of a missing F or phi.
-            if len(terms) == 1 and not isinstance(terms[0][1], np.ndarray):
-                table = powers[: self._rows(terms[0][0])]
-            else:
-                # Factor first: numpy's complex multiply is not bitwise
-                # commutative, and a one-term order keeps factor * powers.
-                table = np.empty((sum(self._rows(k) for k, _ in terms),) + z.shape, dtype=complex)
-                start = 0
-                for k, g in terms:
-                    rows = self._rows(k)
-                    np.multiply(g, powers[:rows], out=table[start : start + rows])
-                    start += rows
+            # Factor first: numpy's complex multiply is not bitwise commutative.
+            table = np.empty((sum(self._rows(k) for k, _ in terms),) + z.shape, dtype=complex)
+            start = 0
+            for k, g in terms:
+                rows = self._rows(k)
+                np.multiply(g, powers[:rows], out=table[start : start + rows])
+                start += rows
             js = tuple(k for k, _ in terms)
             if js not in self._joined:
-                self._joined[js] = np.concatenate([self._matrices[0][:, :0]] + [self._matrices[k] for k in js], axis=1)
-            matrix = self._joined[js]
-            out.append(matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table))
+                self._joined[js] = np.concatenate([self._plain[0][:, :0]] + [self._plain[k] for k in js], axis=1)
+            out.append(_contract(self._joined[js], table, members))
         return out
+
+
+def _derivative_matrices(coeffs: np.ndarray) -> tuple:
+    # Coefficients of f, f' and f'' against z^0, z^1, ..., one row per member
+    n = np.arange(coeffs.shape[1])
+    return coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1))
+
+
+def _powers(base: np.ndarray, width: int) -> np.ndarray:
+    # base^0 .. base^(width-1), stacked on a leading axis
+    powers = np.empty((width,) + base.shape, dtype=complex)
+    powers[0] = 1.0
+    for j in range(1, width):
+        np.multiply(powers[j - 1], base, out=powers[j])
+    return powers
+
+
+def _contract(matrix: np.ndarray, table: np.ndarray, members) -> np.ndarray:
+    # One row of points shared by every member, or row i for member members[i]
+    return matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table)
 
 
 def _chain_terms(F: list, d: list, order: int) -> list:
@@ -537,10 +592,8 @@ def _chain_terms(F: list, d: list, order: int) -> list:
         factors = [F[0]]
     elif order == 1:
         factors = [F[1], F[0] * d[1]]
-    elif order == 2:
-        factors = [F[2], 2.0 * F[1] * d[1] + F[0] * d[2], F[0] * d[1] * d[1]]
     else:
-        raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
+        factors = [F[2], 2.0 * F[1] * d[1] + F[0] * d[2], F[0] * d[1] * d[1]]
     return [(k, g) for k, g in enumerate(factors) if (g.any() if isinstance(g, np.ndarray) else g)]
 
 
@@ -555,17 +608,16 @@ def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family)
     """The images F * (f o phi) of a family's members.
 
     A None F or phi drops that factor: the images are then f o phi or
-    F * f.  Images of a PolyFamily are a shallow copy of it with F and
-    phi set, which shares its coefficient matrices and their side-by-side
-    cache.  Images of images F0 * (f o phi0) fold into one level, with
-    weight F * (F0 o phi) and map phi0 o phi.  Images of any other family
-    are expression trees, each evaluated by its own derivatives.
+    F * f.  Images of a PolyFamily are a copy of it with F and phi set,
+    folded into its matrices where PolyFamily can.  Images of images
+    F0 * (f o phi0) fold into one level, with weight F * (F0 o phi) and
+    map phi0 o phi.  Images of any other family are expression trees,
+    each evaluated by its own derivatives.
     """
     if not isinstance(base, PolyFamily):
         return TreeFamily(_image(F, phi, f) for f in base)
     images = copy.copy(base)
-    images.F = F if base.F is None else _image(F, phi, base.F)
-    images.phi = phi if base.phi is None else _image(None, phi, base.phi)
+    images._set_symbols(F if base.F is None else _image(F, phi, base.F), phi if base.phi is None else _image(None, phi, base.phi))
     return images
 
 

@@ -215,17 +215,20 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
 
 # The polish stops a start once its scaled projected gradient is at most
 # _POLISH_GTOL, once no step of the line search ascends, or after
-# _POLISH_ITERATIONS Newton steps.  Each step tries the full step and up
-# to _POLISH_HALVINGS halvings of it.  A stopped start is not evaluated
-# again, and a trial only for the starts whose line search goes on.  The
-# derivatives of log phi are differences at _POLISH_FD_STEP box widths.
-# refined_modulus_sup starts it from up to _POLISH_CANDIDATES grid maxima
-# of each member, on the circle |z| = r_max alone for a flat weight.
+# _POLISH_ITERATIONS Newton steps.  Each step tries the full step, and
+# where that does not ascend its _POLISH_HALVINGS halvings in one
+# evaluation, taking the longest that does (_LINE_SEARCH).  A stopped
+# start is not evaluated again, and a trial only for the starts whose
+# line search goes on.  The derivatives of log phi are differences at
+# _POLISH_FD_STEP box widths.  refined_modulus_sup starts it from up to
+# _POLISH_CANDIDATES grid maxima of each member, on the circle
+# |z| = r_max alone for a flat weight.
 _POLISH_CANDIDATES = 4
 _POLISH_ITERATIONS = 20
 _POLISH_HALVINGS = 8
 _POLISH_GTOL = 1e-10
 _POLISH_FD_STEP = 1e-4
+_LINE_SEARCH = (np.ones(1), 0.5 ** np.arange(1, _POLISH_HALVINGS + 1))
 
 
 def _polish(fn, x, lo, hi) -> np.ndarray:
@@ -245,9 +248,9 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
     step of a face that its gradient points out of is held and moved
     onto that face; the Newton step acts on the others, with the
     Hessian's eigenvalues taken in modulus so that it ascends, and is
-    scaled to at most one box width along any axis.  The step is
-    projected onto the box and accepted only where phi strictly
-    increases.
+    scaled to at most one box width along any axis.  The step, or the
+    longest of its halvings where it does not, is projected onto the box
+    and accepted only where phi strictly increases.
     """
     batch, d = x.shape[:-1], x.shape[-1]
     x = x.reshape(-1, d).copy()
@@ -302,19 +305,21 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
             coef = np.einsum("...ji,...j->...i", vec, grad) / lam
             step = np.einsum("...ij,...j->...i", vec, coef)
             step *= width[run] / np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True))
-            # pending: positions in run of the starts whose line search goes on
+            # The full step, then every halving at once for the starts it
+            # does not lift; pending: their positions in run.
             pending = np.arange(len(run))
-            alpha = 1.0
-            for _ in range(_POLISH_HALVINGS + 1):
-                trial = np.where(held, face, np.clip(xr + alpha * step, lor, hir))[pending]
-                value = at(trial[:, None, :], run[pending])[:, 0]
-                up = value > phi[run[pending]]
-                x[run[pending[up]]] = trial[up]
-                phi[run[pending[up]]] = value[up]
-                pending = pending[~up]
+            for alphas in _LINE_SEARCH:
+                i = pending[:, None]
+                trial = np.where(held[i], face[i], np.clip(xr[i] + alphas[:, None] * step[i], lor[i], hir[i]))
+                value = at(trial, run[pending])
+                up = value > phi[run[pending]][:, None]
+                found = up.any(axis=-1)
+                first = np.argmax(up[found], axis=-1)
+                x[run[pending[found]]] = trial[found, first]
+                phi[run[pending[found]]] = value[found, first]
+                pending = pending[~found]
                 if not len(pending):
                     break
-                alpha *= 0.5
             run = np.delete(run, pending)
             if not len(run):
                 break

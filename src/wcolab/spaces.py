@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import typing
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Family, as_family, unit_circle
+from .analytic_core import AnalyticExpr, Const, Family, Mul, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -264,9 +265,13 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     width = 2.0 * np.pi / cfg.n_theta
 
     def at(x, starts):
-        # e^{i m beta} for m = 1 .. m_max as running products of e^{i beta}
-        powers = np.cumprod(np.repeat(np.exp(1j * x), m_max, axis=-1), axis=-1)
-        return s0[:, 1:][starts][:, None] + 2.0 * np.einsum("nm,njm->nj", s[starts], powers).real
+        # e^{i m beta} for m = 1 .. m_max as running products of e^{i beta},
+        # one point per start at a time: a line search asks eight at once.
+        out = np.empty(x.shape[:-1])
+        for j in range(x.shape[1]):
+            powers = np.cumprod(np.repeat(np.exp(1j * x[:, j]), m_max, axis=-1), axis=-1)
+            out[:, j] = s0[:, 1:][starts] + 2.0 * np.einsum("nm,nm->n", s[starts], powers).real
+        return out
 
     start = beta0[..., None]
     polished = _polish(at, start, start - width, start + width)
@@ -286,12 +291,39 @@ def _b1_area_integrals(fam: Family, cfg: GridConfig) -> np.ndarray:
     return fam.rowwise(z, 2, lambda vals, rows: np.abs(vals).mean(axis=-1)) @ w
 
 
+# numpy's warnings stay inside: an overflow or underflow is rescaled, and
+# what is still not finite the callers reject.
+@np.errstate(all="ignore")
 def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     """(total, point part, seminorm part) of every member, as arrays.
 
     On the decomposed families the parts are |f(0)| and p(f); on the
     others the point part is 0 and the seminorm part the whole norm.
+    Every norm is s times that of f / s, exactly for s a power of two.
+    A total that is not finite, or whose e-th power is below 2^-960,
+    where e is the largest finite exponent the norm raises values to,
+    p or q (1 for the sups), may have overflowed or underflowed on the
+    way: that member is measured again as f / s, with s the power of two
+    at or below its largest modulus on the circle |z| = r_max.  Members
+    in range, the common case, cost nothing more.
     """
+    parts = _unscaled_parts(space, fam, cfg)
+    _, p, q, _, _ = space.shape
+    e = max((x for x in (p, q) if x < np.inf), default=1.0)
+    redo = np.flatnonzero(~((parts[0] >= 2.0 ** (-960.0 / e)) & (parts[0] < np.inf)))
+    if len(redo):
+        members = [fam[k] for k in redo]
+        peaks = np.max(np.abs(as_family(members).derivative(cfg.r_max * unit_circle(cfg.n_theta), 0)), axis=1)
+        # s at most the peak and 1/s both finite: a normal peak
+        kept = (peaks >= np.finfo(float).tiny) & (peaks < np.inf)
+        scales = np.ldexp(1.0, np.frexp(peaks[kept])[1] - 1)
+        scaled = [Mul(Const(1.0 / s), f) for s, f in zip(scales, itertools.compress(members, kept))]
+        for whole, part in zip(parts, _unscaled_parts(space, as_family(scaled), cfg)):
+            whole[redo[kept]] = part * scales
+    return parts
+
+
+def _unscaled_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     if not len(fam):
         return np.zeros(0), np.zeros(0), np.zeros(0)
     k, p, q, weight, point = space.shape

@@ -483,6 +483,33 @@ class TestScaleOfEmpiricalRatios:
             assert abs(got[2] - constant / c) <= 1e-14 * constant / c, c
 
 
+class TestScaleOfNorms:
+    # ||c f|| = |c| ||f||.  These norms raise values to a power, which
+    # overflows or underflows at c = 1e200 or 1e-200 unless f is scaled.
+    SPACES = ("hardy:2", "hardy:3", "bergman:2,0", "mixed:2,2,0.5", "mixed:2,inf,0.5", "bmoa", "besov:2,0")
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_norm_scales_with_the_function(self, capsys, space):
+        def parts(c):
+            code, doc, err = run_checked(capsys, "norm", "--space", space, "--fn", f"poly({c!r},{c!r})")
+            assert (code, err) == (0, ""), c
+            result = doc["result"]
+            return [result[key] for key in ("total", "point_part", "seminorm_part")]
+
+        expected = parts(1.0)
+        for c in (1e-200, 1e200):
+            for got, want in zip(parts(c), expected):
+                assert abs(got - c * want) <= 1e-14 * c * want, (c, got, want)
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["plain", "warnings-as-errors"])
+    def test_no_warning_in_a_fresh_interpreter(self, flags):
+        calls = [["norm", "--space", space, "--fn", f"poly({c!r},{c!r})"] for space in self.SPACES for c in (1e-200, 1e200)]
+        script = f"import sys; from wcolab.cli import main; sys.exit(max(main(argv) for argv in {calls!r}))"
+        proc = _python(*flags, "-c", script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.count('"total"') == len(calls)
+
+
 class TestErrorPaths:
     def test_unknown_space_is_usage(self, capsys):
         code, out, err = run_cli(capsys, "norm", "--space", "nope:1", "--fn", "poly(1.0)")

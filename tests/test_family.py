@@ -83,15 +83,17 @@ def test_nested_images_and_products_match_trees(cfg):
 
 
 def test_images_share_the_polynomials_matrices(cfg):
-    # An image is a copy of the polynomials' family with F and phi set,
-    # and an image of an image folds into one level over the same matrices.
+    # An image is a family of the same polynomials with F and phi set,
+    # sharing their matrices and the chain rule's cache, and an image of
+    # an image folds into one level over them.
     w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
     fam = as_family(default_probe_family()[:12])
     single, nested = apply(w, fam), apply(w, apply(v, fam))
     for images in (single, nested):
-        assert images._matrices is fam._matrices
+        assert images.polys is fam.polys
+        assert images._plain is fam._plain
         assert images._joined is fam._joined
-    assert nested.polys is fam.polys
+    assert nested.F is not v.F and nested.phi is not v.phi
     assert fam.F is fam.phi is None
     z = scan_grid(cfg)[::4]
     unfolded = TreeFamily(apply(w, apply(v, f)) for f in fam.polys)
@@ -99,6 +101,53 @@ def test_images_share_the_polynomials_matrices(cfg):
         for order in (0, 1, 2):
             got, want = nested.derivative(z, order), reference.derivative(z, order)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def moebius(a, lam=1.0):
+    return Moebius(MoebiusMap(a, lam))
+
+
+# lam != 1 makes conj(a) conj(lam) differ from conj(a).  a is real: at
+# |a| = 0.999 the outer scan radii sit at the floor of double precision
+# for f o phi, where values alone, the same f(phi(z)) on both paths, lie
+# up to 1.6e-12 from an 80-bit evaluation.  A complex a rounds conj(a) z
+# in more places, and for some a and lam the two paths' second
+# derivatives then differ by up to 2.7e-12 there.
+FOLDED_MAPS = [(a, lam) for a in (0.0, 0.5, 0.9, 0.999) for lam in (1.0, np.exp(1.9j))]
+
+
+@pytest.mark.parametrize("a,lam", FOLDED_MAPS, ids=[f"{a}-{'involution' if lam == 1.0 else 'rotated'}" for a, lam in FOLDED_MAPS])
+@pytest.mark.parametrize("F", [None, Const(0.6 - 0.8j)], ids=["no-weight", "const"])
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
+def test_folded_moebius_images_match_trees(cfg, a, lam, F, grid):
+    images = image_family(F, moebius(a, lam), as_family(default_probe_family()))
+    assert images._folded
+    assert_stacked_matches_trees(images, grid(cfg))
+
+
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
+def test_product_polynomial_images_match_trees(cfg, grid):
+    images = image_family(Poly((0.5, -1.0j, 0.25)), None, as_family(default_probe_family()))
+    assert images._folded
+    assert_stacked_matches_trees(images, grid(cfg))
+
+
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
+def test_images_of_folded_images_match_trees(cfg, grid):
+    fam = as_family(default_probe_family()[::2])
+    inner = {
+        "moebius": image_family(Const(0.6 - 0.8j), moebius(0.9j, np.exp(1.9j)), fam),
+        "map alone": image_family(None, moebius(0.5), fam),
+        "product": image_family(Poly((0.5, -1.0j, 0.25)), None, fam),
+    }
+    z = grid(cfg)
+    for name, images in inner.items():
+        for F, phi in ((Const(-1.0j), moebius(0.5 - 0.5j, np.exp(1.9j))), (Poly((1.0, 0.5)), None), (Const(2.0), None)):
+            nested = image_family(F, phi, images)
+            assert nested.polys is fam.polys
+            # A constant weight over a map alone stays folded, with weight F and the same map.
+            assert nested._folded == (name == "map alone" and phi is None and isinstance(F, Const))
+            assert_stacked_matches_trees(nested, z)
 
 
 def test_values_equal_stacked_jet_values_bitwise(cfg):

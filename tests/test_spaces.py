@@ -433,7 +433,8 @@ class TestBmoaRadialSums:
 
     def test_polish_evaluates_running_starts_only(self, cfg, monkeypatch):
         # Every call names the starts it evaluates.  A start left out of
-        # a difference stencil (two points per start here) has stopped
+        # a difference stencil (two points per start here; a line search
+        # takes one, the full step, or eight, its halvings) has stopped
         # and is never passed again; the starts still running are a few
         # of the 47 x 5 after two Newton steps.
         from wcolab import spaces
@@ -456,7 +457,7 @@ class TestBmoaRadialSums:
         assert calls[0] == (1, alive)
         for m, starts in calls[1:]:
             assert starts <= alive
-            if m > 1:
+            if m == 2:
                 alive = starts
         # The full batch would evaluate every start at every call.
         evaluated = sum(m * len(starts) for m, starts in calls)
