@@ -374,6 +374,20 @@ class Family:
         shape = (len(self),) + z.shape
         return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders)]
 
+    def z_coefficients(self, order: int) -> np.ndarray | None:
+        """Taylor coefficients at 0 of every member's derivative of the given order, or None.
+
+        Row k holds member k's coefficients against z^0, z^1, ...  Only
+        a family whose members are all polynomials in z answers: a
+        PolyFamily of the polynomials themselves, c f, F f for a Poly F,
+        or their images under a rotation.  Every other family returns
+        None, and is sampled on grids instead.  The n-point angular rule
+        on |z| = r is exact for z^j conj(z)^l with |j - l| < n, so angular
+        means summed from these coefficients equal the sampled ones up to
+        rounding until the degree reaches n.
+        """
+        return None
+
     def derivative(self, z, order: int) -> np.ndarray:
         """Derivative of the given order of every member at the shared points z."""
         return self._shared(z, (order,))[0]
@@ -508,6 +522,16 @@ class PolyFamily(Family):
 
     def __getitem__(self, k):
         return _image(self.F, self.phi, self.polys[k])
+
+    def z_coefficients(self, order):
+        # The folded images with phi None are polynomials whose matrices
+        # these are.  A rotation, a = 0, maps z to w = -lam z, so f o phi
+        # has the coefficients (-lam)^j c_j; any other Moebius map has none.
+        if not self._folded or not (self.phi is None or self.phi.map.a == 0):
+            return None
+        if self.phi is None:
+            return self._matrices[order]
+        return _derivative_matrices(self._matrices[0] * (-self.phi.map.lam) ** np.arange(self._width))[order]
 
     def _rows(self, k: int) -> int:
         # Powers z^0 .. z^(width-k-1) meet the coefficients of the k-th derivatives.

@@ -151,9 +151,11 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     near the boundary, relative to its own size, so c * u gets the
     verdict of u for every c != 0; the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
-    family, capped at 1e3, read as ||u f|| = s ||(u / s) f|| with s the
-    power of two at or above max |u| on the validation circle: exact in
-    binary, it keeps the ratios of c * u at |c| times those of u.
+    family, read as ||u f|| = s ||(u / s) f|| with s the power of two at
+    or above max |u| on the validation circle: exact in binary, it keeps
+    the ratios of c * u at |c| times those of u.  They pass below 1e3
+    times that max |u|, a cap that scales with u, so c * u gets the
+    status of u.
     """
     if isinstance(u, Const):
         return MultiplierVerdict("Yes_Exact", abs(complex(u.value)), "constant symbol")
@@ -172,10 +174,11 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     probes = as_family(default_probe_family(seed))
     base = norms(space, probes, cfg)
     kept = base >= 1e-14
-    s = np.ldexp(1.0, np.frexp(np.max(np.abs(validation_values(u, "multiplier"))))[1])
+    peak = np.max(np.abs(validation_values(u, "multiplier")))
+    s = np.ldexp(1.0, np.frexp(peak)[1])
     ratios = norms(space, image_family(Mul(Const(1.0 / s), u), None, probes), cfg)[kept] / base[kept] * s
     worst = float(np.max(ratios, initial=0.0))
-    if worst <= EMPIRICAL_RATIO_CAP:
+    if worst <= EMPIRICAL_RATIO_CAP * peak:
         return MultiplierVerdict("Yes_Empirical", worst, "empirical norm ratios")
     return MultiplierVerdict("Inconclusive", worst, "empirical norm ratios")
 

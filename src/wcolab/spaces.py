@@ -4,6 +4,11 @@ Families: H-infinity, Hardy, weighted Bergman, mixed-norm, growth,
 Bloch-type, logarithmic Bloch, BMOA (star norm), weighted Besov, and the
 minimal Besov space B1.  Where the norm splits as |f(0)| + p(f) with a
 translation-invariant seminorm p, the breakdown is exposed.
+
+Angular means are sampled on the GridConfig's circles, except for a
+family of polynomials in z (Family.z_coefficients): its p = 2 means and
+BMOA's modes of |f'|^2 are sums over its Taylor coefficients, which the
+n_theta-point rule reproduces up to rounding where it does not alias.
 """
 
 from __future__ import annotations
@@ -192,7 +197,18 @@ class NormBreakdown:
 
 
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
-    """Callable radii -> M_p(r)^p of each member (order 0) or its derivative (order 1)."""
+    """Callable radii -> M_p(r)^p of each member (order 0) or its derivative (order 1).
+
+    At p = 2 a family of polynomials in z (Family.z_coefficients) gives
+    M_2(r)^2 = sum_j |c_j|^2 r^(2j) by Parseval: the n_theta-point rule
+    sums the same terms, up to rounding, while the degree is below
+    n_theta, and beyond it aliases, where the sum stays exact.  Other
+    families and exponents are sampled on n_theta angles per radius.
+    """
+    coeffs = fam.z_coefficients(order) if p == 2.0 else None
+    if coeffs is not None:
+        squares = np.abs(coeffs) ** 2
+        return lambda radii: squares @ np.asarray(radii)[None, :] ** (2 * np.arange(squares.shape[1]))[:, None]
 
     def h(radii):
         z = np.asarray(radii)[:, None] * unit_circle(cfg.n_theta)[None, :]
@@ -233,6 +249,40 @@ def _bmoa_kernel(cfg: GridConfig) -> tuple:
     return pref, radii[:, None] ** m / cfg.n_theta, mods[:, None] ** m
 
 
+def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
+    """acc[a, k, m] = sum over r of pref[a, r] r^m d_m(r) for member k and the nonzero modes m.
+
+    d_m(r) is mode m of D(r e^{it}) = |f'|^2 = sum_m d_m(r) e^{imt}.  For
+    a family of polynomials in z (Family.z_coefficients) with f' = sum_j
+    b_j z^j, d_m(r) = sum_j b_(j+m) conj(b_j) r^(2j+m): the sums are
+    autocorrelations of the coefficients against sum over r of
+    pref[a, r] r^(2(j+m)), with no mode at or past the width of b.  The
+    real FFT of D on n_theta angles gives the same modes, up to rounding,
+    while deg f' <= n_theta / 2; every other family takes it, row block
+    by row block.
+    """
+    pref, r_pow, _ = _bmoa_kernel(cfg)
+    m_max = cfg.n_theta // 2 - 1
+    b = fam.z_coefficients(1)
+    if b is not None:
+        width = b.shape[1]
+        modes = min(width, m_max + 1)
+        weighted = b * (pref @ gauss01(cfg.n_radial)[0][:, None] ** np.arange(width))[:, None, :]
+        # Mode 0 is kept for constant f', whose b is empty.
+        acc = np.zeros((len(_BMOA_A_RADII), len(fam), max(1, modes)), dtype=complex)
+        for m in range(modes):
+            acc[:, :, m] = np.einsum("akj,kj->ak", weighted[:, :, m:], b[:, : width - m].conj())
+        return acc
+    z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
+    # The real and imaginary parts side by side: one real product per block.
+    acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))
+    for rows in fam.row_blocks(z, 1):
+        D = np.abs(fam.derivative(z[rows], 1).transpose(1, 0, 2)) ** 2
+        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] * r_pow[rows, None, :]
+        acc += (pref[:, rows] @ coeffs.view(float).reshape(len(coeffs), -1)).reshape(acc.shape)
+    return acc.view(complex)
+
+
 def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     """Star seminorm: sup over a of the weighted area L2 norm of f'.
 
@@ -241,35 +291,29 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     expanding the Poisson-type kernel of 1 - |phi_a|^2 in powers of
     |a| r turns the integral into a Fourier series in arg(a), which is
     maximized continuously; |a| runs over a fixed ladder of moduli.
+    The series has the modes of _bmoa_mode_sums: one per coefficient of
+    f' for a family of polynomials in z, n_theta / 2 otherwise.
     """
-    z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
-    m_max = cfg.n_theta // 2 - 1
-    pref, r_pow, a_pow = _bmoa_kernel(cfg)
-    # acc[a, k, m] = sum over r of pref[a, r] r^m d_m(r) for member k, as
-    # real and imaginary parts side by side: one real product per block.
-    acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))
-    for rows in fam.row_blocks(z, 1):
-        D = np.abs(fam.derivative(z[rows], 1).transpose(1, 0, 2)) ** 2
-        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] * r_pow[rows, None, :]
-        acc += (pref[:, rows] @ coeffs.view(float).reshape(len(coeffs), -1)).reshape(acc.shape)
+    acc = _bmoa_mode_sums(fam, cfg)
+    modes = acc.shape[-1]
     # sums[k, a, m] = |a|^m acc[a, k, m]
-    sums = (acc.view(complex) * a_pow[:, None, :]).transpose(1, 0, 2)
+    sums = (acc * _bmoa_kernel(cfg)[2][:, None, :modes]).transpose(1, 0, 2)
     # _BMOA_A_RADII starts at |a| = 0, whose profile is the constant s0.
     s0 = sums[:, :, 0].real
     s = sums[:, 1:, 1:]
     padded = np.zeros(s.shape[:2] + (cfg.n_theta,), dtype=complex)
     padded[:, :, 0] = s0[:, 1:]
-    padded[:, :, 1 : m_max + 1] = 2.0 * s
+    padded[:, :, 1:modes] = 2.0 * s
     profile = np.fft.ifft(padded, axis=-1).real * cfg.n_theta
     beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
     width = 2.0 * np.pi / cfg.n_theta
 
     def at(x, starts):
-        # e^{i m beta} for m = 1 .. m_max as running products of e^{i beta},
+        # e^{i m beta} for m = 1 .. modes - 1 as running products of e^{i beta},
         # one point per start at a time: a line search asks eight at once.
         out = np.empty(x.shape[:-1])
         for j in range(x.shape[1]):
-            powers = np.cumprod(np.repeat(np.exp(1j * x[:, j]), m_max, axis=-1), axis=-1)
+            powers = np.cumprod(np.repeat(np.exp(1j * x[:, j]), modes - 1, axis=-1), axis=-1)
             out[:, j] = s0[:, 1:][starts] + 2.0 * np.einsum("nm,nm->n", s[starts], powers).real
         return out
 

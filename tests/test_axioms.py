@@ -57,21 +57,34 @@ class TestRunAll:
 
     @pytest.mark.parametrize("text", ["bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1"])
     def test_base_seminorms_measured_once(self, coarse_cfg, monkeypatch, text):
-        # Every seminorm evaluator scans its family once through
-        # row_blocks, and the norms of a decomposed family carry the
-        # seminorms, so run_all scans the base family once.
+        # Every seminorm evaluator measures its family once, by one grid
+        # scan through row_blocks or, for the L2-type seminorms of
+        # besov:2,0 and bmoa, one read of its coefficients, and the norms
+        # of a decomposed family carry the seminorms, so run_all measures
+        # the base family once.
         base = harness_family()
-        scans = []
+        reads = []
         row_blocks = Family.row_blocks
+        z_coefficients = PolyFamily.z_coefficients
 
-        def counted(fam, z, order):
-            if isinstance(fam, PolyFamily) and fam.F is fam.phi is None and fam.polys == base:
-                scans.append(z.shape)
+        def is_base(fam):
+            return isinstance(fam, PolyFamily) and fam.F is fam.phi is None and fam.polys == base
+
+        def scanned(fam, z, order):
+            if is_base(fam):
+                reads.append(("scan", z.shape))
             return row_blocks(fam, z, order)
 
-        monkeypatch.setattr(Family, "row_blocks", counted)
+        def read(fam, order):
+            coeffs = z_coefficients(fam, order)
+            if is_base(fam) and coeffs is not None:
+                reads.append(("coefficients", order))
+            return coeffs
+
+        monkeypatch.setattr(Family, "row_blocks", scanned)
+        monkeypatch.setattr(PolyFamily, "z_coefficients", read)
         run_all(parse_space(text), coarse_cfg)
-        assert len(scans) == 1
+        assert len(reads) == 1
 
     def test_family_list_is_complete(self):
         assert len(ALL_FAMILIES) == 10

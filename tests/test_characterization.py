@@ -183,10 +183,27 @@ class TestMultiplierTest:
         assert v.status == "Yes_Empirical"
         assert 0.0 < v.measured_constant <= 1e3
 
-    def test_empirical_cap(self, cfg):
-        v = multiplier_test(Poly((2000.0, 1.0)), parse_space("besov:2,0"), cfg)
+    def test_cap_relative_to_peak(self, cfg):
+        # The cap is 1e3 times max |u| on the validation circle: 2000 + z
+        # passes with ratio 2001.  1 - z^256 is 2.6e-4 at the circle's 256
+        # samples, its 256th roots of unity, but its besov:2,0 norm is 17.
+        space = parse_space("besov:2,0")
+        v = multiplier_test(Poly((2000.0, 1.0)), space, cfg)
+        assert v.status == "Yes_Empirical"
+        assert v.measured_constant == pytest.approx(2001.0, rel=1e-12)
+        v = multiplier_test(Poly((1.0,) + (0.0,) * 255 + (-1.0,)), space, cfg)
         assert v.status == "Inconclusive"
-        assert v.measured_constant > 1e3
+        assert v.measured_constant == pytest.approx(17.0, rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["besov:2,0", "bmoa"])
+    @pytest.mark.parametrize("u", [Recip(Poly((2.0, 1.0))), Poly((2000.0, 1.0)), Poly((1.0,) + (0.0,) * 255 + (-1.0,))])
+    def test_empirical_status_ignores_the_scale_of_u(self, cfg, text, u):
+        space = parse_space(text)
+        unscaled = multiplier_test(u, space, cfg)
+        for c in (1e200, 1e-200):
+            v = multiplier_test(Mul(Const(c), u), space, cfg)
+            assert v.status == unscaled.status
+            assert v.measured_constant == pytest.approx(c * unscaled.measured_constant, rel=1e-12)
 
 
 class TestInverseSymbols:

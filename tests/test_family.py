@@ -299,3 +299,34 @@ def test_norms_of_images_match_one_member_norms(cfg):
 def test_empty_family_has_no_norms(cfg):
     assert norms(parse_space("hardy:2"), (), cfg).shape == (0,)
     assert seminorms(parse_space("b1"), (), cfg).shape == (0,)
+
+
+def test_z_coefficients_give_the_members_derivatives(cfg):
+    fam = as_family(default_probe_family())
+    polynomials = {
+        "plain": fam,
+        "const": image_family(Const(0.6 - 0.8j), None, fam),
+        "product": image_family(Poly((0.5, -1.0j, 0.25)), None, fam),
+        "rotation": image_family(None, moebius(0.0, np.exp(1.9j)), fam),
+        "weighted rotation": image_family(Const(-1.0j), Moebius(rotation_map(0.7)), fam),
+    }
+    z = scan_grid(cfg)[::4]
+    for name, images in polynomials.items():
+        for order in (0, 1, 2):
+            coeffs = images.z_coefficients(order)
+            got = np.einsum("kj,jrn->krn", coeffs, z[None] ** np.arange(coeffs.shape[1])[:, None, None])
+            want = TreeFamily(list(images)).derivative(z, order)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+
+
+def test_z_coefficients_only_for_polynomials_in_z():
+    fam = as_family(default_probe_family()[::5])
+    others = (
+        image_family(Const(1.0), moebius(0.5, np.exp(1.9j)), fam),
+        image_family(Recip(Poly((2.0, 1.0))), None, fam),
+        image_family(Poly((1.0, 0.5)), moebius(0.0), fam),
+        image_family(None, moebius(0.0), image_family(None, moebius(0.0), fam)),
+        TreeFamily(list(fam)),
+    )
+    for images in others:
+        assert all(images.z_coefficients(order) is None for order in (0, 1, 2))

@@ -20,7 +20,7 @@ from wcolab.analytic_core import (
     Recip,
     rotation_map,
 )
-from wcolab.analytic_core import MoebiusMap, as_family, image_family
+from wcolab.analytic_core import Family, MoebiusMap, PolyFamily, as_family, image_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, gauss01, unit_circle
@@ -463,6 +463,59 @@ class TestBmoaRadialSums:
         evaluated = sum(m * len(starts) for m, starts in calls)
         full_batch = sum(m for m, _ in calls) * int(np.prod(batch))
         assert evaluated < 0.5 * full_batch
+
+
+# The spaces whose norms take the coefficient sums at p = 2 for a family of
+# polynomials in z: hardy:2 and the mixed scan the angular means alone,
+# the Bergman and Besov norms integrate them, BMOA takes its modes.
+L2_SPACES = ("hardy:2", "bergman:2,0", "bergman:2,1.5", "mixed:2,2,0.5", "mixed:2,inf,0.5", "besov:2,0", "besov:2,0.5", "bmoa")
+
+
+class TestCoefficientSums:
+    @staticmethod
+    def polynomial_families():
+        fam = as_family(default_probe_family())
+        return {
+            "probes": fam,
+            "rotation images": image_family(Const(np.exp(1.3j)), Moebius(rotation_map(0.7)), fam),
+            "shift images": image_family(CHI, None, fam),
+        }
+
+    @pytest.mark.parametrize("text", L2_SPACES)
+    def test_match_the_sampled_path(self, cfg, monkeypatch, text):
+        space = parse_space(text)
+        for name, fam in self.polynomial_families().items():
+            assert fam.z_coefficients(0) is not None
+            summed = norms(space, fam, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(PolyFamily, "z_coefficients", lambda self, order: None)
+                sampled = norms(space, fam, cfg)
+            assert np.all(np.abs(summed - sampled) <= 1e-15 * sampled), name
+
+    @pytest.mark.parametrize("text", ["hardy:2", "besov:2,0", "bmoa"])
+    def test_other_images_scan_the_grid(self, coarse_cfg, monkeypatch, text):
+        # A Moebius map with a != 0 and a weight that is no polynomial
+        # leave the images without coefficients: they are sampled.
+        fam = as_family(default_probe_family()[::5])
+        scans = []
+        row_blocks = Family.row_blocks
+
+        def counted(family, z, order):
+            scans.append(z.shape)
+            return row_blocks(family, z, order)
+
+        monkeypatch.setattr(Family, "row_blocks", counted)
+        for images in (image_family(Const(1.0), Moebius(MoebiusMap(0.5, 1.0)), fam), image_family(Recip(Poly((2.0, 1.0))), None, fam)):
+            scans.clear()
+            norms(parse_space(text), images, coarse_cfg)
+            assert scans
+
+    def test_hardy_mean_does_not_alias(self):
+        # z^64 is constant on the 64 angles of the circle: the rule reads
+        # (1 + r^64)^2 for |1 + z^64|^2, Parseval 1 + r^128.
+        cfg = GridConfig(n_theta=64)
+        got = norms(parse_space("hardy:2"), [Poly((1.0,) + (0.0,) * 63 + (1.0,))], cfg)[0]
+        assert got == pytest.approx(np.sqrt(1.0 + cfg.r_max ** 128), rel=1e-15)
 
 
 class TestPointEvalBound:
