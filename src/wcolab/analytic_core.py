@@ -90,6 +90,20 @@ def moebius_inverse(m: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(m.lam * m.a, np.conj(m.lam))
 
 
+def moebius_from_jet(p0: complex, dp0: complex) -> MoebiusMap | None:
+    """The only automorphism with value p0 and derivative dp0 at 0, or None.
+
+    phi(0) = lam a and phi'(0) = lam (|a|^2 - 1) (Schwarz-Pick; Conway,
+    Functions of One Complex Variable, VI.2), so the unimodular lam is the
+    direction of -phi'(0) and a = conj(lam) phi(0).  A p0 off the disk, or
+    a dp0 that leaves |lam| below 1e-12 (c z^2), has none.
+    """
+    if abs(p0) >= 1.0 or abs(dp0) < 1e-12 * (1.0 - abs(p0) ** 2):
+        return None
+    lam = -dp0 / abs(dp0) + 0j  # + 0j turns a signed zero -0.0 in lam into 0.0
+    return MoebiusMap(lam.conjugate() * p0, lam)
+
+
 def rotation_map(theta: float) -> MoebiusMap:
     """The rotation z ↦ e^{iθ}·z encoded as a MoebiusMap (a = 0, lam = −e^{iθ})."""
     return MoebiusMap(0.0, -np.exp(1j * theta))
@@ -465,22 +479,18 @@ class PolyFamily(Family):
     """Polynomials f whose coefficients are stacked as a matrix, or their images F * (f o phi).
 
     F and phi are None for the polynomials themselves; image_family sets
-    them, and with phi None the images are F * f, with F None f o phi.
-    Every member's derivative of order d at shared points is one matrix
-    product against a power table, of the points or of their phi values.
-
-    Folded images, F None or a Const with phi None or a Moebius node,
-    and F * f for a Poly F (the product polynomial), are one pointwise
-    factor times a polynomial whose coefficient matrix is built once per
-    family.  With w = phi(z) and q = 1/(1 - conj(a) z), 1 - conj(a) conj(lam) w
-    is (1 - |a|^2) q, so (f o phi)' = phi' f'(w) and
-    (f o phi)'' = -lam phi' q ((1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w)).
-    Expanding the factor into powers of w would lose digits as |a| nears 1.
-    Every other image takes the product and chain rules: order d stacks
-    the power table rows of each term, scaled by its factor, against the
-    matrices of f's derivatives placed side by side, and a factor zero at
-    every point drops its term.  phi's values are checked to lie in the
-    disk on both paths, as Compose checks them.
+    them, phi to None or one Moebius node.  phi, and F None, a Const, or a
+    Poly with phi None (the product polynomial), fold into coefficient
+    matrices built once per image: order d of g = c (f o phi) is one
+    pointwise factor, 1, phi' or phi' q, times a matrix product against
+    the power table of w = phi(z).  With q = 1/(1 - conj(a) z),
+    1 - conj(a) conj(lam) w is (1 - |a|^2) q, so (f o phi)' = phi' f'(w) and
+    (f o phi)'' = -lam phi' q ((1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w)),
+    unexpanded: powers of w would lose digits as |a| nears 1.  Any other F
+    takes Leibniz's rule, (F g)^(n) = sum over k of C(n, k) F^(n-k) g^(k):
+    the power table's rows, scaled by each term's factor, are stacked
+    against the matrices of g, ..., g^(n) side by side.  phi's values are
+    checked to lie in the disk, as Compose checks them.
     """
 
     def __init__(self, polys):
@@ -490,24 +500,21 @@ class PolyFamily(Family):
         for k, p in enumerate(self.polys):
             coeffs[k, : len(p.coeffs)] = p.coeffs
         # The polynomials' coefficients and those of f' and f'' against
-        # z^0, z^1, ..., and the chain rule's side-by-side matrices by the
-        # tuple of their orders, built on first use: shared by every image.
+        # z^0, z^1, ...: shared by every image.
         self._plain = _derivative_matrices(coeffs)
-        self._joined = {}
         self._set_symbols(None, None)
 
     def _set_symbols(self, F, phi):
-        # The images' F and phi, and the matrices that fold them where they can.
+        # The images' F and phi, the matrices that fold phi and a constant or
+        # polynomial F, and the weight left to Leibniz's rule, or None.
         self.F, self.phi = F, phi
-        matrices = self._plain
-        c = 1.0 if F is None else F.value if isinstance(F, Const) else None
-        if phi is None and isinstance(F, Poly):
+        matrices, self._weight = self._plain, F
+        if isinstance(F, Const):
+            matrices, self._weight = tuple(F.value * m for m in matrices), None
+        elif isinstance(F, Poly) and phi is None:
             product = np.array([np.convolve(F.coeffs, f) for f in matrices[0]])
-            matrices, c = _derivative_matrices(product), 1.0
-        self._folded = c is not None and (phi is None or isinstance(phi, Moebius))
-        if self._folded and c != 1.0:
-            matrices = tuple(c * m for m in matrices)
-        if self._folded and phi is not None:
+            matrices, self._weight = _derivative_matrices(product), None
+        if phi is not None:
             a, lam = phi.map.a, phi.map.lam
             first, second = matrices[1:]
             # (1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w), against w^0 .. w^(width-2)
@@ -516,6 +523,8 @@ class PolyFamily(Family):
             bracket[:, 1 : second.shape[1] + 1] -= np.conj(a) * np.conj(lam) * second
             matrices = (matrices[0], first, -lam * bracket)
         self._matrices, self._width = matrices, matrices[0].shape[1]
+        # Leibniz's rule for order n meets the matrices of orders 0 .. n side by side.
+        self._joined = None if self._weight is None else [np.concatenate(matrices[: n + 1], axis=1) for n in range(3)]
 
     def __len__(self):
         return len(self.polys)
@@ -527,62 +536,50 @@ class PolyFamily(Family):
         # The folded images with phi None are polynomials whose matrices
         # these are.  A rotation, a = 0, maps z to w = -lam z, so f o phi
         # has the coefficients (-lam)^j c_j; any other Moebius map has none.
-        if not self._folded or not (self.phi is None or self.phi.map.a == 0):
+        if self._weight is not None or not (self.phi is None or self.phi.map.a == 0):
             return None
         if self.phi is None:
             return self._matrices[order]
         return _derivative_matrices(self._matrices[0] * (-self.phi.map.lam) ** np.arange(self._width))[order]
 
-    def _rows(self, k: int) -> int:
-        # Powers z^0 .. z^(width-k-1) meet the coefficients of the k-th derivatives.
-        return max(self._width - k, 0)
-
     def _height(self, order):
-        # The members' values and the power table, and the chain rule's
-        # stacked table, at most one term per derivative of f.
-        rows = 0 if self._folded else sum(self._rows(k) for k in range(order + 1))
-        return max(len(self), self._width, rows)
+        # The members' values and the power table, and Leibniz's stacked table.
+        return max(len(self), self._width, 0 if self._joined is None else self._joined[order].shape[1])
 
     def _evaluate(self, z, orders, members=None):
         if not set(orders) <= {0, 1, 2}:
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {max(orders)!r}")
         z = _checked_points(z)
-        if not self._folded:
-            return self._chain(z, orders, members)
         base = z if self.phi is None else _checked_points(self.phi.map(z), "composition inner value")
         powers = _powers(base, self._width)
-        if self.phi is not None and max(orders):
+        top = max(orders)
+        # The pointwise factors of g, g' and g'' up to the top order: 1, phi'
+        # and phi' q, None for 1.
+        factors = [None] * 3
+        if self.phi is not None and top:
             a, lam = self.phi.map.a, self.phi.map.lam
             q = 1.0 / (1.0 - np.conj(a) * z)
-            d1 = lam * (abs(a) ** 2 - 1.0) * q * q
+            factors[1] = lam * (abs(a) ** 2 - 1.0) * q * q
+            factors[2] = factors[1] * q if top == 2 else None
+        F = None if self._weight is None else _derivatives_at(self._weight, z, top)
         out = []
         for order in orders:
-            matrix = self._matrices[order]
-            out.append(_contract(matrix, powers[: matrix.shape[1]], members))
-            if order and self.phi is not None:
-                out[-1] *= d1 if order == 1 else d1 * q
-        return out
-
-    def _chain(self, z, orders, members):
-        top = max(orders)
-        d = [z, 1, 0] if self.phi is None else _derivatives_at(self.phi, z, top)
-        F = [1, 0, 0] if self.F is None else _derivatives_at(self.F, z, top)
-        base = z if self.phi is None else _checked_points(d[0], "composition inner value")
-        powers = _powers(base, self._width)
-        out = []
-        for order in orders:
-            terms = _chain_terms(F, d, order)
-            # Factor first: numpy's complex multiply is not bitwise commutative.
-            table = np.empty((sum(self._rows(k) for k, _ in terms),) + z.shape, dtype=complex)
-            start = 0
-            for k, g in terms:
-                rows = self._rows(k)
-                np.multiply(g, powers[:rows], out=table[start : start + rows])
-                start += rows
-            js = tuple(k for k, _ in terms)
-            if js not in self._joined:
-                self._joined[js] = np.concatenate([self._plain[0][:, :0]] + [self._plain[k] for k in js], axis=1)
-            out.append(_contract(self._joined[js], table, members))
+            if F is None:
+                matrix = self._matrices[order]
+                out.append(_contract(matrix, powers[: matrix.shape[1]], members))
+                if factors[order] is not None:
+                    out[-1] *= factors[order]
+                continue
+            table = np.empty((self._joined[order].shape[1],) + z.shape, dtype=complex)
+            ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
+            for k, rows in enumerate(np.split(table, ends)):
+                # C(n, k) F^(n-k) times the pointwise factor of g^(k), on the
+                # left: numpy's complex multiply is not bitwise commutative.
+                factor = 2.0 * F[1] if (order, k) == (2, 1) else F[order - k]
+                if factors[k] is not None:
+                    factor = factor * factors[k]
+                np.multiply(factor, powers[: len(rows)], out=rows)
+            out.append(_contract(self._joined[order], table, members))
         return out
 
 
@@ -606,21 +603,6 @@ def _contract(matrix: np.ndarray, table: np.ndarray, members) -> np.ndarray:
     return matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table)
 
 
-def _chain_terms(F: list, d: list, order: int) -> list:
-    """Pairs (k, factor): the derivative of this order of F * (g o phi) sums factor * g^(k) o phi.
-
-    Factors zero at every point are left out; the scalars that stand for the
-    derivatives of a missing F or phi are tested without numpy, slow on them.
-    """
-    if order == 0:
-        factors = [F[0]]
-    elif order == 1:
-        factors = [F[1], F[0] * d[1]]
-    else:
-        factors = [F[2], 2.0 * F[1] * d[1] + F[0] * d[2], F[0] * d[1] * d[1]]
-    return [(k, g) for k, g in enumerate(factors) if (g.any() if isinstance(g, np.ndarray) else g)]
-
-
 def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) -> AnalyticExpr:
     # F * (f o phi) as an expression tree, without the factors that are None
     if phi is not None:
@@ -628,21 +610,40 @@ def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) ->
     return f if F is None else Mul(F, f)
 
 
+def _moebius_node(phi: AnalyticExpr) -> Moebius | None:
+    # phi as one Moebius node when it is one or a composition of them, else None
+    if isinstance(phi, Compose):
+        outer, inner = _moebius_node(phi.outer), _moebius_node(phi.inner)
+        return None if outer is None or inner is None else _composed(outer, inner)
+    return phi if isinstance(phi, Moebius) else None
+
+
+def _composed(outer: Moebius, inner: Moebius) -> Moebius:
+    # outer o inner, an automorphism, from its 1-jet at 0
+    w, dw = inner.derivatives(0j, 1)
+    v, dv = outer.derivatives(w, 1)
+    return Moebius(moebius_from_jet(v, dv * dw))
+
+
 def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family) -> Family:
     """The images F * (f o phi) of a family's members.
 
     A None F or phi drops that factor: the images are then f o phi or
     F * f.  Images of a PolyFamily are a copy of it with F and phi set,
-    folded into its matrices where PolyFamily can.  Images of images
-    F0 * (f o phi0) fold into one level, with weight F * (F0 o phi) and
-    map phi0 o phi.  Images of any other family are expression trees,
-    each evaluated by its own derivatives.
+    and images of its images F0 * (f o phi0) fold into one level, with
+    weight F * (F0 o phi) and map phi0 o phi.  That map must reduce to
+    one Moebius node: automorphisms are closed under composition, so a
+    Compose of them does, by its 1-jet at 0.  Under any other map, and
+    for any other family, the images are expression trees (TreeFamily).
     """
-    if not isinstance(base, PolyFamily):
-        return TreeFamily(_image(F, phi, f) for f in base)
-    images = copy.copy(base)
-    images._set_symbols(F if base.F is None else _image(F, phi, base.F), phi if base.phi is None else _image(None, phi, base.phi))
-    return images
+    if isinstance(base, PolyFamily):
+        maps = [_moebius_node(m) for m in (base.phi, phi) if m is not None]
+        if all(m is not None for m in maps):
+            images = copy.copy(base)
+            weight = F if base.F is None else _image(F, phi, base.F)
+            images._set_symbols(weight, functools.reduce(_composed, maps) if maps else None)
+            return images
+    return TreeFamily(_image(F, phi, f) for f in base)
 
 
 def as_family(obj) -> Family:

@@ -31,6 +31,7 @@ from .analytic_core import (
     ZERO_THRESHOLD,
     as_family,
     image_family,
+    moebius_from_jet,
     moebius_inverse,
     unit_circle,
     validation_values,
@@ -95,21 +96,15 @@ class AutomorphismFit:
 def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     """Decide whether phi is a disk automorphism and recover its parameters.
 
-    An automorphism lam * (a - z) / (1 - conj(a) z) is fixed by its 1-jet
-    at the origin: phi(0) = lam a and phi'(0) = lam (|a|^2 - 1) (Schwarz-Pick;
-    Conway, Functions of One Complex Variable, VI.2).  So phi(0) and
-    phi'(0) give the only candidate, which is accepted only when the sup
-    of |phi - candidate| is at most AUTOMORPHISM_TOL.  That sup is read on
-    |z| = r_max: phi - candidate is analytic wherever phi is, so by the
-    maximum principle it is the sup over |z| <= r_max.
+    An automorphism is fixed by its 1-jet at the origin, so phi(0) and
+    phi'(0) give the only candidate (moebius_from_jet), which is accepted
+    only when the sup of |phi - candidate| is at most AUTOMORPHISM_TOL.
+    That sup is read on |z| = r_max: phi - candidate is analytic wherever
+    phi is, so by the maximum principle it is the sup over |z| <= r_max.
     """
-    p0, dp0 = phi.derivatives(0j, 1)
-    # lam = phi'(0) / (|phi(0)|^2 - 1) must be unimodular, so it is the direction
-    # of -phi'(0); a phi'(0) that leaves |lam| below 1e-12 (c z^2) has none.
-    if abs(p0) >= 1.0 or abs(dp0) < 1e-12 * (1.0 - abs(p0) ** 2):
+    candidate = moebius_from_jet(*phi.derivatives(0j, 1))
+    if candidate is None:
         return AutomorphismFit(False, None, float("inf"))
-    lam = -dp0 / abs(dp0) + 0j  # + 0j turns a signed zero -0.0 in lam into 0.0
-    candidate = MoebiusMap(lam.conjugate() * p0, lam)
     z = cfg.r_max * unit_circle(cfg.n_theta)
     residual = float(np.max(np.abs(phi(z) - candidate(z))))
     if residual <= AUTOMORPHISM_TOL:
@@ -220,8 +215,10 @@ def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: 
     """Sup on |z| = r_max of both roundtrips minus f, over the seeded polynomials f.
 
     The roundtrips G (F o psi) (f o phi o psi) and F (G o phi) (f o psi o phi)
-    are images of images, folded into one image each with its points checked
-    to lie in the disk.  Minus f they are analytic: their sup is on the circle.
+    are images of images, folded into one image each: for a Moebius phi the
+    maps phi o psi and psi o phi reduce to one Moebius node near the
+    identity, and the weights take Leibniz's rule over the folded matrices.
+    Minus f they are analytic: their sup is on the circle.
     """
     z = cfg.r_max * unit_circle(cfg.n_theta)
     family = as_family(random_polynomials(20, seed))

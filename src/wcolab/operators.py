@@ -44,8 +44,9 @@ class WcoSymbols:
 def apply(w: WcoSymbols, f):
     """The image F * (f o phi), exact as an expression tree.
 
-    For a Family f it is the family of the members' images, evaluated
-    as stacked batches (see image_family).
+    For a Family f it is the family of the members' images (image_family):
+    stacked matrix products when phi is a Moebius node or a composition
+    of them, expression trees under any other map.
     """
     return image_family(w.F, w.phi, f) if isinstance(f, Family) else _image(w.F, w.phi, f)
 

@@ -281,6 +281,14 @@ class TestCheckInvertible:
         assert all(c >= 1.0 for c in report.section_conditions.values())
         assert report.caveat == ""
 
+    def test_roundtrip_near_the_boundary(self, cfg):
+        # The roundtrip's maps psi o phi and phi o psi reduce to one Moebius
+        # node each, near the identity, which the family's matrices fold.
+        w = WcoSymbols(Poly((2.0, 1.0)), Moebius(MoebiusMap(0.999, 1.0)))
+        report = check_invertible(w, parse_space("hardy:2"), cfg)
+        assert report.verdict == "Invertible"
+        assert report.roundtrip_residual < 5e-12
+
     def test_invertible_on_bloch_with_constant_weight(self, cfg):
         w = WcoSymbols(Const(2.0), Moebius(MoebiusMap(0.4, 1.0)))
         report = check_invertible(w, parse_space("bloch:1"), cfg)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from wcolab.analytic_core import (
+    R_MAX,
+    Compose,
     Const,
     Moebius,
     MoebiusMap,
@@ -14,12 +16,13 @@ from wcolab.analytic_core import (
     TreeFamily,
     as_family,
     image_family,
+    moebius_inverse,
     rotation_map,
 )
 from wcolab.axiom_harness import ALL_FAMILIES
 from wcolab.errors import DomainError, ParameterError
 from wcolab.operators import WcoSymbols, apply, default_probe_family
-from wcolab.quadrature import gauss01, scan_radii, unit_circle
+from wcolab.quadrature import gauss01, scan_grid, unit_circle
 from wcolab.spaces import norm, norms, parse_space, seminorms
 
 SYMBOLS = {
@@ -27,10 +30,6 @@ SYMBOLS = {
     "involution": WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.3 - 0.2j, 1.0))),
     "recip_pow": WcoSymbols(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j)))),
 }
-
-
-def scan_grid(cfg):
-    return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
 
 
 def b1_grid(cfg):
@@ -84,15 +83,14 @@ def test_nested_images_and_products_match_trees(cfg):
 
 def test_images_share_the_polynomials_matrices(cfg):
     # An image is a family of the same polynomials with F and phi set,
-    # sharing their matrices and the chain rule's cache, and an image of
-    # an image folds into one level over them.
+    # sharing their matrices, and an image of an image folds into one
+    # level over them.
     w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
     fam = as_family(default_probe_family()[:12])
     single, nested = apply(w, fam), apply(w, apply(v, fam))
     for images in (single, nested):
         assert images.polys is fam.polys
         assert images._plain is fam._plain
-        assert images._joined is fam._joined
     assert nested.F is not v.F and nested.phi is not v.phi
     assert fam.F is fam.phi is None
     z = scan_grid(cfg)[::4]
@@ -105,6 +103,28 @@ def test_images_share_the_polynomials_matrices(cfg):
 
 def moebius(a, lam=1.0):
     return Moebius(MoebiusMap(a, lam))
+
+
+class TreeEvaluated(Exception):
+    pass
+
+
+def evaluates_without_trees(family, z):
+    # Whether every order evaluates with the Taylor rules of all nodes
+    # refused: a folded image reads its matrices and phi's closed form, and
+    # evaluates neither F nor phi as a tree.
+    def refuse(self, z, n):
+        raise TreeEvaluated
+
+    with pytest.MonkeyPatch.context() as patch:
+        for node in (Const, Poly, Moebius, Compose, Recip, Pow):
+            patch.setattr(node, "_taylor", refuse)
+        try:
+            for order in (0, 1, 2):
+                family.derivative(z, order)
+        except TreeEvaluated:
+            return False
+    return True
 
 
 # lam != 1 makes conj(a) conj(lam) differ from conj(a).  a is real: at
@@ -121,14 +141,14 @@ FOLDED_MAPS = [(a, lam) for a in (0.0, 0.5, 0.9, 0.999) for lam in (1.0, np.exp(
 @pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
 def test_folded_moebius_images_match_trees(cfg, a, lam, F, grid):
     images = image_family(F, moebius(a, lam), as_family(default_probe_family()))
-    assert images._folded
+    assert evaluates_without_trees(images, grid(cfg)[:2])
     assert_stacked_matches_trees(images, grid(cfg))
 
 
 @pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
 def test_product_polynomial_images_match_trees(cfg, grid):
     images = image_family(Poly((0.5, -1.0j, 0.25)), None, as_family(default_probe_family()))
-    assert images._folded
+    assert evaluates_without_trees(images, grid(cfg)[:2])
     assert_stacked_matches_trees(images, grid(cfg))
 
 
@@ -145,8 +165,9 @@ def test_images_of_folded_images_match_trees(cfg, grid):
         for F, phi in ((Const(-1.0j), moebius(0.5 - 0.5j, np.exp(1.9j))), (Poly((1.0, 0.5)), None), (Const(2.0), None)):
             nested = image_family(F, phi, images)
             assert nested.polys is fam.polys
-            # A constant weight over a map alone stays folded, with weight F and the same map.
-            assert nested._folded == (name == "map alone" and phi is None and isinstance(F, Const))
+            # A constant weight over a map alone stays folded, with weight F
+            # and the composed map reduced to one Moebius node.
+            assert evaluates_without_trees(nested, z[:2]) == (name == "map alone" and isinstance(F, Const))
             assert_stacked_matches_trees(nested, z)
 
 
@@ -251,13 +272,60 @@ def test_tree_family_fallback(cfg):
 
 
 def test_image_leaving_the_disk_raises():
-    # phi = 2z leaves the disk for |z| >= 1/2.
-    images = image_family(Const(1.0), Poly((0.0, 2.0)), as_family(default_probe_family()))
-    images.derivative(np.array([0.1, 0.4j]), 2)
+    # phi = 2z leaves the disk for |z| >= 1/2.  It is no Moebius map, so
+    # the images are trees, and Compose rejects phi as they are built.
     with pytest.raises(DomainError):
-        images.derivative(np.array([0.1, 0.6]), 2)
-    with pytest.raises(DomainError):
-        images.derivative(np.array([0.1, 0.6]), 0)
+        image_family(Const(1.0), Poly((0.0, 2.0)), as_family(default_probe_family()))
+
+
+def test_images_under_other_maps_are_trees(cfg):
+    fam = as_family(default_probe_family()[::3])
+    z = scan_grid(cfg)[::4]
+    for phi in (Poly((0.0, 0.6 + 0.8j)), Poly((0.1, 0.5, 0.3j)), Compose(moebius(0.5), Poly((0.0, 0.9)))):
+        for F in (None, Const(2.0), Poly((1.0, 0.5))):
+            images = image_family(F, phi, fam)
+            assert isinstance(images, TreeFamily)
+            trees = TreeFamily(apply(WcoSymbols(Const(1.0) if F is None else F, phi), f) for f in fam.polys)
+            for order in (0, 1, 2):
+                got, want = images.derivative(z, order), trees.derivative(z, order)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+# phi o phi, phi o phi^-1 (the identity) and phi o psi for the folded maps.
+COMPOSED_MAPS = [
+    (MoebiusMap(a, lam), other)
+    for a, lam in FOLDED_MAPS
+    for other in (MoebiusMap(a, lam), moebius_inverse(MoebiusMap(a, lam)), MoebiusMap(0.3 - 0.6j, np.exp(0.4j)))
+]
+COMPOSED_IDS = [f"{a}-{'involution' if lam == 1.0 else 'rotated'}-{other}" for a, lam in FOLDED_MAPS for other in ("twice", "inverse", "other")]
+
+
+@pytest.mark.parametrize("outer,inner", COMPOSED_MAPS, ids=COMPOSED_IDS)
+def test_composed_moebius_maps_reduce_to_one_node(outer, inner):
+    # The images of f = z are the map itself, read from one Moebius node.
+    images = image_family(None, Compose(Moebius(outer), Moebius(inner)), as_family([Poly((0.0, 1.0))]))
+    assert isinstance(images.phi, Moebius)
+    z = R_MAX * unit_circle(4096)
+    got, want = images.derivative(z, 0)[0], outer(inner(z))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    if inner == moebius_inverse(outer):
+        assert np.all(np.abs(got - z) <= 1e-12)
+
+
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
+def test_composed_moebius_images_fold(cfg, grid):
+    phi = Compose(moebius(0.5 - 0.5j, np.exp(1.9j)), moebius(0.9, np.exp(0.4j)))
+    fam = as_family(default_probe_family()[::2])
+    z = grid(cfg)
+    for F in (Const(0.6 - 0.8j), Poly((1.0, 0.5)), Recip(Poly((2.0, 1.0)))):
+        w = WcoSymbols(F, phi)
+        images = apply(w, fam)
+        assert isinstance(images, PolyFamily)
+        assert evaluates_without_trees(images, z[:2]) == isinstance(F, Const)
+        trees = TreeFamily(apply(w, f) for f in fam.polys)
+        for order in (0, 1, 2):
+            got, want = images.derivative(z, order), trees.derivative(z, order)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_orders_beyond_two_raise():
@@ -304,18 +372,21 @@ def test_empty_family_has_no_norms(cfg):
 def test_z_coefficients_give_the_members_derivatives(cfg):
     fam = as_family(default_probe_family())
     polynomials = {
-        "plain": fam,
-        "const": image_family(Const(0.6 - 0.8j), None, fam),
-        "product": image_family(Poly((0.5, -1.0j, 0.25)), None, fam),
-        "rotation": image_family(None, moebius(0.0, np.exp(1.9j)), fam),
-        "weighted rotation": image_family(Const(-1.0j), Moebius(rotation_map(0.7)), fam),
+        "plain": lambda fam: fam,
+        "const": lambda fam: image_family(Const(0.6 - 0.8j), None, fam),
+        "product": lambda fam: image_family(Poly((0.5, -1.0j, 0.25)), None, fam),
+        "rotation": lambda fam: image_family(None, moebius(0.0, np.exp(1.9j)), fam),
+        "weighted rotation": lambda fam: image_family(Const(-1.0j), Moebius(rotation_map(0.7)), fam),
+        "composed rotations": lambda fam: image_family(None, moebius(0.0, np.exp(1.9j)), image_family(None, moebius(0.0), fam)),
     }
     z = scan_grid(cfg)[::4]
-    for name, images in polynomials.items():
+    trees = TreeFamily(list(fam))
+    for name, images_of in polynomials.items():
+        images = images_of(fam)
         for order in (0, 1, 2):
             coeffs = images.z_coefficients(order)
             got = np.einsum("kj,jrn->krn", coeffs, z[None] ** np.arange(coeffs.shape[1])[:, None, None])
-            want = TreeFamily(list(images)).derivative(z, order)
+            want = images_of(trees).derivative(z, order)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
 
 
@@ -325,7 +396,6 @@ def test_z_coefficients_only_for_polynomials_in_z():
         image_family(Const(1.0), moebius(0.5, np.exp(1.9j)), fam),
         image_family(Recip(Poly((2.0, 1.0))), None, fam),
         image_family(Poly((1.0, 0.5)), moebius(0.0), fam),
-        image_family(None, moebius(0.0), image_family(None, moebius(0.0), fam)),
         TreeFamily(list(fam)),
     )
     for images in others:
