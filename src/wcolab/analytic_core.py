@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
-import operator
 
 import numpy as np
 
@@ -109,32 +108,30 @@ def rotation_map(theta: float) -> MoebiusMap:
     return MoebiusMap(0.0, -np.exp(1j * theta))
 
 
-def _sum(terms):
-    # Adds in order into the first term, a fresh product: sum() would
-    # start from 0, copy the first array and turn a -0.0 into 0.0.
-    return functools.reduce(operator.iadd, terms)
-
-
-def _coefficient(u: list, v: list, k: int):
-    """Coefficient k of the product of the truncated series u and v, the largest index of u first."""
-    hi, lo = min(k, len(u) - 1), max(0, k - len(v) + 1)
-    return _sum(u[j] * v[k - j] for j in range(hi, lo - 1, -1))
+def _product(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows 0 .. n of the series u v into out, which may be u: u[j] times v goes into rows j .. n, j from n down."""
+    n = len(out) - 1
+    for j in range(n, -1, -1):
+        if j < n:
+            out[j + 1 :] += u[j] * v[1 : n + 1 - j]
+        np.multiply(u[j], v[0], out=out[j, ...])
+    return out
 
 
 class AnalyticExpr:
     """Base class of expression-tree nodes.
 
     Each subclass has one evaluator, _taylor(z, n) on a numpy array of
-    points, which returns the Taylor coefficients [f, f', f''/2, ...,
-    f^(n)/n!] about every point for any n >= 0 and computes none beyond
-    order n; a coefficient does not depend on the order asked for.
+    points, which returns a fresh array of shape (n + 1,) + z.shape whose
+    row k is f^(k)/k! about every point, for any n >= 0, computing no
+    order beyond n; a coefficient does not depend on the order asked for.
     Public evaluation goes through derivatives, __call__ and series,
     which validate the points and convert scalars.
     Nodes carry no arithmetic operators: a tree is built from the node
     classes, as Add(f, Const(c)) or Mul(F, Compose(f, phi)).
     """
 
-    def _taylor(self, z: np.ndarray, n: int) -> list:
+    def _taylor(self, z: np.ndarray, n: int) -> np.ndarray:
         raise NotImplementedError
 
     def derivatives(self, z, n: int) -> list:
@@ -143,7 +140,7 @@ class AnalyticExpr:
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {n!r}")
         arr = _checked_points(z)
         out = _derivatives_at(self, arr, n)
-        return [complex(d) for d in out] if arr.ndim == 0 else out
+        return [complex(d) for d in out] if arr.ndim == 0 else list(out)
 
     def jet(self, z) -> list:
         """derivatives(z, 2): only perfbench/tracer.py's patch point, until the tracer reads spans (ROADMAP)."""
@@ -158,22 +155,20 @@ class AnalyticExpr:
 # checks reject; numpy's warning about it would only reach stderr.  Each
 # evaluation enters one such scope, here or in series, at about 1.5 µs.
 @np.errstate(all="ignore")
-def _derivatives_at(f: AnalyticExpr, z: np.ndarray, n: int) -> list:
-    """[f, f', ..., f^(n)] at the checked points z, n <= 2: the Taylor coefficients times k!."""
+def _derivatives_at(f: AnalyticExpr, z: np.ndarray, n: int) -> np.ndarray:
+    """Rows f, f', ..., f^(n) at the checked points z, n <= 2: the Taylor coefficients times k!."""
     out = f._taylor(z, n)
     if n == 2:
-        # In place: every rule returns a fresh array, and a grid-sized
-        # result would be one more allocation per evaluation.
         out[2] *= 2.0
     return out
 
 
 @np.errstate(all="ignore")
 def series(f: AnalyticExpr, N: int) -> np.ndarray:
-    """The first N Taylor coefficients of f at 0."""
-    if N < 1:
-        raise ParameterError(f"series length must be at least 1, got {N!r}")
-    return np.array(f._taylor(np.zeros((), dtype=complex), N - 1), dtype=complex)
+    """The first N Taylor coefficients of f at 0; N an integer, not a bool or a float."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ParameterError(f"series length must be an integer of at least 1, got {N!r}")
+    return f._taylor(np.zeros((), dtype=complex), N - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,7 +181,9 @@ class Const(AnalyticExpr):
         object.__setattr__(self, "value", _require_finite(self.value, "Const value"))
 
     def _taylor(self, z, n):
-        return [np.full_like(z, self.value)] + [np.zeros_like(z) for _ in range(n)]
+        out = np.zeros((n + 1,) + z.shape, dtype=complex)
+        out[0] = self.value
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,15 +199,16 @@ class Poly(AnalyticExpr):
         object.__setattr__(self, "coeffs", cs)
 
     def _taylor(self, z, n):
-        # Horner's rule for the Taylor shift: after coefficient c, t[k] is
-        # coefficient k about z of the polynomial read so far.  No array
-        # outlives its first update: one kept alive through the loop slows
-        # every product on a large grid by about a third.
-        t = [np.zeros_like(z) for _ in range(n + 1)]
+        # Horner's rule for the Taylor shift, in place through row views: after
+        # coefficient c, row k is coefficient k about z of the polynomial so far.
+        t = np.zeros((n + 1,) + z.shape, dtype=complex)
+        rows = [t[k, ...] for k in range(min(n, len(self.coeffs) - 1) + 1)]
         for c in reversed(self.coeffs):
-            for k in range(n, 0, -1):
-                t[k] = t[k] * z + t[k - 1]
-            t[0] = t[0] * z + c
+            for k in range(len(rows) - 1, 0, -1):
+                rows[k] *= z
+                rows[k] += rows[k - 1]
+            rows[0] *= z
+            rows[0] += c
         return t
 
 
@@ -221,15 +219,16 @@ class Moebius(AnalyticExpr):
     map: MoebiusMap
 
     def _taylor(self, z, n):
-        out = [self.map(z)]
+        out = np.empty((n + 1,) + z.shape, dtype=complex)
+        out[0] = self.map(z)
         if n:
             # A geometric series: c_1 = lam (|a|^2 - 1) q^2 and c_(k+1) = conj(a) c_k q,
             # q = 1 / (1 - conj(a) z); one complex division for all of them.
             a = self.map.a
             q = 1.0 / (1.0 - np.conj(a) * z)
-            out.append(self.map.lam * (abs(a) ** 2 - 1.0) * q * q)
-            for _ in range(1, n):
-                out.append(np.conj(a) * out[-1] * q)
+            out[1] = self.map.lam * (abs(a) ** 2 - 1.0) * q * q
+            for k in range(1, n):
+                out[k + 1] = np.conj(a) * out[k] * q
         return out
 
 
@@ -239,10 +238,9 @@ class Add(AnalyticExpr):
     right: AnalyticExpr
 
     def _taylor(self, z, n):
-        # Terms popped off their lists are temporaries, which numpy sums
-        # in place instead of allocating a grid-sized result.
-        u, v = self.left._taylor(z, n), self.right._taylor(z, n)
-        return [u.pop(0) + v.pop(0) for _ in range(n + 1)]
+        out = self.left._taylor(z, n)
+        out += self.right._taylor(z, n)
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,11 +249,8 @@ class Mul(AnalyticExpr):
     right: AnalyticExpr
 
     def _taylor(self, z, n):
-        # The truncated product of the two series.  The values go last,
-        # popped, so that numpy multiplies them in place as in Add.
-        u, v = self.left._taylor(z, n), self.right._taylor(z, n)
-        out = [_coefficient(u, v, k) for k in range(1, n + 1)]
-        return [u.pop(0) * v.pop(0)] + out
+        u = self.left._taylor(z, n)
+        return _product(u, self.right._taylor(z, n), u)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,15 +264,17 @@ class Compose(AnalyticExpr):
         validation_values(self.inner, "composition inner function is not a disk self-map", 1.0)
 
     def _taylor(self, z, n):
-        # The outer series about the inner values, summed by Horner's rule
-        # in powers of inner - inner(z), whose series is v[1:].  Step k
-        # keeps the orders up to n - k, all that k more products can use.
+        # The outer series about the inner values, summed by Horner's rule in
+        # powers of inner - inner(z), whose series is v[1:], from the outer's last
+        # nonzero row: after step k, rows k .. n of u hold the sum to order n - k.
         v = self.inner._taylor(z, n)
         u = self.outer._taylor(_checked_points(v[0], "composition inner value"), n)
-        out = [u[n]]
-        for k in range(n - 1, -1, -1):
-            out = [u[k]] + [_coefficient(out, v[1:], i) for i in range(n - k)]
-        return out
+        top = n
+        while top and not u[top].any():
+            top -= 1
+        for k in range(top - 1, -1, -1):
+            _product(u[k + 1 :], v[1:], u[k + 1 :])
+        return u
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,13 +295,13 @@ class Recip(AnalyticExpr):
         v = self.inner._taylor(z, n)
         if not np.all(v[0]):
             raise DomainError("reciprocal evaluated at a zero of the inner function")
-        inv = 1.0 / v[0]
-        out = [inv]
+        out = np.empty_like(v)
+        np.divide(1.0, v[0], out=out[0, ...])
         # c_k = -(v_k c_0 + ... + v_1 c_(k-1)) / v_0.  Each product pairs a
-        # v_j with a c_i, which carries one factor of inv, so no intermediate
-        # overflows or underflows where the coefficient itself fits.
+        # v_j with a c_i, which carries one factor of 1 / v_0, so no
+        # intermediate overflows or underflows where the coefficient fits.
         for k in range(1, n + 1):
-            out.append(-_coefficient(v[1:], out, k - 1) * inv)
+            np.multiply(np.add.reduce(v[k:0:-1] * out[:k], axis=0), -out[0], out=out[k, ...])
         return out
 
 
@@ -329,7 +326,7 @@ class Pow(AnalyticExpr):
 
     def _taylor(self, z, n):
         v = self.inner._taylor(z, n)
-        u = np.asarray(v[0])
+        u = v[0, ...]
         if np.any((u.real <= 0.0) & (u.imag == 0.0)):
             raise BranchError("Pow encountered a value on the branch cut (−∞, 0]")
         alpha = self.exponent
@@ -337,16 +334,17 @@ class Pow(AnalyticExpr):
         # and exp cost several times more, most of all near |u| = 1.
         modulus = np.abs(u) ** alpha
         angle = alpha * np.arctan2(u.imag, u.real)
-        f = np.empty_like(u)
-        f.real = modulus * np.cos(angle)
-        f.imag = modulus * np.sin(angle)
-        out = [f]
+        out = np.empty_like(v)
+        np.multiply(modulus, np.cos(angle), out=out.real[0, ...])
+        np.multiply(modulus, np.sin(angle), out=out.imag[0, ...])
         # Miller's recurrence k c_k = sum over j of ((alpha + 1) j - k) v_j c_(k-j) / v_0,
         # with each c_i / v_0 formed once: c_1 = alpha (f / u) v_1.
-        ratios = []
+        ratios = np.empty_like(v[:n])
+        j = np.arange(n, 0, -1).reshape((n,) + (1,) * u.ndim)
         for k in range(1, n + 1):
-            ratios.append(out[-1] / u)
-            out.append(_sum((alpha * j - (k - j)) / k * ratios[k - j] * v[j] for j in range(k, 0, -1)))
+            np.divide(out[k - 1], u, out=ratios[k - 1, ...])
+            weights = ((alpha * j[n - k :] - (k - j[n - k :])) / k).astype(complex)
+            np.add.reduce(weights * ratios[:k] * v[k:0:-1], axis=0, out=out[k, ...])
         return out
 
 
@@ -611,10 +609,12 @@ def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) ->
 
 
 def _moebius_node(phi: AnalyticExpr) -> Moebius | None:
-    # phi as one Moebius node when it is one or a composition of them, else None
+    # phi as one Moebius node when it is one, a composition of them or Poly((0, lam)), |lam| == 1; else None
     if isinstance(phi, Compose):
         outer, inner = _moebius_node(phi.outer), _moebius_node(phi.inner)
         return None if outer is None or inner is None else _composed(outer, inner)
+    if isinstance(phi, Poly) and len(phi.coeffs) == 2 and phi.coeffs[0] == 0 and abs(phi.coeffs[1]) == 1.0:
+        return Moebius(MoebiusMap(0.0, -phi.coeffs[1]))
     return phi if isinstance(phi, Moebius) else None
 
 

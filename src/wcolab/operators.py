@@ -67,7 +67,7 @@ def finite_section(w: WcoSymbols, N: int, cfg: GridConfig) -> np.ndarray:
     """
     if not 2 <= N <= cfg.n_theta // 2:
         raise ParameterError(f"section dimension must lie in [2, n_theta/2], got {N}")
-    phi = series(w.phi, N)
+    phi = series(w.phi, N)  # a ParameterError too for a float in that range
     entries = np.empty((N, N), dtype=complex)
     entries[:, 0] = series(w.F, N)
     for k in range(1, N):

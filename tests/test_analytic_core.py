@@ -345,14 +345,73 @@ class TestSeries:
     @pytest.mark.parametrize("name", sorted(TestValuePath.NODES))
     def test_coefficients_do_not_depend_on_the_order(self, name, cfg):
         f = TestValuePath.NODES[name]
-        for z in (TestValuePath.grid(cfg)[::8, ::16], np.asarray(0.3 - 0.2j)):
-            full = [_bits(c) for c in f._taylor(z, self.N)]
-            for n in (0, 1, 2, 7):
+        point = np.asarray(0.3 - 0.2j)
+        for z, N, orders in ((TestValuePath.grid(cfg)[::8, ::16], self.N, (0, 1, 2, 7)), (point, self.N, (0, 1, 2, 7)), (point, 1024, (0, 1, 2, 7, 64))):
+            full = [_bits(c) for c in f._taylor(z, N)]
+            for n in orders:
                 assert [_bits(c) for c in f._taylor(z, n)] == full[: n + 1]
 
     def test_length_validation(self):
         with pytest.raises(ParameterError):
             series(self.U, 0)
+
+    @pytest.mark.parametrize("N", [2.5, 3.0, True, np.True_, "3", None])
+    def test_length_that_is_no_integer_raises(self, N):
+        with pytest.raises(ParameterError):
+            series(self.U, N)
+        assert series(self.U, np.int64(3)).shape == (3,)
+
+
+def _binomial_series(alpha: float, w: complex, N: int) -> np.ndarray:
+    """The first N coefficients of (1 + w z)^alpha, C(alpha, k) w^k, as one cumulative product."""
+    k = np.arange(1, N)
+    return np.concatenate([[1.0], np.cumprod((alpha - k + 1) / k * w)])
+
+
+def _quadratic_power(coeffs, alpha: float, N: int) -> np.ndarray:
+    """Series of (c0 + c1 z + c2 z^2)^alpha, c0 > 0: c0^alpha (1 - z/r1)^alpha (1 - z/r2)^alpha over the roots."""
+    r1, r2 = np.roots(coeffs[::-1])
+    return coeffs[0] ** alpha * np.convolve(_binomial_series(alpha, -1.0 / r1, N), _binomial_series(alpha, -1.0 / r2, N))[:N]
+
+
+class TestLongSeries:
+    """series(f, 1024) against references built without the Taylor rules, to 1e-15 of the largest coefficient.
+
+    The trees are those whose series cost seconds while each product
+    coefficient was summed one term at a time; the quadratic is like
+    the invertibility benchmark's deep weights.
+    """
+
+    N = 1024
+    QUADRATIC = (2.5, 0.4 + 0.2j, 0.3 - 0.1j)
+
+    @classmethod
+    def cases(cls):
+        k = np.arange(1, cls.N)
+        root = np.sqrt(1.0 - 0.1j)
+        return {
+            # lam (a - z) / (1 - conj(a) z): c_0 = lam a, c_k = lam (|a|^2 - 1) conj(a)^(k-1)
+            "mobius": (Moebius(MoebiusMap(0.3)), np.concatenate([[0.3], (0.09 - 1.0) * 0.3 ** (k - 1)])),
+            "pow": (Pow(Poly((1.0, -0.5)), 0.5), _binomial_series(0.5, -0.5, cls.N)),
+            "mul_pow": (
+                Mul(Const(1.0j), Pow(Poly((1.0 - 0.1j, -0.5)), 0.5)),
+                1.0j * root * _binomial_series(0.5, -0.5 / (1.0 - 0.1j), cls.N),
+            ),
+            # 1 / (2 + (0.5 - z) / (1 - z / 2)) = (1 - z/2) / (2.5 - 2 z): c_0 = 0.4, c_k = 0.12 * 0.8^(k-1)
+            "recip_compose": (
+                Recip(Compose(Poly((2.0, 1.0)), Moebius(MoebiusMap(0.5)))),
+                np.concatenate([[0.4], 0.12 * 0.8 ** (k - 1)]),
+            ),
+            "pow_quadratic": (Pow(Poly(cls.QUADRATIC), 1.5), _quadratic_power(cls.QUADRATIC, 1.5, cls.N)),
+            "recip_quadratic": (Recip(Poly(cls.QUADRATIC)), _quadratic_power(cls.QUADRATIC, -1.0, cls.N)),
+        }
+
+    @pytest.mark.parametrize("name", ["mobius", "pow", "mul_pow", "recip_compose", "pow_quadratic", "recip_quadratic"])
+    def test_matches_reference(self, name):
+        f, want = self.cases()[name]
+        got = series(f, self.N)
+        assert got.shape == want.shape == (self.N,)
+        assert _normwise(got, want) <= 1e-15
 
 
 def _normwise(got, ref) -> float:

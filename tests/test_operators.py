@@ -69,6 +69,12 @@ class TestFiniteSection:
         with pytest.raises(ParameterError):
             finite_section(w, cfg.n_theta // 2 + 1, cfg)
 
+    @pytest.mark.parametrize("N", [2.5, 3.0, True, np.True_])
+    def test_dimension_that_is_no_integer_raises(self, cfg, N):
+        with pytest.raises(ParameterError):
+            finite_section(WcoSymbols(Const(1.0), IDENTITY), N, cfg)
+        assert finite_section(WcoSymbols(Const(1.0), IDENTITY), np.int64(3), cfg).shape == (3, 3)
+
     def test_matches_one_image_per_monomial(self, cfg):
         w = WcoSymbols(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j))))
         N = 12
