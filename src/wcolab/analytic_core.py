@@ -11,6 +11,7 @@ expressions at once, their derivatives stacked along a leading axis.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import dataclasses
 import functools
@@ -48,7 +49,7 @@ def _checked_points(z, what: str = "evaluation point") -> np.ndarray:
 
 def _require_finite(c: complex, what: str) -> complex:
     c = complex(c)
-    if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+    if not cmath.isfinite(c):
         raise ParameterError(f"{what} must have finite real and imaginary parts")
     return c
 
@@ -367,12 +368,14 @@ class Family:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    def _evaluate(self, z: np.ndarray, orders: tuple, members=None) -> list:
+    def _evaluate(self, z: np.ndarray, orders: tuple, members=None, workspace=None) -> list:
         """Stacked derivatives of the given orders at z.
 
         Without members, z of shape (1, n) holds points shared by every
         member.  With an integer array members, z has one row per entry
-        and row i holds the points of member members[i].
+        and row i holds the points of member members[i].  With a dict
+        workspace, the tables and results may live in its buffers (see
+        _buffer), which the next call with it overwrites.
         """
         raise NotImplementedError
 
@@ -380,11 +383,11 @@ class Family:
         """Rows of the tallest stacked array one evaluation of this order holds, per point."""
         raise NotImplementedError
 
-    def _shared(self, z, orders: tuple) -> list:
+    def _shared(self, z, orders: tuple, workspace=None) -> list:
         """Stacked derivatives of the given orders at the shared points z, each of shape (len(self),) + z.shape."""
         z = np.asarray(z, dtype=complex)
         shape = (len(self),) + z.shape
-        return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders)]
+        return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders, workspace=workspace)]
 
     def z_coefficients(self, order: int) -> np.ndarray | None:
         """Taylor coefficients at 0 of every member's derivative of the given order, or None.
@@ -420,14 +423,20 @@ class Family:
 
         values holds the members' derivatives of the given order at z[rows];
         reduce returns an array of shape (len(self), number of rows, ...).
+        The blocks share one workspace, so values may be overwritten by
+        the next block: reduce must not keep values, or a view of it,
+        after it returns.  Allocating the tables once per sweep spares
+        each block the page faults of memory that the allocator returned
+        to the system after the block before.
         """
         z = np.asarray(z, dtype=complex)
         blocks = self.row_blocks(z, order)
+        workspace = {}
         if len(blocks) == 1:
-            return reduce(self.derivative(z, order), blocks[0])
+            return reduce(self._shared(z, (order,), workspace)[0], blocks[0])
         out = None
         for rows in blocks:
-            part = reduce(self.derivative(z[rows], order), rows)
+            part = reduce(self._shared(z[rows], (order,), workspace)[0], rows)
             if out is None:
                 out = np.empty((part.shape[0], z.shape[0]) + part.shape[2:], dtype=part.dtype)
             out[:, rows] = part
@@ -459,7 +468,7 @@ class TreeFamily(Family):
         # Each node of a tree holds its derivatives up to the order asked.
         return max(len(self), max((_node_count(f) for f in self.members), default=0) * (order + 1))
 
-    def _evaluate(self, z, orders, members=None):
+    def _evaluate(self, z, orders, members=None, workspace=None):
         if members is None:
             derivs = [f.derivatives(z[0], max(orders)) for f in self.members]
             return [_stacked([d[order] for d in derivs]) for order in orders]
@@ -544,12 +553,12 @@ class PolyFamily(Family):
         # The members' values and the power table, and Leibniz's stacked table.
         return max(len(self), self._width, 0 if self._joined is None else self._joined[order].shape[1])
 
-    def _evaluate(self, z, orders, members=None):
+    def _evaluate(self, z, orders, members=None, workspace=None):
         if not set(orders) <= {0, 1, 2}:
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {max(orders)!r}")
         z = _checked_points(z)
         base = z if self.phi is None else _checked_points(self.phi.map(z), "composition inner value")
-        powers = _powers(base, self._width)
+        powers = _powers(base, _buffer(workspace, "powers", (self._width,) + z.shape))
         top = max(orders)
         # The pointwise factors of g, g' and g'' up to the top order: 1, phi'
         # and phi' q, None for 1.
@@ -562,13 +571,15 @@ class PolyFamily(Family):
         F = None if self._weight is None else _derivatives_at(self._weight, z, top)
         out = []
         for order in orders:
+            # Each order keeps its own result buffer: all of them are returned.
+            product = _buffer(workspace, ("product", order), (len(self), z.shape[1]) if members is None else z.shape)
             if F is None:
                 matrix = self._matrices[order]
-                out.append(_contract(matrix, powers[: matrix.shape[1]], members))
+                out.append(_contract(matrix, powers[: matrix.shape[1]], members, product))
                 if factors[order] is not None:
                     out[-1] *= factors[order]
                 continue
-            table = np.empty((self._joined[order].shape[1],) + z.shape, dtype=complex)
+            table = _buffer(workspace, "table", (self._joined[order].shape[1],) + z.shape)
             ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
             for k, rows in enumerate(np.split(table, ends)):
                 # C(n, k) F^(n-k) times the pointwise factor of g^(k), on the
@@ -577,7 +588,7 @@ class PolyFamily(Family):
                 if factors[k] is not None:
                     factor = factor * factors[k]
                 np.multiply(factor, powers[: len(rows)], out=rows)
-            out.append(_contract(self._joined[order], table, members))
+            out.append(_contract(self._joined[order], table, members, product))
         return out
 
 
@@ -587,18 +598,30 @@ def _derivative_matrices(coeffs: np.ndarray) -> tuple:
     return coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1))
 
 
-def _powers(base: np.ndarray, width: int) -> np.ndarray:
-    # base^0 .. base^(width-1), stacked on a leading axis
-    powers = np.empty((width,) + base.shape, dtype=complex)
-    powers[0] = 1.0
-    for j in range(1, width):
-        np.multiply(powers[j - 1], base, out=powers[j])
-    return powers
+def _buffer(workspace: dict | None, key, shape: tuple) -> np.ndarray:
+    # An uninitialized complex array of the shape: the workspace's array under
+    # key when it has that shape, else a new one, kept there for the next call.
+    if workspace is None:
+        return np.empty(shape, dtype=complex)
+    buf = workspace.get(key)
+    if buf is None or buf.shape != shape:
+        buf = workspace[key] = np.empty(shape, dtype=complex)
+    return buf
 
 
-def _contract(matrix: np.ndarray, table: np.ndarray, members) -> np.ndarray:
+def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # base^0 .. base^(len(out)-1) into out, stacked on a leading axis
+    out[0] = 1.0
+    for j in range(1, len(out)):
+        np.multiply(out[j - 1], base, out=out[j])
+    return out
+
+
+def _contract(matrix: np.ndarray, table: np.ndarray, members, out: np.ndarray) -> np.ndarray:
     # One row of points shared by every member, or row i for member members[i]
-    return matrix @ table[:, 0] if members is None else np.einsum("kd,dkn->kn", matrix[members], table)
+    if members is None:
+        return np.matmul(matrix, table[:, 0], out=out)
+    return np.einsum("kd,dkn->kn", matrix[members], table, out=out)
 
 
 def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) -> AnalyticExpr:

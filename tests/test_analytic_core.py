@@ -156,6 +156,18 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             Poly((1.0,)).derivatives(np.nan + 0j, 2)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.5, np.nan), np.inf, complex(0.5, -np.inf)])
+    def test_nonfinite_parameters_rejected(self, bad):
+        cases = (
+            (lambda: Poly((1.0, bad)), "Poly coefficient"),
+            (lambda: Const(bad), "Const value"),
+            (lambda: MoebiusMap(bad, 1.0), "Moebius parameter a"),
+            (lambda: MoebiusMap(0.0, bad), "Moebius parameter lam"),
+        )
+        for build, what in cases:
+            with pytest.raises(ParameterError, match=f"^{what} must have finite real and imaginary parts$"):
+                build()
+
     def test_compose_requires_self_map(self):
         with pytest.raises(DomainError):
             Compose(Poly((1.0,)), Poly((0.0, 2.0)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wcolab import analytic_core
 from wcolab.analytic_core import (
     R_MAX,
     Compose,
@@ -194,6 +195,55 @@ def test_values_equal_stacked_jet_values_bitwise(cfg):
         for order, stacked in enumerate(together):
             assert family.derivative(z, order).tobytes() == stacked.tobytes()
             assert family.derivative_at(zk, order, np.arange(len(family))).tobytes() == several[order].tobytes()
+
+
+# A Const weight and a Moebius map fold; a Recip/Pow weight takes
+# Leibniz's rule, with and without a map.
+SWEPT = {
+    "fold": lambda fam: image_family(Const(np.exp(0.9j)), SYMBOLS["involution"].phi, fam),
+    "leibniz": lambda fam: image_family(SYMBOLS["recip_pow"].F, None, fam),
+    "leibniz-map": lambda fam: apply(SYMBOLS["recip_pow"], fam),
+    "tree": lambda fam: TreeFamily((Recip(Poly((2.0, 1.0))), SYMBOLS["recip_pow"].F, Poly((0.0, 1.0)))),
+}
+
+
+def two_row_blocks(monkeypatch, family, z, order):
+    # BLOCK_BYTES that fits two rows of z per block, so an odd number of
+    # rows ends in a shorter block.
+    monkeypatch.setattr(analytic_core, "BLOCK_BYTES", 2 * family._height(order) * z.shape[1] * 16)
+    blocks = family.row_blocks(z, order)
+    assert [len(range(len(z))[rows]) for rows in blocks] == [2] * (len(z) // 2) + [1] * (len(z) % 2)
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_sweep_values_equal_block_derivatives_bitwise(cfg, monkeypatch, name, order):
+    family = SWEPT[name](as_family(default_probe_family()[:12]))
+    z = scan_grid(cfg)[:7]
+    blocks = two_row_blocks(monkeypatch, family, z, order)
+    got = family.rowwise(z, order, lambda values, rows: values.copy())
+    want = np.concatenate([family.derivative(z[rows], order) for rows in blocks], axis=1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fold", "leibniz-map"])
+def test_sweep_hands_equal_blocks_one_buffer(cfg, monkeypatch, name):
+    # The values are kept past reduce here, against rowwise's contract, so
+    # that blocks with their own arrays cannot share an address.
+    family = SWEPT[name](as_family(default_probe_family()[:12]))
+    z = scan_grid(cfg)[:7]
+    two_row_blocks(monkeypatch, family, z, 2)
+    kept = []
+
+    def reduce(values, rows):
+        kept.append(values)
+        return np.abs(values)
+
+    family.rowwise(z, 2, reduce)
+    assert len(kept) == 4
+    assert len({values.ctypes.data for values in kept[:3]}) == 1
 
 
 def test_member_rows_equal_member_aligned_calls_bitwise():
