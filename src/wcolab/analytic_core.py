@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import ctypes
 import dataclasses
 import functools
 
@@ -35,6 +36,26 @@ ZERO_THRESHOLD = 1e-9
 # intermediate (one complex array over members x block) exceeds this;
 # a block still holds at least one whole row, which reductions need.
 BLOCK_BYTES = 1 << 20
+
+
+def _keep_freed_heap() -> None:
+    # glibc serves requests above M_MMAP_THRESHOLD (-3) from new mappings
+    # and returns the freed top of the heap above M_TRIM_THRESHOLD (-1) to
+    # the system.  Both start at 128 KB and rise only once a larger mapping
+    # is freed, so the few MB of buffers that each grid sweep frees when it
+    # ends went back to the system and were faulted in again by the next
+    # sweep: 12,000 minor faults in one bloch:1 axiom suite.  Fixed
+    # thresholds keep such buffers in the heap.  Another C library, or none
+    # found, is left as it is.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
+_keep_freed_heap()
 
 
 def _checked_points(z, what: str = "evaluation point") -> np.ndarray:
@@ -412,35 +433,37 @@ class Family:
         z = np.asarray(z, dtype=complex)
         return self._evaluate(z.reshape(len(z), -1), (order,), np.asarray(members))[0].reshape(z.shape)
 
-    def row_blocks(self, z: np.ndarray, order: int) -> list:
-        """Row slices of the 2-D grid z that keep a stacked array of the order under BLOCK_BYTES."""
-        n_rows, n_cols = z.shape
+    def row_blocks(self, shape: tuple, order: int) -> list:
+        """Row slices of a 2-D grid of the given shape that keep a stacked array of the order under BLOCK_BYTES."""
+        n_rows, n_cols = shape
         step = max(1, BLOCK_BYTES // (max(1, self._height(order)) * n_cols * 16))
         return [slice(i, i + step) for i in range(0, n_rows, step)]
 
-    def rowwise(self, z, order: int, reduce) -> np.ndarray:
-        """reduce(values, rows) over the row blocks of the 2-D grid z, joined on axis 1.
+    def rowwise(self, radii, circle, order: int, reduce):
+        """reduce(values, rows) over the row blocks of the grid radii[:, None] * circle, joined on axis 1.
 
-        values holds the members' derivatives of the given order at z[rows];
-        reduce returns an array of shape (len(self), number of rows, ...).
-        The blocks share one workspace, so values may be overwritten by
-        the next block: reduce must not keep values, or a view of it,
-        after it returns.  Allocating the tables once per sweep spares
-        each block the page faults of memory that the allocator returned
-        to the system after the block before.
+        values holds the members' derivatives of the given order at the
+        points of radii[rows]; reduce returns an array of shape
+        (len(self), number of rows, ...), or None for a sweep that keeps
+        its own totals, and then rowwise returns None.  Each block's
+        points, tables and values live in one workspace that the next
+        block overwrites, so nothing of grid size outlives its block:
+        reduce must not keep values, or a view of it, after it returns.
+        Allocating them once per sweep also spares each block the page
+        faults of memory that the allocator returned to the system after
+        the block before.
         """
-        z = np.asarray(z, dtype=complex)
-        blocks = self.row_blocks(z, order)
+        radii = np.asarray(radii, dtype=float)
+        circle = np.asarray(circle, dtype=complex)
         workspace = {}
-        if len(blocks) == 1:
-            return reduce(self._shared(z, (order,), workspace)[0], blocks[0])
-        out = None
-        for rows in blocks:
-            part = reduce(self._shared(z[rows], (order,), workspace)[0], rows)
-            if out is None:
-                out = np.empty((part.shape[0], z.shape[0]) + part.shape[2:], dtype=part.dtype)
-            out[:, rows] = part
-        return out
+        parts = []
+        for rows in self.row_blocks((len(radii), len(circle)), order):
+            z = _buffer(workspace, "points", (len(radii[rows]), len(circle)))
+            np.multiply(radii[rows, None], circle, out=z)
+            parts.append(reduce(self._shared(z, (order,), workspace)[0], rows))
+        if parts[0] is None or len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts, axis=1)
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -598,14 +621,14 @@ def _derivative_matrices(coeffs: np.ndarray) -> tuple:
     return coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1))
 
 
-def _buffer(workspace: dict | None, key, shape: tuple) -> np.ndarray:
-    # An uninitialized complex array of the shape: the workspace's array under
-    # key when it has that shape, else a new one, kept there for the next call.
+def _buffer(workspace: dict | None, key, shape: tuple, dtype=complex) -> np.ndarray:
+    # An uninitialized array of the shape: the workspace's array under key
+    # when it has that shape, else a new one, kept there for the next call.
     if workspace is None:
-        return np.empty(shape, dtype=complex)
+        return np.empty(shape, dtype=dtype)
     buf = workspace.get(key)
     if buf is None or buf.shape != shape:
-        buf = workspace[key] = np.empty(shape, dtype=complex)
+        buf = workspace[key] = np.empty(shape, dtype=dtype)
     return buf
 
 

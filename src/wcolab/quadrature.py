@@ -17,7 +17,7 @@ import numpy as np
 import numpy.fft
 import numpy.polynomial.legendre
 
-from .analytic_core import R_MAX, as_family, unit_circle
+from .analytic_core import R_MAX, _buffer, as_family, unit_circle
 from .errors import ParameterError
 
 
@@ -136,20 +136,120 @@ def scan_grid(cfg: GridConfig) -> np.ndarray:
     return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
 
 
-def _select_candidates(vals: np.ndarray, k: int):
-    """Indices of up to k large grid values, spread out over the grid."""
-    n_r, n_t = vals.shape
-    flat = vals.ravel()
-    top = min(8 * k, flat.size)
-    order = np.argpartition(flat, -top)[-top:]
-    order = order[np.argsort(flat[order])[::-1]]
+def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circle: np.ndarray) -> tuple:
+    """Each member's largest weight * |h| on the grid radii x circle, and where its _TOP largest lie.
+
+    weight holds omega(|z|^2) per radius, shape (len(radii), 1).  The
+    grid is swept block by block (Family.rowwise).  Each member keeps its
+    running maximum, its _TOP largest values so far with their flat
+    indices, ties going to the smaller index, a floor at or below the
+    smallest of them, and the last block that may add to them, pending.
+    A block whose maximum does not exceed the floor leaves the member as
+    it is: its indices are larger.  A block with _TOP values above every
+    value before it replaces the candidates and the pending block
+    unmerged; as values rise with r, most blocks do.  Any other block is
+    merged with the pending one, and the last pending blocks at the end.
+    Returns the maxima and the candidates' flat indices, one row per
+    member, largest value first: they do not depend on the blocks.
+    """
+    n_cols, size = len(circle), len(family)
+    best = np.full(size, -np.inf)
+    # The candidates in flat index order, the floor, and the flat index
+    # of the first value of each member's pending block, -1 for none.
+    top_vals = np.full((size, _TOP), -np.inf)
+    top_idx = np.tile(np.arange(_TOP), (size, 1))
+    floor = np.full(size, -np.inf)
+    start = np.full(size, -1)
+    workspace = {}
+
+    def merge(members, values=None, first=0):
+        # The members' candidates become the _TOP largest of them, their
+        # pending blocks and, if given, their values on the block whose
+        # flat indices start at first: the pool's columns follow the flat
+        # index.
+        pending = workspace["pending"]
+        width = _TOP + pending.shape[1] + (0 if values is None else values.shape[1])
+        pool = _buffer(workspace, "pool", (size, width), float)[: len(members)]
+        pool[:, :_TOP] = top_vals[members]
+        np.take(pending, members, axis=0, out=pool[:, _TOP : _TOP + pending.shape[1]], mode="clip")
+        if values is not None:
+            np.take(values, members, axis=0, out=pool[:, _TOP + pending.shape[1] :], mode="clip")
+        # The (_TOP + 1)-th largest, then the _TOP largest in any order.
+        part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :]
+        row = np.arange(len(members))[:, None]
+        vals = pool[row, part]
+        cols = np.sort(part[:, 1:], axis=1)
+        kth = vals[:, 1:].min(axis=1)
+        tied = np.flatnonzero(vals[:, 0] == kth)
+        if len(tied):
+            # The (_TOP + 1)-th equals the smallest kept value: of the values
+            # equal to it, the first are kept.
+            sub, level = pool[tied], kth[tied, None]
+            at = sub == level
+            room = _TOP - np.count_nonzero(sub > level, axis=1)[:, None]
+            cols[tied] = np.nonzero((sub > level) | at & (np.cumsum(at, axis=1) <= room))[1].reshape(-1, _TOP)
+        col = cols - _TOP
+        flat = np.where(col < pending.shape[1], col + start[members, None], col - pending.shape[1] + first)
+        top_idx[members] = np.where(col < 0, top_idx[members][row, np.minimum(cols, _TOP - 1)], flat)
+        top_vals[members] = pool[row, cols]
+        floor[members] = kth
+        start[members] = -1
+
+    def reduce(h, rows):
+        values = _buffer(workspace, "values", (size, h[0].size), float)
+        grid = np.abs(h, out=values.reshape(h.shape))
+        grid *= weight[rows]
+        peaks = values.max(axis=1)
+        if "pending" not in workspace:
+            # The first block, the widest, is pending for every member; the
+            # next block takes another buffer for its values.
+            workspace["pending"] = workspace.pop("values")
+            best[:] = peaks
+            start[:] = rows.start * n_cols
+            return
+        ahead = peaks > floor
+        if not ahead.any():
+            np.maximum(best, peaks, out=best)
+            return
+        replaces = peaks > best
+        if replaces.any():
+            replaces[replaces] = np.count_nonzero(values[replaces] > best[replaces, None], axis=1) >= _TOP
+        joined = ahead & ~replaces & (start >= 0)
+        if joined.any():
+            merge(np.flatnonzero(joined), values, rows.start * n_cols)
+        top_vals[replaces] = -np.inf
+        floor[replaces] = best[replaces]
+        np.maximum(best, peaks, out=best)
+        ahead &= ~joined
+        # The block is pending for the members it may add to: the buffers
+        # trade places when that is all of them.
+        pending = workspace["pending"]
+        if ahead.all() and pending.shape == values.shape:
+            workspace["pending"], workspace["values"] = values, pending
+        else:
+            np.copyto(pending[:, : values.shape[1]], values, where=ahead[:, None])
+            pending[ahead, values.shape[1] :] = -np.inf
+        start[ahead] = rows.start * n_cols
+
+    family.rowwise(radii, circle, order, reduce)
+    merge(np.flatnonzero(start >= 0))
+    return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
+
+
+def _select_candidates(order, n_cols: int, k: int) -> list:
+    """Up to k (row, column) points of a grid n_cols wide, spread out over it.
+
+    order holds flat grid indices, largest value first: each is picked
+    unless it lies within one row and two columns of a point picked
+    before it.
+    """
     picked = []
     for idx in order:
-        i, j = divmod(int(idx), n_t)
+        i, j = divmod(int(idx), n_cols)
         close = False
         for (pi, pj) in picked:
             dj = abs(j - pj)
-            dj = min(dj, n_t - dj)
+            dj = min(dj, n_cols - dj)
             if abs(i - pi) <= 1 and dj <= 2:
                 close = True
                 break
@@ -165,28 +265,26 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
 
     h is the member itself (order 0) or its derivative (order 1); a
     single expression counts as a one-member family.  omega is the
-    radial weight in t = |z|^2.  The grid scan reduces the family's
-    stacked values.  Up to _POLISH_CANDIDATES of each member's leading
-    grid maxima, spread over the grid, are then polished together in a
-    box of one ladder step in r and two grid steps in theta around each
-    (see _polish): a Newton step converges into each maximum, where
-    plain coordinate search stalls on diagonal ridges.  With FLAT_WEIGHT
-    at order 0 the maximum principle puts the sup of a member analytic
-    on the disk on |z| = r_max: the scan is that one circle and the
-    polish moves theta alone, in the same boxes of two grid steps.  A
-    pole inside the disk is not seen there.  Each result is the largest
-    value at an evaluated point, so still a lower bound for the sup.
+    radial weight in t = |z|^2.  The grid scan streams the family's
+    values block by block (_grid_maxima).  Up to _POLISH_CANDIDATES of
+    each member's leading grid maxima, spread over the grid, are then
+    polished together in a box of one ladder step in r and two grid
+    steps in theta around each (see _polish): a Newton step converges
+    into each maximum, where plain coordinate search stalls on diagonal
+    ridges.  With FLAT_WEIGHT at order 0 the maximum principle puts the
+    sup of a member analytic on the disk on |z| = r_max: the scan is
+    that one circle and the polish moves theta alone, in the same boxes
+    of two grid steps.  A pole inside the disk is not seen there.  Each
+    result is the largest value at an evaluated point, so still a lower
+    bound for the sup.
     """
     family = as_family(family)
     on_circle = omega is FLAT_WEIGHT and order == 0
     radii = np.array([cfg.r_max]) if on_circle else scan_radii(cfg)
     angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    z = radii[:, None] * unit_circle(cfg.n_theta)[None, :] if on_circle else scan_grid(cfg)
-    weight = omega(radii[:, None] ** 2)
-    vals = family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
-    best = vals.reshape(len(family), -1).max(axis=1)
+    best, top = _grid_maxima(family, order, omega(radii[:, None] ** 2), radii, unit_circle(cfg.n_theta))
     dtheta = 2.0 * np.pi / cfg.n_theta
-    picks = [_select_candidates(v, _POLISH_CANDIDATES) for v in vals]
+    picks = [_select_candidates(t, cfg.n_theta, _POLISH_CANDIDATES) for t in top.tolist()]
     # Members with fewer picks repeat their first one, so that every
     # member has the same number of boxes.
     n_boxes = max(len(p) for p in picks)
@@ -224,6 +322,8 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
 # _POLISH_CANDIDATES grid maxima of each member, on the circle
 # |z| = r_max alone for a flat weight.
 _POLISH_CANDIDATES = 4
+# Grid candidates each member keeps for _select_candidates.
+_TOP = 8 * _POLISH_CANDIDATES
 _POLISH_ITERATIONS = 20
 _POLISH_HALVINGS = 8
 _POLISH_GTOL = 1e-10

@@ -20,7 +20,7 @@ import typing
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Const, Family, Mul, as_family, unit_circle
+from .analytic_core import AnalyticExpr, Const, Family, Mul, _buffer, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -35,6 +35,8 @@ from .quadrature import (
 # BMOA star seminorm scans these moduli of the automorphism parameter a;
 # the argument of a is maximized continuously.
 _BMOA_A_RADII = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95)
+# Members whose BMOA profiles over arg(a) are held at once.
+_PROFILE_MEMBERS = 8
 
 
 class NormShape(typing.NamedTuple):
@@ -210,11 +212,8 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
         squares = np.abs(coeffs) ** 2
         return lambda radii: squares @ np.asarray(radii)[None, :] ** (2 * np.arange(squares.shape[1]))[:, None]
 
-    def h(radii):
-        z = np.asarray(radii)[:, None] * unit_circle(cfg.n_theta)[None, :]
-        return fam.rowwise(z, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
-
-    return h
+    circle = unit_circle(cfg.n_theta)
+    return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
 
 
 def _mixed_sup_norms(fam: Family, p: float, omega, cfg: GridConfig) -> np.ndarray:
@@ -273,13 +272,23 @@ def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
         for m in range(modes):
             acc[:, :, m] = np.einsum("akj,kj->ak", weighted[:, :, m:], b[:, : width - m].conj())
         return acc
-    z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
     # The real and imaginary parts side by side: one real product per block.
     acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))
-    for rows in fam.row_blocks(z, 1):
-        D = np.abs(fam.derivative(z[rows], 1).transpose(1, 0, 2)) ** 2
-        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] * r_pow[rows, None, :]
-        acc += (pref[:, rows] @ coeffs.view(float).reshape(len(coeffs), -1)).reshape(acc.shape)
+    workspace = {}
+
+    def reduce(values, rows):
+        # D = |f'|^2 and its modes in the sweep's buffers: new ones for
+        # each block were returned to the system and faulted in again.
+        lines = values.transpose(1, 0, 2)
+        D = np.square(np.abs(lines, out=_buffer(workspace, "D", lines.shape, float)))
+        modes = np.fft.rfft(D, axis=-1, out=_buffer(workspace, "modes", lines.shape[:2] + (cfg.n_theta // 2 + 1,)))
+        coeffs = _buffer(workspace, "coeffs", lines.shape[:2] + (m_max + 1,))
+        np.multiply(modes[:, :, : m_max + 1], r_pow[rows, None, :], out=coeffs)
+        part = _buffer(workspace, "part", (len(acc), acc[0].size), float)
+        np.matmul(pref[:, rows], coeffs.view(float).reshape(len(coeffs), -1), out=part)
+        np.add(acc, part.reshape(acc.shape), out=acc)
+
+    fam.rowwise(np.sqrt(gauss01(cfg.n_radial)[0]), unit_circle(cfg.n_theta), 1, reduce)
     return acc.view(complex)
 
 
@@ -296,16 +305,23 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     """
     acc = _bmoa_mode_sums(fam, cfg)
     modes = acc.shape[-1]
-    # sums[k, a, m] = |a|^m acc[a, k, m]
-    sums = (acc * _bmoa_kernel(cfg)[2][:, None, :modes]).transpose(1, 0, 2)
+    # sums[k, a, m] = |a|^m acc[a, k, m], in acc's place
+    acc *= _bmoa_kernel(cfg)[2][:, None, :modes]
+    sums = acc.transpose(1, 0, 2)
     # _BMOA_A_RADII starts at |a| = 0, whose profile is the constant s0.
     s0 = sums[:, :, 0].real
     s = sums[:, 1:, 1:]
-    padded = np.zeros(s.shape[:2] + (cfg.n_theta,), dtype=complex)
-    padded[:, :, 0] = s0[:, 1:]
-    padded[:, :, 1:modes] = 2.0 * s
-    profile = np.fft.ifft(padded, axis=-1).real * cfg.n_theta
-    beta0 = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
+    # The profiles over arg(a), _PROFILE_MEMBERS members at a time: each
+    # row's inverse FFT is the same alone.
+    peak, beta0 = np.empty(s.shape[:2]), np.empty(s.shape[:2])
+    for k in range(0, len(s), _PROFILE_MEMBERS):
+        part = slice(k, k + _PROFILE_MEMBERS)
+        padded = np.zeros(s[part].shape[:2] + (cfg.n_theta,), dtype=complex)
+        padded[:, :, 0] = s0[part, 1:]
+        padded[:, :, 1:modes] = 2.0 * s[part]
+        profile = np.fft.ifft(padded, axis=-1).real * cfg.n_theta
+        peak[part] = profile.max(axis=-1)
+        beta0[part] = 2.0 * np.pi * np.argmax(profile, axis=-1) / cfg.n_theta
     width = 2.0 * np.pi / cfg.n_theta
 
     def at(x, starts):
@@ -319,7 +335,7 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
 
     start = beta0[..., None]
     polished = _polish(at, start, start - width, start + width)
-    best = np.maximum(s0[:, 0], np.maximum(profile.max(axis=-1), polished).max(axis=1))
+    best = np.maximum(s0[:, 0], np.maximum(peak, polished).max(axis=1))
     return np.sqrt(np.maximum(best, 0.0))
 
 
@@ -331,8 +347,8 @@ def _b1_area_integrals(fam: Family, cfg: GridConfig) -> np.ndarray:
     well under the isometry tolerances.
     """
     t, w = gauss01(cfg.n_radial)
-    z = np.sqrt(t)[:, None] * unit_circle(4 * cfg.n_theta)[None, :]
-    return fam.rowwise(z, 2, lambda vals, rows: np.abs(vals).mean(axis=-1)) @ w
+    means = fam.rowwise(np.sqrt(t), unit_circle(4 * cfg.n_theta), 2, lambda vals, rows: np.abs(vals).mean(axis=-1))
+    return means @ w
 
 
 # numpy's warnings stay inside: an overflow or underflow is rescaled, and

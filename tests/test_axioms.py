@@ -70,10 +70,10 @@ class TestRunAll:
         def is_base(fam):
             return isinstance(fam, PolyFamily) and fam.F is fam.phi is None and fam.polys == base
 
-        def scanned(fam, z, order):
+        def scanned(fam, shape, order):
             if is_base(fam):
-                reads.append(("scan", z.shape))
-            return row_blocks(fam, z, order)
+                reads.append(("scan", shape))
+            return row_blocks(fam, shape, order)
 
         def read(fam, order):
             coeffs = z_coefficients(fam, order)

@@ -239,7 +239,7 @@ class TestEvidence:
         inv = WcoSymbols(G, psi)
         family = as_family(random_polynomials(20, 7))
         worst = 0.0
-        for rows in family.row_blocks(scan_grid(cfg), 0):
+        for rows in family.row_blocks(scan_grid(cfg).shape, 0):
             z = scan_grid(cfg)[rows]
             for image in (apply(inv, apply(self.W, family)), apply(self.W, apply(inv, family))):
                 worst = max(worst, float(np.max(np.abs(image.derivative(z, 0) - family.derivative(z, 0)))))

@@ -23,8 +23,19 @@ from wcolab.analytic_core import (
 from wcolab.axiom_harness import ALL_FAMILIES
 from wcolab.errors import DomainError, ParameterError
 from wcolab.operators import WcoSymbols, apply, default_probe_family
-from wcolab.quadrature import gauss01, scan_grid, unit_circle
-from wcolab.spaces import norm, norms, parse_space, seminorms
+from wcolab.quadrature import (
+    _POLISH_CANDIDATES,
+    _TOP,
+    _grid_maxima,
+    _select_candidates,
+    gauss01,
+    scan_grid,
+    scan_radii,
+    unit_circle,
+)
+from wcolab.spaces import _power_weight, norm, norms, parse_space, seminorms
+
+from conftest import seeded_polys
 
 SYMBOLS = {
     "rotation": WcoSymbols(Const(np.exp(0.9j)), Moebius(rotation_map(2.1))),
@@ -211,7 +222,7 @@ def two_row_blocks(monkeypatch, family, z, order):
     # BLOCK_BYTES that fits two rows of z per block, so an odd number of
     # rows ends in a shorter block.
     monkeypatch.setattr(analytic_core, "BLOCK_BYTES", 2 * family._height(order) * z.shape[1] * 16)
-    blocks = family.row_blocks(z, order)
+    blocks = family.row_blocks(z.shape, order)
     assert [len(range(len(z))[rows]) for rows in blocks] == [2] * (len(z) // 2) + [1] * (len(z) % 2)
     return blocks
 
@@ -222,7 +233,7 @@ def test_sweep_values_equal_block_derivatives_bitwise(cfg, monkeypatch, name, or
     family = SWEPT[name](as_family(default_probe_family()[:12]))
     z = scan_grid(cfg)[:7]
     blocks = two_row_blocks(monkeypatch, family, z, order)
-    got = family.rowwise(z, order, lambda values, rows: values.copy())
+    got = family.rowwise(scan_radii(cfg)[:7], unit_circle(cfg.n_theta), order, lambda values, rows: values.copy())
     want = np.concatenate([family.derivative(z[rows], order) for rows in blocks], axis=1)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -241,9 +252,82 @@ def test_sweep_hands_equal_blocks_one_buffer(cfg, monkeypatch, name):
         kept.append(values)
         return np.abs(values)
 
-    family.rowwise(z, 2, reduce)
+    family.rowwise(scan_radii(cfg)[:7], unit_circle(cfg.n_theta), 2, reduce)
     assert len(kept) == 4
     assert len({values.ctypes.data for values in kept[:3]}) == 1
+
+
+def blocks_of_rows(monkeypatch, family, shape, order, rows):
+    # BLOCK_BYTES that fits the given number of grid rows per block.
+    monkeypatch.setattr(analytic_core, "BLOCK_BYTES", rows * family._height(order) * shape[1] * 16)
+    assert len(family.row_blocks(shape, order)) == -(-shape[0] // rows)
+
+
+def full_grid_order(values):
+    # Flat indices of the _TOP largest values of one member's whole grid,
+    # largest first, ties by index: the order the sweep must reproduce.
+    return np.argsort(-values.ravel(), kind="stable")[:_TOP]
+
+
+def scan_values(family, order, weight, cfg):
+    radii = scan_radii(cfg)
+    return family.rowwise(radii, unit_circle(cfg.n_theta), order, lambda h, rows: weight(radii[rows, None] ** 2) * np.abs(h))
+
+
+SELECTED = {
+    "random probes": lambda: as_family(seeded_polys(20, 5)),
+    "moebius images": lambda: image_family(Const(np.exp(0.4j)), moebius(0.5 - 0.3j), as_family(seeded_polys(20, 6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTED))
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("rows", [None, 2, 7, 56])
+def test_streamed_candidates_equal_full_grid_selection(cfg, monkeypatch, name, order, rows):
+    family = SELECTED[name]()
+    weight = _power_weight(1.0)
+    values = scan_values(family, order, weight, cfg)
+    # Tie-free: the (_TOP + 1) largest values of every member are distinct.
+    top = -np.sort(-values.reshape(len(family), -1), axis=1)[:, : _TOP + 1]
+    assert np.all(top[:, :-1] > top[:, 1:])
+    radii = scan_radii(cfg)
+    if rows is not None:
+        blocks_of_rows(monkeypatch, family, values.shape[1:], order, rows)
+    best, got = _grid_maxima(family, order, weight(radii[:, None] ** 2), radii, unit_circle(cfg.n_theta))
+    assert best.tobytes() == values.reshape(len(family), -1).max(axis=1).tobytes()
+    for k in range(len(family)):
+        want = full_grid_order(values[k])
+        assert got[k].tolist() == want.tolist()
+        assert _select_candidates(got[k], cfg.n_theta, _POLISH_CANDIDATES) == _select_candidates(
+            want, cfg.n_theta, _POLISH_CANDIDATES
+        )
+
+
+# Weights in t = |z|^2 under which z has grid values that tie exactly:
+# everywhere, from the first row past t = 0.3 on, and along the row of
+# largest t (1 - t).
+TIED_WEIGHTS = {
+    "flat": np.ones_like,
+    "step": lambda t: np.where(t > 0.3, 1.0, 0.5),
+    "hump": lambda t: t * (1.0 - t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_WEIGHTS))
+@pytest.mark.parametrize("rows", [None, 1, 2, 3, 56])
+def test_tied_grid_values_keep_the_smallest_flat_indices(cfg, monkeypatch, name, rows):
+    # f = z at order 1: every grid value is the weight of its row.
+    family = as_family([Poly((0.0, 1.0)), Poly((0.5, 2.0))])
+    weight = TIED_WEIGHTS[name]
+    radii = scan_radii(cfg)
+    values = scan_values(family, 1, weight, cfg)
+    if rows is not None:
+        blocks_of_rows(monkeypatch, family, values.shape[1:], 1, rows)
+    _, got = _grid_maxima(family, 1, weight(radii[:, None] ** 2), radii, unit_circle(cfg.n_theta))
+    first = int(np.argmax(weight(radii ** 2))) * cfg.n_theta
+    for k in range(len(family)):
+        assert got[k].tolist() == list(range(first, first + _TOP))
+        assert got[k].tolist() == full_grid_order(values[k]).tolist()
 
 
 def test_member_rows_equal_member_aligned_calls_bitwise():

@@ -15,6 +15,7 @@ from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
     _POLISH_CANDIDATES,
+    _TOP,
     _jacobi01,
     _polish,
     _select_candidates,
@@ -206,9 +207,13 @@ class TestSupEngines:
 def _grid_scan(family, order, omega, cfg):
     radii = scan_radii(cfg)
     angles = 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
     weight = omega(radii[:, None] ** 2)
-    return radii, angles, family.rowwise(z, order, lambda h, rows: weight[rows] * np.abs(h))
+    return radii, angles, family.rowwise(radii, np.exp(1j * angles), order, lambda h, rows: weight[rows] * np.abs(h))
+
+
+def _full_grid_order(vals):
+    # Flat indices of the _TOP largest values of a whole grid, largest first, ties by index.
+    return np.argsort(-vals.ravel(), kind="stable")[:_TOP]
 
 
 def _lbfgsb_sup(family, order, omega, dlog_omega, cfg):
@@ -238,7 +243,7 @@ def _lbfgsb_sup(family, order, omega, dlog_omega, cfg):
             grad_th = phi * (-(q * zz).imag)
             return -phi, np.array([-grad_r, -grad_th])
 
-        for i, j in _select_candidates(vals[k], _POLISH_CANDIDATES):
+        for i, j in _select_candidates(_full_grid_order(vals[k]), cfg.n_theta, _POLISH_CANDIDATES):
             lo_r = radii[i - 1] if i > 0 else 0.0
             hi_r = radii[i + 1] if i + 1 < len(radii) else cfg.r_max
             th0 = angles[j]
@@ -260,7 +265,7 @@ def _disk_polish_sup(family, cfg):
     radii, angles, vals = _grid_scan(family, 0, FLAT_WEIGHT, cfg)
     best = vals.reshape(len(family), -1).max(axis=1)
     dtheta = 2.0 * np.pi / cfg.n_theta
-    picks = [_select_candidates(v, _POLISH_CANDIDATES) for v in vals]
+    picks = [_select_candidates(_full_grid_order(v), cfg.n_theta, _POLISH_CANDIDATES) for v in vals]
     n_boxes = max(len(p) for p in picks)
     i, j = np.array([p + p[:1] * (n_boxes - len(p)) for p in picks]).transpose(2, 0, 1)
     ladder = np.concatenate([[0.0], radii, [cfg.r_max]])

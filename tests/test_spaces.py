@@ -25,9 +25,12 @@ from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, gauss01, unit_circle
 from conftest import seeded_polys
+from wcolab import spaces
 from wcolab.spaces import (
     _BMOA_A_RADII,
     SpaceSpec,
+    _bmoa_kernel,
+    _bmoa_mode_sums,
     _bmoa_seminorms,
     norm,
     norms,
@@ -383,6 +386,43 @@ class TestBmoaArgumentSearch:
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def _bmoa_mode_sums_by_blocks(fam, cfg):
+    """The sampled BMOA mode sums as each row block's new arrays gave them, before the sweep's buffers."""
+    pref, r_pow, _ = _bmoa_kernel(cfg)
+    m_max = cfg.n_theta // 2 - 1
+    z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
+    acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))
+    for rows in fam.row_blocks(z.shape, 1):
+        D = np.abs(fam.derivative(z[rows], 1).transpose(1, 0, 2)) ** 2
+        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] * r_pow[rows, None, :]
+        acc += (pref[:, rows] @ coeffs.view(float).reshape(len(coeffs), -1)).reshape(acc.shape)
+    return acc.view(complex)
+
+
+class TestBmoaSweep:
+    # Images under a Moebius map with a != 0 have no z-coefficients: their
+    # mode sums are sampled, one row block at a time.
+    IMAGES = {
+        "fold": lambda fam: apply(WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.5 - 0.2j, 1.0))), fam),
+        "leibniz": lambda fam: apply(WcoSymbols(Recip(Poly((2.0, 0.5j))), Moebius(MoebiusMap(0.3j, 1.0))), fam),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IMAGES))
+    def test_mode_sums_equal_the_block_formulation_bitwise(self, cfg, name):
+        fam = self.IMAGES[name](as_family(default_probe_family()))
+        assert fam.z_coefficients(1) is None
+        got, want = _bmoa_mode_sums(fam, cfg), _bmoa_mode_sums_by_blocks(fam, cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("members", [1, 5, 47])
+    def test_profile_chunks_leave_the_seminorms_bitwise(self, cfg, monkeypatch, members):
+        fam = self.IMAGES["fold"](as_family(default_probe_family()))
+        want = _bmoa_seminorms(fam, cfg)
+        monkeypatch.setattr(spaces, "_PROFILE_MEMBERS", members)
+        assert _bmoa_seminorms(fam, cfg).tobytes() == want.tobytes()
+
+
 def _bmoa_per_mode(fam, cfg):
     """BMOA star seminorms with the radial sums taken mode by mode.
 
@@ -397,7 +437,7 @@ def _bmoa_per_mode(fam, cfg):
     pref = w * (1.0 - mods[:, None] ** 2) * (1.0 - t) / (1.0 - (mods[:, None] * radii) ** 2)
     kernel = pref[:, :, None] * (mods[:, None] * radii)[:, :, None] ** np.arange(m_max + 1)
     sums = np.zeros((len(fam), len(mods), m_max + 1), dtype=complex)
-    for rows in fam.row_blocks(z, 1):
+    for rows in fam.row_blocks(z.shape, 1):
         v = fam.derivative(z[rows], 1)
         coeffs = np.fft.rfft(v.real * v.real + v.imag * v.imag, axis=-1)[:, :, : m_max + 1] / cfg.n_theta
         sums += np.matmul(coeffs.transpose(2, 0, 1), kernel[:, rows].transpose(2, 1, 0)).transpose(1, 2, 0)
@@ -500,9 +540,9 @@ class TestCoefficientSums:
         scans = []
         row_blocks = Family.row_blocks
 
-        def counted(family, z, order):
-            scans.append(z.shape)
-            return row_blocks(family, z, order)
+        def counted(family, shape, order):
+            scans.append(shape)
+            return row_blocks(family, shape, order)
 
         monkeypatch.setattr(Family, "row_blocks", counted)
         for images in (image_family(Const(1.0), Moebius(MoebiusMap(0.5, 1.0)), fam), image_family(Recip(Poly((2.0, 1.0))), None, fam)):
