@@ -277,8 +277,8 @@ def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
     workspace = {}
 
     def reduce(values, rows):
-        # D = |f'|^2 and its modes in the sweep's buffers: new ones for
-        # each block were returned to the system and faulted in again.
+        # D = |f'|^2, its modes and their radial sums live in buffers of
+        # the sweep, like the values (see Family.rowwise).
         lines = values.transpose(1, 0, 2)
         D = np.square(np.abs(lines, out=_buffer(workspace, "D", lines.shape, float)))
         modes = np.fft.rfft(D, axis=-1, out=_buffer(workspace, "modes", lines.shape[:2] + (cfg.n_theta // 2 + 1,)))
