@@ -424,6 +424,17 @@ class Family:
         """
         return None
 
+    def monomial_images(self) -> tuple | None:
+        """(C, basis) with member k = sum over j of C[k, j] basis[j], or None.
+
+        A PolyFamily answers with its base polynomials' coefficients C,
+        one row per member against z^0 .. z^(W-1), and the images of 1, z,
+        ..., z^(W-1) under its F and phi: every image is linear in f, so
+        each derivative of member k is that sum of the basis members'.
+        Every other family returns None.
+        """
+        return None
+
     def derivative(self, z, order: int) -> np.ndarray:
         """Derivative of the given order of every member at the shared points z."""
         return self._shared(z, (order,))[0]
@@ -439,7 +450,7 @@ class Family:
         step = max(1, BLOCK_BYTES // (max(1, self._height(order)) * n_cols * 16))
         return [slice(i, i + step) for i in range(0, n_rows, step)]
 
-    def rowwise(self, radii, circle, order: int, reduce):
+    def rowwise(self, radii, circle, order: int, reduce, blocks=None):
         """reduce(values, rows) over the row blocks of the grid radii[:, None] * circle, joined on axis 1.
 
         values holds the members' derivatives of the given order at the
@@ -451,13 +462,14 @@ class Family:
         reduce must not keep values, or a view of it, after it returns.
         Allocating them once per sweep also spares each block the page
         faults of memory that the allocator returned to the system after
-        the block before.
+        the block before.  blocks, row slices of the grid, replaces this
+        family's own row_blocks.
         """
         radii = np.asarray(radii, dtype=float)
         circle = np.asarray(circle, dtype=complex)
         workspace = {}
         parts = []
-        for rows in self.row_blocks((len(radii), len(circle)), order):
+        for rows in blocks or self.row_blocks((len(radii), len(circle)), order):
             z = _buffer(workspace, "points", (len(radii[rows]), len(circle)))
             np.multiply(radii[rows, None], circle, out=z)
             parts.append(reduce(self._shared(z, (order,), workspace)[0], rows))
@@ -572,9 +584,21 @@ class PolyFamily(Family):
             return self._matrices[order]
         return _derivative_matrices(self._matrices[0] * (-self.phi.map.lam) ** np.arange(self._width))[order]
 
+    def monomial_images(self):
+        width = self._plain[0].shape[1]
+        basis = copy.copy(self)
+        basis.polys = tuple(Poly((0.0,) * j + (1.0,)) for j in range(width))
+        basis._plain = _derivative_matrices(np.eye(width, dtype=complex))
+        basis._set_symbols(self.F, self.phi)
+        return self._plain[0], basis
+
+    def _table_rows(self, order):
+        # Rows of the table that each member's derivative of the order contracts at a point.
+        return (self._matrices if self._joined is None else self._joined)[order].shape[1]
+
     def _height(self, order):
         # The members' values and the power table, and Leibniz's stacked table.
-        return max(len(self), self._width, 0 if self._joined is None else self._joined[order].shape[1])
+        return max(len(self), self._width, self._table_rows(order))
 
     def _evaluate(self, z, orders, members=None, workspace=None):
         if not set(orders) <= {0, 1, 2}:

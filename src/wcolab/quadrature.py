@@ -3,7 +3,9 @@
 Everything funnels through a GridConfig: angular trapezoid nodes (exact
 for trigonometric polynomials below the Nyquist degree), Gauss-Legendre
 radial nodes in t = r^2, a Gauss-Jacobi rule for weighted radial
-integrals with an endpoint weight, and a refined grid supremum.
+integrals with an endpoint weight, a refined grid supremum, and the
+circle means of |f|^2 for combinations f of a basis, from the basis's
+Gram matrices.
 """
 
 from __future__ import annotations
@@ -149,8 +151,10 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     value before it replaces the candidates and the pending block
     unmerged; as values rise with r, most blocks do.  Any other block is
     merged with the pending one, and the last pending blocks at the end.
-    Returns the maxima and the candidates' flat indices, one row per
-    member, largest value first: they do not depend on the blocks.
+    A grid swept in one block, as a small family's often is, has its
+    candidates selected from that block once.  Returns the maxima and the
+    candidates' flat indices, one row per member, largest value first:
+    they do not depend on the blocks.
     """
     n_cols, size = len(circle), len(family)
     best = np.full(size, -np.inf)
@@ -174,20 +178,8 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
         np.take(pending, members, axis=0, out=pool[:, _TOP : _TOP + pending.shape[1]], mode="clip")
         if values is not None:
             np.take(values, members, axis=0, out=pool[:, _TOP + pending.shape[1] :], mode="clip")
-        # The (_TOP + 1)-th largest, then the _TOP largest in any order.
-        part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :]
+        cols, kth = _largest(pool)
         row = np.arange(len(members))[:, None]
-        vals = pool[row, part]
-        cols = np.sort(part[:, 1:], axis=1)
-        kth = vals[:, 1:].min(axis=1)
-        tied = np.flatnonzero(vals[:, 0] == kth)
-        if len(tied):
-            # The (_TOP + 1)-th equals the smallest kept value: of the values
-            # equal to it, the first are kept.
-            sub, level = pool[tied], kth[tied, None]
-            at = sub == level
-            room = _TOP - np.count_nonzero(sub > level, axis=1)[:, None]
-            cols[tied] = np.nonzero((sub > level) | at & (np.cumsum(at, axis=1) <= room))[1].reshape(-1, _TOP)
         col = cols - _TOP
         flat = np.where(col < pending.shape[1], col + start[members, None], col - pending.shape[1] + first)
         top_idx[members] = np.where(col < 0, top_idx[members][row, np.minimum(cols, _TOP - 1)], flat)
@@ -232,8 +224,84 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
         start[ahead] = rows.start * n_cols
 
     family.rowwise(radii, circle, order, reduce)
-    merge(np.flatnonzero(start >= 0))
+    if "values" in workspace:
+        merge(np.flatnonzero(start >= 0))
+    else:
+        # One block: its candidates are selected once, after the sweep has
+        # freed its tables.
+        top_idx[:] = _largest(workspace["pending"])[0]
+        top_vals[:] = np.take_along_axis(workspace["pending"], top_idx, axis=1)
     return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
+
+
+def _largest(pool: np.ndarray) -> tuple:
+    """Columns of the _TOP largest values of each row of pool, and the smallest of those values.
+
+    The columns are ascending; of values tied at the smallest, the
+    first columns are kept.
+    """
+    # The (_TOP + 1)-th largest, then the _TOP largest in any order.
+    part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :]
+    vals = np.take_along_axis(pool, part, axis=1)
+    cols = np.sort(part[:, 1:], axis=1)
+    kth = vals[:, 1:].min(axis=1)
+    tied = np.flatnonzero(vals[:, 0] == kth)
+    if len(tied):
+        # The (_TOP + 1)-th equals the smallest kept value: of the values
+        # equal to it, the first are kept.
+        sub, level = pool[tied], kth[tied, None]
+        at = sub == level
+        room = _TOP - np.count_nonzero(sub > level, axis=1)[:, None]
+        cols[tied] = np.nonzero((sub > level) | at & (np.cumsum(at, axis=1) <= room))[1].reshape(-1, _TOP)
+    return cols, kth
+
+
+def _quadratic_means(C: np.ndarray, basis, radii, circle: np.ndarray, order: int, blocks: list) -> np.ndarray:
+    """M_2(r)^2 at the radii of each member sum over j of C[k, j] g_j, from one sweep of the basis g in the given row blocks.
+
+    Each block's Gram matrices G(r)[j, l] = mean over the circle of
+    conj(g_j) g_l give the members' quadratic forms (_quadratic_form).
+    A member whose form is not accurate on a block takes its mean there
+    from its values, sum over j of C[k, j] g_j, on the same block.
+    """
+    means = np.empty((len(C), len(radii)))
+    workspace = {}
+
+    def reduce(values, rows):
+        # conj(g) of the block beside g, each row a W x n_theta matrix;
+        # 1 / n_theta, a power of two, is exact.
+        conj = np.conjugate(values, out=_buffer(workspace, "conj", values.shape)).transpose(1, 0, 2)
+        gram = np.matmul(conj, values.transpose(1, 2, 0), out=_buffer(workspace, "gram", (len(conj),) + 2 * (len(values),)))
+        gram *= 1.0 / values.shape[-1]
+        block, accurate = _quadratic_form(C, gram)
+        redo = np.flatnonzero(~accurate.all(axis=1))
+        if len(redo):
+            own = np.matmul(C[redo], values.reshape(len(values), -1)).reshape((len(redo),) + values.shape[1:])
+            block[redo] = np.mean(np.abs(own) ** 2, axis=-1)
+        means[:, rows] = block
+
+    basis.rowwise(radii, circle, order, reduce, blocks)
+    return means
+
+
+# A quadratic form is accurate where its rounding bound is at most this
+# fraction of it.
+_FORM_RTOL = 1e-13
+
+
+def _quadratic_form(C: np.ndarray, gram: np.ndarray) -> tuple:
+    """Re conj(C[k]) . gram[i] . C[k] for member k at radius i, and where it is accurate.
+
+    The sum's rounding error is at most W eps (sum over j of |C[k, j]|
+    sqrt(G_jj))^2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.5, with |G_jl| <= sqrt(G_jj G_ll)), which exceeds the
+    form by far where the basis images are nearly dependent and its
+    terms cancel.  It is accurate where that bound is at most _FORM_RTOL
+    times the form.
+    """
+    form = np.vecdot(C, np.matmul(C, gram.transpose(0, 2, 1))).real.T
+    bound = np.abs(C) @ np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real).T
+    return form, C.shape[1] * np.finfo(float).eps * bound * bound <= _FORM_RTOL * form
 
 
 def _select_candidates(order, n_cols: int, k: int) -> list:

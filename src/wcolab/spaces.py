@@ -5,10 +5,12 @@ Bloch-type, logarithmic Bloch, BMOA (star norm), weighted Besov, and the
 minimal Besov space B1.  Where the norm splits as |f(0)| + p(f) with a
 translation-invariant seminorm p, the breakdown is exposed.
 
-Angular means are sampled on the GridConfig's circles, except for a
-family of polynomials in z (Family.z_coefficients): its p = 2 means and
-BMOA's modes of |f'|^2 are sums over its Taylor coefficients, which the
-n_theta-point rule reproduces up to rounding where it does not alias.
+Angular means are sampled on the GridConfig's circles.  The p = 2 means
+of a PolyFamily's images are quadratic forms in the coefficients of its
+polynomials (_power_mean_profile).  For a family of polynomials in z
+(Family.z_coefficients) those forms, and BMOA's modes of |f'|^2, are
+sums over its Taylor coefficients, which the n_theta-point rule
+reproduces up to rounding where it does not alias.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .quadrature import (
     FLAT_WEIGHT,
     GridConfig,
     _polish,
+    _quadratic_means,
     gauss01,
     refined_modulus_sup,
     scan_radii,
@@ -201,18 +204,32 @@ class NormBreakdown:
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     """Callable radii -> M_p(r)^p of each member (order 0) or its derivative (order 1).
 
-    At p = 2 a family of polynomials in z (Family.z_coefficients) gives
-    M_2(r)^2 = sum_j |c_j|^2 r^(2j) by Parseval: the n_theta-point rule
-    sums the same terms, up to rounding, while the degree is below
-    n_theta, and beyond it aliases, where the sum stays exact.  Other
-    families and exponents are sampled on n_theta angles per radius.
+    At p = 2 the mean of a PolyFamily's member k, sum over j of
+    C[k, j] g_j (Family.monomial_images), is the quadratic form
+    M_2(r)^2 = Re sum over j, l of conj(C[k, j]) G_jl(r) C[k, l], with
+    G(r) the Gram matrix of the basis images g_j under the n_theta-point
+    rule on |z| = r.  A family of polynomials in z (Family.z_coefficients)
+    has g_j = z^j and G(r) = diag(r^(2j)) by Parseval: the rule sums the
+    same terms, up to rounding, while the degree is below n_theta, and
+    beyond it aliases, where the sum stays exact.  Other images sample
+    G(r) in one sweep of the basis (quadrature._quadratic_means) where
+    that evaluates fewer values per point than the members' own sweep.
+    Every other family and exponent is sampled member by member.
     """
+    circle = unit_circle(cfg.n_theta)
     coeffs = fam.z_coefficients(order) if p == 2.0 else None
     if coeffs is not None:
         squares = np.abs(coeffs) ** 2
         return lambda radii: squares @ np.asarray(radii)[None, :] ** (2 * np.arange(squares.shape[1]))[:, None]
-
-    circle = unit_circle(cfg.n_theta)
+    form = fam.monomial_images() if p == 2.0 else None
+    if form is not None:
+        C, basis = form
+        # Values per point: the members' contractions of the table, against
+        # the basis's and the Gram matrix's W^2 products.  The basis is
+        # swept in the family's row blocks: its own, taller blocks hold more.
+        width, table = C.shape[1], basis._table_rows(order)
+        if len(fam) * table > width * table + width * width:
+            return lambda radii: _quadratic_means(C, basis, radii, circle, order, fam.row_blocks((len(radii), len(circle)), order))
     return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
 
 

@@ -330,6 +330,31 @@ def test_tied_grid_values_keep_the_smallest_flat_indices(cfg, monkeypatch, name,
         assert got[k].tolist() == full_grid_order(values[k]).tolist()
 
 
+ONE_BLOCK_CASES = {
+    **{f"{name}, order {order}": (SELECTED[name], order, _power_weight(1.0)) for name in SELECTED for order in (0, 1)},
+    **{f"z, {name} weight": (lambda: as_family([Poly((0.0, 1.0)), Poly((0.5, 2.0))]), 1, w) for name, w in TIED_WEIGHTS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BLOCK_CASES))
+def test_one_block_candidates_equal_the_streamed_ones_bitwise(cfg, monkeypatch, name):
+    # A grid swept in one block selects its candidates once; in smaller
+    # blocks they are merged block by block.  The tied weights make values
+    # that tie at the _TOP-th largest.
+    make, order, weight = ONE_BLOCK_CASES[name]
+    family = make()
+    radii = scan_radii(cfg)
+    shape = (len(radii), cfg.n_theta)
+    args = (family, order, weight(radii[:, None] ** 2), radii, unit_circle(cfg.n_theta))
+    blocks_of_rows(monkeypatch, family, shape, order, len(radii))
+    best, top = _grid_maxima(*args)
+    for rows in (1, 2, 7):
+        blocks_of_rows(monkeypatch, family, shape, order, rows)
+        streamed_best, streamed_top = _grid_maxima(*args)
+        assert streamed_best.tobytes() == best.tobytes()
+        assert streamed_top.tobytes() == top.tobytes()
+
+
 def test_member_rows_equal_member_aligned_calls_bitwise():
     # derivative_at(z, order, members) evaluates member members[i] at
     # z[i]: each row must equal that member's row of a call where every

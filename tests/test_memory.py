@@ -9,10 +9,10 @@ import tracemalloc
 
 import numpy as np
 
-from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, as_family, image_family
+from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, PolyFamily, Recip, as_family, image_family
 from wcolab.operators import default_probe_family
 from wcolab.quadrature import refined_modulus_sup
-from wcolab.spaces import _b1_area_integrals, _bmoa_seminorms, _power_weight
+from wcolab.spaces import _b1_area_integrals, _bmoa_seminorms, _power_weight, norms, parse_space
 
 MiB = 1 << 20
 
@@ -53,6 +53,19 @@ def test_b1_area_integral_on_the_refined_grid_holds_no_grid(cfg):
 def test_bmoa_seminorms_of_images_hold_no_profile_of_all_members(cfg):
     images = moebius_images(as_family(default_probe_family()))
     assert traced_peak(lambda: _bmoa_seminorms(images, cfg)) <= 6 * MiB
+
+
+def test_quadratic_form_of_weighted_images_holds_less_than_their_sweep(cfg, monkeypatch):
+    # The basis of 13 monomial images is swept in the row blocks of the 47
+    # images, 2 rows each.  In its own blocks, 5 rows each, it held 3.4 MiB,
+    # more than the 2.1 MiB of the images' own sweep.  The guard rejects
+    # some forms of these images, whose means then come from the basis
+    # values of the same block.
+    images = image_family(Recip(Poly((1.0, 0.99))), None, as_family(default_probe_family()))
+    besov = parse_space("besov:2,0")
+    form = traced_peak(lambda: norms(besov, images, cfg))
+    monkeypatch.setattr(PolyFamily, "monomial_images", lambda self: None)
+    assert form <= traced_peak(lambda: norms(besov, images, cfg))
 
 
 def test_traced_peak_sees_numpy_buffers():

@@ -15,15 +15,19 @@ from wcolab.analytic_core import (
     Compose,
     Const,
     Moebius,
+    Mul,
     Poly,
+    Pow,
     R_MAX,
     Recip,
+    TreeFamily,
     rotation_map,
 )
 from wcolab.analytic_core import Family, MoebiusMap, PolyFamily, as_family, image_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
+from wcolab.axiom_harness import harness_family
 from wcolab.operators import WcoSymbols, apply, default_probe_family
-from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, gauss01, unit_circle
+from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, _quadratic_form, gauss01, unit_circle
 from conftest import seeded_polys
 from wcolab import spaces
 from wcolab.spaces import (
@@ -511,6 +515,15 @@ class TestBmoaRadialSums:
 L2_SPACES = ("hardy:2", "bergman:2,0", "bergman:2,1.5", "mixed:2,2,0.5", "mixed:2,inf,0.5", "besov:2,0", "besov:2,0.5", "bmoa")
 
 
+def direct_norms(monkeypatch, space, fam, cfg):
+    # The norms with every member sampled on the grid: no coefficient
+    # sums and no quadratic form.
+    with monkeypatch.context() as m:
+        m.setattr(PolyFamily, "z_coefficients", lambda self, order: None)
+        m.setattr(PolyFamily, "monomial_images", lambda self: None)
+        return norms(space, fam, cfg)
+
+
 class TestCoefficientSums:
     @staticmethod
     def polynomial_families():
@@ -527,9 +540,7 @@ class TestCoefficientSums:
         for name, fam in self.polynomial_families().items():
             assert fam.z_coefficients(0) is not None
             summed = norms(space, fam, cfg)
-            with monkeypatch.context() as m:
-                m.setattr(PolyFamily, "z_coefficients", lambda self, order: None)
-                sampled = norms(space, fam, cfg)
+            sampled = direct_norms(monkeypatch, space, fam, cfg)
             assert np.all(np.abs(summed - sampled) <= 1e-15 * sampled), name
 
     @pytest.mark.parametrize("text", ["hardy:2", "besov:2,0", "bmoa"])
@@ -556,6 +567,82 @@ class TestCoefficientSums:
         cfg = GridConfig(n_theta=64)
         got = norms(parse_space("hardy:2"), [Poly((1.0,) + (0.0,) * 63 + (1.0,))], cfg)[0]
         assert got == pytest.approx(np.sqrt(1.0 + cfg.r_max ** 128), rel=1e-15)
+
+
+# Images of the default probes whose p = 2 means the quadratic form takes:
+# weights that Leibniz's rule applies and Moebius maps that fold.
+DEEP_WEIGHT = Pow(Poly((2.5, 0.4 * np.exp(0.7j), 0.3 * np.exp(-1.1j))), 1.5)
+QUADRATIC_IMAGES = {
+    "deep weight": (Mul(Const(0.25), Recip(DEEP_WEIGHT)), None),
+    "moebius": (Const(1.0), Moebius(MoebiusMap(0.5 - 0.2j, np.exp(0.3j)))),
+    "moebius at -0.7": (Const(1.0), Moebius(MoebiusMap(-0.7, 1.0))),
+    "linear weight": (Recip(Poly((2.0, 0.5j))), None),
+    "weight with a pole near the circle": (Recip(Poly((1.0, 0.99))), None),
+    "power with a branch point near the circle": (Pow(Poly((1.0, -0.95j)), -2.5), None),
+    "moebius at -0.99": (Const(1.0), Moebius(MoebiusMap(-0.99, 1.0))),
+}
+# The last three have nearly dependent basis images: unguarded, their
+# forms moved up to 6.8e-13 from the sampled means.
+HARD_IMAGES = ("weight with a pole near the circle", "power with a branch point near the circle", "moebius at -0.99")
+QUADRATIC_SPACES = ("hardy:2", "bergman:2,0", "bergman:2,1", "mixed:2,2,0.5", "mixed:2,inf,0.5", "besov:2,0")
+
+
+def quadratic_images(name, probes=None):
+    F, phi = QUADRATIC_IMAGES[name]
+    return image_family(F, phi, as_family(default_probe_family() if probes is None else probes))
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize("text", QUADRATIC_SPACES)
+    def test_agrees_with_the_direct_sweep(self, cfg, monkeypatch, text):
+        space = parse_space(text)
+        for name in QUADRATIC_IMAGES:
+            fam = quadratic_images(name)
+            forms = []
+            quadratic_means = spaces._quadratic_means
+            with monkeypatch.context() as m:
+                m.setattr(spaces, "_quadratic_means", lambda *args: forms.append(1) or quadratic_means(*args))
+                got = norms(space, fam, cfg)
+            assert forms, name
+            want = direct_norms(monkeypatch, space, fam, cfg)
+            rtol = 1e-13 if name in HARD_IMAGES else 1e-12
+            assert np.all(np.abs(got - want) <= rtol * want), name
+
+    @pytest.mark.parametrize("name", HARD_IMAGES)
+    def test_guard_rejects_the_forms_of_cancelling_members(self, cfg, name):
+        # Some members' rounding bounds exceed the tolerance on some
+        # circle, so their means there come from their values; the rest
+        # keep their forms.
+        fam = quadratic_images(name)
+        C, basis = fam.monomial_images()
+        g = basis.derivative(np.linspace(0.05, cfg.r_max, 9)[:, None] * unit_circle(cfg.n_theta), 1).transpose(1, 0, 2)
+        _, accurate = _quadratic_form(C, g.conj() @ g.transpose(0, 2, 1) / cfg.n_theta)
+        assert 0 < np.count_nonzero(~accurate.all(axis=1)) < len(fam)
+
+    @pytest.mark.parametrize("text", ["bergman:2,0", "besov:2,0", "mixed:2,inf,0.5"])
+    def test_scale_free(self, cfg, text):
+        # c f gives |c| times the norms; f scaled by 2^600 overflows the
+        # form, and by 2^-600 underflows it: _norm_parts measures those
+        # members again as f / s.
+        space = parse_space(text)
+        probes = default_probe_family()
+        want = norms(space, quadratic_images("deep weight", probes), cfg)
+        for c in (3.0 - 4.0j, 2.0 ** 600, 2.0 ** -600):
+            scaled = tuple(Poly(tuple(c * a for a in f.coeffs)) for f in probes)
+            got = norms(space, quadratic_images("deep weight", scaled), cfg)
+            assert np.all(np.abs(got - abs(c) * want) <= 1e-12 * abs(c) * want), c
+
+    def test_cost_rule_keeps_the_sweep_for_small_families(self, cfg, monkeypatch):
+        # One member, and A5's 15-member harness images (15 x 13 table
+        # rows against 13 x 13 + 13^2), evaluate fewer values directly.
+        forms = []
+        monkeypatch.setattr(spaces, "_quadratic_means", lambda *args: forms.append(1))
+        space = parse_space("bergman:2,0")
+        for fam in (quadratic_images("moebius", default_probe_family()[12:13]), quadratic_images("moebius", harness_family())):
+            norms(space, fam, cfg)
+        norms(parse_space("bergman:3,0"), quadratic_images("moebius"), cfg)
+        norms(space, TreeFamily(quadratic_images("moebius")), cfg)
+        assert not forms
 
 
 class TestPointEvalBound:
