@@ -523,9 +523,13 @@ class PolyFamily(Family):
     F and phi are None for the polynomials themselves; image_family sets
     them, phi to None or one Moebius node.  phi, and F None, a Const, or a
     Poly with phi None (the product polynomial), fold into coefficient
-    matrices built once per image: order d of g = c (f o phi) is one
-    pointwise factor, 1, phi' or phi' q, times a matrix product against
-    the power table of w = phi(z).  With q = 1/(1 - conj(a) z),
+    matrices built once per image.  A rotation, a = 0, maps z to
+    w = -lam z, so f o phi has the coefficients (-lam)^j c_j: its images
+    are polynomials in z, evaluated like the polynomials themselves.
+    Under any other map, order d of g = c (f o phi) is one pointwise
+    factor, 1, phi' or phi' q, times a matrix product against the power
+    table of w = phi(z); the factor scales the table's rows where they
+    are fewer than the members.  With q = 1/(1 - conj(a) z),
     1 - conj(a) conj(lam) w is (1 - |a|^2) q, so (f o phi)' = phi' f'(w) and
     (f o phi)'' = -lam phi' q ((1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w)),
     unexpanded: powers of w would lose digits as |a| nears 1.  Any other F
@@ -549,15 +553,19 @@ class PolyFamily(Family):
     def _set_symbols(self, F, phi):
         # The images' F and phi, the matrices that fold phi and a constant or
         # polynomial F, and the weight left to Leibniz's rule, or None.
+        # The Moebius map left to evaluate, _map, is None for a rotation.
         self.F, self.phi = F, phi
         matrices, self._weight = self._plain, F
+        self._map = None if phi is None or phi.map.a == 0 else phi.map
+        if phi is not None and self._map is None:
+            matrices = _derivative_matrices(matrices[0] * (-phi.map.lam) ** np.arange(matrices[0].shape[1]))
         if isinstance(F, Const):
             matrices, self._weight = tuple(F.value * m for m in matrices), None
         elif isinstance(F, Poly) and phi is None:
             product = np.array([np.convolve(F.coeffs, f) for f in matrices[0]])
             matrices, self._weight = _derivative_matrices(product), None
-        if phi is not None:
-            a, lam = phi.map.a, phi.map.lam
+        if self._map is not None:
+            a, lam = self._map.a, self._map.lam
             first, second = matrices[1:]
             # (1 - conj(a) conj(lam) w) f''(w) - (2 conj(a) / lam) f'(w), against w^0 .. w^(width-2)
             bracket = -2.0 * np.conj(a) / lam * first
@@ -575,14 +583,8 @@ class PolyFamily(Family):
         return _image(self.F, self.phi, self.polys[k])
 
     def z_coefficients(self, order):
-        # The folded images with phi None are polynomials whose matrices
-        # these are.  A rotation, a = 0, maps z to w = -lam z, so f o phi
-        # has the coefficients (-lam)^j c_j; any other Moebius map has none.
-        if self._weight is not None or not (self.phi is None or self.phi.map.a == 0):
-            return None
-        if self.phi is None:
-            return self._matrices[order]
-        return _derivative_matrices(self._matrices[0] * (-self.phi.map.lam) ** np.arange(self._width))[order]
+        # The folded images with no map left are polynomials whose matrices these are.
+        return self._matrices[order] if self._weight is None and self._map is None else None
 
     def monomial_images(self):
         width = self._plain[0].shape[1]
@@ -604,14 +606,14 @@ class PolyFamily(Family):
         if not set(orders) <= {0, 1, 2}:
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {max(orders)!r}")
         z = _checked_points(z)
-        base = z if self.phi is None else _checked_points(self.phi.map(z), "composition inner value")
+        base = z if self._map is None else _checked_points(self._map(z), "composition inner value")
         powers = _powers(base, _buffer(workspace, "powers", (self._width,) + z.shape))
         top = max(orders)
         # The pointwise factors of g, g' and g'' up to the top order: 1, phi'
         # and phi' q, None for 1.
         factors = [None] * 3
-        if self.phi is not None and top:
-            a, lam = self.phi.map.a, self.phi.map.lam
+        if self._map is not None and top:
+            a, lam = self._map.a, self._map.lam
             q = 1.0 / (1.0 - np.conj(a) * z)
             factors[1] = lam * (abs(a) ** 2 - 1.0) * q * q
             factors[2] = factors[1] * q if top == 2 else None
@@ -621,10 +623,15 @@ class PolyFamily(Family):
             # Each order keeps its own result buffer: all of them are returned.
             product = _buffer(workspace, ("product", order), (len(self), z.shape[1]) if members is None else z.shape)
             if F is None:
-                matrix = self._matrices[order]
-                out.append(_contract(matrix, powers[: matrix.shape[1]], members, product))
-                if factors[order] is not None:
-                    out[-1] *= factors[order]
+                matrix, factor = self._matrices[order], factors[order]
+                table = powers[: matrix.shape[1]]
+                if factor is not None and members is None and len(self) > len(table):
+                    # Fewer rows than members per point: the factor scales the
+                    # rows, in place when no other order reads them.
+                    table, factor = np.multiply(table, factor, out=table if len(orders) == 1 else None), None
+                out.append(_contract(matrix, table, members, product))
+                if factor is not None:
+                    out[-1] *= factor
                 continue
             table = _buffer(workspace, "table", (self._joined[order].shape[1],) + z.shape)
             ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])

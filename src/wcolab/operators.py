@@ -9,11 +9,13 @@ being an isometry on a family of test functions.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import numpy.random  # loaded here rather than by the first random_polynomials call
 
-from .analytic_core import AnalyticExpr, Family, Poly, _image, as_family, image_family, series, validation_values
+from .analytic_core import AnalyticExpr, Family, Poly, PolyFamily, _image, as_family, image_family, series, validation_values
 from .errors import DegenerateInput, ParameterError, SingularMatrix
 from .quadrature import GridConfig
 from .spaces import SpaceSpec, norms
@@ -90,15 +92,47 @@ def condition_number(matrix: np.ndarray) -> float:
 
 
 def isometry_defect(w: WcoSymbols, space: SpaceSpec, family, cfg: GridConfig) -> float:
-    """max over the family of | ||W f|| / ||f|| - 1 |."""
+    """max over the family of | ||W f|| / ||f|| - 1 |.
+
+    The norms of the fixed probes (_FIXED_PROBES) among a family of
+    polynomials are measured once per space and grid (_fixed_probe_norms);
+    the other members are measured together, as are all the images.
+    """
     family = as_family(family)
     if not len(family):
         raise ParameterError("isometry defect needs a nonempty family")
-    denoms = norms(space, family, cfg)
+    # The images first: the members' smaller batches, whose row blocks are
+    # taller, then sweep in heap that the images' sweep has grown, and the
+    # isometry workload's peak RSS stays at its value with one batch.
+    images = norms(space, apply(w, family), cfg)
+    denoms = _member_norms(space, family, cfg)
     if np.any(denoms < 1e-14):
         raise DegenerateInput("family member has numerically zero norm")
-    ratios = norms(space, apply(w, family), cfg) / denoms
+    ratios = images / denoms
     return float(np.max(np.abs(ratios - 1.0)))
+
+
+def _member_norms(space: SpaceSpec, family: Family, cfg: GridConfig) -> np.ndarray:
+    # norms(space, family, cfg), the fixed probes' read from the cache.
+    plain = isinstance(family, PolyFamily) and family.F is None and family.phi is None
+    fixed = np.array([_FIXED_INDEX.get(f, -1) for f in family.polys]) if plain else np.full(len(family), -1)
+    found = fixed >= 0
+    if not found.any():
+        return norms(space, family, cfg)
+    out = np.empty(len(fixed))
+    out[found] = _fixed_probe_norms(space, cfg)[fixed[found]]
+    if not found.all():
+        out[~found] = norms(space, list(itertools.compress(family.polys, ~found)), cfg)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _fixed_probe_norms(space: SpaceSpec, cfg: GridConfig) -> np.ndarray:
+    # Cached like scan_grid: every isometry check of a space on a grid
+    # measures the same fixed probes.
+    out = norms(space, _FIXED_PROBES, cfg)
+    out.flags.writeable = False
+    return out
 
 
 def random_polynomials(count: int, seed: int = DEFAULT_SEED) -> tuple:
@@ -120,8 +154,12 @@ def default_probe_family(seed: int = DEFAULT_SEED) -> tuple:
     isometric from non-isometric operators on the decomposed spaces, so
     they are always part of the defect family.
     """
-    monomials = tuple(monomial(k) for k in range(9))
-    randoms = random_polynomials(30, seed)
-    lambdas = np.exp(2j * np.pi * np.arange(8) / 8)
-    probes = tuple(Poly((1.0, lam)) for lam in lambdas)
-    return monomials + randoms + probes
+    return _FIXED_PROBES[:9] + random_polynomials(30, seed) + _FIXED_PROBES[9:]
+
+
+# The members of every default probe family that do not depend on its
+# seed: 1, z, ..., z^8 and the eight 1 + lambda z.
+_FIXED_PROBES = tuple(monomial(k) for k in range(9)) + tuple(
+    Poly((1.0, lam)) for lam in np.exp(2j * np.pi * np.arange(8) / 8)
+)
+_FIXED_INDEX = {f: k for k, f in enumerate(_FIXED_PROBES)}

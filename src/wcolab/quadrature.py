@@ -240,19 +240,18 @@ def _largest(pool: np.ndarray) -> tuple:
     The columns are ascending; of values tied at the smallest, the
     first columns are kept.
     """
-    # The (_TOP + 1)-th largest, then the _TOP largest in any order.
-    part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :]
+    # The (_TOP + 1)-th largest, then the _TOP largest in any order; the
+    # copy frees the partition's indices, as large as the pool.
+    part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :].copy()
     vals = np.take_along_axis(pool, part, axis=1)
     cols = np.sort(part[:, 1:], axis=1)
     kth = vals[:, 1:].min(axis=1)
-    tied = np.flatnonzero(vals[:, 0] == kth)
-    if len(tied):
-        # The (_TOP + 1)-th equals the smallest kept value: of the values
-        # equal to it, the first are kept.
-        sub, level = pool[tied], kth[tied, None]
-        at = sub == level
-        room = _TOP - np.count_nonzero(sub > level, axis=1)[:, None]
-        cols[tied] = np.nonzero((sub > level) | at & (np.cumsum(at, axis=1) <= room))[1].reshape(-1, _TOP)
+    # Where the (_TOP + 1)-th equals the smallest kept value, of the values
+    # equal to it the first are kept: row by row, as rows of a rotation-
+    # invariant |f| tie across the pool and nothing as large is made.
+    for k in np.flatnonzero(vals[:, 0] == kth):
+        above = np.flatnonzero(pool[k] > kth[k])
+        cols[k] = np.sort(np.concatenate([above, np.flatnonzero(pool[k] == kth[k])[: _TOP - len(above)]]))
     return cols, kth
 
 

@@ -22,6 +22,7 @@ from wcolab.analytic_core import (
 )
 from wcolab.axiom_harness import ALL_FAMILIES
 from wcolab.errors import DomainError, ParameterError
+from wcolab.minilang import parse_expression
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     _POLISH_CANDIDATES,
@@ -155,6 +156,58 @@ def test_folded_moebius_images_match_trees(cfg, a, lam, F, grid):
     images = image_family(F, moebius(a, lam), as_family(default_probe_family()))
     assert evaluates_without_trees(images, grid(cfg)[:2])
     assert_stacked_matches_trees(images, grid(cfg))
+
+
+# The three ways to write a rotation: rotation_map, a mobius literal with
+# a = 0, and poly(0, lam) with |lam| exactly 1.
+ROTATIONS = {
+    "rotation_map": Moebius(rotation_map(2.1)),
+    "mobius literal": parse_expression("mobius(0.0,0.0,1.3)"),
+    "poly": Poly((0.0, 0.6 + 0.8j)),
+}
+
+
+def refuse_map(self, z):
+    raise TreeEvaluated
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+@pytest.mark.parametrize("F", [None, Const(0.6 - 0.8j)], ids=["no-weight", "const"])
+@pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])
+def test_rotation_images_are_polynomials_in_z(cfg, monkeypatch, name, F, grid):
+    # A rotation folds into the coefficient matrices: its images are read
+    # on the power table of z, with no map evaluated, and they keep their
+    # Taylor coefficients.
+    images = image_family(F, ROTATIONS[name], as_family(default_probe_family()))
+    z = grid(cfg)[::4]
+    want = [TreeFamily(list(images)).derivative(z, order) for order in (0, 1, 2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(MoebiusMap, "__call__", refuse_map)
+        got = [images.derivative(z, order) for order in (0, 1, 2)]
+    for order in (0, 1, 2):
+        assert np.all(np.abs(got[order] - want[order]) <= 1e-12 * np.maximum(1.0, np.abs(want[order])))
+        coeffs = images.z_coefficients(order)
+        summed = np.einsum("kj,jrn->krn", coeffs, z[None] ** np.arange(coeffs.shape[1])[:, None, None])
+        assert np.all(np.abs(summed - want[order]) <= 1e-12 * np.maximum(1.0, np.abs(want[order])))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_moebius_factor_scales_the_table_or_the_values(cfg, order):
+    # phi' (order 1) or phi' q (order 2) scales the power table's rows when
+    # the members outnumber them, as the 47 probes do: in place for one
+    # order, in a copy when other orders read the same table.  At points
+    # per member it scales each member's values.  Each way matches the trees.
+    images = image_family(Const(0.6 - 0.8j), moebius(0.5 - 0.3j, np.exp(1.9j)), as_family(default_probe_family()))
+    assert len(images) > images._width
+    z = scan_grid(cfg)[::8]
+    want = TreeFamily(list(images)).derivative(z, order)
+    per_member = np.broadcast_to(z, (len(images),) + z.shape)
+    for got in (
+        images.derivative(z, order),
+        images._shared(z, (0, 1, 2))[order],
+        images.derivative_at(per_member, order, np.arange(len(images))),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("grid", [scan_grid, b1_grid_rows])

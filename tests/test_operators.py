@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import seeded_polys
-from wcolab.analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, Recip, rotation_map, series
+from wcolab import operators
+from wcolab.analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, Recip, as_family, rotation_map, series
 from wcolab.errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from wcolab.operators import (
     DEFAULT_SEED,
@@ -18,7 +19,7 @@ from wcolab.operators import (
     random_polynomials,
 )
 from wcolab.quadrature import GridConfig
-from wcolab.spaces import parse_space
+from wcolab.spaces import norms, parse_space
 
 IDENTITY = Poly((0.0, 1.0))
 
@@ -204,7 +205,87 @@ class TestIsometryDefect:
         assert d < 1e-9
 
 
+def single_batch_defect(w, space, family, cfg):
+    # The defect from the norms of the whole family in one call.
+    ratios = norms(space, apply(w, as_family(family)), cfg) / norms(space, family, cfg)
+    return float(np.max(np.abs(ratios - 1.0)))
+
+
+# The sup-type and BMOA norms of a member do not depend on which members
+# share its call; the B1 area sums and the Besov quadratic sums may round
+# differently.
+BITWISE_SPACES = ("bloch:1", "logbloch:1", "growth:1", "bmoa", "hinf")
+INVOLUTION = WcoSymbols(Const(np.exp(0.4j)), Moebius(MoebiusMap(0.3 - 0.2j, 1.0)))
+
+
+# A default probe family, and the fixed probes alone in reverse order,
+# whose norms all come from the cache.
+FIXED_PROBE_FAMILIES = {"seeded": default_probe_family(7), "fixed reversed": operators._FIXED_PROBES[::-1]}
+
+
+class TestFixedProbeNorms:
+    @pytest.mark.parametrize("name", sorted(FIXED_PROBE_FAMILIES))
+    @pytest.mark.parametrize("text", BITWISE_SPACES + ("b1", "besov:2,0"))
+    def test_defect_equals_the_single_batch_reference(self, coarse_cfg, text, name):
+        space = parse_space(text)
+        family = FIXED_PROBE_FAMILIES[name]
+        operators._fixed_probe_norms.cache_clear()
+        got = isometry_defect(INVOLUTION, space, family, coarse_cfg)
+        want = single_batch_defect(INVOLUTION, space, family, coarse_cfg)
+        if text in BITWISE_SPACES:
+            assert got.hex() == want.hex()
+        else:
+            assert abs(got - want) <= 1e-15 * want
+        # The second call reads the fixed probes' norms from the cache.
+        assert isometry_defect(INVOLUTION, space, family, coarse_cfg).hex() == got.hex()
+
+    @pytest.mark.parametrize("name", sorted(FIXED_PROBE_FAMILIES))
+    def test_norms_are_kept_per_grid(self, coarse_cfg, name):
+        # The H-infinity norms of z^k are r_max^k: they differ between the grids.
+        space = parse_space("hinf")
+        family = FIXED_PROBE_FAMILIES[name]
+        isometry_defect(INVOLUTION, space, family, coarse_cfg)
+        other = GridConfig(n_theta=128, n_radial=32, r_max=0.9)
+        got = isometry_defect(INVOLUTION, space, family, other)
+        assert got.hex() == single_batch_defect(INVOLUTION, space, family, other).hex()
+
+    def test_fixed_probes_are_found_by_value(self):
+        family = default_probe_family(7)
+        copies = tuple(Poly(f.coeffs) for f in family)
+        assert [operators._FIXED_INDEX.get(f) for f in copies] == list(range(9)) + [None] * 30 + list(range(9, 17))
+
+
+# The first two polynomials of random_polynomials(2, seed), as float.hex
+# pairs (real, imaginary) per coefficient.  NumPy does not promise the
+# same Generator stream across releases (NEP 19); every seed the ROADMAP
+# and CHANGES.md cite rests on it.  The second seed takes SeedSequence's
+# path for an entropy of more than one 32-bit word.
+PINNED_STREAMS = {
+    DEFAULT_SEED: (
+        (("0x1.de94b3b9e8be1p-1", "0x1.5d80d6e9adcf9p-2"), ("-0x1.b8081c3243c1fp-3", "-0x1.ae03f85a8eb11p-2"),
+         ("0x1.2d126e518dd8ap-1", "0x1.10f3dc1217867p-1"), ("-0x1.1beec20511546p-1", "0x1.b3523c29f6107p-2"),
+         ("-0x1.467200461582ap-2", "0x1.fbd0aef5773e0p-5"), ("0x1.b991a9c7081d1p-1", "0x1.d03791b619821p-3")),
+        (("0x1.97dd9a37312d2p-1", "0x1.76a22c4fb2b97p-3"), ("-0x1.72130fd57c3edp-1", "0x1.035e5ab5852e8p-2"),
+         ("-0x1.6571fdec1f7a9p-1", "-0x1.32d667697e77ap-2"), ("0x1.8b48969758733p-2", "-0x1.46e5c83308661p-4")),
+    ),
+    DEFAULT_SEED << 32: (
+        (("0x1.620f2f0e88008p-3", "0x1.58528c91e750cp-4"), ("0x1.8ecf2ba763e36p-3", "-0x1.719220532af5fp-1"),
+         ("0x1.86e89283fffa0p-1", "-0x1.3be0f050f617fp-2")),
+        (("-0x1.a8a6468c5caadp-1", "0x1.2566ebdf555e5p-2"), ("0x1.0ef0ba5a422e5p-1", "-0x1.77cb92f7ee526p-1"),
+         ("-0x1.bb8ef70cfce64p-1", "0x1.97095f6c5d8c8p-2"), ("0x1.35c18fa1d344ap-1", "-0x1.3b94f52351c73p-1"),
+         ("0x1.a3d1db3aae4bap-2", "-0x1.0499fdb876418p-1"), ("0x1.5f1a67ee18642p-1", "-0x1.2b817d6088ff5p-1"),
+         ("-0x1.f027f809087c0p-2", "0x1.13e4f163f5e6bp-1"), ("-0x1.3ab18793c7c32p-1", "0x1.b0ec0d4163280p-2"),
+         ("-0x1.5bd024229347bp-1", "-0x1.9e40c7d47a474p-3")),
+    ),
+}
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("seed", sorted(PINNED_STREAMS), ids=hex)
+    def test_probe_stream_is_pinned(self, seed):
+        got = [tuple((c.real.hex(), c.imag.hex()) for c in f.coeffs) for f in random_polynomials(2, seed)]
+        assert got == list(PINNED_STREAMS[seed])
+
     def test_monomial(self):
         assert monomial(0).coeffs == (1.0,)
         assert monomial(3).coeffs == (0.0, 0.0, 0.0, 1.0)
