@@ -62,6 +62,9 @@ UNIMODULAR_TOL = 1e-9
 EMPIRICAL_RATIO_CAP = 1e3
 TREND_SLOPE_TOL = 0.05
 SECTION_DIMENSIONS = (8, 16, 32)
+# A condition holds (True), fails exactly (False) or stays unknown (None).
+_EXACT = {"Yes_Exact": True, "No_Exact": False}
+_VERDICTS = {True: "Invertible", False: "NotInvertible", None: "Inconclusive"}
 
 _HINF = SpaceSpec("hinf")
 _LOGBLOCH_1 = SpaceSpec("logbloch", gamma=1.0)
@@ -90,7 +93,7 @@ class AutomorphismFit:
 
     found: bool
     map: MoebiusMap | None
-    residual: float
+    residual: float | None  # None when no candidate was measured
 
 
 def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
@@ -104,7 +107,7 @@ def detect_automorphism(phi: AnalyticExpr, cfg: GridConfig) -> AutomorphismFit:
     """
     candidate = moebius_from_jet(*phi.derivatives(0j, 1))
     if candidate is None:
-        return AutomorphismFit(False, None, float("inf"))
+        return AutomorphismFit(False, None, None)
     z = cfg.r_max * unit_circle(cfg.n_theta)
     residual = float(np.max(np.abs(phi(z) - candidate(z))))
     if residual <= AUTOMORPHISM_TOL:
@@ -233,70 +236,63 @@ def _roundtrip_residual(w: WcoSymbols, G: AnalyticExpr, psi: AnalyticExpr, cfg: 
 def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> InvertibilityReport:
     """Full invertibility decision for the operator f -> F * (f o phi).
 
-    NotInvertible always rests on an exact negative: a failed
-    automorphism fit, or zeros of F inside the disk, or an exact
-    multiplier criterion failing for 1/F or, once 1/F passes, for F: an
-    invertible operator is bounded, and with phi an automorphism it is
-    bounded exactly when F is a multiplier.  Inconclusive covers the
-    empirical-multiplier families, weights whose minimum modulus on the
-    scan grid is at most ZERO_THRESHOLD times their maximum there, too
-    small to exclude near-boundary zeros, and grids with r_max short of
-    R_MAX, whose zero counts miss part of the disk.  Like the zero count,
-    that test is relative, so c * F has the verdict of F for every c != 0;
-    the report's min_modulus is absolute.  A positive verdict ships
-    with the inverse symbols, a roundtrip residual on seeded
-    polynomials, and section condition numbers as corroborating
-    evidence.
+    The theorem's conditions, in order: phi is an automorphism; F has no
+    zero in the disk (open when r_max falls short of R_MAX, whose count
+    misses part of the disk); F's minimum modulus on the scan grid
+    exceeds ZERO_THRESHOLD times its maximum, or zeros near the boundary
+    cannot be excluded; 1/F is a multiplier; F is a multiplier, since an
+    invertible operator is bounded, which for an automorphism phi holds
+    exactly when F is one.  Each holds, fails exactly or stays unknown.
+    The fit, the zero count and the modulus go into every report; a
+    multiplier is tested only once the conditions before it hold.  The
+    first exact failure gives NotInvertible, the first unknown
+    Inconclusive with its caveat, and all holding Invertible.  The
+    modulus test is relative, like the zero count, so c * F has the
+    verdict of F for every c != 0; the report's min_modulus is absolute.
+    A positive verdict ships with the inverse symbols and a roundtrip
+    residual on seeded polynomials; its section condition numbers grow
+    with N even for an invertible operator, so they are no evidence.
     """
     fit = detect_automorphism(w.phi, cfg)
     zeros = _count_zeros_retry(w.F, cfg)
     modulus = np.abs(w.F(scan_grid(cfg)))
-    min_mod = float(np.min(modulus))
-    report = InvertibilityReport(space, fit, zeros, min_mod, None, "Inconclusive")
+    report = InvertibilityReport(space, fit, zeros, float(np.min(modulus)), None, "")
 
-    if not fit.found:
+    def conditions():
+        # Each condition as (holds, the caveat it leaves when it decides); holds is None when unknown.
         # The fit's candidate is the only automorphism with phi's 1-jet at 0.
-        report.verdict = "NotInvertible"
-        return report
-    if cfg.r_max != R_MAX:
-        # A zero count on a circle short of R_MAX misses the zeros beyond it.
-        report.caveat = f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
-        return report
-    if zeros != 0:
-        report.verdict = "NotInvertible"
-        return report
-    if min_mod <= ZERO_THRESHOLD * float(np.max(modulus)):
-        report.caveat = (
-            f"min |F| on the grid is {min_mod:.3e}; zeros near the boundary cannot be excluded"
+        yield fit.found, ""
+        if cfg.r_max != R_MAX:
+            # A zero count on a circle short of R_MAX misses the zeros beyond it.
+            yield None, f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
+        yield zeros == 0, ""
+        yield None if report.min_modulus <= ZERO_THRESHOLD * float(np.max(modulus)) else True, (
+            f"min |F| on the grid is {report.min_modulus:.3e}; zeros near the boundary cannot be excluded"
         )
-        return report
+        report.multiplier = multiplier_test(Recip(w.F), space, cfg, seed)
+        yield _EXACT.get(report.multiplier.status), (
+            "" if report.multiplier.status == "No_Exact" else "multiplier membership of 1/F is only tested empirically in this space"
+        )
+        # 1/F's exact test passed, so F's is exact too.
+        report.weight_multiplier = multiplier_test(w.F, space, cfg, seed)
+        yield _EXACT.get(report.weight_multiplier.status), "F is not a multiplier, so the operator is unbounded"
 
-    report.multiplier = multiplier_test(Recip(w.F), space, cfg, seed)
-    if report.multiplier.status == "No_Exact":
-        report.verdict = "NotInvertible"
+    for holds, caveat in conditions():
+        if not holds:
+            report.caveat = caveat
+            break
+    report.verdict = _VERDICTS[holds]
+    if not holds:
         return report
-    if report.multiplier.status != "Yes_Exact":
-        report.caveat = "multiplier membership of 1/F is only tested empirically in this space"
-        return report
-    # 1/F's exact test passed, so F's is exact too.
-    report.weight_multiplier = multiplier_test(w.F, space, cfg, seed)
-    if report.weight_multiplier.status == "No_Exact":
-        report.verdict = "NotInvertible"
-        report.caveat = "F is not a multiplier, so the operator is unbounded"
-        return report
-
-    report.verdict = "Invertible"
-    G, psi = inverse_symbols(w, fit)
-    report.inverse_weight = G
-    report.inverse_map = psi
+    G, psi = report.inverse_weight, report.inverse_map = inverse_symbols(w, fit)
     report.roundtrip_residual = _roundtrip_residual(w, G, psi, cfg, seed)
-    conditions = report.section_conditions = dict.fromkeys(SECTION_DIMENSIONS, float("inf"))
+    kappa = report.section_conditions = dict.fromkeys(SECTION_DIMENSIONS, float("inf"))
     # Each section is a leading block of the largest one.
     with contextlib.suppress(WcolabError):
         largest = finite_section(w, max(SECTION_DIMENSIONS), cfg)
         for N in SECTION_DIMENSIONS:
             with contextlib.suppress(WcolabError, np.linalg.LinAlgError):
-                conditions[N] = condition_number(largest[:N, :N])
+                kappa[N] = condition_number(largest[:N, :N])
     return report
 
 

@@ -16,36 +16,28 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import traceback
 
 from ..analytic_core import AnalyticExpr
 from ..axiom_harness import run_all
-from ..characterization import (
-    AutomorphismFit,
-    InvertibilityReport,
-    IsometryReport,
-    MultiplierVerdict,
-    check_invertible,
-    check_isometry,
-    inverse_symbols,
-)
+from ..characterization import IsometryReport, check_invertible, check_isometry, inverse_symbols
 from ..errors import WcolabError
 from ..minilang import format_expression, parse_expression
 from ..operators import DEFAULT_SEED, WcoSymbols, finite_section
 from ..quadrature import GridConfig
-from ..spaces import NormBreakdown, SpaceSpec, norm, parse_space, seminorm
+from ..spaces import SpaceSpec, norm, parse_space, seminorm
 
-# Exit code of each invertibility verdict.
-_VERDICT_CODES = {"Invertible": 0, "NotInvertible": 1, "Inconclusive": 2}
+
+def _exit_code(report) -> int:
+    """0 for a positive verdict, 1 for a negative one and 2 for none, from an invertibility or isometry report."""
+    if isinstance(report, IsometryReport):
+        return 0 if report.surjective_isometry else 1
+    return ("Invertible", "NotInvertible", "Inconclusive").index(report.verdict)
 
 
 def _jsonify(obj):
-    if isinstance(obj, AutomorphismFit) and not math.isfinite(obj.residual):
-        # A fit rejected before its residual was measured reports null.
-        return {"found": obj.found, "map": _jsonify(obj.map), "residual": None}
     if isinstance(obj, AnalyticExpr):
         return format_expression(obj)
     if isinstance(obj, SpaceSpec):
@@ -205,28 +197,22 @@ def main(argv=None) -> int:
             result, code = norm(space, fn, cfg), 0
         elif args.subcommand == "seminorm":
             result, code = {"seminorm": seminorm(space, fn, cfg)}, 0
-        elif args.subcommand == "check-invertible":
-            report = check_invertible(w, space, cfg, args.seed)
-            code = _VERDICT_CODES[report.verdict]
-            result = report
-        elif args.subcommand == "check-isometry":
-            report = check_isometry(w, space, cfg, args.seed)
-            result, code = report, 0 if report.surjective_isometry else 1
-        elif args.subcommand == "invert":
-            report = check_invertible(w, space, cfg, args.seed)
-            code = _VERDICT_CODES[report.verdict]
-            result = {
-                "verdict": report.verdict,
-                "inverse_weight": report.inverse_weight,
-                "inverse_map": report.inverse_map,
-                "roundtrip_residual": report.roundtrip_residual,
-            }
-            if report.verdict == "Inconclusive" and report.automorphism.found and report.zero_count == 0:
-                # The formal inverse exists; only its boundedness is unsettled.
-                G, psi = inverse_symbols(w, report.automorphism)
-                result["inverse_weight"] = G
-                result["inverse_map"] = psi
-                result["caveat"] = report.caveat
+        elif args.subcommand in ("check-invertible", "check-isometry", "invert"):
+            check = check_isometry if args.subcommand == "check-isometry" else check_invertible
+            result = report = check(w, space, cfg, args.seed)
+            code = _exit_code(report)
+            if args.subcommand == "invert":
+                result = {
+                    "verdict": report.verdict,
+                    "inverse_weight": report.inverse_weight,
+                    "inverse_map": report.inverse_map,
+                    "roundtrip_residual": report.roundtrip_residual,
+                }
+                if report.verdict == "Inconclusive" and report.zero_count == 0:
+                    # Only a fitted phi leaves the verdict open; with no zero counted the
+                    # formal inverse exists, and only its boundedness is unsettled.
+                    result["inverse_weight"], result["inverse_map"] = inverse_symbols(w, report.automorphism)
+                    result["caveat"] = report.caveat
         elif args.subcommand == "axioms":
             reports = run_all(space, cfg, args.seed)
             result = list(reports)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,3 +28,12 @@ def seeded_polys(count: int, seed: int, max_degree: int = 12) -> tuple:
         angle = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
         out.append(Poly(tuple(radius * np.exp(1j * angle))))
     return tuple(out)
+
+
+def perfbench_module(name: str):
+    """A module of perfbench/, loaded from its file under a name of its own, for reading only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
