@@ -389,13 +389,13 @@ class Family:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    def _evaluate(self, z: np.ndarray, orders: tuple, members=None, workspace=None) -> list:
-        """Stacked derivatives of the given orders at z.
+    def _evaluate(self, z: np.ndarray, order: int, members=None, workspace=None) -> np.ndarray:
+        """Stacked derivatives of the given order at z.
 
         Without members, z of shape (1, n) holds points shared by every
         member.  With an integer array members, z has one row per entry
         and row i holds the points of member members[i].  With a dict
-        workspace, the tables and results may live in its buffers (see
+        workspace, the tables and the result may live in its buffers (see
         _buffer), which the next call with it overwrites.
         """
         raise NotImplementedError
@@ -403,12 +403,6 @@ class Family:
     def _height(self, order: int) -> int:
         """Rows of the tallest stacked array one evaluation of this order holds, per point."""
         raise NotImplementedError
-
-    def _shared(self, z, orders: tuple, workspace=None) -> list:
-        """Stacked derivatives of the given orders at the shared points z, each of shape (len(self),) + z.shape."""
-        z = np.asarray(z, dtype=complex)
-        shape = (len(self),) + z.shape
-        return [d.reshape(shape) for d in self._evaluate(z.reshape(1, -1), orders, workspace=workspace)]
 
     def z_coefficients(self, order: int) -> np.ndarray | None:
         """Taylor coefficients at 0 of every member's derivative of the given order, or None.
@@ -436,13 +430,14 @@ class Family:
         return None
 
     def derivative(self, z, order: int) -> np.ndarray:
-        """Derivative of the given order of every member at the shared points z."""
-        return self._shared(z, (order,))[0]
+        """Derivative of the given order of every member at the shared points z, of shape (len(self),) + z.shape."""
+        z = np.asarray(z, dtype=complex)
+        return self._evaluate(z.reshape(1, -1), order).reshape((len(self),) + z.shape)
 
     def derivative_at(self, z, order: int, members) -> np.ndarray:
         """Derivative of the given order of member members[i] at the points z[i]."""
         z = np.asarray(z, dtype=complex)
-        return self._evaluate(z.reshape(len(z), -1), (order,), np.asarray(members))[0].reshape(z.shape)
+        return self._evaluate(z.reshape(len(z), -1), order, np.asarray(members)).reshape(z.shape)
 
     def row_blocks(self, shape: tuple, order: int) -> list:
         """Row slices of a 2-D grid of the given shape that keep a stacked array of the order under BLOCK_BYTES."""
@@ -472,7 +467,8 @@ class Family:
         for rows in blocks or self.row_blocks((len(radii), len(circle)), order):
             z = _buffer(workspace, "points", (len(radii[rows]), len(circle)))
             np.multiply(radii[rows, None], circle, out=z)
-            parts.append(reduce(self._shared(z, (order,), workspace)[0], rows))
+            values = self._evaluate(z.reshape(1, -1), order, workspace=workspace).reshape((len(self),) + z.shape)
+            parts.append(reduce(values, rows))
         if parts[0] is None or len(parts) == 1:
             return parts[0]
         return np.concatenate(parts, axis=1)
@@ -488,7 +484,7 @@ def _node_count(f: AnalyticExpr) -> int:
 
 
 class TreeFamily(Family):
-    """Any expressions, each evaluated by its own derivatives up to the highest order asked."""
+    """Any expressions, each evaluated by its own derivatives up to the order asked."""
 
     def __init__(self, members):
         self.members = tuple(members)
@@ -503,17 +499,14 @@ class TreeFamily(Family):
         # Each node of a tree holds its derivatives up to the order asked.
         return max(len(self), max((_node_count(f) for f in self.members), default=0) * (order + 1))
 
-    def _evaluate(self, z, orders, members=None, workspace=None):
+    def _evaluate(self, z, order, members=None, workspace=None):
         if members is None:
-            derivs = [f.derivatives(z[0], max(orders)) for f in self.members]
-            return [_stacked([d[order] for d in derivs]) for order in orders]
+            return _stacked([f.derivatives(z[0], order)[order] for f in self.members])
         # Each distinct member is walked once, over all of its rows.
-        out = [np.empty(z.shape, dtype=complex) for _ in orders]
+        out = np.empty(z.shape, dtype=complex)
         for k in dict.fromkeys(members.tolist()):
             rows = members == k
-            derivs = self.members[k].derivatives(z[rows], max(orders))
-            for o, order in zip(out, orders):
-                o[rows] = derivs[order]
+            out[rows] = self.members[k].derivatives(z[rows], order)[order]
         return out
 
 
@@ -602,48 +595,42 @@ class PolyFamily(Family):
         # The members' values and the power table, and Leibniz's stacked table.
         return max(len(self), self._width, self._table_rows(order))
 
-    def _evaluate(self, z, orders, members=None, workspace=None):
-        if not set(orders) <= {0, 1, 2}:
-            raise ParameterError(f"derivative order must be 0, 1 or 2, got {max(orders)!r}")
+    def _evaluate(self, z, order, members=None, workspace=None):
+        if order not in (0, 1, 2):
+            raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
         z = _checked_points(z)
         base = z if self._map is None else _checked_points(self._map(z), "composition inner value")
         powers = _powers(base, _buffer(workspace, "powers", (self._width,) + z.shape))
-        top = max(orders)
-        # The pointwise factors of g, g' and g'' up to the top order: 1, phi'
-        # and phi' q, None for 1.
+        # The pointwise factors of g, g' and g'' up to the order: 1, phi' and
+        # phi' q, None for 1.
         factors = [None] * 3
-        if self._map is not None and top:
+        if self._map is not None and order:
             a, lam = self._map.a, self._map.lam
             q = 1.0 / (1.0 - np.conj(a) * z)
             factors[1] = lam * (abs(a) ** 2 - 1.0) * q * q
-            factors[2] = factors[1] * q if top == 2 else None
-        F = None if self._weight is None else _derivatives_at(self._weight, z, top)
-        out = []
-        for order in orders:
-            # Each order keeps its own result buffer: all of them are returned.
-            product = _buffer(workspace, ("product", order), (len(self), z.shape[1]) if members is None else z.shape)
-            if F is None:
-                matrix, factor = self._matrices[order], factors[order]
-                table = powers[: matrix.shape[1]]
-                if factor is not None and members is None and len(self) > len(table):
-                    # Fewer rows than members per point: the factor scales the
-                    # rows, in place when no other order reads them.
-                    table, factor = np.multiply(table, factor, out=table if len(orders) == 1 else None), None
-                out.append(_contract(matrix, table, members, product))
-                if factor is not None:
-                    out[-1] *= factor
-                continue
-            table = _buffer(workspace, "table", (self._joined[order].shape[1],) + z.shape)
-            ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
-            for k, rows in enumerate(np.split(table, ends)):
-                # C(n, k) F^(n-k) times the pointwise factor of g^(k), on the
-                # left: numpy's complex multiply is not bitwise commutative.
-                factor = 2.0 * F[1] if (order, k) == (2, 1) else F[order - k]
-                if factors[k] is not None:
-                    factor = factor * factors[k]
-                np.multiply(factor, powers[: len(rows)], out=rows)
-            out.append(_contract(self._joined[order], table, members, product))
-        return out
+            factors[2] = factors[1] * q if order == 2 else None
+        F = None if self._weight is None else _derivatives_at(self._weight, z, order)
+        product = _buffer(workspace, "product", (len(self), z.shape[1]) if members is None else z.shape)
+        if F is None:
+            matrix, factor = self._matrices[order], factors[order]
+            table = powers[: matrix.shape[1]]
+            if factor is not None and members is None and len(self) > len(table):
+                # Fewer rows than members per point: the factor scales the rows, in place.
+                table, factor = np.multiply(table, factor, out=table), None
+            out = _contract(matrix, table, members, product)
+            if factor is not None:
+                out *= factor
+            return out
+        table = _buffer(workspace, "table", (self._joined[order].shape[1],) + z.shape)
+        ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
+        for k, rows in enumerate(np.split(table, ends)):
+            # C(n, k) F^(n-k) times the pointwise factor of g^(k), on the
+            # left: numpy's complex multiply is not bitwise commutative.
+            factor = 2.0 * F[1] if (order, k) == (2, 1) else F[order - k]
+            if factors[k] is not None:
+                factor = factor * factors[k]
+            np.multiply(factor, powers[: len(rows)], out=rows)
+        return _contract(self._joined[order], table, members, product)
 
 
 def _derivative_matrices(coeffs: np.ndarray) -> tuple:

@@ -237,8 +237,9 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     """Full invertibility decision for the operator f -> F * (f o phi).
 
     The theorem's conditions, in order: phi is an automorphism; F has no
-    zero in the disk (open when r_max falls short of R_MAX, whose count
-    misses part of the disk); F's minimum modulus on the scan grid
+    zero in the disk (a zero counted in |z| < r_max fails it on any grid,
+    a count of 0 leaves it open when r_max falls short of R_MAX, as the
+    count misses part of the disk); F's minimum modulus on the scan grid
     exceeds ZERO_THRESHOLD times its maximum, or zeros near the boundary
     cannot be excluded; 1/F is a multiplier; F is a multiplier, since an
     invertible operator is bounded, which for an automorphism phi holds
@@ -262,10 +263,11 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
         # Each condition as (holds, the caveat it leaves when it decides); holds is None when unknown.
         # The fit's candidate is the only automorphism with phi's 1-jet at 0.
         yield fit.found, ""
-        if cfg.r_max != R_MAX:
-            # A zero count on a circle short of R_MAX misses the zeros beyond it.
-            yield None, f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
+        # A zero counted in |z| < r_max lies in the disk, but a count of 0 on a
+        # circle short of R_MAX misses the zeros beyond it.
         yield zeros == 0, ""
+        if cfg.r_max != R_MAX:
+            yield None, f"zeros are counted only in |z| < {cfg.r_max}, short of the disk; the count settles no verdict"
         yield None if report.min_modulus <= ZERO_THRESHOLD * float(np.max(modulus)) else True, (
             f"min |F| on the grid is {report.min_modulus:.3e}; zeros near the boundary cannot be excluded"
         )

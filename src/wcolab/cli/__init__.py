@@ -13,6 +13,7 @@ Functions are written in the mini-language of `wcolab.minilang`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,7 +24,7 @@ import traceback
 from ..analytic_core import AnalyticExpr
 from ..axiom_harness import run_all
 from ..characterization import IsometryReport, check_invertible, check_isometry, inverse_symbols
-from ..errors import WcolabError
+from ..errors import NonVanishingViolation, WcolabError
 from ..minilang import format_expression, parse_expression
 from ..operators import DEFAULT_SEED, WcoSymbols, finite_section
 from ..quadrature import GridConfig
@@ -208,10 +209,12 @@ def main(argv=None) -> int:
                     "inverse_map": report.inverse_map,
                     "roundtrip_residual": report.roundtrip_residual,
                 }
-                if report.verdict == "Inconclusive" and report.zero_count == 0:
-                    # Only a fitted phi leaves the verdict open; with no zero counted the
-                    # formal inverse exists, and only its boundedness is unsettled.
-                    result["inverse_weight"], result["inverse_map"] = inverse_symbols(w, report.automorphism)
+                if report.verdict == "Inconclusive":
+                    # Only a fitted phi and no zero counted leave the verdict open.  The
+                    # formal inverse exists unless F vanishes beyond a short r_max; then
+                    # its symbols stay null, and the caveat says why.
+                    with contextlib.suppress(NonVanishingViolation):
+                        result["inverse_weight"], result["inverse_map"] = inverse_symbols(w, report.automorphism)
                     result["caveat"] = report.caveat
         elif args.subcommand == "axioms":
             reports = run_all(space, cfg, args.seed)

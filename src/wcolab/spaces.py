@@ -405,9 +405,7 @@ def _unscaled_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
         return np.zeros(0), np.zeros(0), np.zeros(0)
     k, p, q, weight, point = space.shape
     # |f(0)| is the point part, the other point terms (|f'(0)| of B1) are the seminorm's.
-    # They come from one evaluation of orders 0, 1 and 2 at 0, taken first: evaluating only
-    # their orders, or after the norm part, raised the isometry workload's peak RSS from 56 to 61 MB.
-    at_zero = fam._shared(np.zeros(1), (0, 1, 2)) if point else None
+    origin = [np.abs(fam.derivative(np.zeros(1), j)[:, 0]) for j in point]
     if weight is None:
         part = _bmoa_seminorms(fam, cfg)
     elif k == 2:
@@ -422,7 +420,7 @@ def _unscaled_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
         part = _power_mean_profile(fam, p, cfg, k)((cfg.r_max,))[:, 0] ** (1.0 / p)
     else:
         part = _mixed_sup_norms(fam, p, weight, cfg)
-    origin = [np.abs(at_zero[j][:, 0]) for j in point] or [np.zeros_like(part)]
+    origin = origin or [np.zeros_like(part)]
     part = sum(origin[1:], part)
     return origin[0] + part, origin[0], part
 

@@ -326,6 +326,41 @@ class TestOutputContract:
         assert doc["result"]["verdict"] == "Inconclusive"
         assert "0.3" in doc["result"]["caveat"]
 
+    def test_zero_counted_on_partial_grid_is_not_invertible(self, capsys):
+        # The zero of F at 0.5 lies inside the counting circle |z| = 0.9, so
+        # it is a zero in the disk whatever lies beyond.
+        code, doc, _ = run_checked(
+            capsys,
+            "check-invertible",
+            "--space", "hardy:2",
+            "--F", "poly(-0.5,1.0)",
+            "--phi", "mobius(0.3,0.0,0.0)",
+            "--rmax", "0.9",
+        )
+        assert code == 1
+        assert doc["result"]["verdict"] == "NotInvertible"
+        assert doc["result"]["zero_count"] == 1
+        assert doc["result"]["caveat"] == ""
+
+    def test_invert_with_zero_beyond_partial_grid_is_inconclusive(self, capsys):
+        # The zero of F at 0.95 lies beyond the counting circle |z| = 0.9: the
+        # verdict stays open, and 1/(F o psi) cannot be built, so the inverse
+        # symbols are null.
+        code, doc, _ = run_checked(
+            capsys,
+            "invert",
+            "--space", "hardy:2",
+            "--F", "poly(-0.95,1.0)",
+            "--phi", "mobius(0.3,0.0,0.0)",
+            "--rmax", "0.9",
+        )
+        result = doc["result"]
+        assert code == 2
+        assert result["verdict"] == "Inconclusive"
+        assert result["inverse_weight"] is None and result["inverse_map"] is None
+        assert result["roundtrip_residual"] is None
+        assert "0.9" in result["caveat"]
+
     @pytest.mark.parametrize("phi", ["poly(0.1,0.2)", "poly(0.0,0.0,0.5)"], ids=["no-zero", "two-zeros"])
     def test_zero_count_rejects_on_partial_grid(self, capsys, phi):
         # An automorphism has exactly one zero a, and |phi(0)| = |a|.  Inside

@@ -193,9 +193,8 @@ def test_rotation_images_are_polynomials_in_z(cfg, monkeypatch, name, F, grid):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_moebius_factor_scales_the_table_or_the_values(cfg, order):
-    # phi' (order 1) or phi' q (order 2) scales the power table's rows when
-    # the members outnumber them, as the 47 probes do: in place for one
-    # order, in a copy when other orders read the same table.  At points
+    # phi' (order 1) or phi' q (order 2) scales the power table's rows in
+    # place when the members outnumber them, as the 47 probes do.  At points
     # per member it scales each member's values.  Each way matches the trees.
     images = image_family(Const(0.6 - 0.8j), moebius(0.5 - 0.3j, np.exp(1.9j)), as_family(default_probe_family()))
     assert len(images) > images._width
@@ -204,7 +203,6 @@ def test_moebius_factor_scales_the_table_or_the_values(cfg, order):
     per_member = np.broadcast_to(z, (len(images),) + z.shape)
     for got in (
         images.derivative(z, order),
-        images._shared(z, (0, 1, 2))[order],
         images.derivative_at(per_member, order, np.arange(len(images))),
     ):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -234,31 +232,6 @@ def test_images_of_folded_images_match_trees(cfg, grid):
             # and the composed map reduced to one Moebius node.
             assert evaluates_without_trees(nested, z[:2]) == (name == "map alone" and isinstance(F, Const))
             assert_stacked_matches_trees(nested, z)
-
-
-def test_values_equal_stacked_jet_values_bitwise(cfg):
-    # One order alone skips the terms that only the others use, and must
-    # equal its rows of one evaluation of all three orders.  Points per
-    # member take their own contraction, so derivative_at is compared with
-    # an evaluation of all three orders at the same points.
-    w, v = SYMBOLS["involution"], SYMBOLS["recip_pow"]
-    fam = as_family(default_probe_family()[:12])
-    z = scan_grid(cfg)[::4]
-    for family in (
-        fam,
-        apply(v, fam),
-        apply(w, fam),
-        apply(w, apply(v, fam)),
-        image_family(v.F, None, fam),
-        image_family(None, v.phi, fam),
-        TreeFamily((Recip(Poly((2.0, 1.0))), v.F, Poly((0.0, 1.0)))),
-    ):
-        together = family._shared(z, (0, 1, 2))
-        zk = np.linspace(0.1, 0.9, len(family))[:, None] * unit_circle(64)[None, :]
-        several = family._evaluate(zk, (0, 1, 2), np.arange(len(family)))
-        for order, stacked in enumerate(together):
-            assert family.derivative(z, order).tobytes() == stacked.tobytes()
-            assert family.derivative_at(zk, order, np.arange(len(family))).tobytes() == several[order].tobytes()
 
 
 # A Const weight and a Moebius map fold; a Recip/Pow weight takes

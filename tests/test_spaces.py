@@ -239,6 +239,18 @@ class TestDecomposition:
         assert got.total == got.point_part + got.seminorm_part
         assert got.point_part == abs(f(0.0))
         assert got.seminorm_part == seminorm(space, f, cfg)
+        # Stacked families read the point terms at 0 one order at a time: the
+        # probes, a Moebius image and a Leibniz-weight image under a map.
+        probes = as_family(default_probe_family())
+        for fam in (
+            probes,
+            image_family(Const(0.6 - 0.8j), Moebius(MoebiusMap(0.5 - 0.3j, np.exp(1.9j))), probes),
+            image_family(Recip(Pow(Poly((2.0, 0.5j, 0.25)), 1.5)), Moebius(MoebiusMap(0.4j, np.exp(0.3j))), probes),
+        ):
+            total, point, semi = spaces._norm_parts(space, fam, cfg)
+            want = np.array([abs(member(0.0)) for member in fam])
+            assert np.all(np.abs(point - want) <= 1e-15 * np.maximum(1.0, want))
+            assert total.tobytes() == (point + semi).tobytes()
 
     @pytest.mark.parametrize("text", ["bloch:1", "logbloch:1", "bmoa", "besov:2,0", "b1"])
     def test_seminorm_kills_constants(self, cfg, text):
