@@ -149,10 +149,10 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     A block whose maximum does not exceed the floor leaves the member as
     it is: its indices are larger.  A block with _TOP values above every
     value before it replaces the candidates and the pending block
-    unmerged; as values rise with r, most blocks do.  Any other block is
-    merged with the pending one, and the last pending blocks at the end.
-    A grid swept in one block, as a small family's often is, has its
-    candidates selected from that block once.  Returns the maxima and the
+    unmerged; as values rise with r, most blocks do.  Any other block
+    first merges the pending one, then is pending itself; a last block
+    narrower than the others first merges every pending block, and
+    those left at the end are merged once.  Returns the maxima and the
     candidates' flat indices, one row per member, largest value first:
     they do not depend on the blocks.
     """
@@ -166,23 +166,17 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     start = np.full(size, -1)
     workspace = {}
 
-    def merge(members, values=None, first=0):
-        # The members' candidates become the _TOP largest of them, their
-        # pending blocks and, if given, their values on the block whose
-        # flat indices start at first: the pool's columns follow the flat
-        # index.
+    def merge(members):
+        # The members' candidates become the _TOP largest of them and their
+        # pending blocks: the pool's columns follow the flat index.
         pending = workspace["pending"]
-        width = _TOP + pending.shape[1] + (0 if values is None else values.shape[1])
-        pool = _buffer(workspace, "pool", (size, width), float)[: len(members)]
+        pool = _buffer(workspace, "pool", (size, _TOP + pending.shape[1]), float)[: len(members)]
         pool[:, :_TOP] = top_vals[members]
-        np.take(pending, members, axis=0, out=pool[:, _TOP : _TOP + pending.shape[1]], mode="clip")
-        if values is not None:
-            np.take(values, members, axis=0, out=pool[:, _TOP + pending.shape[1] :], mode="clip")
+        np.take(pending, members, axis=0, out=pool[:, _TOP:], mode="clip")
         cols, kth = _largest(pool)
         row = np.arange(len(members))[:, None]
         col = cols - _TOP
-        flat = np.where(col < pending.shape[1], col + start[members, None], col - pending.shape[1] + first)
-        top_idx[members] = np.where(col < 0, top_idx[members][row, np.minimum(cols, _TOP - 1)], flat)
+        top_idx[members] = np.where(col < 0, top_idx[members][row, np.minimum(cols, _TOP - 1)], col + start[members, None])
         top_vals[members] = pool[row, cols]
         floor[members] = kth
         start[members] = -1
@@ -192,45 +186,38 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
         grid = np.abs(h, out=values.reshape(h.shape))
         grid *= weight[rows]
         peaks = values.max(axis=1)
-        if "pending" not in workspace:
-            # The first block, the widest, is pending for every member; the
-            # next block takes another buffer for its values.
-            workspace["pending"] = workspace.pop("values")
-            best[:] = peaks
-            start[:] = rows.start * n_cols
-            return
         ahead = peaks > floor
         if not ahead.any():
             np.maximum(best, peaks, out=best)
             return
-        replaces = peaks > best
+        replaces = (peaks > best) & (start >= 0)
         if replaces.any():
             replaces[replaces] = np.count_nonzero(values[replaces] > best[replaces, None], axis=1) >= _TOP
-        joined = ahead & ~replaces & (start >= 0)
+            top_vals[replaces] = -np.inf
+            floor[replaces] = best[replaces]
+        # Pending blocks share the buffer's shape: a block of another
+        # shape, a narrower last one, first merges them all.
+        pending = workspace.get("pending")
+        narrower = pending is not None and pending.shape != values.shape
+        joined = (ahead | narrower) & ~replaces & (start >= 0)
         if joined.any():
-            merge(np.flatnonzero(joined), values, rows.start * n_cols)
-        top_vals[replaces] = -np.inf
-        floor[replaces] = best[replaces]
+            merge(np.flatnonzero(joined))
         np.maximum(best, peaks, out=best)
-        ahead &= ~joined
-        # The block is pending for the members it may add to: the buffers
-        # trade places when that is all of them.
-        pending = workspace["pending"]
-        if ahead.all() and pending.shape == values.shape:
+        # The block is pending for the members it may add to.  When no
+        # other member holds a pending block, as at the first block, the
+        # block's buffer becomes the pending one and the next block takes
+        # another.
+        if (ahead | (start < 0)).all():
             workspace["pending"], workspace["values"] = values, pending
         else:
-            np.copyto(pending[:, : values.shape[1]], values, where=ahead[:, None])
-            pending[ahead, values.shape[1] :] = -np.inf
+            np.copyto(pending, values, where=ahead[:, None])
         start[ahead] = rows.start * n_cols
 
     family.rowwise(radii, circle, order, reduce)
-    if "values" in workspace:
-        merge(np.flatnonzero(start >= 0))
-    else:
-        # One block: its candidates are selected once, after the sweep has
-        # freed its tables.
-        top_idx[:] = _largest(workspace["pending"])[0]
-        top_vals[:] = np.take_along_axis(workspace["pending"], top_idx, axis=1)
+    # No block is pending for a member with a NaN in every block.
+    held = np.flatnonzero(start >= 0)
+    if len(held):
+        merge(held)
     return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
 
 
@@ -357,23 +344,19 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
     n_boxes = max(len(p) for p in picks)
     i, j = np.array([p + p[:1] * (n_boxes - len(p)) for p in picks]).transpose(2, 0, 1)
     theta = angles[j]
+
+    def weighted(x, starts):
+        # phi = omega(r^2) |h| at the points x[n, ...] = (r, theta), theta
+        # alone on the circle, of member starts[0][n]
+        r = cfg.r_max if on_circle else x[..., 0]
+        return omega(r * r) * np.abs(family.derivative_at(r * np.exp(1j * x[..., -1]), order, starts[0]))
+
+    ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
+    start = np.stack([radii[i], theta], axis=-1)
+    lo = np.stack([ladder[i], theta - 2.0 * dtheta], axis=-1)
+    hi = np.stack([ladder[i + 2], theta + 2.0 * dtheta], axis=-1)
     if on_circle:
-
-        def weighted(x, starts):
-            return np.abs(family.derivative_at(cfg.r_max * np.exp(1j * x[..., 0]), 0, starts[0]))
-
-        start, lo, hi = theta[..., None], (theta - 2.0 * dtheta)[..., None], (theta + 2.0 * dtheta)[..., None]
-    else:
-
-        def weighted(x, starts):
-            # phi = omega(r^2) |h| at the points x[n, ...] = (r, theta) of member starts[0][n]
-            r = x[..., 0]
-            return omega(r * r) * np.abs(family.derivative_at(r * np.exp(1j * x[..., 1]), order, starts[0]))
-
-        ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
-        start = np.stack([radii[i], theta], axis=-1)
-        lo = np.stack([ladder[i], theta - 2.0 * dtheta], axis=-1)
-        hi = np.stack([ladder[i + 2], theta + 2.0 * dtheta], axis=-1)
+        start, lo, hi = start[..., 1:], lo[..., 1:], hi[..., 1:]
     polished = _polish(weighted, start, lo, hi)
     return np.maximum(best, np.where(np.isfinite(polished), polished, -np.inf).max(axis=1))
 

@@ -152,7 +152,8 @@ class SpaceSpec:
 def _fmt_param(v: float) -> str:
     if v == np.inf:
         return "inf"
-    if float(v).is_integer():
+    # Whole below 2^53, where every integer is a float; 1e+308 stays short.
+    if float(v).is_integer() and abs(v) < 2.0**53:
         return str(int(v))
     return repr(float(v))
 
@@ -245,9 +246,8 @@ def _mixed_sup_norms(fam: Family, p: float, omega, cfg: GridConfig) -> np.ndarra
         return omega(r * r) * np.mean(mods ** p, axis=-1) ** (1.0 / p)
 
     i = np.argmax(vals, axis=1)
-    lo = np.where(i > 0, radii[np.maximum(i - 1, 0)], 0.0)
-    hi = np.where(i + 1 < len(radii), radii[np.minimum(i + 1, len(radii) - 1)], cfg.r_max)
-    return np.maximum(vals.max(axis=1), _polish(at, radii[i, None], lo[:, None], hi[:, None]))
+    ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
+    return np.maximum(vals.max(axis=1), _polish(at, radii[i, None], ladder[i, None], ladder[i + 2, None]))
 
 
 @functools.lru_cache(maxsize=32)

@@ -279,12 +279,15 @@ class TestOutputContract:
         assert doc["result"]["error"] == "NonFiniteResult"
 
     def test_overflow_is_an_error_not_a_crash(self, capsys):
-        # The modulus overflows to infinity in numpy, so the sup norm is
-        # not finite: an error envelope, exit 2, no traceback.
-        with np.errstate(all="ignore"):
-            code, doc, _ = run_checked(capsys, "norm", "--space", "hinf", "--fn", "poly(1e308,1e308)")
-        assert code == 2
-        assert doc["result"]["error"] == "NonFiniteResult"
+        # The modulus of the first function overflows to infinity in numpy,
+        # and the second, 0 (1e200 + 1e200 z)^2, is NaN at every grid point,
+        # so the sup scan keeps no block: the sup norm is not finite, an
+        # error envelope, exit 2, no traceback.
+        for fn in ("poly(1e308,1e308)", "mul(poly(0.0),pow(poly(1e200,1e200),2.0))"):
+            with np.errstate(all="ignore"):
+                code, doc, err = run_checked(capsys, "norm", "--space", "hinf", "--fn", fn)
+            assert (code, err) == (2, "")
+            assert doc["result"]["error"] == "NonFiniteResult"
 
     def test_escaped_exception_is_an_error_not_a_crash(self, capsys, monkeypatch):
         def overflowing(*args):

@@ -304,14 +304,24 @@ SELECTED = {
     "random probes": lambda: as_family(seeded_polys(20, 5)),
     "moebius images": lambda: image_family(Const(np.exp(0.4j)), moebius(0.5 - 0.3j), as_family(seeded_polys(20, 6))),
 }
+# Under (1 - t)^20 the random probes' derivatives peak in scan rows 1-6:
+# no later block adds to their candidates, and the block pending after the
+# first ones is merged only at the end of the sweep.  Their values at
+# order 0 tie along the row r = 0.
+WEIGHTED = {
+    **{name: (make, _power_weight(1.0)) for name, make in SELECTED.items()},
+    "random probes, weight 20": (SELECTED["random probes"], _power_weight(20.0)),
+}
 
 
-@pytest.mark.parametrize("name", sorted(SELECTED))
-@pytest.mark.parametrize("order", [0, 1])
-@pytest.mark.parametrize("rows", [None, 2, 7, 56])
+@pytest.mark.parametrize(
+    "rows, order, name",
+    [(rows, order, name) for name in sorted(SELECTED) for order in (0, 1) for rows in (None, 2, 7, 56)]
+    + [(rows, 1, "random probes, weight 20") for rows in (None, 2, 7, 56)],
+)
 def test_streamed_candidates_equal_full_grid_selection(cfg, monkeypatch, name, order, rows):
-    family = SELECTED[name]()
-    weight = _power_weight(1.0)
+    make, weight = WEIGHTED[name]
+    family = make()
     values = scan_values(family, order, weight, cfg)
     # Tie-free: the (_TOP + 1) largest values of every member are distinct.
     top = -np.sort(-values.reshape(len(family), -1), axis=1)[:, : _TOP + 1]
@@ -357,7 +367,7 @@ def test_tied_grid_values_keep_the_smallest_flat_indices(cfg, monkeypatch, name,
 
 
 ONE_BLOCK_CASES = {
-    **{f"{name}, order {order}": (SELECTED[name], order, _power_weight(1.0)) for name in SELECTED for order in (0, 1)},
+    **{f"{name}, order {order}": (WEIGHTED[name][0], order, WEIGHTED[name][1]) for name in WEIGHTED for order in (0, 1)},
     **{f"z, {name} weight": (lambda: as_family([Poly((0.0, 1.0)), Poly((0.5, 2.0))]), 1, w) for name, w in TIED_WEIGHTS.items()},
 }
 

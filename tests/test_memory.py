@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, PolyFamily, Recip, as_family, image_family
-from wcolab.operators import default_probe_family
+from wcolab.operators import _FIXED_PROBES, default_probe_family
 from wcolab.quadrature import refined_modulus_sup
 from wcolab.spaces import _b1_area_integrals, _bmoa_seminorms, _power_weight, norms, parse_space
 
@@ -41,6 +41,14 @@ def test_bloch_sup_of_the_probes_holds_no_grid(cfg):
     # The 47 probes' weighted |f'| on the 56 x 512 scan grid alone is 10.8 MB.
     probes = as_family(default_probe_family())
     assert traced_peak(lambda: refined_modulus_sup(probes, 1, _power_weight(1.0), cfg)) <= 4 * MiB
+
+
+def test_bloch_sup_of_the_fixed_probes_in_taller_blocks_holds_no_grid(cfg):
+    # 1, z, ..., z^8 and the eight 1 + lambda z sweep in taller blocks than
+    # the 47 probes, so the scan's buffers are wider: a merge pool of the
+    # candidates and two blocks reads 3.9 MiB here.
+    fixed = as_family(list(_FIXED_PROBES))
+    assert traced_peak(lambda: refined_modulus_sup(fixed, 1, _power_weight(1.0), cfg)) <= 3.6 * MiB
 
 
 def test_b1_area_integral_on_the_refined_grid_holds_no_grid(cfg):

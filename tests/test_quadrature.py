@@ -10,7 +10,7 @@ from wcolab import (
     Poly,
     series,
 )
-from wcolab.analytic_core import R_MAX, Compose, Const, Moebius, MoebiusMap, Pow, Recip, as_family, rotation_map
+from wcolab.analytic_core import R_MAX, Compose, Const, Moebius, MoebiusMap, Mul, Pow, Recip, as_family, rotation_map
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
@@ -192,6 +192,15 @@ class TestSupEngines:
         ref = float(np.max(np.abs(f(ring))))
         assert got >= ref - 1e-12
         assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_sup_of_values_that_are_all_nan_is_nan(self, cfg):
+        # 0 (1e200 + 1e200 z)^2 is 0 inf = NaN at every point: no block of
+        # the scan is kept, and the sup is NaN, not an error.
+        f = Mul(Poly((0.0,)), Pow(Poly((1e200, 1e200)), 2.0))
+        with np.errstate(all="ignore"):
+            for omega in (FLAT_WEIGHT, _disk_weight):
+                [got] = refined_modulus_sup(f, 0, omega, cfg)
+                assert np.isnan(got)
 
     def test_refined_sup_log_weight(self, cfg):
         # weight (1-t) log(2/(1-t)) against h = 1 has maximum 2/e.

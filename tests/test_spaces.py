@@ -60,7 +60,13 @@ ALL_SPACE_STRINGS = (
 
 
 class TestParse:
-    @pytest.mark.parametrize("text", ALL_SPACE_STRINGS + ("bloch:1.5", "mixed:2,inf,0.5", "hardy:4", "bergman:1,3"))
+    @pytest.mark.parametrize(
+        "text",
+        ALL_SPACE_STRINGS
+        + ("bloch:1.5", "mixed:2,inf,0.5", "hardy:4", "bergman:1,3")
+        # Integral parameters print whole below 2^53 only.
+        + ("logbloch:2", "logbloch:0.5", "logbloch:9007199254740991", "logbloch:1e+16", "logbloch:1e+308", "logbloch:-1e+308"),
+    )
     def test_round_trip(self, text):
         assert str(parse_space(text)) == text
 
