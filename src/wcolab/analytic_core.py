@@ -389,14 +389,12 @@ class Family:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    def _evaluate(self, z: np.ndarray, order: int, members=None, workspace=None) -> np.ndarray:
+    def _evaluate(self, z: np.ndarray, order: int, members=None) -> np.ndarray:
         """Stacked derivatives of the given order at z.
 
         Without members, z of shape (1, n) holds points shared by every
         member.  With an integer array members, z has one row per entry
-        and row i holds the points of member members[i].  With a dict
-        workspace, the tables and the result may live in its buffers (see
-        _buffer), which the next call with it overwrites.
+        and row i holds the points of member members[i].
         """
         raise NotImplementedError
 
@@ -452,23 +450,18 @@ class Family:
         points of radii[rows]; reduce returns an array of shape
         (len(self), number of rows, ...), or None for a sweep that keeps
         its own totals, and then rowwise returns None.  Each block's
-        points, tables and values live in one workspace that the next
-        block overwrites, so nothing of grid size outlives its block:
-        reduce must not keep values, or a view of it, after it returns.
-        Allocating them once per sweep also spares each block the page
-        faults of memory that the allocator returned to the system after
-        the block before.  blocks, row slices of the grid, replaces this
-        family's own row_blocks.
+        points and values are fresh arrays that nothing here holds while
+        the next block is evaluated: for a sweep to hold nothing of grid
+        size, reduce keeps only what it reduces them to.  The heap setting
+        at import (_keep_freed_heap) keeps freed blocks resident for the
+        next.  blocks, row slices of the grid, replaces row_blocks.
         """
         radii = np.asarray(radii, dtype=float)
         circle = np.asarray(circle, dtype=complex)
-        workspace = {}
-        parts = []
-        for rows in blocks or self.row_blocks((len(radii), len(circle)), order):
-            z = _buffer(workspace, "points", (len(radii[rows]), len(circle)))
-            np.multiply(radii[rows, None], circle, out=z)
-            values = self._evaluate(z.reshape(1, -1), order, workspace=workspace).reshape((len(self),) + z.shape)
-            parts.append(reduce(values, rows))
+        parts = [
+            reduce(self._evaluate((radii[rows, None] * circle).reshape(1, -1), order).reshape(len(self), -1, len(circle)), rows)
+            for rows in blocks or self.row_blocks((len(radii), len(circle)), order)
+        ]
         if parts[0] is None or len(parts) == 1:
             return parts[0]
         return np.concatenate(parts, axis=1)
@@ -499,7 +492,7 @@ class TreeFamily(Family):
         # Each node of a tree holds its derivatives up to the order asked.
         return max(len(self), max((_node_count(f) for f in self.members), default=0) * (order + 1))
 
-    def _evaluate(self, z, order, members=None, workspace=None):
+    def _evaluate(self, z, order, members=None):
         if members is None:
             return _stacked([f.derivatives(z[0], order)[order] for f in self.members])
         # Each distinct member is walked once, over all of its rows.
@@ -595,12 +588,12 @@ class PolyFamily(Family):
         # The members' values and the power table, and Leibniz's stacked table.
         return max(len(self), self._width, self._table_rows(order))
 
-    def _evaluate(self, z, order, members=None, workspace=None):
+    def _evaluate(self, z, order, members=None):
         if order not in (0, 1, 2):
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
         z = _checked_points(z)
         base = z if self._map is None else _checked_points(self._map(z), "composition inner value")
-        powers = _powers(base, _buffer(workspace, "powers", (self._width,) + z.shape))
+        powers = _powers(base, self._width)
         # The pointwise factors of g, g' and g'' up to the order: 1, phi' and
         # phi' q, None for 1.
         factors = [None] * 3
@@ -610,18 +603,17 @@ class PolyFamily(Family):
             factors[1] = lam * (abs(a) ** 2 - 1.0) * q * q
             factors[2] = factors[1] * q if order == 2 else None
         F = None if self._weight is None else _derivatives_at(self._weight, z, order)
-        product = _buffer(workspace, "product", (len(self), z.shape[1]) if members is None else z.shape)
         if F is None:
             matrix, factor = self._matrices[order], factors[order]
             table = powers[: matrix.shape[1]]
             if factor is not None and members is None and len(self) > len(table):
                 # Fewer rows than members per point: the factor scales the rows, in place.
                 table, factor = np.multiply(table, factor, out=table), None
-            out = _contract(matrix, table, members, product)
+            out = _contract(matrix, table, members)
             if factor is not None:
                 out *= factor
             return out
-        table = _buffer(workspace, "table", (self._joined[order].shape[1],) + z.shape)
+        table = np.empty((self._joined[order].shape[1],) + z.shape, dtype=complex)
         ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
         for k, rows in enumerate(np.split(table, ends)):
             # C(n, k) F^(n-k) times the pointwise factor of g^(k), on the
@@ -630,7 +622,7 @@ class PolyFamily(Family):
             if factors[k] is not None:
                 factor = factor * factors[k]
             np.multiply(factor, powers[: len(rows)], out=rows)
-        return _contract(self._joined[order], table, members, product)
+        return _contract(self._joined[order], table, members)
 
 
 def _derivative_matrices(coeffs: np.ndarray) -> tuple:
@@ -639,30 +631,20 @@ def _derivative_matrices(coeffs: np.ndarray) -> tuple:
     return coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1))
 
 
-def _buffer(workspace: dict | None, key, shape: tuple, dtype=complex) -> np.ndarray:
-    # An uninitialized array of the shape: the workspace's array under key
-    # when it has that shape, else a new one, kept there for the next call.
-    if workspace is None:
-        return np.empty(shape, dtype=dtype)
-    buf = workspace.get(key)
-    if buf is None or buf.shape != shape:
-        buf = workspace[key] = np.empty(shape, dtype=dtype)
-    return buf
-
-
-def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # base^0 .. base^(len(out)-1) into out, stacked on a leading axis
+def _powers(base: np.ndarray, n: int) -> np.ndarray:
+    # base^0 .. base^(n-1), stacked on a leading axis
+    out = np.empty((n,) + base.shape, dtype=complex)
     out[0] = 1.0
-    for j in range(1, len(out)):
+    for j in range(1, n):
         np.multiply(out[j - 1], base, out=out[j])
     return out
 
 
-def _contract(matrix: np.ndarray, table: np.ndarray, members, out: np.ndarray) -> np.ndarray:
+def _contract(matrix: np.ndarray, table: np.ndarray, members) -> np.ndarray:
     # One row of points shared by every member, or row i for member members[i]
     if members is None:
-        return np.matmul(matrix, table[:, 0], out=out)
-    return np.einsum("kd,dkn->kn", matrix[members], table, out=out)
+        return matrix @ table[:, 0]
+    return np.einsum("kd,dkn->kn", matrix[members], table)
 
 
 def _image(F: AnalyticExpr | None, phi: AnalyticExpr | None, f: AnalyticExpr) -> AnalyticExpr:

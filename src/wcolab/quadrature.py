@@ -19,7 +19,7 @@ import numpy as np
 import numpy.fft
 import numpy.polynomial.legendre
 
-from .analytic_core import R_MAX, _buffer, as_family, unit_circle
+from .analytic_core import R_MAX, as_family, unit_circle
 from .errors import ParameterError
 
 
@@ -164,13 +164,12 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     top_idx = np.tile(np.arange(_TOP), (size, 1))
     floor = np.full(size, -np.inf)
     start = np.full(size, -1)
-    workspace = {}
+    pending = None
 
     def merge(members):
         # The members' candidates become the _TOP largest of them and their
         # pending blocks: the pool's columns follow the flat index.
-        pending = workspace["pending"]
-        pool = _buffer(workspace, "pool", (size, _TOP + pending.shape[1]), float)[: len(members)]
+        pool = np.empty((len(members), _TOP + pending.shape[1]))
         pool[:, :_TOP] = top_vals[members]
         np.take(pending, members, axis=0, out=pool[:, _TOP:], mode="clip")
         cols, kth = _largest(pool)
@@ -182,9 +181,10 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
         start[members] = -1
 
     def reduce(h, rows):
-        values = _buffer(workspace, "values", (size, h[0].size), float)
-        grid = np.abs(h, out=values.reshape(h.shape))
+        nonlocal pending
+        grid = np.abs(h)
         grid *= weight[rows]
+        values = grid.reshape(size, -1)
         peaks = values.max(axis=1)
         ahead = peaks > floor
         if not ahead.any():
@@ -195,9 +195,8 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
             replaces[replaces] = np.count_nonzero(values[replaces] > best[replaces, None], axis=1) >= _TOP
             top_vals[replaces] = -np.inf
             floor[replaces] = best[replaces]
-        # Pending blocks share the buffer's shape: a block of another
-        # shape, a narrower last one, first merges them all.
-        pending = workspace.get("pending")
+        # Pending blocks share one shape: a block of another shape, a
+        # narrower last one, first merges them all.
         narrower = pending is not None and pending.shape != values.shape
         joined = (ahead | narrower) & ~replaces & (start >= 0)
         if joined.any():
@@ -205,10 +204,9 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
         np.maximum(best, peaks, out=best)
         # The block is pending for the members it may add to.  When no
         # other member holds a pending block, as at the first block, the
-        # block's buffer becomes the pending one and the next block takes
-        # another.
+        # block's values become the pending ones.
         if (ahead | (start < 0)).all():
-            workspace["pending"], workspace["values"] = values, pending
+            pending = values
         else:
             np.copyto(pending, values, where=ahead[:, None])
         start[ahead] = rows.start * n_cols
@@ -251,13 +249,12 @@ def _quadratic_means(C: np.ndarray, basis, radii, circle: np.ndarray, order: int
     from its values, sum over j of C[k, j] g_j, on the same block.
     """
     means = np.empty((len(C), len(radii)))
-    workspace = {}
 
     def reduce(values, rows):
         # conj(g) of the block beside g, each row a W x n_theta matrix;
         # 1 / n_theta, a power of two, is exact.
-        conj = np.conjugate(values, out=_buffer(workspace, "conj", values.shape)).transpose(1, 0, 2)
-        gram = np.matmul(conj, values.transpose(1, 2, 0), out=_buffer(workspace, "gram", (len(conj),) + 2 * (len(values),)))
+        conj = np.conjugate(values).transpose(1, 0, 2)
+        gram = np.matmul(conj, values.transpose(1, 2, 0))
         gram *= 1.0 / values.shape[-1]
         block, accurate = _quadratic_form(C, gram)
         redo = np.flatnonzero(~accurate.all(axis=1))
@@ -347,9 +344,10 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
 
     def weighted(x, starts):
         # phi = omega(r^2) |h| at the points x[n, ...] = (r, theta), theta
-        # alone on the circle, of member starts[0][n]
+        # alone on the circle, where omega is 1, of member starts[0][n]
         r = cfg.r_max if on_circle else x[..., 0]
-        return omega(r * r) * np.abs(family.derivative_at(r * np.exp(1j * x[..., -1]), order, starts[0]))
+        modulus = np.abs(family.derivative_at(r * np.exp(1j * x[..., -1]), order, starts[0]))
+        return modulus if on_circle else omega(r * r) * modulus
 
     ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
     start = np.stack([radii[i], theta], axis=-1)

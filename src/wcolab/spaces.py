@@ -22,7 +22,7 @@ import typing
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Const, Family, Mul, _buffer, as_family, unit_circle
+from .analytic_core import AnalyticExpr, Const, Family, Mul, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -291,19 +291,11 @@ def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
         return acc
     # The real and imaginary parts side by side: one real product per block.
     acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))
-    workspace = {}
 
     def reduce(values, rows):
-        # D = |f'|^2, its modes and their radial sums live in buffers of
-        # the sweep, like the values (see Family.rowwise).
-        lines = values.transpose(1, 0, 2)
-        D = np.square(np.abs(lines, out=_buffer(workspace, "D", lines.shape, float)))
-        modes = np.fft.rfft(D, axis=-1, out=_buffer(workspace, "modes", lines.shape[:2] + (cfg.n_theta // 2 + 1,)))
-        coeffs = _buffer(workspace, "coeffs", lines.shape[:2] + (m_max + 1,))
-        np.multiply(modes[:, :, : m_max + 1], r_pow[rows, None, :], out=coeffs)
-        part = _buffer(workspace, "part", (len(acc), acc[0].size), float)
-        np.matmul(pref[:, rows], coeffs.view(float).reshape(len(coeffs), -1), out=part)
-        np.add(acc, part.reshape(acc.shape), out=acc)
+        D = np.square(np.abs(values.transpose(1, 0, 2)))
+        coeffs = np.fft.rfft(D, axis=-1)[:, :, : m_max + 1] * r_pow[rows, None, :]
+        np.add(acc, (pref[:, rows] @ coeffs.view(float).reshape(len(coeffs), -1)).reshape(acc.shape), out=acc)
 
     fam.rowwise(np.sqrt(gauss01(cfg.n_radial)[0]), unit_circle(cfg.n_theta), 1, reduce)
     return acc.view(complex)

@@ -265,24 +265,6 @@ def test_sweep_values_equal_block_derivatives_bitwise(cfg, monkeypatch, name, or
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["fold", "leibniz-map"])
-def test_sweep_hands_equal_blocks_one_buffer(cfg, monkeypatch, name):
-    # The values are kept past reduce here, against rowwise's contract, so
-    # that blocks with their own arrays cannot share an address.
-    family = SWEPT[name](as_family(default_probe_family()[:12]))
-    z = scan_grid(cfg)[:7]
-    two_row_blocks(monkeypatch, family, z, 2)
-    kept = []
-
-    def reduce(values, rows):
-        kept.append(values)
-        return np.abs(values)
-
-    family.rowwise(scan_radii(cfg)[:7], unit_circle(cfg.n_theta), 2, reduce)
-    assert len(kept) == 4
-    assert len({values.ctypes.data for values in kept[:3]}) == 1
-
-
 def blocks_of_rows(monkeypatch, family, shape, order, rows):
     # BLOCK_BYTES that fits the given number of grid rows per block.
     monkeypatch.setattr(analytic_core, "BLOCK_BYTES", rows * family._height(order) * shape[1] * 16)
