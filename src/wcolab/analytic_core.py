@@ -38,7 +38,7 @@ ZERO_THRESHOLD = 1e-9
 BLOCK_BYTES = 1 << 20
 
 
-def _keep_freed_heap() -> None:
+def _keep_freed_heap() -> bool:
     # glibc serves requests above M_MMAP_THRESHOLD (-3) from new mappings
     # and returns the freed top of the heap above M_TRIM_THRESHOLD (-1) to
     # the system.  Both start at 128 KB and rise only once a larger mapping
@@ -46,16 +46,17 @@ def _keep_freed_heap() -> None:
     # ends went back to the system and were faulted in again by the next
     # sweep: 12,000 minor faults in one bloch:1 axiom suite.  Fixed
     # thresholds keep such buffers in the heap.  Another C library, or none
-    # found, is left as it is.
+    # found, is left as it is.  Returns whether the thresholds were set.
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
-        return
+        return False
     mallopt(-3, 32 << 20)
     mallopt(-1, 64 << 20)
+    return True
 
 
-_keep_freed_heap()
+_HEAP_KEPT = _keep_freed_heap()
 
 
 def _checked_points(z, what: str = "evaluation point") -> np.ndarray:
@@ -458,10 +459,12 @@ class Family:
         """
         radii = np.asarray(radii, dtype=float)
         circle = np.asarray(circle, dtype=complex)
-        parts = [
-            reduce(self._evaluate((radii[rows, None] * circle).reshape(1, -1), order).reshape(len(self), -1, len(circle)), rows)
-            for rows in blocks or self.row_blocks((len(radii), len(circle)), order)
-        ]
+        parts = []
+        for rows in blocks or self.row_blocks((len(radii), len(circle)), order):
+            parts.append(reduce(
+                self._evaluate((radii[rows, None] * circle).reshape(1, -1), order).reshape(len(self), -1, len(circle)),
+                rows,
+            ))
         if parts[0] is None or len(parts) == 1:
             return parts[0]
         return np.concatenate(parts, axis=1)

@@ -135,9 +135,6 @@ def _fixed_probe_norms(space: SpaceSpec, cfg: GridConfig) -> np.ndarray:
     return out
 
 
-# Cached like _fixed_probe_norms: every check of a seed builds the same
-# probes, and a tuple of frozen Poly is safe to share.
-@functools.lru_cache(maxsize=32)
 def random_polynomials(count: int, seed: int = DEFAULT_SEED) -> tuple:
     """Reproducible polynomials of degree 2 to 12 with coefficients in the unit polydisk."""
     rng = np.random.default_rng(seed)

@@ -8,14 +8,12 @@ fresh arrays; the heap setting at import keeps the freed ones resident,
 so a warm sweep faults in no memory.
 """
 
-import ctypes
-import resource
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wcolab.analytic_core import Const, Moebius, MoebiusMap, Poly, PolyFamily, Recip, as_family, image_family
+from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Poly, PolyFamily, Recip, as_family, image_family
 from wcolab.axiom_harness import run_all
 from wcolab.operators import _FIXED_PROBES, default_probe_family
 from wcolab.quadrature import refined_modulus_sup
@@ -88,15 +86,9 @@ def test_traced_peak_sees_numpy_buffers():
     assert traced_peak(lambda: np.ones(5 * MiB // 8).sum()) >= 5 * MiB
 
 
-def has_mallopt() -> bool:
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except (OSError, TypeError):
-        return False
-
-
 def warm_minor_faults(call) -> int:
     """Minor page faults of the third call of call."""
+    resource = pytest.importorskip("resource")
     call()
     call()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -110,7 +102,7 @@ WARM_SWEEPS = {
 }
 
 
-@pytest.mark.skipif(not has_mallopt(), reason="the heap setting needs glibc's mallopt")
+@pytest.mark.skipif(not _HEAP_KEPT, reason="the heap setting needs glibc's mallopt")
 @pytest.mark.parametrize("name", sorted(WARM_SWEEPS))
 def test_warm_sweeps_fault_in_no_memory(cfg, name):
     # 0-2 faults with the heap setting.  With glibc's thresholds forced back

@@ -409,7 +409,7 @@ class TestBmoaArgumentSearch:
 
 
 def _bmoa_mode_sums_by_blocks(fam, cfg):
-    """The sampled BMOA mode sums as each row block's new arrays gave them, before the sweep's buffers."""
+    """The sampled BMOA mode sums from fam.derivative on each row block: the reference for the rowwise sweep."""
     pref, r_pow, _ = _bmoa_kernel(cfg)
     m_max = cfg.n_theta // 2 - 1
     z = np.sqrt(gauss01(cfg.n_radial)[0])[:, None] * unit_circle(cfg.n_theta)[None, :]
