@@ -85,6 +85,8 @@ def _probes(space: SpaceSpec, cfg: GridConfig, family) -> _Probes:
     return family if isinstance(family, _Probes) else _Probes(space, cfg, family)
 
 
+# A ratio of norms that overflow or vanish is not finite: the callers reject it.
+@np.errstate(all="ignore")
 def _image_bound(probes: _Probes, image_of) -> tuple:
     """Largest ratio ||image|| / ||f|| over the family, and the same ratio on a refined grid.
 
@@ -108,6 +110,8 @@ def _image_bound(probes: _Probes, image_of) -> tuple:
     return bound, refined, max(bound / refined, refined / bound), semi
 
 
+# A peak over a norm that overflows or vanishes is not finite: the callers reject it.
+@np.errstate(all="ignore")
 def check_a1(space: SpaceSpec, cfg: GridConfig, family=None) -> AxiomReport:
     """Point evaluations are bounded by the per-space growth estimate.
 

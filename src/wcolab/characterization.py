@@ -139,6 +139,8 @@ def _grows_at_boundary(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig) -> tu
     return slope > TREND_SLOPE_TOL * float(np.max(np.abs(y))), y[-1]
 
 
+# A ratio of norms that overflow or vanish is not finite: the callers reject it.
+@np.errstate(all="ignore")
 def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: int = DEFAULT_SEED) -> MultiplierVerdict:
     """Test whether u is a pointwise multiplier of the space.
 

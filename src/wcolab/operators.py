@@ -91,6 +91,8 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(singular[0] / singular[-1])
 
 
+# A ratio of norms that overflow or vanish is not finite: the callers reject it.
+@np.errstate(all="ignore")
 def isometry_defect(w: WcoSymbols, space: SpaceSpec, family, cfg: GridConfig) -> float:
     """max over the family of | ||W f|| / ||f|| - 1 |.
 

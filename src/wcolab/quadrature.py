@@ -132,8 +132,8 @@ def scan_radii(cfg: GridConfig) -> np.ndarray:
 def scan_grid(cfg: GridConfig) -> np.ndarray:
     """The scan radii times the angular nodes: the grid that the checks sample.
 
-    Cached, like scan_radii: a check scans it up to three times, and a
-    fresh 512 KB array per scan page-faults in a small heap.
+    Cached, like scan_radii: each check reads it once, but building it
+    takes about 70 us, some 6 % of the median 1.1 ms invertibility op.
     """
     return scan_radii(cfg)[:, None] * unit_circle(cfg.n_theta)[None, :]
 
@@ -144,100 +144,68 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     weight holds omega(|z|^2) per radius, shape (len(radii), 1).  The
     grid is swept block by block (Family.rowwise).  Each member keeps its
     running maximum, its _TOP largest values so far with their flat
-    indices, ties going to the smaller index, a floor at or below the
-    smallest of them, and the last block that may add to them, pending.
-    A block whose maximum does not exceed the floor leaves the member as
-    it is: its indices are larger.  A block with _TOP values above every
-    value before it replaces the candidates and the pending block
-    unmerged; as values rise with r, most blocks do.  Any other block
-    first merges the pending one, then is pending itself; a last block
-    narrower than the others first merges every pending block, and
-    those left at the end are merged once.  Returns the maxima and the
-    candidates' flat indices, one row per member, largest value first:
-    they do not depend on the blocks.
+    indices, ties going to the smaller index, and a floor at or below the
+    smallest of them.  One block is held: the previous one, for the
+    members whose floor it exceeded.  When the next block arrives, each
+    of those members drops it if the new block has _TOP values above
+    every value before it, as most blocks have while values rise with r,
+    and merges it otherwise; the last held block is merged at the end.
+    Returns the maxima and the candidates' flat indices, one row per
+    member, largest value first: they do not depend on the blocks.
     """
     n_cols, size = len(circle), len(family)
     best = np.full(size, -np.inf)
-    # The candidates in flat index order, the floor, and the flat index
-    # of the first value of each member's pending block, -1 for none.
+    # The candidates in flat index order, and the floor.
     top_vals = np.full((size, _TOP), -np.inf)
     top_idx = np.tile(np.arange(_TOP), (size, 1))
     floor = np.full(size, -np.inf)
-    start = np.full(size, -1)
-    pending = None
+    # The held block, the flat index of its first value, and its members.
+    held, first, holding = None, 0, np.zeros(size, dtype=bool)
 
     def merge(members):
-        # The members' candidates become the _TOP largest of them and their
-        # pending blocks: the pool's columns follow the flat index.
-        pool = np.empty((len(members), _TOP + pending.shape[1]))
+        # The members' candidates become the _TOP largest of them and the
+        # held block's values: the pool's columns follow the flat index.
+        if not len(members):
+            return
+        pool = np.empty((len(members), _TOP + held.shape[1]))
         pool[:, :_TOP] = top_vals[members]
-        np.take(pending, members, axis=0, out=pool[:, _TOP:], mode="clip")
-        cols, kth = _largest(pool)
+        np.take(held, members, axis=0, out=pool[:, _TOP:], mode="clip")
+        # The (_TOP + 1)-th largest, then the _TOP largest in any order; the
+        # copy frees the partition's indices, as large as the pool.
+        part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :].copy()
+        vals = np.take_along_axis(pool, part, axis=1)
+        cols = np.sort(part[:, 1:], axis=1)
+        kth = vals[:, 1:].min(axis=1)
+        # Where the (_TOP + 1)-th equals the smallest kept value, of the values
+        # equal to it the first are kept: row by row, as rows of a rotation-
+        # invariant |f| tie across the pool and nothing as large is made.
+        for k in np.flatnonzero(vals[:, 0] == kth):
+            above = np.flatnonzero(pool[k] > kth[k])
+            cols[k] = np.sort(np.concatenate([above, np.flatnonzero(pool[k] == kth[k])[: _TOP - len(above)]]))
         row = np.arange(len(members))[:, None]
         col = cols - _TOP
-        top_idx[members] = np.where(col < 0, top_idx[members][row, np.minimum(cols, _TOP - 1)], col + start[members, None])
+        top_idx[members] = np.where(col < 0, top_idx[members][row, np.minimum(cols, _TOP - 1)], col + first)
         top_vals[members] = pool[row, cols]
         floor[members] = kth
-        start[members] = -1
 
     def reduce(h, rows):
-        nonlocal pending
+        nonlocal held, first, holding
         grid = np.abs(h)
         grid *= weight[rows]
         values = grid.reshape(size, -1)
         peaks = values.max(axis=1)
         ahead = peaks > floor
-        if not ahead.any():
-            np.maximum(best, peaks, out=best)
-            return
-        replaces = (peaks > best) & (start >= 0)
-        if replaces.any():
-            replaces[replaces] = np.count_nonzero(values[replaces] > best[replaces, None], axis=1) >= _TOP
-            top_vals[replaces] = -np.inf
-            floor[replaces] = best[replaces]
-        # Pending blocks share one shape: a block of another shape, a
-        # narrower last one, first merges them all.
-        narrower = pending is not None and pending.shape != values.shape
-        joined = (ahead | narrower) & ~replaces & (start >= 0)
-        if joined.any():
-            merge(np.flatnonzero(joined))
+        replaces = ahead & (np.count_nonzero(values > best[:, None], axis=1) >= _TOP)
+        top_vals[replaces] = -np.inf
+        floor[replaces] = best[replaces]
+        merge(np.flatnonzero(holding & ~replaces))
         np.maximum(best, peaks, out=best)
-        # The block is pending for the members it may add to.  When no
-        # other member holds a pending block, as at the first block, the
-        # block's values become the pending ones.
-        if (ahead | (start < 0)).all():
-            pending = values
-        else:
-            np.copyto(pending, values, where=ahead[:, None])
-        start[ahead] = rows.start * n_cols
+        held, first, holding = values, rows.start * n_cols, ahead
 
     family.rowwise(radii, circle, order, reduce)
-    # No block is pending for a member with a NaN in every block.
-    held = np.flatnonzero(start >= 0)
-    if len(held):
-        merge(held)
+    # No block is held for a member with a NaN in every block.
+    merge(np.flatnonzero(holding))
     return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
-
-
-def _largest(pool: np.ndarray) -> tuple:
-    """Columns of the _TOP largest values of each row of pool, and the smallest of those values.
-
-    The columns are ascending; of values tied at the smallest, the
-    first columns are kept.
-    """
-    # The (_TOP + 1)-th largest, then the _TOP largest in any order; the
-    # copy frees the partition's indices, as large as the pool.
-    part = np.argpartition(pool, -_TOP - 1, axis=1)[:, -_TOP - 1 :].copy()
-    vals = np.take_along_axis(pool, part, axis=1)
-    cols = np.sort(part[:, 1:], axis=1)
-    kth = vals[:, 1:].min(axis=1)
-    # Where the (_TOP + 1)-th equals the smallest kept value, of the values
-    # equal to it the first are kept: row by row, as rows of a rotation-
-    # invariant |f| tie across the pool and nothing as large is made.
-    for k in np.flatnonzero(vals[:, 0] == kth):
-        above = np.flatnonzero(pool[k] > kth[k])
-        cols[k] = np.sort(np.concatenate([above, np.flatnonzero(pool[k] == kth[k])[: _TOP - len(above)]]))
-    return cols, kth
 
 
 def _quadratic_means(C: np.ndarray, basis, radii, circle: np.ndarray, order: int, blocks: list) -> np.ndarray:

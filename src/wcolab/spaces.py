@@ -472,6 +472,8 @@ def _increment_integral(rate, r: float) -> float:
     return float(((hi - lo)[:, None] * w[None, :] * rate(s)).sum())
 
 
+# A weight that overflows or underflows makes the bound 0 or inf, not a warning.
+@np.errstate(all="ignore")
 def pointeval_bound(space: SpaceSpec, r: float) -> float:
     """A value B(r) with |f(z)| <= (1 + B(r)) ||f|| at |z| = r, family by family.
 
@@ -499,7 +501,7 @@ def pointeval_bound(space: SpaceSpec, r: float) -> float:
         return float(-np.log1p(-r))
     k, p, q, weight, _ = space.shape
     if p == np.inf:
-        bound = lambda s: 1.0 / weight(s ** 2)
+        bound = lambda s: np.divide(1.0, weight(s ** 2))
     else:
         e = 1.0 / p if q == np.inf else (2.0 + weight) / p
         bound = lambda s: (1.0 - s ** 2) ** (-e)

@@ -273,9 +273,8 @@ class TestOutputContract:
         assert doc["result"]["automorphism"] == {"found": False, "map": None, "residual": None}
 
     def test_non_finite_norm_is_an_error(self, capsys):
-        with np.errstate(all="ignore"):
-            code, doc, _ = run_checked(capsys, "norm", "--space", "hardy:2", "--fn", "pow(poly(3.0,1.0),1e6)")
-        assert code == 2
+        code, doc, err = run_checked(capsys, "norm", "--space", "hardy:2", "--fn", "pow(poly(3.0,1.0),1e6)")
+        assert (code, err) == (2, "")
         assert doc["result"]["error"] == "NonFiniteResult"
 
     def test_overflow_is_an_error_not_a_crash(self, capsys):
@@ -284,10 +283,36 @@ class TestOutputContract:
         # so the sup scan keeps no block: the sup norm is not finite, an
         # error envelope, exit 2, no traceback.
         for fn in ("poly(1e308,1e308)", "mul(poly(0.0),pow(poly(1e200,1e200),2.0))"):
-            with np.errstate(all="ignore"):
-                code, doc, err = run_checked(capsys, "norm", "--space", "hinf", "--fn", fn)
+            code, doc, err = run_checked(capsys, "norm", "--space", "hinf", "--fn", fn)
             assert (code, err) == (2, "")
             assert doc["result"]["error"] == "NonFiniteResult"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (command, "--space", space, "--F", F, "--phi", phi)
+            for command, F, phi in (
+                ("check-isometry", "const(1.0,0.0)", "mobius(0.0,0.0,2.1)"),
+                ("check-invertible", "poly(2.0,1.0)", "mobius(0.5,0.0,0.0)"),
+            )
+            for space in ("logbloch:1e300", "logbloch:-1e300")
+        ]
+        + [
+            ("axioms", "--space", space)
+            for space in (
+                "logbloch:1e300", "logbloch:-1e300", "bloch:1e300", "growth:1e300",
+                "bergman:1e308,0", "hardy:1e308", "mixed:1,inf,1e300",
+            )
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[2]}",
+    )
+    def test_extreme_space_parameter_is_an_error_without_warnings(self, capsys, argv):
+        # Weights that overflow or underflow to 0 make norms, ratios and
+        # point-evaluation bounds that are not finite: an error envelope,
+        # exit 2, with no numpy warning and no traceback.
+        code, doc, err = run_checked(capsys, *argv)
+        assert (code, err) == (2, "")
+        assert doc["result"]["error"] in ("NonFiniteResult", "DegenerateInput", "UnsupportedSpace")
 
     def test_escaped_exception_is_an_error_not_a_crash(self, capsys, monkeypatch):
         def overflowing(*args):

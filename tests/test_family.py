@@ -287,9 +287,8 @@ SELECTED = {
     "moebius images": lambda: image_family(Const(np.exp(0.4j)), moebius(0.5 - 0.3j), as_family(seeded_polys(20, 6))),
 }
 # Under (1 - t)^20 the random probes' derivatives peak in scan rows 1-6:
-# no later block adds to their candidates, and the block pending after the
-# first ones is merged only at the end of the sweep.  Their values at
-# order 0 tie along the row r = 0.
+# no later block adds to their candidates.  Their values at order 0 tie
+# along the row r = 0.
 WEIGHTED = {
     **{name: (make, _power_weight(1.0)) for name, make in SELECTED.items()},
     "random probes, weight 20": (SELECTED["random probes"], _power_weight(20.0)),

@@ -45,13 +45,13 @@ def moebius_images(family):
 def test_bloch_sup_of_the_probes_holds_no_grid(cfg):
     # The 47 probes' weighted |f'| on the 56 x 512 scan grid alone is 10.8 MB.
     probes = as_family(default_probe_family())
-    assert traced_peak(lambda: refined_modulus_sup(probes, 1, _power_weight(1.0), cfg)) <= 2.4 * MiB
+    assert traced_peak(lambda: refined_modulus_sup(probes, 1, _power_weight(1.0), cfg)) <= 2.2 * MiB
 
 
 def test_bloch_sup_of_the_fixed_probes_in_taller_blocks_holds_no_grid(cfg):
     # 1, z, ..., z^8 and the eight 1 + lambda z sweep in taller blocks than
     # the 47 probes, so the scan's blocks are wider: 2.4 MiB here against
-    # 1.9 MiB for the 47.
+    # 1.7 MiB for the 47.
     fixed = as_family(list(_FIXED_PROBES))
     assert traced_peak(lambda: refined_modulus_sup(fixed, 1, _power_weight(1.0), cfg)) <= 3 * MiB
 
