@@ -202,8 +202,16 @@ class NormBreakdown:
     has_a6_form: bool
 
 
+def _angular_rule(p: float, cfg: GridConfig) -> tuple:
+    # The angles, and the mean of |h|^p over their last axis.  For p < 2,
+    # |h|^p has a kink at each zero of h that n_theta angles alias.  At
+    # p = 1 the power is skipped: numpy's costs four times np.abs.
+    power = (lambda m: m) if p == 1.0 else (lambda m: m ** p)
+    return unit_circle(4 * cfg.n_theta if p < 2.0 else cfg.n_theta), lambda vals: np.mean(power(np.abs(vals)), axis=-1)
+
+
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
-    """Callable radii -> M_p(r)^p of each member (order 0) or its derivative (order 1).
+    """Callable radii -> M_p(r)^p of each member's derivative of the given order (0, 1 or 2).
 
     At p = 2 the mean of a PolyFamily's member k, sum over j of
     C[k, j] g_j (Family.monomial_images), is the quadratic form
@@ -215,9 +223,10 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     beyond it aliases, where the sum stays exact.  Other images sample
     G(r) in one sweep of the basis (quadrature._quadratic_means) where
     that evaluates fewer values per point than the members' own sweep.
-    Every other family and exponent is sampled member by member.
+    Every other family and exponent is sampled member by member, on
+    n_theta angles, or on 4 n_theta when p < 2 (_angular_rule).
     """
-    circle = unit_circle(cfg.n_theta)
+    circle, mean = _angular_rule(p, cfg)
     coeffs = fam.z_coefficients(order) if p == 2.0 else None
     if coeffs is not None:
         squares = np.abs(coeffs) ** 2
@@ -231,19 +240,18 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
         width, table = C.shape[1], basis._table_rows(order)
         if len(fam) * table > width * table + width * width:
             return lambda radii: _quadratic_means(C, basis, radii, circle, order, fam.row_blocks((len(radii), len(circle)), order))
-    return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
+    return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: mean(vals))
 
 
 def _mixed_sup_norms(fam: Family, p: float, omega, cfg: GridConfig) -> np.ndarray:
     radii = scan_radii(cfg)
-    circle = unit_circle(cfg.n_theta)
+    circle, mean = _angular_rule(p, cfg)
     means = _power_mean_profile(fam, p, cfg, 0)(radii) ** (1.0 / p)
     vals = omega(radii ** 2) * means
 
     def at(x, starts):
         r = x[..., 0]
-        mods = np.abs(fam.derivative_at(r[..., None] * circle, 0, starts[0]))
-        return omega(r * r) * np.mean(mods ** p, axis=-1) ** (1.0 / p)
+        return omega(r * r) * mean(fam.derivative_at(r[..., None] * circle, 0, starts[0])) ** (1.0 / p)
 
     i = np.argmax(vals, axis=1)
     ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
@@ -348,18 +356,6 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def _b1_area_integrals(fam: Family, cfg: GridConfig) -> np.ndarray:
-    """Area integral of |f''| for each member, on four times the angular nodes.
-
-    |f''| is not a trigonometric polynomial, so the angular rule sees
-    soft kinks at zeros of f''; the finer rule keeps the aliasing error
-    well under the isometry tolerances.
-    """
-    t, w = gauss01(cfg.n_radial)
-    means = fam.rowwise(np.sqrt(t), unit_circle(4 * cfg.n_theta), 2, lambda vals, rows: np.abs(vals).mean(axis=-1))
-    return means @ w
-
-
 # numpy's warnings stay inside: an overflow or underflow is rescaled, and
 # what is still not finite the callers reject.
 @np.errstate(all="ignore")
@@ -400,8 +396,6 @@ def _unscaled_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     origin = [np.abs(fam.derivative(np.zeros(1), j)[:, 0]) for j in point]
     if weight is None:
         part = _bmoa_seminorms(fam, cfg)
-    elif k == 2:
-        part = _b1_area_integrals(fam, cfg)
     elif q < np.inf:
         h = _power_mean_profile(fam, p, cfg, k)
         part = weighted_radial_integral(lambda radii: h(radii) ** (q / p), weight, cfg) ** (1.0 / q)

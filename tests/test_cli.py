@@ -662,8 +662,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("norm", "--space", "b1", "--fn", "recip(mul(const(1e-300,0.0),pow(poly(1.0,-1.0),0.5)))"),
-            ("check-invertible", "--space", "b1", "--F", "mul(const(1e-300,0.0),pow(poly(1.0,-1.0),0.5))", "--phi", "mobius(0.5,0,0)"),
+            ("norm", "--space", "b1", "--fn", "recip(mul(const(1e-306,0.0),pow(poly(1.0,-1.0),0.5)))"),
+            ("check-invertible", "--space", "b1", "--F", "mul(const(1e-304,0.0),pow(poly(1.0,-1.0),0.5))", "--phi", "mobius(0.5,0,0)"),
         ],
         ids=["norm", "check-invertible"],
     )

@@ -2,13 +2,14 @@
 
 Every case is strict: a change that fixes one by accident fails the
 suite, and the fix then moves the case into its item's own tests.  The
-first seven are wrong exact verdicts, the other four wrong outputs that
+first seven are wrong exact verdicts, the other five wrong outputs that
 are no verdicts.  Each message gives today's answer beside the truth.
 """
 
+import numpy as np
 import pytest
 
-from wcolab import WcoSymbols, check_invertible, check_isometry, multiplier_test, norm, parse_space
+from wcolab import WcoSymbols, check_invertible, check_isometry, multiplier_test, norm, parse_space, seminorm
 from wcolab.errors import WcolabError
 from wcolab.minilang import parse_expression
 
@@ -94,3 +95,18 @@ def test_hardy_norm_of_a_polynomial_is_exact(cfg):
 def test_unbounded_symbol_is_no_empirical_multiplier(cfg):
     today = multiplier_test(parse_expression("recip(poly(1.0,-1.0))"), parse_space("besov:2,0"), cfg).status
     assert not today.startswith("Yes"), f"today {today}, truth not a multiplier: 1/(1 - z) is unbounded"
+
+
+@ledger("3", "the sup scan misses the maximum between its radii 0.96875 and 0.984375")
+def test_bloch_seminorm_reaches_a_point_value(cfg):
+    f = parse_expression(
+        "compose(poly(-0.002862239515058417-0.6144862245628784i,0.07829798079843153-0.7817813320840309i,"
+        "-0.3624940035925319+0.5687735923750004i,-0.2135470204093303+0.7028483223783909i,"
+        "0.14758835361878714-0.20767948555975307i,0.8442357827120046+0.07530662827392719i,"
+        "0.581421249811482+0.2740476840103049i),mobius(0.48610953847322586,0.7439056593896877,-2.4896813463852987))"
+    )
+    r, theta = 0.9809942678169542, 0.9387962421860124
+    # (1 - r^2) |f'| at one point is a lower bound of the bloch:1 seminorm.
+    at_point = (1.0 - r * r) * abs(f.derivatives(r * np.exp(1j * theta), 1)[1])
+    today = seminorm(parse_space("bloch:1"), f, cfg)
+    assert today >= at_point, f"today {today!r}, truth at least {at_point!r}"

@@ -17,7 +17,7 @@ from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Poly, P
 from wcolab.axiom_harness import run_all
 from wcolab.operators import _FIXED_PROBES, default_probe_family
 from wcolab.quadrature import refined_modulus_sup
-from wcolab.spaces import _b1_area_integrals, _bmoa_seminorms, _power_weight, norms, parse_space
+from wcolab.spaces import _bmoa_seminorms, _power_weight, norms, parse_space
 
 MiB = 1 << 20
 
@@ -57,10 +57,10 @@ def test_bloch_sup_of_the_fixed_probes_in_taller_blocks_holds_no_grid(cfg):
 
 
 def test_b1_area_integral_on_the_refined_grid_holds_no_grid(cfg):
-    # The refined B1 area grid, 128 x 4096 points, alone is 8 MiB.
+    # The refined B1 area grid, 128 radii x 4096 angles, alone is 8 MiB.
     image = moebius_images(as_family([Poly((0.3, 1.0, 0.5j, 0.2))]))
     fine = cfg.refined()
-    assert traced_peak(lambda: _b1_area_integrals(image, fine)) <= 3 * MiB
+    assert traced_peak(lambda: norms(parse_space("b1"), image, fine)) <= 3 * MiB
 
 
 def test_bmoa_seminorms_of_images_hold_no_profile_of_all_members(cfg):

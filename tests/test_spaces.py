@@ -26,7 +26,7 @@ from wcolab.analytic_core import (
 from wcolab.analytic_core import Family, MoebiusMap, PolyFamily, as_family, image_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.axiom_harness import harness_family
-from wcolab.operators import WcoSymbols, apply, default_probe_family
+from wcolab.operators import WcoSymbols, apply, default_probe_family, isometry_defect
 from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, _quadratic_form, gauss01, unit_circle
 from conftest import seeded_polys
 from wcolab import spaces
@@ -217,6 +217,14 @@ class TestGoldens:
         assert got.total == pytest.approx(2.0, abs=1e-10)
         assert got.point_part == 0.0
 
+    def test_b1_monomials(self, cfg):
+        # f'' = k(k-1) z^(k-2) and f'(0) = 0, so ||z^k|| = k(k-1) int_0^1 r^(k-2) 2r dr = 2(k-1).
+        # The odd circle means, r^(k-2) for odd k, are polynomials in r, not in t = r^2.
+        space = parse_space("b1")
+        for k in range(2, 9):
+            got = norm(space, Poly((0.0,) * k + (1.0,)), cfg).total
+            assert got == pytest.approx(2.0 * (k - 1), rel=1e-14, abs=0.0)
+
     def test_mixed_sup_chi(self, cfg):
         # sup_r (1 - r^2)^(1/2) r = 1/2 at r = 1/sqrt(2)
         got = norm(parse_space("mixed:2,inf,0.5"), CHI, cfg).total
@@ -286,6 +294,12 @@ class TestInvariances:
         a = norm(space, f, cfg).total
         b = norm(space, rotated, cfg).total
         assert b == pytest.approx(a, rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, 2.9])
+    def test_rotation_is_an_isometry_of_besov_1(self, cfg, theta):
+        # |f'| has a kink at each zero of f', which n_theta angles alias at p = 1.
+        w = WcoSymbols(Const(np.exp(0.7j)), Moebius(rotation_map(theta)))
+        assert isometry_defect(w, parse_space("besov:1,0"), default_probe_family(5), cfg) < 1e-7
 
     def test_mixed_diagonal_matches_bergman(self, cfg):
         # q = p makes the mixed integral literally the Bergman one with
