@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from wcolab import axiom_harness, spaces
-from wcolab.analytic_core import Add, Compose, Const, Family, Moebius, MoebiusMap, Mul, PolyFamily
+from wcolab.analytic_core import Add, Compose, Const, Family, Moebius, MoebiusMap, Mul, PolyFamily, Pow
 from wcolab.axiom_harness import (
     A1_RADII,
+    A4_F,
+    A4_U,
     A5_POINTS,
     A6_CONSTANTS,
     ALL_FAMILIES,
@@ -109,6 +111,27 @@ class TestIndividualChecks:
         report = check_a4(parse_space("growth:1"), cfg)
         assert report.passed
         assert report.measured["slack"] >= 0.0
+
+    @pytest.mark.parametrize("text", ALL_FAMILIES)
+    def test_a4_polynomial_chain_matches_the_trees(self, cfg, text):
+        # check_a4 measures f u^n as polynomials; the principal-branch
+        # Pow trees they replace stay the reference.
+        space = parse_space(text)
+        measured = check_a4(space, cfg).measured
+        norm_f = norm(space, A4_F, cfg).total
+        powers = {n: norm(space, Mul(A4_F, Pow(A4_U, float(n))), cfg).total for n in (1, 2, 3)}
+        for n, value in powers.items():
+            assert measured["sampled_powers"][str(n)] == pytest.approx(value, rel=1e-14, abs=0.0), n
+        alpha, sup_u = measured["alpha"], measured["sup_u"]
+        if space.shape.order == 2:
+            right = (
+                alpha * (alpha - 1.0) / 2.0 * sup_u ** (alpha - 2.0) * powers[2]
+                + alpha * (alpha - 2.0) * sup_u ** (alpha - 1.0) * powers[1]
+                + ((alpha - 1.0) * (alpha - 2.0) / 2.0 + alpha + 1.0) * sup_u**alpha * norm_f
+            )
+        else:
+            right = sup_u**alpha * norm_f + alpha * sup_u ** (alpha - 1.0) * powers[1] + (alpha - 1.0) * sup_u**alpha * norm_f
+        assert measured["right"] == pytest.approx(right, rel=1e-14, abs=0.0)
 
     def test_a5_bloch_invariance_recorded(self, cfg):
         report = check_a5(parse_space("bloch:1"), cfg, harness_family()[:4])

@@ -2,7 +2,7 @@
 
 Every case is strict: a change that fixes one by accident fails the
 suite, and the fix then moves the case into its item's own tests.  The
-first seven are wrong exact verdicts, the other five wrong outputs that
+first seven are wrong exact verdicts, the other six wrong outputs that
 are no verdicts.  Each message gives today's answer beside the truth.
 """
 
@@ -74,6 +74,18 @@ def test_pole_in_the_disk_has_no_hinf_norm(cfg):
     except WcolabError:
         return
     assert False, f"today the norm {today!r}, truth an error: 1/F has a pole in the disk"
+
+
+@ledger(
+    '"A function outside B1 gets a finite B1 norm" (a smaller item)',
+    "the radial rule stops at its outermost node and cannot see the area integral of |f''| diverge toward z = 1",
+)
+def test_function_outside_b1_has_no_finite_b1_norm(cfg):
+    try:
+        today = norm(parse_space("b1"), parse_expression("recip(pow(poly(1.0,-1.0),0.5))"), cfg).total
+    except WcolabError:
+        return
+    assert today == np.inf, f"today the norm {today!r}, truth infinite: f'' = (3/4)(1 - z)^(-5/2) is not area-integrable"
 
 
 @ledger("1", "the principal branch is accepted although the inner range crosses the cut")
