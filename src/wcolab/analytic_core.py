@@ -696,16 +696,14 @@ def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family)
 
 
 def as_family(obj) -> Family:
-    """obj as a Family: one expression is a one-member family.
+    """obj as a Family: one expression is a sequence of one member.
 
     A sequence of polynomials becomes a PolyFamily, any other sequence a
     TreeFamily; a Family is returned as it is.
     """
     if isinstance(obj, Family):
         return obj
-    if isinstance(obj, AnalyticExpr):
-        return TreeFamily((obj,))
-    members = tuple(obj)
+    members = (obj,) if isinstance(obj, AnalyticExpr) else tuple(obj)
     if members and all(type(f) is Poly for f in members):
         return PolyFamily(members)
     return TreeFamily(members)

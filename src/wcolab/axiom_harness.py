@@ -14,6 +14,7 @@ caught by numbers rather than by downstream nonsense.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -102,7 +103,7 @@ def _image_bound(probes: _Probes, image_of) -> tuple:
     bound = float(np.max(ratios))
     near = ratios >= bound * (1.0 - 1e-12) if np.isfinite(bound) else ratios
     worst = int(np.argmax(near))
-    member = as_family([probes.family[worst]])
+    member = as_family(probes.family[worst])
     fine = cfg.refined()
     if worst not in probes.refined:
         probes.refined[worst] = norms(space, member, fine)[0]
@@ -176,7 +177,8 @@ def check_a4(space: SpaceSpec, cfg: GridConfig) -> AxiomReport:
     alpha = 3.5 if space.shape.order == 2 else 2.5
     sup_u = norm(SpaceSpec("hinf"), u, cfg).total
     left = norm(space, Mul(f, Pow(u, alpha)), cfg).total
-    chain = norms(space, [Poly(np.convolve(f.coeffs, np.polynomial.polynomial.polypow(u.coeffs, n))) for n in range(4)], cfg)
+    u_n = itertools.accumulate([u.coeffs] * 3, np.convolve, initial=np.ones(1))  # u^n = u^(n-1) convolved with u
+    chain = norms(space, [Poly(np.convolve(f.coeffs, c)) for c in u_n], cfg)
     norm_f, powers = float(chain[0]), {n: float(chain[n]) for n in (1, 2, 3)}
     if space.shape.order == 2:
         right = (

@@ -138,7 +138,9 @@ def _fixed_probe_norms(space: SpaceSpec, cfg: GridConfig) -> np.ndarray:
 
 
 def random_polynomials(count: int, seed: int = DEFAULT_SEED) -> tuple:
-    """Reproducible polynomials of degree 2 to 12 with coefficients in the unit polydisk."""
+    """Reproducible polynomials of degree 2 to 12 with coefficients in the unit polydisk, from an integer seed >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer of at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

@@ -17,7 +17,6 @@ import numpy as np
 # numpy imports its submodules on first attribute access; importing them
 # here keeps that cost out of the first call of a process.
 import numpy.fft
-import numpy.polynomial.legendre
 
 from .analytic_core import R_MAX, as_family, unit_circle
 from .errors import ParameterError
@@ -66,11 +65,9 @@ def default_config() -> GridConfig:
     return GridConfig()
 
 
-@functools.lru_cache(maxsize=32)
 def gauss01(n: int):
-    """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    """Gauss-Legendre nodes and weights transplanted to [0, 1]: the Jacobi rule at exponent 0."""
+    return _jacobi01(n, 0.0)
 
 
 @functools.lru_cache(maxsize=64)

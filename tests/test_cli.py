@@ -864,6 +864,12 @@ class TestNoScipyAtRunTime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
+    def test_cli_import_loads_no_numpy_polynomial(self):
+        # The radial rules come from the package's own eigensolve.
+        proc = _python("-c", "import sys, wcolab.cli; print(*(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
     @pytest.mark.parametrize(
         "argv",
         [

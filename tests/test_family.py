@@ -34,7 +34,7 @@ from wcolab.quadrature import (
     scan_radii,
     unit_circle,
 )
-from wcolab.spaces import _power_weight, norm, norms, parse_space, seminorms
+from wcolab.spaces import _norm_parts, _power_weight, norm, norms, parse_space, seminorm, seminorms
 
 from conftest import seeded_polys
 
@@ -528,8 +528,27 @@ def test_norms_match_one_member_norms(cfg, text):
     # Every fifth probe: monomials, random polynomials and 1 + lambda z.
     fam = default_probe_family()[::5]
     got = norms(space, fam, cfg)
-    want = np.array([norm(space, f, cfg).total for f in fam])
+    # Each member measured as a one-member tree: norm of a Poly takes the family path.
+    want = np.array([norms(space, TreeFamily([f]), cfg)[0] for f in fam])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", ["poly", "const", "tree"])
+@pytest.mark.parametrize("text", ALL_FAMILIES + ("mixed:2,inf,0.5",))
+def test_one_answer_per_polynomial(cfg, text, kind):
+    # norm and seminorm of one expression are, bitwise, the one-member
+    # cases of the family path.
+    f = {
+        "poly": Poly((0.3, -0.5j, 0.25, 0.1 + 0.2j)),
+        "const": Const(0.6 - 0.8j),
+        "tree": Pow(Poly((2.0, 0.5j, 0.25)), 1.5),
+    }[kind]
+    space = parse_space(text)
+    want = [float(part[0]).hex() for part in _norm_parts(space, as_family([f]), cfg)]
+    got = norm(space, f, cfg)
+    assert [v.hex() for v in (got.total, got.point_part, got.seminorm_part)] == want
+    if space.has_a6_form:
+        assert seminorm(space, f, cfg).hex() == want[2]
 
 
 def test_norms_of_images_match_one_member_norms(cfg):

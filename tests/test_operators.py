@@ -6,6 +6,8 @@ import pytest
 from conftest import seeded_polys
 from wcolab import operators
 from wcolab.analytic_core import Const, Moebius, MoebiusMap, Mul, Poly, Pow, Recip, as_family, rotation_map, series
+from wcolab.axiom_harness import harness_family, run_all
+from wcolab.characterization import check_invertible, check_isometry, multiplier_test
 from wcolab.errors import DegenerateInput, DomainError, ParameterError, SingularMatrix
 from wcolab.operators import (
     DEFAULT_SEED,
@@ -298,6 +300,27 @@ class TestFamilies:
         assert all(x.coeffs == y.coeffs for x, y in zip(a, b))
         c = random_polynomials(6, seed=43)
         assert any(x.coeffs != y.coeffs for x, y in zip(a, c))
+
+    # Every seeded entry point reaches random_polynomials, which takes an
+    # integer >= 0 only: None would draw fresh OS entropy, and True read as 1.
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5], ids=["none", "bool", "negative", "float"])
+    def test_seed_must_be_an_integer(self, cfg, seed):
+        hardy, besov = parse_space("hardy:2"), parse_space("besov:2,0")
+        calls = [
+            lambda: random_polynomials(2, seed),
+            lambda: default_probe_family(seed),
+            lambda: harness_family(seed),
+            lambda: run_all(hardy, cfg, seed),
+            lambda: check_isometry(WcoSymbols(Const(1.0), Moebius(rotation_map(0.4))), besov, cfg, seed),
+            lambda: check_invertible(WcoSymbols(Poly((1.0, 0.3)), IDENTITY), hardy, cfg, seed),
+            lambda: multiplier_test(Poly((1.0, 0.3)), besov, cfg, seed),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="seed"):
+                call()
+
+    def test_numpy_integer_seed_is_the_integer(self):
+        assert random_polynomials(3, np.int64(42)) == random_polynomials(3, 42)
 
     def test_random_polynomials_shape(self):
         for f in seeded_polys(20, DEFAULT_SEED, 7):

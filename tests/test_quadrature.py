@@ -89,9 +89,13 @@ class TestCircleQuadrature:
 
 class TestRadialQuadrature:
     def test_gauss01_moments(self):
-        t, w = gauss01(64)
-        for k in range(0, 21):
-            assert w @ t**k == pytest.approx(1.0 / (k + 1), abs=1e-13)
+        # Every degree the rule integrates exactly, k < 2n: n = 20 is the
+        # panel rule of the point-evaluation bounds, 64 and 128 the radial
+        # rules of the default grid and its refinement.
+        for n in (20, 64, 128):
+            t, w = gauss01(n)
+            for k in range(2 * n):
+                assert abs(float(w @ t**k) * (k + 1) - 1.0) < 1e-13, (n, k)
 
     def test_weighted_radial_constants_exact(self, cfg):
         for e in (-0.5, 0.0, 1.5, 3.0):
