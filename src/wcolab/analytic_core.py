@@ -428,6 +428,22 @@ class Family:
         """
         return None
 
+    def subset(self, members) -> "Family":
+        """The members named by the integer array members, in its order, as a family of their own."""
+        raise NotImplementedError
+
+    def degree_bounds(self) -> np.ndarray:
+        """A bound on each member's degree as a polynomial, inf where none is known.
+
+        A tree's bound comes from its Poly, Const, Add, Mul and Compose
+        nodes (_degree); a tree with any other node has none.  A
+        PolyFamily's is its width: its images under a Moebius map are
+        polynomials of that degree in the map's value.  The nested
+        angular rule (quadrature._power_means) takes no mean on L angles
+        for L at or below it, where z^L aliases at two levels alike.
+        """
+        return np.array([_degree(f) for f in self], dtype=float)
+
     def derivative(self, z, order: int) -> np.ndarray:
         """Derivative of the given order of every member at the shared points z, of shape (len(self),) + z.shape."""
         z = np.asarray(z, dtype=complex)
@@ -475,6 +491,21 @@ def _stacked(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _degree(f: AnalyticExpr) -> float:
+    # A bound on the degree of f in z, inf for a node that is no polynomial.
+    if isinstance(f, Poly):
+        return len(f.coeffs) - 1
+    if isinstance(f, Const):
+        return 0
+    if isinstance(f, Add):
+        return max(_degree(f.left), _degree(f.right))
+    if isinstance(f, Mul):
+        return _degree(f.left) + _degree(f.right)
+    if isinstance(f, Compose):
+        return _degree(f.outer) * _degree(f.inner)
+    return np.inf
+
+
 def _node_count(f: AnalyticExpr) -> int:
     return 1 + sum(_node_count(v) for v in vars(f).values() if isinstance(v, AnalyticExpr))
 
@@ -490,6 +521,9 @@ class TreeFamily(Family):
 
     def __getitem__(self, k):
         return self.members[k]
+
+    def subset(self, members):
+        return TreeFamily(self.members[k] for k in members)
 
     def _height(self, order):
         # Each node of a tree holds its derivatives up to the order asked.
@@ -582,6 +616,21 @@ class PolyFamily(Family):
         basis._plain = _derivative_matrices(np.eye(width, dtype=complex))
         basis._set_symbols(self.F, self.phi)
         return self._plain[0], basis
+
+    def subset(self, members):
+        # The members' rows of every matrix: the symbols are shared.
+        part = copy.copy(self)
+        part.polys = tuple(self.polys[k] for k in members.tolist())
+        part._plain = tuple(m[members] for m in self._plain)
+        part._matrices = tuple(m[members] for m in self._matrices)
+        part._joined = None if self._joined is None else [m[members] for m in self._joined]
+        return part
+
+    def degree_bounds(self):
+        # Every member is a sum of w^j, j below the width, with w = z or
+        # phi(z), times the weight left to Leibniz's rule, if any.
+        weight = 0 if self._weight is None else _degree(self._weight)
+        return np.full(len(self), self._width + weight, dtype=float)
 
     def _table_rows(self, order):
         # Rows of the table that each member's derivative of the order contracts at a point.

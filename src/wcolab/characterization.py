@@ -48,6 +48,7 @@ from .errors import (
 from .operators import (
     DEFAULT_SEED,
     WcoSymbols,
+    _check_seed,
     condition_number,
     default_probe_family,
     finite_section,
@@ -255,7 +256,9 @@ def check_invertible(w: WcoSymbols, space: SpaceSpec, cfg: GridConfig, seed: int
     A positive verdict ships with the inverse symbols and a roundtrip
     residual on seeded polynomials; its section condition numbers grow
     with N even for an invertible operator, so they are no evidence.
+    The seed is checked first, whichever branch decides.
     """
+    _check_seed(seed)
     fit = detect_automorphism(w.phi, cfg)
     zeros = _count_zeros_retry(w.F, cfg)
     modulus = np.abs(w.F(scan_grid(cfg)))

@@ -137,11 +137,16 @@ def _fixed_probe_norms(space: SpaceSpec, cfg: GridConfig) -> np.ndarray:
     return out
 
 
-def random_polynomials(count: int, seed: int = DEFAULT_SEED) -> tuple:
-    """Reproducible polynomials of degree 2 to 12 with coefficients in the unit polydisk, from an integer seed >= 0."""
+def _check_seed(seed):
+    """seed itself when it is an integer >= 0 (a numpy integer too, a bool not); else ParameterError."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be an integer of at least 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    return seed
+
+
+def random_polynomials(count: int, seed: int = DEFAULT_SEED) -> tuple:
+    """Reproducible polynomials of degree 2 to 12 with coefficients in the unit polydisk, from an integer seed >= 0."""
+    rng = np.random.default_rng(_check_seed(seed))
     out = []
     for _ in range(count):
         degree = int(rng.integers(2, 13))

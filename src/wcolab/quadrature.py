@@ -3,9 +3,10 @@
 Everything funnels through a GridConfig: angular trapezoid nodes (exact
 for trigonometric polynomials below the Nyquist degree), Gauss-Legendre
 radial nodes in t = r^2, a Gauss-Jacobi rule for weighted radial
-integrals with an endpoint weight, a refined grid supremum, and the
+integrals with an endpoint weight, a refined grid supremum, the
 circle means of |f|^2 for combinations f of a basis, from the basis's
-Gram matrices.
+Gram matrices, and the circle means of |f|^p for p < 2, on nested
+angular rules.
 """
 
 from __future__ import annotations
@@ -250,6 +251,58 @@ def _quadratic_form(C: np.ndarray, gram: np.ndarray) -> tuple:
     form = np.vecdot(C, np.matmul(C, gram.transpose(0, 2, 1))).real.T
     bound = np.abs(C) @ np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real).T
     return form, C.shape[1] * np.finfo(float).eps * bound * bound <= _FORM_RTOL * form
+
+
+# A circle mean of _power_means stops at L angles once it is within this
+# fraction of the mean at L / 2.
+_NESTED_RTOL = 1e-15
+
+
+def _power_means(family, p: float, radii, n_theta: int, order: int) -> np.ndarray:
+    """M_p(r)^p of each member's derivative of the given order at the radii, for p < 2, one row per member.
+
+    |h|^p has a kink at each zero of h, which n_theta angles alias where
+    a zero lies near the circle; away from the zeros it is analytic, and
+    the trapezoid rule converges geometrically (Trefethen and Weideman,
+    SIAM Review 56, 2014).  The rules on L = n_theta, 2 n_theta and
+    4 n_theta angles nest: unit_circle(2 L)[::2] is unit_circle(L).  One
+    sweep on n_theta angles gives each (member, radius) its means on
+    the even samples and on all of them.  A mean at L angles is taken
+    once it is within _NESTED_RTOL of the mean at L / 2 and L exceeds
+    the member's degree bound (Family.degree_bounds), below which z^L would
+    alias at both levels; otherwise the odd samples of 2 L are added,
+    for the members that go on at each radius together, up to 4 n_theta
+    angles, where every mean is taken.
+    """
+    radii = np.asarray(radii, dtype=float)
+    # At p = 1 the power is skipped, which numpy would still copy.
+    power = (lambda m: m) if p == 1.0 else (lambda m: m ** p)
+
+    def halves(values, rows):
+        # The sums over the even and the odd samples.
+        a = power(np.abs(values))
+        return np.stack([a[..., ::2].sum(axis=-1), a[..., 1::2].sum(axis=-1)], axis=-1)
+
+    old, new = np.moveaxis(family.rowwise(radii, unit_circle(n_theta), order, halves), -1, 0)
+    # sums over the samples taken, and their number
+    sums, count = old + new, np.full(old.shape, n_theta)
+    going = np.ones(old.shape, dtype=bool)
+    degree = family.degree_bounds()[:, None]
+    level = n_theta
+    while True:
+        # |T_L - T_(L/2)| = |new - old| / L, with old the sum at L / 2.
+        going &= ~((np.abs(new - old) <= _NESTED_RTOL * sums) & (level > degree))
+        if level == 4 * n_theta or not going.any():
+            return sums / count
+        odd = unit_circle(2 * level)[1::2]
+        new = np.zeros_like(sums)
+        for i in np.flatnonzero(going.any(axis=0)):
+            members = np.flatnonzero(going[:, i])
+            new[members, i] = power(np.abs(family.subset(members).derivative(radii[i] * odd, order))).sum(axis=-1)
+        # new is 0 where a mean was taken.
+        level *= 2
+        old, sums = sums, sums + new
+        count[going] = level
 
 
 def _select_candidates(order, n_cols: int, k: int) -> list:

@@ -28,6 +28,7 @@ from .quadrature import (
     FLAT_WEIGHT,
     GridConfig,
     _polish,
+    _power_means,
     _quadratic_means,
     gauss01,
     refined_modulus_sup,
@@ -202,14 +203,6 @@ class NormBreakdown:
     has_a6_form: bool
 
 
-def _angular_rule(p: float, cfg: GridConfig) -> tuple:
-    # The angles, and the mean of |h|^p over their last axis.  For p < 2,
-    # |h|^p has a kink at each zero of h that n_theta angles alias.  At
-    # p = 1 the power is skipped: numpy's costs four times np.abs.
-    power = (lambda m: m) if p == 1.0 else (lambda m: m ** p)
-    return unit_circle(4 * cfg.n_theta if p < 2.0 else cfg.n_theta), lambda vals: np.mean(power(np.abs(vals)), axis=-1)
-
-
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     """Callable radii -> M_p(r)^p of each member's derivative of the given order (0, 1 or 2).
 
@@ -223,10 +216,14 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     beyond it aliases, where the sum stays exact.  Other images sample
     G(r) in one sweep of the basis (quadrature._quadratic_means) where
     that evaluates fewer values per point than the members' own sweep.
-    Every other family and exponent is sampled member by member, on
-    n_theta angles, or on 4 n_theta when p < 2 (_angular_rule).
+    Every other family and exponent is sampled member by member: on
+    n_theta angles, or by the nested rule of quadrature._power_means
+    when p < 2, on n_theta angles and up to 4 n_theta where |h|^p needs
+    them.
     """
-    circle, mean = _angular_rule(p, cfg)
+    if p < 2.0:
+        return lambda radii: _power_means(fam, p, radii, cfg.n_theta, order)
+    circle = unit_circle(cfg.n_theta)
     coeffs = fam.z_coefficients(order) if p == 2.0 else None
     if coeffs is not None:
         squares = np.abs(coeffs) ** 2
@@ -240,18 +237,21 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
         width, table = C.shape[1], basis._table_rows(order)
         if len(fam) * table > width * table + width * width:
             return lambda radii: _quadratic_means(C, basis, radii, circle, order, fam.row_blocks((len(radii), len(circle)), order))
-    return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: mean(vals))
+    return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
 
 
 def _mixed_sup_norms(fam: Family, p: float, omega, cfg: GridConfig) -> np.ndarray:
     radii = scan_radii(cfg)
-    circle, mean = _angular_rule(p, cfg)
     means = _power_mean_profile(fam, p, cfg, 0)(radii) ** (1.0 / p)
     vals = omega(radii ** 2) * means
+    # The polish keeps a fixed rule per point: 4 n_theta angles when
+    # p < 2, the cap of the nested rule, as each start has points of its own.
+    circle = unit_circle(4 * cfg.n_theta if p < 2.0 else cfg.n_theta)
 
     def at(x, starts):
         r = x[..., 0]
-        return omega(r * r) * mean(fam.derivative_at(r[..., None] * circle, 0, starts[0])) ** (1.0 / p)
+        modulus = np.abs(fam.derivative_at(r[..., None] * circle, 0, starts[0]))
+        return omega(r * r) * np.mean(modulus ** p, axis=-1) ** (1.0 / p)
 
     i = np.argmax(vals, axis=1)
     ladder = np.concatenate([[0.0], radii, [cfg.r_max]])

@@ -319,6 +319,15 @@ class TestFamilies:
             with pytest.raises(ParameterError, match="seed"):
                 call()
 
+    # An exact negative decides before the probes are drawn: F = z - 0.3
+    # has a zero inside, so the verdict would be NotInvertible.
+    @pytest.mark.parametrize("seed", [None, "x", -1, True], ids=["none", "str", "negative", "bool"])
+    def test_invertibility_checks_its_seed_first(self, cfg, seed):
+        w = WcoSymbols(Poly((-0.3, 1.0)), Moebius(MoebiusMap(0.3, 1.0)))
+        assert check_invertible(w, parse_space("hardy:2"), cfg).verdict == "NotInvertible"
+        with pytest.raises(ParameterError, match="seed"):
+            check_invertible(w, parse_space("hardy:2"), cfg, seed)
+
     def test_numpy_integer_seed_is_the_integer(self):
         assert random_polynomials(3, np.int64(42)) == random_polynomials(3, 42)
 

@@ -10,7 +10,21 @@ from wcolab import (
     Poly,
     series,
 )
-from wcolab.analytic_core import R_MAX, Compose, Const, Moebius, MoebiusMap, Mul, Pow, Recip, as_family, rotation_map
+from wcolab.analytic_core import (
+    R_MAX,
+    Add,
+    Compose,
+    Const,
+    Moebius,
+    MoebiusMap,
+    Mul,
+    PolyFamily,
+    Pow,
+    Recip,
+    as_family,
+    image_family,
+    rotation_map,
+)
 from wcolab.operators import WcoSymbols, apply, default_probe_family
 from wcolab.quadrature import (
     FLAT_WEIGHT,
@@ -18,6 +32,7 @@ from wcolab.quadrature import (
     _TOP,
     _jacobi01,
     _polish,
+    _power_means,
     _select_candidates,
     gauss01,
     refined_modulus_sup,
@@ -167,6 +182,96 @@ class TestRadialQuadrature:
         radii = scan_radii(GridConfig(r_max=0.3))
         assert radii[-1] == 0.3
         assert np.all(radii <= 0.3)
+
+
+def _b1_area_part(f, cfg, n):
+    # B1's area integral of |f''|, each circle mean sampled on n angles.
+    circle = unit_circle(n)
+    return weighted_radial_integral(lambda r: np.mean(np.abs(f.derivatives(r[:, None] * circle, 2)[2]), axis=-1), 0.0, cfg)
+
+
+class TestNestedAngularRule:
+    """The p < 2 circle means: n_theta angles first, up to 4 n_theta where two nested levels disagree."""
+
+    @pytest.mark.parametrize("n", [2**k for k in range(6, 13)])
+    def test_levels_share_their_points(self, n):
+        # Bitwise: 2 pi (2 j) / (2 n) rounds as 2 pi j / n, each step scaled by a power of two.
+        assert unit_circle(2 * n)[::2].tobytes() == unit_circle(n).tobytes()
+
+    @pytest.mark.parametrize("text", ["hardy:1", "besov:1,0"])
+    def test_degree_guard_against_aliasing(self, cfg, text):
+        # z^n_theta takes one value on the n_theta and on the n_theta / 2
+        # angles, so the two levels agree on |1 + 0.5 z^n_theta|; the degree
+        # bound sends it on to the 4 n_theta angles of the fixed rule.  On
+        # besov:1,0 that is f' of z + 0.5 z^(n_theta + 1) / (n_theta + 1).
+        n = cfg.n_theta
+        space = parse_space(text)
+        z_n = Poly((0.0,) * n + (1.0,))
+        members = [Poly((1.0,) + (0.0,) * (n - 1) + (0.5,)), Compose(Poly((1.0, 0.5)), z_n)]
+        if space.family == "besov":
+            c = 0.5 / (n + 1)
+            members += [Poly((0.0, 1.0) + (0.0,) * (n - 1) + (c,)), Mul(Poly((0.0, 1.0)), Compose(Poly((1.0, c)), z_n))]
+        order = space.shape.order
+        circle = unit_circle(4 * n)
+        for f in members:
+            mean = lambda r: np.mean(np.abs(f.derivatives(r[:, None] * circle, order)[order]), axis=-1)
+            if space.family == "hardy":
+                want = mean(np.array([cfg.r_max]))[0]
+            else:
+                want = abs(f(0j)) + weighted_radial_integral(mean, 0.0, cfg)
+            assert norms(space, [f], cfg)[0] == pytest.approx(want, rel=1e-15, abs=0.0), (text, f)
+            if space.family == "hardy":
+                # On n_theta angles alone it would read 1 + 0.5 r_max^n_theta, 1.4997.
+                assert want == pytest.approx(1.0589597773765567, rel=1e-15, abs=0.0)
+
+    def test_zero_on_a_radial_node(self, cfg):
+        # f'' = z - z0 with |z0| a Gauss-Jacobi node of the B1 rule: |f''|
+        # has its kink on that circle.  The nested rule is as near a
+        # 16 n_theta mean as the 4 n_theta rule.
+        r0 = _jacobi01(cfg.n_radial, 0.0)[0][40]
+        z0 = r0 * np.exp(0.3j)
+        f = Poly((0.0, 0.0, -z0 / 2.0, 1.0 / 6.0))
+        b1 = parse_space("b1")
+        got = norms(b1, [f], cfg)[0]
+        brute, fixed = (_b1_area_part(f, cfg, m * cfg.n_theta) for m in (16, 4))
+        assert abs(got - brute) <= abs(fixed - brute) + 4.0 * np.spacing(brute)
+        assert abs(got - brute) <= 1e-6 * brute
+
+    def test_vanishing_and_nan_members(self, cfg):
+        # f'' = 0 is taken on the first sweep.  1e308 z^3 - 1e308 z^3 has
+        # f'' / 2 = 3e308 z - 3e308 z, NaN where 3e308 |z| overflows, and
+        # its means there stay NaN.
+        big = Poly((0.0, 0.0, 0.0, 1.0))
+        members = (Poly((1.0, 2.0)), Add(Mul(Const(1e308), big), Mul(Const(-1e308), big)), Poly((0.5, 0.0, 1.0, 0.3)))
+        family = as_family(members)
+        radii = np.array([0.1, 0.5, 0.7, 0.9])
+        refined = []
+        subset = family.subset
+        family.subset = lambda m: refined.extend(m.tolist()) or subset(m)
+        with np.errstate(all="ignore"):
+            means = _power_means(family, 1.0, radii, cfg.n_theta, 2)
+        assert np.all(means[0] == 0.0)
+        assert 0 not in refined
+        assert np.all(means[1, :2] == 0.0) and np.all(np.isnan(means[1, 2:]))
+        assert np.all(means[2] > 0.0)
+
+    def test_b1_evaluates_few_points(self, cfg, monkeypatch):
+        # Points evaluated per member, counted through _evaluate, against
+        # the 4 n_theta angles at each of the n_radial radii of the fixed rule.
+        probes = as_family(default_probe_family(1))
+        image = image_family(None, Moebius(MoebiusMap(0.5, 1.0)), probes)
+        points = []
+        evaluate = PolyFamily._evaluate
+
+        def counted(self, z, order, members=None):
+            points.append(len(self) * z.size if members is None else z.size)
+            return evaluate(self, z, order, members)
+
+        monkeypatch.setattr(PolyFamily, "_evaluate", counted)
+        for family in (probes, image):
+            points.clear()
+            norms(parse_space("b1"), family, cfg)
+            assert sum(points) <= 0.4 * len(family) * 4 * cfg.n_theta * cfg.n_radial
 
 
 def _disk_weight(t):

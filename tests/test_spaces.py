@@ -816,6 +816,20 @@ def test_calls_import_nothing_after_start_up():
     assert _modules_imported_by(calls) == []
 
 
+def test_b1_measures_load_no_numpy_ma():
+    # The nested angular rule of the p < 2 means picks its members and
+    # radii without np.unique, which would load numpy.ma (1.6 MB of RSS).
+    # The check's Moebius images refine at more radii than the norm.
+    calls = """
+        b1 = wc.parse_space("b1")
+        wc.norm(b1, wc.Poly((0.3, 1.0, 0.2j, 0.5)), cfg)
+        w = WcoSymbols(wc.Const(1.0), wc.Moebius(wc.MoebiusMap(0.4 - 0.2j, 1.0)))
+        assert not wc.check_isometry(w, b1, cfg).surjective_isometry
+        assert "numpy.ma" not in sys.modules
+        """
+    assert _modules_imported_by(calls) == []
+
+
 def test_decisions_import_nothing_after_start_up():
     # The decision calls reach what no norm does: seeded probe families
     # (numpy.random), the roundtrip, finite sections, the empirical
