@@ -406,14 +406,18 @@ class Family:
     def z_coefficients(self, order: int) -> np.ndarray | None:
         """Taylor coefficients at 0 of every member's derivative of the given order, or None.
 
-        Row k holds member k's coefficients against z^0, z^1, ...  Only
-        a family whose members are all polynomials in z answers: a
-        PolyFamily of the polynomials themselves, c f, F f for a Poly F,
-        or their images under a rotation.  Every other family returns
-        None, and is sampled on grids instead.  The n-point angular rule
-        on |z| = r is exact for z^j conj(z)^l with |j - l| < n, so angular
-        means summed from these coefficients equal the sampled ones up to
-        rounding until the degree reaches n.
+        Row k holds member k's coefficients against z^0, z^1, ...  A
+        PolyFamily answers when its weight has folded away: for the
+        polynomials themselves, c f, F f for a Poly F, and their images
+        under a rotation, the members are polynomials in z; their images
+        c (f o phi) under a Moebius map with a != 0 give their Taylor
+        series, cut where its tail on the closed disk falls below
+        rounding (_series_length), unless that table would exceed
+        BLOCK_BYTES.  Every other family returns None, and is sampled on
+        grids instead.  The n-point angular rule on |z| = r is exact for
+        z^j conj(z)^l with |j - l| < n, so angular means summed from these
+        coefficients equal the sampled ones up to rounding until the
+        degree reaches n; past it the rule aliases and the sums do not.
         """
         return None
 
@@ -486,11 +490,6 @@ class Family:
         return np.concatenate(parts, axis=1)
 
 
-def _stacked(arrays: list) -> np.ndarray:
-    # A single member keeps its own array, viewed with a leading axis.
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _degree(f: AnalyticExpr) -> float:
     # A bound on the degree of f in z, inf for a node that is no polynomial.
     if isinstance(f, Poly):
@@ -526,12 +525,18 @@ class TreeFamily(Family):
         return TreeFamily(self.members[k] for k in members)
 
     def _height(self, order):
-        # Each node of a tree holds its derivatives up to the order asked.
-        return max(len(self), max((_node_count(f) for f in self.members), default=0) * (order + 1))
+        # The members' values, and the derivatives up to the order asked
+        # that each node of the member being evaluated holds.
+        return len(self) + max((_node_count(f) for f in self.members), default=0) * (order + 1)
 
     def _evaluate(self, z, order, members=None):
         if members is None:
-            return _stacked([f.derivatives(z[0], order)[order] for f in self.members])
+            # Member by member into one array: each member's rows of lower
+            # order are freed before the next is evaluated.
+            out = np.empty((len(self),) + z.shape[1:], dtype=complex)
+            for k, f in enumerate(self.members):
+                out[k] = f.derivatives(z[0], order)[order]
+            return out
         # Each distinct member is walked once, over all of its rows.
         out = np.empty(z.shape, dtype=complex)
         for k in dict.fromkeys(members.tolist()):
@@ -606,8 +611,16 @@ class PolyFamily(Family):
         return _image(self.F, self.phi, self.polys[k])
 
     def z_coefficients(self, order):
-        # The folded images with no map left are polynomials whose matrices these are.
-        return self._matrices[order] if self._weight is None and self._map is None else None
+        # The folded images with no map left are polynomials whose matrices
+        # these are; under a map, c (f o phi) = sum over j of c c_j phi^j.
+        if self._weight is not None:
+            return None
+        if self._map is None:
+            return self._matrices[order]
+        n = _series_length(abs(self._map.a), self._width, order)
+        if max(len(self), self._width) * n * 16 > BLOCK_BYTES:
+            return None
+        return _derivative_matrix(self._matrices[0] @ _moebius_powers(self._map, self._width, n), order)
 
     def monomial_images(self):
         width = self._plain[0].shape[1]
@@ -679,8 +692,60 @@ class PolyFamily(Family):
 
 def _derivative_matrices(coeffs: np.ndarray) -> tuple:
     # Coefficients of f, f' and f'' against z^0, z^1, ..., one row per member
-    n = np.arange(coeffs.shape[1])
-    return coeffs, coeffs[:, 1:] * n[1:], coeffs[:, 2:] * (n[2:] * (n[2:] - 1))
+    return tuple(_derivative_matrix(coeffs, order) for order in range(3))
+
+
+def _derivative_matrix(coeffs: np.ndarray, order: int) -> np.ndarray:
+    # Coefficients of the derivative of the order (0, 1 or 2) against z^0, z^1, ...
+    n = np.arange(order, coeffs.shape[1])
+    return coeffs if order == 0 else coeffs[:, order:] * (n if order == 1 else n * (n - 1))
+
+
+# Circles |z| = rho, equispaced in (1, 1/|a|), on which _series_length
+# bounds the tail of a Moebius image's series.
+_CAUCHY_CIRCLES = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _series_length(s: float, width: int, order: int) -> int:
+    """Terms of the series of f o phi past which its derivative of the order changes by rounding only.
+
+    f has the given width, phi is a Moebius map with |a| = s > 0, whose
+    pole is 1/conj(a).  On |z| = rho in (1, 1/s), |phi| peaks at
+    m = (rho - s) / (1 - s rho), so Cauchy's estimate bounds coefficient
+    n of f o phi by m^(width-1) rho^(-n) times the sum of |c_j|, which
+    bounds |f| on the disk.  The derivative's tail on the closed disk
+    is then below N^order rho^(-N) / (1 - ((N + 1) / N)^order / rho) times
+    the same.  N is the least length that takes it below 2^-53 on one of
+    the circles.  On each, N rises from the bound without the order's
+    factors until it meets the bound it gives: N log rho >= 53 log 2
+    keeps ((N + 1) / N)^order below rho^0.06, and the bound moves by
+    under a tenth of a term per term.
+    """
+    rho = 1.0 + (1.0 / s - 1.0) * np.arange(1, _CAUCHY_CIRCLES + 1) / (_CAUCHY_CIRCLES + 1)
+    log_rho = np.log(rho)
+    scale = (width - 1) * np.log((rho - s) / (1.0 - s * rho)) + 53.0 * np.log(2.0)
+    n = np.ceil(scale / log_rho)
+    while True:
+        q = ((n + 1.0) / n) ** order / rho
+        bound = np.ceil((scale + order * np.log(n) - np.log1p(-q)) / log_rho)
+        if np.all(bound <= n):
+            return int(n.min())
+        n = np.maximum(n, bound)
+
+
+def _moebius_powers(m: MoebiusMap, width: int, n: int) -> np.ndarray:
+    # The first n Taylor coefficients of phi^0 .. phi^(width-1), one row
+    # each, from phi's geometric series lam a, lam (|a|^2 - 1) conj(a)^(k-1):
+    # each row the truncated product of the last with phi.
+    phi = np.empty(n, dtype=complex)
+    phi[0] = m.lam * m.a
+    phi[1:] = m.lam * (abs(m.a) ** 2 - 1.0) * np.conj(m.a) ** np.arange(n - 1)
+    out = np.zeros((width, n), dtype=complex)
+    out[0, 0] = 1.0
+    for j in range(1, width):
+        out[j] = np.convolve(out[j - 1], phi)[:n]
+    return out
 
 
 def _powers(base: np.ndarray, n: int) -> np.ndarray:

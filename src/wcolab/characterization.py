@@ -156,8 +156,9 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     or above max |u| on the validation circle: exact in binary, it keeps
     the ratios of c * u at |c| times those of u.  They pass below 1e3
     times that max |u|, a cap that scales with u, so c * u gets the
-    status of u.
+    status of u.  The seed is checked first, whichever branch decides.
     """
+    _check_seed(seed)
     if isinstance(u, Const):
         return MultiplierVerdict("Yes_Exact", abs(complex(u.value)), "constant symbol")
 

@@ -7,10 +7,11 @@ translation-invariant seminorm p, the breakdown is exposed.
 
 Angular means are sampled on the GridConfig's circles.  The p = 2 means
 of a PolyFamily's images are quadratic forms in the coefficients of its
-polynomials (_power_mean_profile).  For a family of polynomials in z
-(Family.z_coefficients) those forms, and BMOA's modes of |f'|^2, are
-sums over its Taylor coefficients, which the n_theta-point rule
-reproduces up to rounding where it does not alias.
+polynomials (_power_mean_profile).  For a family with Taylor
+coefficients (Family.z_coefficients: polynomials in z, and Moebius
+images whose weight folds) those forms, and BMOA's modes of |f'|^2, are
+sums over its coefficients, which the n_theta-point rule reproduces up
+to rounding where it does not alias.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import typing
 
 import numpy as np
 
-from .analytic_core import AnalyticExpr, Const, Family, Mul, as_family, unit_circle
+from .analytic_core import BLOCK_BYTES, AnalyticExpr, Const, Family, Mul, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -210,12 +211,15 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     C[k, j] g_j (Family.monomial_images), is the quadratic form
     M_2(r)^2 = Re sum over j, l of conj(C[k, j]) G_jl(r) C[k, l], with
     G(r) the Gram matrix of the basis images g_j under the n_theta-point
-    rule on |z| = r.  A family of polynomials in z (Family.z_coefficients)
-    has g_j = z^j and G(r) = diag(r^(2j)) by Parseval: the rule sums the
-    same terms, up to rounding, while the degree is below n_theta, and
-    beyond it aliases, where the sum stays exact.  Other images sample
-    G(r) in one sweep of the basis (quadrature._quadratic_means) where
-    that evaluates fewer values per point than the members' own sweep.
+    rule on |z| = r.  A family with Taylor coefficients
+    (Family.z_coefficients: polynomials in z, and Moebius images whose
+    weight folds) has g_j = z^j and G(r) = diag(r^(2j)) by Parseval: the
+    rule sums the same terms, up to rounding, while the degree is below
+    n_theta, and beyond it aliases, where the sum stays exact.  Other
+    images, under a weight left to Leibniz's rule or a map whose series
+    would exceed BLOCK_BYTES, sample G(r) in one sweep of the basis
+    (quadrature._quadratic_means) where that evaluates fewer values per
+    point than the members' own sweep.
     Every other family and exponent is sampled member by member: on
     n_theta angles, or by the nested rule of quadrature._power_means
     when p < 2, on n_theta angles and up to 4 n_theta where |h|^p needs
@@ -277,25 +281,31 @@ def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
     """acc[a, k, m] = sum over r of pref[a, r] r^m d_m(r) for member k and the nonzero modes m.
 
     d_m(r) is mode m of D(r e^{it}) = |f'|^2 = sum_m d_m(r) e^{imt}.  For
-    a family of polynomials in z (Family.z_coefficients) with f' = sum_j
-    b_j z^j, d_m(r) = sum_j b_(j+m) conj(b_j) r^(2j+m): the sums are
-    autocorrelations of the coefficients against sum over r of
-    pref[a, r] r^(2(j+m)), with no mode at or past the width of b.  The
-    real FFT of D on n_theta angles gives the same modes, up to rounding,
-    while deg f' <= n_theta / 2; every other family takes it, row block
-    by row block.
+    a family with Taylor coefficients (Family.z_coefficients: polynomials
+    in z, and Moebius images whose weight folds) with f' = sum_j b_j z^j,
+    d_m(r) = sum_j b_(j+m) conj(b_j) r^(2j+m): the sums are
+    cross-correlations of b against b weighted by sum over r of
+    pref[a, r] r^(2(j+m)), products of their FFTs, with no mode at or
+    past the width of b.  The real FFT of D on n_theta angles gives
+    the same modes, up to rounding, while deg f' <= n_theta / 2; every
+    other family takes it, row block by row block.
     """
     pref, r_pow, _ = _bmoa_kernel(cfg)
     m_max = cfg.n_theta // 2 - 1
     b = fam.z_coefficients(1)
     if b is not None:
         width = b.shape[1]
-        modes = min(width, m_max + 1)
-        weighted = b * (pref @ gauss01(cfg.n_radial)[0][:, None] ** np.arange(width))[:, None, :]
         # Mode 0 is kept for constant f', whose b is empty.
-        acc = np.zeros((len(_BMOA_A_RADII), len(fam), max(1, modes)), dtype=complex)
-        for m in range(modes):
-            acc[:, :, m] = np.einsum("akj,kj->ak", weighted[:, :, m:], b[:, : width - m].conj())
+        modes = max(1, min(width, m_max + 1))
+        # A circular correlation of this length wraps no lag below the width.
+        n = 1 << max(0, 2 * width - 2).bit_length()
+        spectrum = np.fft.fft(b, n).conj()
+        weights = (pref @ gauss01(cfg.n_radial)[0][:, None] ** np.arange(width))[:, None, :]
+        acc = np.empty((len(_BMOA_A_RADII), len(fam), modes), dtype=complex)
+        # As many moduli at once as keep the transforms under BLOCK_BYTES.
+        step = max(1, BLOCK_BYTES // (len(fam) * n * 16))
+        for i in range(0, len(acc), step):
+            acc[i : i + step] = np.fft.ifft(np.fft.fft(b * weights[i : i + step], n) * spectrum)[..., :modes]
         return acc
     # The real and imaginary parts side by side: one real product per block.
     acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))

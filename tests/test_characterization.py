@@ -205,6 +205,14 @@ class TestMultiplierTest:
             assert v.status == unscaled.status
             assert v.measured_constant == pytest.approx(c * unscaled.measured_constant, rel=1e-12)
 
+    # A constant u, and u on hardy:2, decide by an exact criterion without
+    # the probes: the seed is checked all the same.
+    @pytest.mark.parametrize("u,text,seed", [(Const(2.0), "besov:2,0", None), (Poly((1.0, 0.3)), "hardy:2", "x")], ids=["constant", "exact"])
+    def test_checks_its_seed_on_every_branch(self, cfg, u, text, seed):
+        assert multiplier_test(u, parse_space(text), cfg).status == "Yes_Exact"
+        with pytest.raises(ParameterError, match="seed"):
+            multiplier_test(u, parse_space(text), cfg, seed)
+
 
 class TestInverseSymbols:
     def test_requires_fit(self, cfg):

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Poly, PolyFamily, Recip, as_family, image_family
-from wcolab.axiom_harness import run_all
+from wcolab.axiom_harness import A6_CONSTANTS, run_all
 from wcolab.operators import _FIXED_PROBES, default_probe_family
 from wcolab.quadrature import refined_modulus_sup
-from wcolab.spaces import _bmoa_seminorms, _power_weight, norms, parse_space
+from wcolab.spaces import _bmoa_seminorms, _power_weight, norms, parse_space, seminorms
 
 MiB = 1 << 20
 
@@ -66,6 +66,15 @@ def test_b1_area_integral_on_the_refined_grid_holds_no_grid(cfg):
 def test_bmoa_seminorms_of_images_hold_no_profile_of_all_members(cfg):
     images = moebius_images(as_family(default_probe_family()))
     assert traced_peak(lambda: _bmoa_seminorms(images, cfg)) <= 5 * MiB
+
+
+def test_tree_family_blocks_hold_one_members_rows_at_a_time(cfg):
+    # A6's b1 seminorms of its three constants.  Each member's derivatives
+    # up to order 2 go into one array of the members' values, and are freed
+    # before the next member's: kept alive until a final stack, the blocks
+    # held 4.3 MiB against the 1 MiB budget.
+    constants = [Const(c) for c in A6_CONSTANTS]
+    assert traced_peak(lambda: seminorms(parse_space("b1"), constants, cfg)) <= 1.5 * MiB
 
 
 def test_quadratic_form_of_weighted_images_holds_less_than_their_sweep(cfg, monkeypatch):

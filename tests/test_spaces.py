@@ -41,6 +41,7 @@ from wcolab.spaces import (
     parse_space,
     pointeval_bound,
     seminorm,
+    seminorms,
 )
 
 CHI = Poly((0.0, 1.0))
@@ -435,11 +436,18 @@ def _bmoa_mode_sums_by_blocks(fam, cfg):
     return acc.view(complex)
 
 
+# A Moebius map whose images' series would not fit BLOCK_BYTES (9,452
+# terms for f' at |a| = 0.99 against 1,394 for the 47 probes): the images
+# fold, and are sampled all the same.
+PAST_BUDGET = Moebius(MoebiusMap(0.99 * np.exp(-0.4j), 1.0))
+
+
 class TestBmoaSweep:
-    # Images under a Moebius map with a != 0 have no z-coefficients: their
-    # mode sums are sampled, one row block at a time.
+    # Images without z-coefficients have their mode sums sampled, one row
+    # block at a time: under a map past the series budget, which folds, and
+    # under a weight left to Leibniz's rule.
     IMAGES = {
-        "fold": lambda fam: apply(WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.5 - 0.2j, 1.0))), fam),
+        "fold": lambda fam: apply(WcoSymbols(Const(1.0), PAST_BUDGET), fam),
         "leibniz": lambda fam: apply(WcoSymbols(Recip(Poly((2.0, 0.5j))), Moebius(MoebiusMap(0.3j, 1.0))), fam),
     }
 
@@ -499,13 +507,33 @@ def _bmoa_per_mode(fam, cfg):
 class TestBmoaRadialSums:
     @pytest.mark.parametrize("images", [False, True])
     def test_matches_the_per_mode_products(self, cfg, images):
+        # The probes' sums are autocorrelations of their coefficients; the
+        # images under a weight left to Leibniz's rule are sampled.
         fam = as_family(default_probe_family())
         if images:
-            fam = apply(WcoSymbols(Const(1.0), Moebius(MoebiusMap(0.5 - 0.3j, 1.0))), fam)
+            fam = apply(WcoSymbols(Recip(Poly((2.0, 0.5j))), Moebius(MoebiusMap(0.5 - 0.3j, 1.0))), fam)
+            assert fam.z_coefficients(1) is None
         for grid in (cfg, cfg.refined()):
             got = _bmoa_seminorms(fam, grid)
             want = _bmoa_per_mode(fam, grid)
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("a", [None, 0.5 - 0.2j, -0.7, 0.9j], ids=["probes", "0.5", "0.7", "0.9"])
+    def test_series_modes_match_the_per_mode_correlations(self, cfg, a):
+        # The FFT's cross-correlations against each mode's sum of
+        # products, one per mode.  Their rounding is relative to the
+        # member's largest mode, which sets the seminorm: 2.8e-15 at most.
+        fam = as_family(default_probe_family())
+        if a is not None:
+            fam = image_family(Const(np.exp(0.3j)), Moebius(MoebiusMap(a, np.exp(0.5j))), fam)
+        for grid in (cfg, cfg.refined()):
+            pref = _bmoa_kernel(grid)[0]
+            b = fam.z_coefficients(1)
+            weighted = b * (pref @ gauss01(grid.n_radial)[0][:, None] ** np.arange(b.shape[1]))[:, None, :]
+            want = np.stack([np.einsum("akj,kj->ak", weighted[:, :, m:], b[:, : b.shape[1] - m].conj()) for m in range(min(b.shape[1], grid.n_theta // 2))], axis=-1)
+            got = _bmoa_mode_sums(fam, grid)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=-1, keepdims=True))
 
     def test_polish_evaluates_running_starts_only(self, cfg, monkeypatch):
         # Every call names the starts it evaluates.  A start left out of
@@ -547,6 +575,19 @@ class TestBmoaRadialSums:
 L2_SPACES = ("hardy:2", "bergman:2,0", "bergman:2,1.5", "mixed:2,2,0.5", "mixed:2,inf,0.5", "besov:2,0", "besov:2,0.5", "bmoa")
 
 
+# Images of the default probes under Moebius maps whose weight folds:
+# their series are summed.
+MOEBIUS_IMAGES = {
+    "moebius": (Const(1.0), Moebius(MoebiusMap(0.5 - 0.2j, np.exp(0.3j)))),
+    "moebius at -0.7": (Const(1.0), Moebius(MoebiusMap(-0.7, 1.0))),
+}
+
+
+def moebius_images(name):
+    F, phi = MOEBIUS_IMAGES[name]
+    return image_family(F, phi, as_family(default_probe_family()))
+
+
 def direct_norms(monkeypatch, space, fam, cfg):
     # The norms with every member sampled on the grid: no coefficient
     # sums and no quadratic form.
@@ -575,10 +616,40 @@ class TestCoefficientSums:
             sampled = direct_norms(monkeypatch, space, fam, cfg)
             assert np.all(np.abs(summed - sampled) <= 1e-15 * sampled), name
 
+    @pytest.mark.parametrize("text", L2_SPACES)
+    def test_moebius_images_sum_their_series(self, cfg, monkeypatch, text):
+        # Under a Moebius map with a != 0 and a weight that folds, the
+        # images' series is summed: no grid is scanned, and the sums agree
+        # with every member sampled on the grid.
+        space = parse_space(text)
+        scans = []
+        row_blocks = Family.row_blocks
+        monkeypatch.setattr(Family, "row_blocks", lambda family, shape, order: scans.append(shape) or row_blocks(family, shape, order))
+        for name in MOEBIUS_IMAGES:
+            fam = moebius_images(name)
+            scans.clear()
+            summed = norms(space, fam, cfg)
+            assert not scans, name
+            sampled = direct_norms(monkeypatch, space, fam, cfg)
+            assert np.all(np.abs(summed - sampled) <= 1e-12 * sampled), name
+
+    @pytest.mark.parametrize("a", [0.3, 0.5j, -0.7, 0.8 * np.exp(2.5j), 0.9 * np.exp(1.1j)])
+    def test_dirichlet_seminorm_is_conformally_invariant(self, cfg, a):
+        # The besov:2,0 seminorm is the square root of the Dirichlet
+        # integral, which every disk automorphism leaves unchanged: the
+        # summed series keep it within 1e-13.  Sampled on the grid, the
+        # images read 1.5e-12 off at the |a| = 0.9 here and 1e-3 at 0.95.
+        space = parse_space("besov:2,0")
+        fam = as_family(default_probe_family())
+        images = image_family(None, Moebius(MoebiusMap(a, np.exp(0.4j))), fam)
+        assert images.z_coefficients(1) is not None
+        want = seminorms(space, fam, cfg)
+        assert np.all(np.abs(seminorms(space, images, cfg) - want) <= 1e-13 * want)
+
     @pytest.mark.parametrize("text", ["hardy:2", "besov:2,0", "bmoa"])
     def test_other_images_scan_the_grid(self, coarse_cfg, monkeypatch, text):
-        # A Moebius map with a != 0 and a weight that is no polynomial
-        # leave the images without coefficients: they are sampled.
+        # A Moebius map past the series budget and a weight that is no
+        # polynomial leave the images without coefficients: they are sampled.
         fam = as_family(default_probe_family()[::5])
         scans = []
         row_blocks = Family.row_blocks
@@ -588,7 +659,7 @@ class TestCoefficientSums:
             return row_blocks(family, shape, order)
 
         monkeypatch.setattr(Family, "row_blocks", counted)
-        for images in (image_family(Const(1.0), Moebius(MoebiusMap(0.5, 1.0)), fam), image_family(Recip(Poly((2.0, 1.0))), None, fam)):
+        for images in (image_family(Const(1.0), PAST_BUDGET, fam), image_family(Recip(Poly((2.0, 1.0))), None, fam)):
             scans.clear()
             norms(parse_space(text), images, coarse_cfg)
             assert scans
@@ -602,12 +673,11 @@ class TestCoefficientSums:
 
 
 # Images of the default probes whose p = 2 means the quadratic form takes:
-# weights that Leibniz's rule applies and Moebius maps that fold.
+# weights that Leibniz's rule applies, and a Moebius map that folds but
+# whose series would not fit BLOCK_BYTES.
 DEEP_WEIGHT = Pow(Poly((2.5, 0.4 * np.exp(0.7j), 0.3 * np.exp(-1.1j))), 1.5)
 QUADRATIC_IMAGES = {
     "deep weight": (Mul(Const(0.25), Recip(DEEP_WEIGHT)), None),
-    "moebius": (Const(1.0), Moebius(MoebiusMap(0.5 - 0.2j, np.exp(0.3j)))),
-    "moebius at -0.7": (Const(1.0), Moebius(MoebiusMap(-0.7, 1.0))),
     "linear weight": (Recip(Poly((2.0, 0.5j))), None),
     "weight with a pole near the circle": (Recip(Poly((1.0, 0.99))), None),
     "power with a branch point near the circle": (Pow(Poly((1.0, -0.95j)), -2.5), None),
@@ -665,15 +735,15 @@ class TestQuadraticForm:
             assert np.all(np.abs(got - abs(c) * want) <= 1e-12 * abs(c) * want), c
 
     def test_cost_rule_keeps_the_sweep_for_small_families(self, cfg, monkeypatch):
-        # One member, and A5's 15-member harness images (15 x 13 table
-        # rows against 13 x 13 + 13^2), evaluate fewer values directly.
+        # One member, and the 15-member harness family's images (15 x 13
+        # table rows against 13 x 13 + 13^2), evaluate fewer values directly.
         forms = []
         monkeypatch.setattr(spaces, "_quadratic_means", lambda *args: forms.append(1))
         space = parse_space("bergman:2,0")
-        for fam in (quadratic_images("moebius", default_probe_family()[12:13]), quadratic_images("moebius", harness_family())):
+        for fam in (quadratic_images("linear weight", default_probe_family()[12:13]), quadratic_images("linear weight", harness_family())):
             norms(space, fam, cfg)
-        norms(parse_space("bergman:3,0"), quadratic_images("moebius"), cfg)
-        norms(space, TreeFamily(quadratic_images("moebius")), cfg)
+        norms(parse_space("bergman:3,0"), quadratic_images("linear weight"), cfg)
+        norms(space, TreeFamily(quadratic_images("linear weight")), cfg)
         assert not forms
 
 
