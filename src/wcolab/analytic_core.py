@@ -421,17 +421,6 @@ class Family:
         """
         return None
 
-    def monomial_images(self) -> tuple | None:
-        """(C, basis) with member k = sum over j of C[k, j] basis[j], or None.
-
-        A PolyFamily answers with its base polynomials' coefficients C,
-        one row per member against z^0 .. z^(W-1), and the images of 1, z,
-        ..., z^(W-1) under its F and phi: every image is linear in f, so
-        each derivative of member k is that sum of the basis members'.
-        Every other family returns None.
-        """
-        return None
-
     def subset(self, members) -> "Family":
         """The members named by the integer array members, in its order, as a family of their own."""
         raise NotImplementedError
@@ -439,14 +428,12 @@ class Family:
     def degree_bounds(self) -> np.ndarray:
         """A bound on each member's degree as a polynomial, inf where none is known.
 
-        A tree's bound comes from its Poly, Const, Add, Mul and Compose
-        nodes (_degree); a tree with any other node has none.  A
-        PolyFamily's is its width: its images under a Moebius map are
-        polynomials of that degree in the map's value.  The nested
-        angular rule (quadrature._power_means) takes no mean on L angles
-        for L at or below it, where z^L aliases at two levels alike.
+        A PolyFamily's is its width, the degree of its images in w = z or
+        phi(z); under a weight left to Leibniz's rule, and for a tree, it
+        is inf.  The nested angular rule (quadrature._power_means) takes
+        no mean on L <= bound angles, where z^L aliases at two levels alike.
         """
-        return np.array([_degree(f) for f in self], dtype=float)
+        return np.full(len(self), np.inf)
 
     def derivative(self, z, order: int) -> np.ndarray:
         """Derivative of the given order of every member at the shared points z, of shape (len(self),) + z.shape."""
@@ -464,7 +451,7 @@ class Family:
         step = max(1, BLOCK_BYTES // (max(1, self._height(order)) * n_cols * 16))
         return [slice(i, i + step) for i in range(0, n_rows, step)]
 
-    def rowwise(self, radii, circle, order: int, reduce, blocks=None):
+    def rowwise(self, radii, circle, order: int, reduce):
         """reduce(values, rows) over the row blocks of the grid radii[:, None] * circle, joined on axis 1.
 
         values holds the members' derivatives of the given order at the
@@ -475,12 +462,12 @@ class Family:
         the next block is evaluated: for a sweep to hold nothing of grid
         size, reduce keeps only what it reduces them to.  The heap setting
         at import (_keep_freed_heap) keeps freed blocks resident for the
-        next.  blocks, row slices of the grid, replaces row_blocks.
+        next.
         """
         radii = np.asarray(radii, dtype=float)
         circle = np.asarray(circle, dtype=complex)
         parts = []
-        for rows in blocks or self.row_blocks((len(radii), len(circle)), order):
+        for rows in self.row_blocks((len(radii), len(circle)), order):
             parts.append(reduce(
                 self._evaluate((radii[rows, None] * circle).reshape(1, -1), order).reshape(len(self), -1, len(circle)),
                 rows,
@@ -488,21 +475,6 @@ class Family:
         if parts[0] is None or len(parts) == 1:
             return parts[0]
         return np.concatenate(parts, axis=1)
-
-
-def _degree(f: AnalyticExpr) -> float:
-    # A bound on the degree of f in z, inf for a node that is no polynomial.
-    if isinstance(f, Poly):
-        return len(f.coeffs) - 1
-    if isinstance(f, Const):
-        return 0
-    if isinstance(f, Add):
-        return max(_degree(f.left), _degree(f.right))
-    if isinstance(f, Mul):
-        return _degree(f.left) + _degree(f.right)
-    if isinstance(f, Compose):
-        return _degree(f.outer) * _degree(f.inner)
-    return np.inf
 
 
 def _node_count(f: AnalyticExpr) -> int:
@@ -622,14 +594,6 @@ class PolyFamily(Family):
             return None
         return _derivative_matrix(self._matrices[0] @ _moebius_powers(self._map, self._width, n), order)
 
-    def monomial_images(self):
-        width = self._plain[0].shape[1]
-        basis = copy.copy(self)
-        basis.polys = tuple(Poly((0.0,) * j + (1.0,)) for j in range(width))
-        basis._plain = _derivative_matrices(np.eye(width, dtype=complex))
-        basis._set_symbols(self.F, self.phi)
-        return self._plain[0], basis
-
     def subset(self, members):
         # The members' rows of every matrix: the symbols are shared.
         part = copy.copy(self)
@@ -641,21 +605,32 @@ class PolyFamily(Family):
 
     def degree_bounds(self):
         # Every member is a sum of w^j, j below the width, with w = z or
-        # phi(z), times the weight left to Leibniz's rule, if any.
-        weight = 0 if self._weight is None else _degree(self._weight)
-        return np.full(len(self), self._width + weight, dtype=float)
-
-    def _table_rows(self, order):
-        # Rows of the table that each member's derivative of the order contracts at a point.
-        return (self._matrices if self._joined is None else self._joined)[order].shape[1]
+        # phi(z), unless a weight is left to Leibniz's rule.
+        return np.full(len(self), self._width if self._weight is None else np.inf)
 
     def _height(self, order):
         # The members' values and the power table, and Leibniz's stacked table.
-        return max(len(self), self._width, self._table_rows(order))
+        return max(len(self), self._width, (self._matrices if self._joined is None else self._joined)[order].shape[1])
 
     def _evaluate(self, z, order, members=None):
         if order not in (0, 1, 2):
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
+        # Fewer table rows than members per point: the factor scales the rows.
+        matrix, table, factor = self.table(z, order, members is None and len(self) > self._matrices[order].shape[1])
+        out = _contract(matrix, table, members)
+        if factor is not None:
+            out *= factor
+        return out
+
+    def table(self, z, order: int, fold: bool = True) -> tuple:
+        """(matrix, table, factor): member k's derivative of the order at z is factor times matrix[k] against table.
+
+        table holds the powers of w = z or phi(z) that the matrix
+        contracts, stacked once per term of Leibniz's rule with each
+        term's factor.  The factor of g' or g'' under a map, phi' or
+        phi' q, scales the rows in place with fold and is returned
+        otherwise; None stands for 1.
+        """
         z = _checked_points(z)
         base = z if self._map is None else _checked_points(self._map(z), "composition inner value")
         powers = _powers(base, self._width)
@@ -671,13 +646,9 @@ class PolyFamily(Family):
         if F is None:
             matrix, factor = self._matrices[order], factors[order]
             table = powers[: matrix.shape[1]]
-            if factor is not None and members is None and len(self) > len(table):
-                # Fewer rows than members per point: the factor scales the rows, in place.
+            if factor is not None and fold:
                 table, factor = np.multiply(table, factor, out=table), None
-            out = _contract(matrix, table, members)
-            if factor is not None:
-                out *= factor
-            return out
+            return matrix, table, factor
         table = np.empty((self._joined[order].shape[1],) + z.shape, dtype=complex)
         ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
         for k, rows in enumerate(np.split(table, ends)):
@@ -687,7 +658,7 @@ class PolyFamily(Family):
             if factors[k] is not None:
                 factor = factor * factors[k]
             np.multiply(factor, powers[: len(rows)], out=rows)
-        return _contract(self._joined[order], table, members)
+        return self._joined[order], table, None
 
 
 def _derivative_matrices(coeffs: np.ndarray) -> tuple:
@@ -736,15 +707,21 @@ def _series_length(s: float, width: int, order: int) -> int:
 
 def _moebius_powers(m: MoebiusMap, width: int, n: int) -> np.ndarray:
     # The first n Taylor coefficients of phi^0 .. phi^(width-1), one row
-    # each, from phi's geometric series lam a, lam (|a|^2 - 1) conj(a)^(k-1):
-    # each row the truncated product of the last with phi.
-    phi = np.empty(n, dtype=complex)
-    phi[0] = m.lam * m.a
-    phi[1:] = m.lam * (abs(m.a) ** 2 - 1.0) * np.conj(m.a) ** np.arange(n - 1)
+    # each.  Row j, the truncated product of row j - 1, u, with phi's series
+    # lam a, lam (|a|^2 - 1) conj(a)^(k-1), is lam a u_k + lam (|a|^2 - 1) g_(k-1)
+    # for g_k = sum over i <= k of conj(a)^(k-i) u_i: the convolution's terms,
+    # summed by log2 n doubling steps g_k += conj(a)^d g_(k-d), d = 1, 2, 4, ...
     out = np.zeros((width, n), dtype=complex)
     out[0, 0] = 1.0
+    head, tail = m.lam * m.a, m.lam * (abs(m.a) ** 2 - 1.0)
     for j in range(1, width):
-        out[j] = np.convolve(out[j - 1], phi)[:n]
+        g = out[j - 1, :-1].copy()
+        d, c = 1, np.conj(m.a)
+        while d < len(g):
+            g[d:] += c * g[:-d]
+            d, c = 2 * d, c * c
+        np.multiply(head, out[j - 1], out=out[j])
+        out[j, 1:] += tail * g
     return out
 
 
@@ -812,14 +789,15 @@ def image_family(F: AnalyticExpr | None, phi: AnalyticExpr | None, base: Family)
 def as_family(obj) -> Family:
     """obj as a Family: one expression is a sequence of one member.
 
-    A sequence of polynomials becomes a PolyFamily, any other sequence a
-    TreeFamily; a Family is returned as it is.
+    A sequence of polynomials and constants becomes a PolyFamily, a
+    constant c as Poly((c,)); any other sequence becomes a TreeFamily.
+    A Family is returned as it is.
     """
     if isinstance(obj, Family):
         return obj
     members = (obj,) if isinstance(obj, AnalyticExpr) else tuple(obj)
-    if members and all(type(f) is Poly for f in members):
-        return PolyFamily(members)
+    if members and all(type(f) in (Poly, Const) for f in members):
+        return PolyFamily(Poly((f.value,)) if type(f) is Const else f for f in members)
     return TreeFamily(members)
 
 

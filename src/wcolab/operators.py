@@ -13,7 +13,6 @@ import functools
 import itertools
 
 import numpy as np
-import numpy.random  # loaded here rather than by the first random_polynomials call
 
 from .analytic_core import AnalyticExpr, Family, Poly, PolyFamily, _image, as_family, image_family, series, validation_values
 from .errors import DegenerateInput, ParameterError, SingularMatrix

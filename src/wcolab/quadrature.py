@@ -4,9 +4,9 @@ Everything funnels through a GridConfig: angular trapezoid nodes (exact
 for trigonometric polynomials below the Nyquist degree), Gauss-Legendre
 radial nodes in t = r^2, a Gauss-Jacobi rule for weighted radial
 integrals with an endpoint weight, a refined grid supremum, the
-circle means of |f|^2 for combinations f of a basis, from the basis's
-Gram matrices, and the circle means of |f|^p for p < 2, on nested
-angular rules.
+circle means of |f|^2 of a polynomial family's members, from the Gram
+matrices of the table they contract, and the circle means of |f|^p for
+p < 2, on nested angular rules.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import dataclasses
 import functools
 
 import numpy as np
-# numpy imports its submodules on first attribute access; importing them
-# here keeps that cost out of the first call of a process.
-import numpy.fft
 
 from .analytic_core import R_MAX, as_family, unit_circle
 from .errors import ParameterError
@@ -206,30 +203,36 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
 
 
-def _quadratic_means(C: np.ndarray, basis, radii, circle: np.ndarray, order: int, blocks: list) -> np.ndarray:
-    """M_2(r)^2 at the radii of each member sum over j of C[k, j] g_j, from one sweep of the basis g in the given row blocks.
+def _quadratic_means(family, radii, circle: np.ndarray, order: int) -> np.ndarray:
+    """M_2(r)^2 at the radii of each member's derivative of the given order, for a PolyFamily.
 
-    Each block's Gram matrices G(r)[j, l] = mean over the circle of
-    conj(g_j) g_l give the members' quadratic forms (_quadratic_form).
-    A member whose form is not accurate on a block takes its mean there
-    from its values, sum over j of C[k, j] g_j, on the same block.
+    Member k's derivative is sum over j of C[k, j] g_j, C the family's
+    matrix and g_j the rows of its table (PolyFamily.table), swept in the
+    family's row blocks.  Each block's Gram matrices G(r)[j, l], the
+    circle means of conj(g_j) g_l, give the quadratic forms
+    (_quadratic_form); a member whose form is not accurate on a block
+    takes its mean there from its values on the same block.
     """
-    means = np.empty((len(C), len(radii)))
+    radii = np.asarray(radii, dtype=float)
+    means = np.empty((len(family), len(radii)))
 
-    def reduce(values, rows):
-        # conj(g) of the block beside g, each row a W x n_theta matrix;
-        # 1 / n_theta, a power of two, is exact.
+    def block(rows):
+        # One block's table, freed before the next is built; 1 / n_theta, a
+        # power of two, is exact.
+        C, table, _ = family.table((radii[rows, None] * circle).reshape(1, -1), order)
+        values = table.reshape(len(table), -1, len(circle))
         conj = np.conjugate(values).transpose(1, 0, 2)
         gram = np.matmul(conj, values.transpose(1, 2, 0))
-        gram *= 1.0 / values.shape[-1]
-        block, accurate = _quadratic_form(C, gram)
+        gram *= 1.0 / len(circle)
+        form, accurate = _quadratic_form(C, gram)
         redo = np.flatnonzero(~accurate.all(axis=1))
         if len(redo):
-            own = np.matmul(C[redo], values.reshape(len(values), -1)).reshape((len(redo),) + values.shape[1:])
-            block[redo] = np.mean(np.abs(own) ** 2, axis=-1)
-        means[:, rows] = block
+            own = np.matmul(C[redo], table.reshape(len(table), -1)).reshape((len(redo),) + values.shape[1:])
+            form[redo] = np.mean(np.abs(own) ** 2, axis=-1)
+        means[:, rows] = form
 
-    basis.rowwise(radii, circle, order, reduce, blocks)
+    for rows in family.row_blocks((len(radii), len(circle)), order):
+        block(rows)
     return means
 
 

@@ -5,13 +5,12 @@ Bloch-type, logarithmic Bloch, BMOA (star norm), weighted Besov, and the
 minimal Besov space B1.  Where the norm splits as |f(0)| + p(f) with a
 translation-invariant seminorm p, the breakdown is exposed.
 
-Angular means are sampled on the GridConfig's circles.  The p = 2 means
-of a PolyFamily's images are quadratic forms in the coefficients of its
-polynomials (_power_mean_profile).  For a family with Taylor
-coefficients (Family.z_coefficients: polynomials in z, and Moebius
-images whose weight folds) those forms, and BMOA's modes of |f'|^2, are
-sums over its coefficients, which the n_theta-point rule reproduces up
-to rounding where it does not alias.
+Angular means are taken on the GridConfig's circles by one route per
+kind of family.  A family with Taylor coefficients (Family.z_coefficients:
+polynomials in z, and Moebius images whose weight folds) sums them for
+its p = 2 means and BMOA's modes of |f'|^2, as the n_theta-point rule
+does up to rounding where it does not alias.  Any other PolyFamily
+takes Gram forms of its own table at p = 2; a tree family is sampled.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import typing
 
 import numpy as np
 
-from .analytic_core import BLOCK_BYTES, AnalyticExpr, Const, Family, Mul, as_family, unit_circle
+from .analytic_core import BLOCK_BYTES, AnalyticExpr, Const, Family, Mul, PolyFamily, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -207,23 +206,14 @@ class NormBreakdown:
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     """Callable radii -> M_p(r)^p of each member's derivative of the given order (0, 1 or 2).
 
-    At p = 2 the mean of a PolyFamily's member k, sum over j of
-    C[k, j] g_j (Family.monomial_images), is the quadratic form
-    M_2(r)^2 = Re sum over j, l of conj(C[k, j]) G_jl(r) C[k, l], with
-    G(r) the Gram matrix of the basis images g_j under the n_theta-point
-    rule on |z| = r.  A family with Taylor coefficients
-    (Family.z_coefficients: polynomials in z, and Moebius images whose
-    weight folds) has g_j = z^j and G(r) = diag(r^(2j)) by Parseval: the
-    rule sums the same terms, up to rounding, while the degree is below
-    n_theta, and beyond it aliases, where the sum stays exact.  Other
-    images, under a weight left to Leibniz's rule or a map whose series
-    would exceed BLOCK_BYTES, sample G(r) in one sweep of the basis
-    (quadrature._quadratic_means) where that evaluates fewer values per
-    point than the members' own sweep.
-    Every other family and exponent is sampled member by member: on
-    n_theta angles, or by the nested rule of quadrature._power_means
-    when p < 2, on n_theta angles and up to 4 n_theta where |h|^p needs
-    them.
+    The family's kind picks the route.  At p = 2 a family with Taylor
+    coefficients (Family.z_coefficients) sums |c_j|^2 r^(2j) by Parseval,
+    the terms that the n_theta-point rule sums up to rounding below degree
+    n_theta; beyond it the rule aliases.  Any other PolyFamily takes the
+    quadratic forms of its own table (quadrature._quadratic_means).  A
+    tree, and every p other than 2, is sampled member by member: on
+    n_theta angles, or for p < 2 by the nested rule of
+    quadrature._power_means, up to 4 n_theta where |h|^p needs them.
     """
     if p < 2.0:
         return lambda radii: _power_means(fam, p, radii, cfg.n_theta, order)
@@ -232,15 +222,8 @@ def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     if coeffs is not None:
         squares = np.abs(coeffs) ** 2
         return lambda radii: squares @ np.asarray(radii)[None, :] ** (2 * np.arange(squares.shape[1]))[:, None]
-    form = fam.monomial_images() if p == 2.0 else None
-    if form is not None:
-        C, basis = form
-        # Values per point: the members' contractions of the table, against
-        # the basis's and the Gram matrix's W^2 products.  The basis is
-        # swept in the family's row blocks: its own, taller blocks hold more.
-        width, table = C.shape[1], basis._table_rows(order)
-        if len(fam) * table > width * table + width * width:
-            return lambda radii: _quadratic_means(C, basis, radii, circle, order, fam.row_blocks((len(radii), len(circle)), order))
+    if p == 2.0 and isinstance(fam, PolyFamily):
+        return lambda radii: _quadratic_means(fam, radii, circle, order)
     return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
 
 
@@ -299,13 +282,17 @@ def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
         modes = max(1, min(width, m_max + 1))
         # A circular correlation of this length wraps no lag below the width.
         n = 1 << max(0, 2 * width - 2).bit_length()
-        spectrum = np.fft.fft(b, n).conj()
         weights = (pref @ gauss01(cfg.n_radial)[0][:, None] ** np.arange(width))[:, None, :]
         acc = np.empty((len(_BMOA_A_RADII), len(fam), modes), dtype=complex)
-        # As many moduli at once as keep the transforms under BLOCK_BYTES.
-        step = max(1, BLOCK_BYTES // (len(fam) * n * 16))
-        for i in range(0, len(acc), step):
-            acc[i : i + step] = np.fft.ifft(np.fft.fft(b * weights[i : i + step], n) * spectrum)[..., :modes]
+        # As many members as keep their spectrum and one modulus's transform
+        # under BLOCK_BYTES, and as many moduli as keep each transform under it.
+        size = max(1, BLOCK_BYTES // (2 * n * 16))
+        for k in range(0, len(fam), size):
+            part = b[k : k + size]
+            spectrum = np.fft.fft(part, n).conj()
+            step = max(1, BLOCK_BYTES // (len(part) * n * 16))
+            for i in range(0, len(acc), step):
+                acc[i : i + step, k : k + size] = np.fft.ifft(np.fft.fft(part * weights[i : i + step], n) * spectrum)[..., :modes]
         return acc
     # The real and imaginary parts side by side: one real product per block.
     acc = np.zeros((len(_BMOA_A_RADII), len(fam), 2 * (m_max + 1)))

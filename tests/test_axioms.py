@@ -28,6 +28,10 @@ from wcolab.operators import monomial
 from wcolab.quadrature import unit_circle
 from wcolab.spaces import norm, parse_space, pointeval_bound, seminorm, seminorms
 
+# The ten profiles and mixed at q = p, whose finite-q path ALL_FAMILIES
+# leaves out.
+SPACES = ALL_FAMILIES + ("mixed:2,2,0.5",)
+
 
 class TestRunAll:
     @pytest.mark.parametrize("text", ["bloch:1", "hardy:2"])
@@ -112,7 +116,7 @@ class TestIndividualChecks:
         assert report.passed
         assert report.measured["slack"] >= 0.0
 
-    @pytest.mark.parametrize("text", ALL_FAMILIES)
+    @pytest.mark.parametrize("text", SPACES)
     def test_a4_polynomial_chain_matches_the_trees(self, cfg, text):
         # check_a4 measures f u^n as polynomials; the principal-branch
         # Pow trees they replace stay the reference.
@@ -272,7 +276,7 @@ class TestStackedHarness:
         with pytest.raises(UnsupportedSpace):
             seminorms(parse_space("hardy:2"), harness_family(), coarse_cfg)
 
-    @pytest.mark.parametrize("text", ALL_FAMILIES)
+    @pytest.mark.parametrize("text", SPACES)
     def test_matches_per_member_reference(self, coarse_cfg, text):
         space = parse_space(text)
         reports = {r.axiom: r for r in run_all(space, coarse_cfg)}

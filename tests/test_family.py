@@ -522,7 +522,7 @@ def test_points_outside_the_disk_raise():
         fam.derivative(np.array([np.nan]), 0)
 
 
-@pytest.mark.parametrize("text", ALL_FAMILIES + ("mixed:2,inf,0.5",))
+@pytest.mark.parametrize("text", ALL_FAMILIES + ("mixed:2,2,0.5",))
 def test_norms_match_one_member_norms(cfg, text):
     space = parse_space(text)
     # Every fifth probe: monomials, random polynomials and 1 + lambda z.
@@ -534,7 +534,7 @@ def test_norms_match_one_member_norms(cfg, text):
 
 
 @pytest.mark.parametrize("kind", ["poly", "const", "tree"])
-@pytest.mark.parametrize("text", ALL_FAMILIES + ("mixed:2,inf,0.5",))
+@pytest.mark.parametrize("text", ALL_FAMILIES + ("mixed:2,2,0.5",))
 def test_one_answer_per_polynomial(cfg, text, kind):
     # norm and seminorm of one expression are, bitwise, the one-member
     # cases of the family path.
@@ -549,6 +549,26 @@ def test_one_answer_per_polynomial(cfg, text, kind):
     assert [v.hex() for v in (got.total, got.point_part, got.seminorm_part)] == want
     if space.has_a6_form:
         assert seminorm(space, f, cfg).hex() == want[2]
+
+
+def test_constants_join_polynomial_families():
+    # A constant c is the one-coefficient polynomial Poly((c,)).
+    fam = as_family([Const(0.6 + 0.8j), Poly((0.3, -0.5j))])
+    assert isinstance(fam, PolyFamily)
+    assert fam[0] == Poly((0.6 + 0.8j,))
+    assert isinstance(as_family(Const(2.0)), PolyFamily)
+    assert isinstance(as_family([Const(2.0), Recip(Poly((2.0, 1.0)))]), TreeFamily)
+
+
+@pytest.mark.parametrize("text", ALL_FAMILIES)
+def test_constants_measure_as_their_trees(cfg, text):
+    # Bitwise the parts of the Const trees, as the constants measured before
+    # they joined PolyFamily.
+    constants = [Const(c) for c in (0.6 + 0.8j, 5.0, -2.0 + 1.0j, 0.25j)]
+    space = parse_space(text)
+    got = _norm_parts(space, as_family(constants), cfg)
+    want = _norm_parts(space, TreeFamily(constants), cfg)
+    assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
 
 
 def test_norms_of_images_match_one_member_norms(cfg):
@@ -629,6 +649,29 @@ def test_moebius_series_drops_only_a_tail_below_rounding(a, order):
     assert np.max(np.abs(longer[:, : coeffs.shape[1]] - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
     tail = np.abs(longer[:, coeffs.shape[1] :]).sum(axis=1)
     assert np.all(tail <= 2.0 ** -53 * np.abs(fam._plain[0]).sum(axis=1))
+
+
+def convolved_powers(m, width, n):
+    # phi^0 .. phi^(width-1) to n terms, each the truncated convolution of
+    # the last with phi's series lam a, lam (|a|^2 - 1) conj(a)^(k-1).
+    phi = np.empty(n, dtype=complex)
+    phi[0] = m.lam * m.a
+    phi[1:] = m.lam * (abs(m.a) ** 2 - 1.0) * np.conj(m.a) ** np.arange(n - 1)
+    out = np.zeros((width, n), dtype=complex)
+    out[0, 0] = 1.0
+    for j in range(1, width):
+        out[j] = np.convolve(out[j - 1], phi)[:n]
+    return out
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.9, 0.95])
+def test_moebius_powers_match_their_convolutions(s):
+    # The doubling scan forms the convolutions' products: 3e-16 apart at most.
+    m = MoebiusMap(s * np.exp(1.1j), np.exp(1.9j))
+    for order in (0, 1, 2):
+        n = analytic_core._series_length(s, 13, order)
+        got = analytic_core._moebius_powers(m, 13, n)
+        assert np.max(np.abs(got - convolved_powers(m, 13, n))) <= 1e-14, order
 
 
 def test_z_coefficients_only_for_folded_weights_within_the_budget():

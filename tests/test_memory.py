@@ -13,11 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Poly, PolyFamily, Recip, as_family, image_family
-from wcolab.axiom_harness import A6_CONSTANTS, run_all
+from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Poly, Recip, as_family, image_family
+from wcolab.axiom_harness import run_all
 from wcolab.operators import _FIXED_PROBES, default_probe_family
 from wcolab.quadrature import refined_modulus_sup
+from wcolab import spaces
 from wcolab.spaces import _bmoa_seminorms, _power_weight, norms, parse_space, seminorms
+
+from conftest import sampled_quadratic_means
 
 MiB = 1 << 20
 
@@ -68,25 +71,36 @@ def test_bmoa_seminorms_of_images_hold_no_profile_of_all_members(cfg):
     assert traced_peak(lambda: _bmoa_seminorms(images, cfg)) <= 5 * MiB
 
 
+def test_bmoa_series_of_images_near_the_circle_hold_a_few_blocks(cfg):
+    # Under a = 0.9i the 47 probes' images have 850 Taylor coefficients of
+    # f', whose cross-correlations are 2048 long: 16 members at a time
+    # keep the transforms near BLOCK_BYTES, 4.3 MiB in all, as the
+    # sampled sweep holds.  All 47 in each transform held 6.2 MiB.
+    images = image_family(Const(1.0), Moebius(MoebiusMap(0.9j, 1.0)), as_family(default_probe_family()))
+    assert images.z_coefficients(1) is not None
+    assert traced_peak(lambda: _bmoa_seminorms(images, cfg)) <= 5 * MiB
+
+
 def test_tree_family_blocks_hold_one_members_rows_at_a_time(cfg):
-    # A6's b1 seminorms of its three constants.  Each member's derivatives
-    # up to order 2 go into one array of the members' values, and are freed
-    # before the next member's: kept alive until a final stack, the blocks
-    # held 4.3 MiB against the 1 MiB budget.
-    constants = [Const(c) for c in A6_CONSTANTS]
-    assert traced_peak(lambda: seminorms(parse_space("b1"), constants, cfg)) <= 1.5 * MiB
+    # b1 seminorms of eight reciprocals, a tree family.  Each member's
+    # derivatives up to order 2 go into one array of the members' values,
+    # and are freed before the next member's: 1.3 MiB.  Kept alive until a
+    # final stack, they held 2.3 MiB.
+    trees = [Recip(Poly((2.0, 0.5 * c))) for c in np.exp(1j * np.arange(8))]
+    assert traced_peak(lambda: seminorms(parse_space("b1"), trees, cfg)) <= 1.5 * MiB
 
 
 def test_quadratic_form_of_weighted_images_holds_less_than_their_sweep(cfg, monkeypatch):
-    # The basis of 13 monomial images is swept in the row blocks of the 47
-    # images, 2 rows each.  In its own blocks, 5 rows each, it held 3.4 MiB,
-    # more than the 2.1 MiB of the images' own sweep.  The guard rejects
-    # some forms of these images, whose means then come from the basis
-    # values of the same block.
+    # The images' table for f', 25 rows under Leibniz's rule, is swept in
+    # their row blocks, 2 rows each: 1.1 MiB against the 1.5 MiB of their
+    # own sweep.  Each block's table is freed before the next is built;
+    # held by a loop variable while the next was built, it made 1.8 MiB.
+    # The guard rejects some forms of these images, whose means then come
+    # from the table of the same block.
     images = image_family(Recip(Poly((1.0, 0.99))), None, as_family(default_probe_family()))
     besov = parse_space("besov:2,0")
     form = traced_peak(lambda: norms(besov, images, cfg))
-    monkeypatch.setattr(PolyFamily, "monomial_images", lambda self: None)
+    monkeypatch.setattr(spaces, "_quadratic_means", sampled_quadratic_means)
     assert form <= traced_peak(lambda: norms(besov, images, cfg))
 
 

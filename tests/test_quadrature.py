@@ -21,6 +21,7 @@ from wcolab.analytic_core import (
     PolyFamily,
     Pow,
     Recip,
+    TreeFamily,
     as_family,
     image_family,
     rotation_map,
@@ -237,23 +238,36 @@ class TestNestedAngularRule:
         assert abs(got - brute) <= abs(fixed - brute) + 4.0 * np.spacing(brute)
         assert abs(got - brute) <= 1e-6 * brute
 
-    def test_vanishing_and_nan_members(self, cfg):
-        # f'' = 0 is taken on the first sweep.  1e308 z^3 - 1e308 z^3 has
-        # f'' / 2 = 3e308 z - 3e308 z, NaN where 3e308 |z| overflows, and
-        # its means there stay NaN.
-        big = Poly((0.0, 0.0, 0.0, 1.0))
-        members = (Poly((1.0, 2.0)), Add(Mul(Const(1e308), big), Mul(Const(-1e308), big)), Poly((0.5, 0.0, 1.0, 0.3)))
-        family = as_family(members)
-        radii = np.array([0.1, 0.5, 0.7, 0.9])
+    @staticmethod
+    def refined_means(family, radii, cfg):
+        # The b1 means of f'' and the members that a later level refines.
         refined = []
         subset = family.subset
         family.subset = lambda m: refined.extend(m.tolist()) or subset(m)
         with np.errstate(all="ignore"):
             means = _power_means(family, 1.0, radii, cfg.n_theta, 2)
+        return means, refined
+
+    def test_vanishing_member_is_taken_on_the_first_sweep(self, cfg):
+        # f'' = 0 is taken on the first sweep: a polynomial family's members
+        # have a degree bound below n_theta.
+        family = as_family((Poly((1.0, 2.0)), Poly((0.5, 0.0, 1.0, 0.3))))
+        assert isinstance(family, PolyFamily)
+        means, refined = self.refined_means(family, np.array([0.1, 0.5, 0.7, 0.9]), cfg)
         assert np.all(means[0] == 0.0)
         assert 0 not in refined
-        assert np.all(means[1, :2] == 0.0) and np.all(np.isnan(means[1, 2:]))
-        assert np.all(means[2] > 0.0)
+        assert np.all(means[1] > 0.0)
+
+    def test_nan_members_stay_nan(self, cfg):
+        # 1e308 z^3 - 1e308 z^3 has f'' / 2 = 3e308 z - 3e308 z, NaN where
+        # 3e308 |z| overflows, and its means there stay NaN.  A tree has no
+        # degree bound, so its members are refined up to 4 n_theta angles.
+        big = Poly((0.0, 0.0, 0.0, 1.0))
+        family = as_family((Add(Mul(Const(1e308), big), Mul(Const(-1e308), big)), Poly((0.5, 0.0, 1.0, 0.3))))
+        assert isinstance(family, TreeFamily)
+        means, _ = self.refined_means(family, np.array([0.1, 0.5, 0.7, 0.9]), cfg)
+        assert np.all(means[0, :2] == 0.0) and np.all(np.isnan(means[0, 2:]))
+        assert np.all(means[1] > 0.0)
 
     def test_b1_evaluates_few_points(self, cfg, monkeypatch):
         # Points evaluated per member, counted through _evaluate, against

@@ -28,7 +28,7 @@ from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
 from wcolab.axiom_harness import harness_family
 from wcolab.operators import WcoSymbols, apply, default_probe_family, isometry_defect
 from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, _quadratic_form, gauss01, unit_circle
-from conftest import seeded_polys
+from conftest import sampled_quadratic_means, seeded_polys
 from wcolab import spaces
 from wcolab.spaces import (
     _BMOA_A_RADII,
@@ -593,7 +593,7 @@ def direct_norms(monkeypatch, space, fam, cfg):
     # sums and no quadratic form.
     with monkeypatch.context() as m:
         m.setattr(PolyFamily, "z_coefficients", lambda self, order: None)
-        m.setattr(PolyFamily, "monomial_images", lambda self: None)
+        m.setattr(spaces, "_quadratic_means", sampled_quadratic_means)
         return norms(space, fam, cfg)
 
 
@@ -716,8 +716,9 @@ class TestQuadraticForm:
         # circle, so their means there come from their values; the rest
         # keep their forms.
         fam = quadratic_images(name)
-        C, basis = fam.monomial_images()
-        g = basis.derivative(np.linspace(0.05, cfg.r_max, 9)[:, None] * unit_circle(cfg.n_theta), 1).transpose(1, 0, 2)
+        radii = np.linspace(0.05, cfg.r_max, 9)
+        C, table, _ = fam.table((radii[:, None] * unit_circle(cfg.n_theta)).reshape(1, -1), 1)
+        g = table.reshape(len(table), len(radii), -1).transpose(1, 0, 2)
         _, accurate = _quadratic_form(C, g.conj() @ g.transpose(0, 2, 1) / cfg.n_theta)
         assert 0 < np.count_nonzero(~accurate.all(axis=1)) < len(fam)
 
@@ -734,16 +735,27 @@ class TestQuadraticForm:
             got = norms(space, quadratic_images("deep weight", scaled), cfg)
             assert np.all(np.abs(got - abs(c) * want) <= 1e-12 * abs(c) * want), c
 
-    def test_cost_rule_keeps_the_sweep_for_small_families(self, cfg, monkeypatch):
-        # One member, and the 15-member harness family's images (15 x 13
-        # table rows against 13 x 13 + 13^2), evaluate fewer values directly.
+    @pytest.mark.parametrize("text", ["bergman:2,0", "besov:2,0"])
+    def test_small_families_take_the_form(self, cfg, monkeypatch, text):
+        # The route follows the family, whatever its size: one member and
+        # the 15-member harness family's images under a Leibniz weight take
+        # the form, and agree with their own sweep.
+        space = parse_space(text)
+        quadratic_means = spaces._quadratic_means
+        for fam in (quadratic_images("linear weight", default_probe_family()[12:13]), quadratic_images("linear weight", harness_family())):
+            forms = []
+            with monkeypatch.context() as m:
+                m.setattr(spaces, "_quadratic_means", lambda *args: forms.append(1) or quadratic_means(*args))
+                got = norms(space, fam, cfg)
+            assert forms
+            want = direct_norms(monkeypatch, space, fam, cfg)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_trees_and_other_exponents_take_no_form(self, cfg, monkeypatch):
         forms = []
         monkeypatch.setattr(spaces, "_quadratic_means", lambda *args: forms.append(1))
-        space = parse_space("bergman:2,0")
-        for fam in (quadratic_images("linear weight", default_probe_family()[12:13]), quadratic_images("linear weight", harness_family())):
-            norms(space, fam, cfg)
         norms(parse_space("bergman:3,0"), quadratic_images("linear weight"), cfg)
-        norms(space, TreeFamily(quadratic_images("linear weight")), cfg)
+        norms(parse_space("bergman:2,0"), TreeFamily(quadratic_images("linear weight")), cfg)
         assert not forms
 
 
@@ -856,14 +868,18 @@ class TestNormAxiomsProperty:
 def _modules_imported_by(calls: str) -> list:
     # Every module the package needs comes in with `import wcolab`, so that
     # no call pays for an import: the first norm, bound or decision of a
-    # process costs what every later one does.  Returns the modules that
-    # `calls` imports in a fresh interpreter after start-up.
+    # process costs what every later one does.  numpy's own submodules that
+    # it loads on first use, numpy.fft and numpy.random, are the exception:
+    # the package leaves them to the first call that needs them, and they
+    # count as start-up here.  Returns the modules that `calls` imports in a
+    # fresh interpreter after start-up.
     code = textwrap.dedent(
         """
         import sys
         import wcolab as wc
         from wcolab.axiom_harness import ALL_FAMILIES
         from wcolab.operators import WcoSymbols, finite_section
+        import numpy.fft, numpy.random
         cfg = wc.default_config()
         before = set(sys.modules)
         """
