@@ -421,8 +421,8 @@ class Family:
         """
         return None
 
-    def subset(self, members) -> "Family":
-        """The members named by the integer array members, in its order, as a family of their own."""
+    def subset(self, members, scales=None) -> "Family":
+        """The members named by the integer array members, in its order, as a family of their own; member i times scales[i], a power of two, with scales."""
         raise NotImplementedError
 
     def degree_bounds(self) -> np.ndarray:
@@ -493,8 +493,9 @@ class TreeFamily(Family):
     def __getitem__(self, k):
         return self.members[k]
 
-    def subset(self, members):
-        return TreeFamily(self.members[k] for k in members)
+    def subset(self, members, scales=None):
+        part = [self.members[k] for k in members]
+        return TreeFamily(part if scales is None else (Mul(Const(c), f) for c, f in zip(scales, part)))
 
     def _height(self, order):
         # The members' values, and the derivatives up to the order asked
@@ -594,13 +595,14 @@ class PolyFamily(Family):
             return None
         return _derivative_matrix(self._matrices[0] @ _moebius_powers(self._map, self._width, n), order)
 
-    def subset(self, members):
-        # The members' rows of every matrix: the symbols are shared.
+    def subset(self, members, scales=None):
+        # The members' rows of every matrix, times their scales, and the scaled rows' polynomials: the symbols are shared.
+        rows = (lambda m: m[members]) if scales is None else (lambda m: m[members] * scales[:, None])
         part = copy.copy(self)
-        part.polys = tuple(self.polys[k] for k in members.tolist())
-        part._plain = tuple(m[members] for m in self._plain)
-        part._matrices = tuple(m[members] for m in self._matrices)
-        part._joined = None if self._joined is None else [m[members] for m in self._joined]
+        part._plain, part._matrices = tuple(map(rows, self._plain)), tuple(map(rows, self._matrices))
+        part._joined = None if self._joined is None else list(map(rows, self._joined))
+        polys = [self.polys[k] for k in members.tolist()]
+        part.polys = tuple(polys if scales is None else (Poly(tuple(c[: len(f.coeffs)])) for f, c in zip(polys, part._plain[0])))
         return part
 
     def degree_bounds(self):

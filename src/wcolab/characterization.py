@@ -153,10 +153,11 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     verdict of u for every c != 0; the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
     family, read as ||u f|| = s ||(u / s) f|| with s the power of two at
-    or above max |u| on the validation circle: exact in binary, it keeps
-    the ratios of c * u at |c| times those of u.  They pass below 1e3
-    times that max |u|, a cap that scales with u, so c * u gets the
-    status of u.  The seed is checked first, whichever branch decides.
+    or above max |u| on the validation circle, 2^1023 at most: exact in
+    binary, it keeps the ratios of c * u at |c| times those of u.  They
+    pass below 1e3 times that max |u|, a cap that scales with u, so c * u
+    gets the status of u.  The seed is checked first, whichever branch
+    decides.
     """
     _check_seed(seed)
     if isinstance(u, Const):
@@ -177,7 +178,7 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     base = norms(space, probes, cfg)
     kept = base >= 1e-14
     peak = np.max(np.abs(validation_values(u, "multiplier")))
-    s = np.ldexp(1.0, np.frexp(peak)[1])
+    s = np.ldexp(1.0, min(np.frexp(peak)[1], 1023))
     ratios = norms(space, image_family(Mul(Const(1.0 / s), u), None, probes), cfg)[kept] / base[kept] * s
     worst = float(np.max(ratios, initial=0.0))
     if worst <= EMPIRICAL_RATIO_CAP * peak:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 
@@ -118,12 +117,9 @@ def _member_norms(space: SpaceSpec, family: Family, cfg: GridConfig) -> np.ndarr
     plain = isinstance(family, PolyFamily) and family.F is None and family.phi is None
     fixed = np.array([_FIXED_INDEX.get(f, -1) for f in family.polys]) if plain else np.full(len(family), -1)
     found = fixed >= 0
-    if not found.any():
-        return norms(space, family, cfg)
     out = np.empty(len(fixed))
     out[found] = _fixed_probe_norms(space, cfg)[fixed[found]]
-    if not found.all():
-        out[~found] = norms(space, list(itertools.compress(family.polys, ~found)), cfg)
+    out[~found] = norms(space, family.subset(np.flatnonzero(~found)), cfg)
     return out
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import typing
 
 import numpy as np
 
-from .analytic_core import BLOCK_BYTES, AnalyticExpr, Const, Family, Mul, PolyFamily, as_family, unit_circle
+from .analytic_core import BLOCK_BYTES, AnalyticExpr, Family, PolyFamily, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
@@ -365,22 +364,21 @@ def _norm_parts(space: SpaceSpec, fam: Family, cfg: GridConfig) -> tuple:
     A total that is not finite, or whose e-th power is below 2^-960,
     where e is the largest finite exponent the norm raises values to,
     p or q (1 for the sups), may have overflowed or underflowed on the
-    way: that member is measured again as f / s, with s the power of two
-    at or below its largest modulus on the circle |z| = r_max.  Members
-    in range, the common case, cost nothing more.
+    way: that member is measured again as f / s in its own family, with
+    s the power of two at or below its largest modulus on the circle
+    |z| = r_max, its exponent clipped to [-1023, 1023].  Members in
+    range, the common case, cost nothing more.
     """
     parts = _unscaled_parts(space, fam, cfg)
     _, p, q, _, _ = space.shape
     e = max((x for x in (p, q) if x < np.inf), default=1.0)
     redo = np.flatnonzero(~((parts[0] >= 2.0 ** (-960.0 / e)) & (parts[0] < np.inf)))
     if len(redo):
-        members = [fam[k] for k in redo]
-        peaks = np.max(np.abs(as_family(members).derivative(cfg.r_max * unit_circle(cfg.n_theta), 0)), axis=1)
-        # s at most the peak and 1/s both finite: a normal peak
-        kept = (peaks >= np.finfo(float).tiny) & (peaks < np.inf)
-        scales = np.ldexp(1.0, np.frexp(peaks[kept])[1] - 1)
-        scaled = [Mul(Const(1.0 / s), f) for s, f in zip(scales, itertools.compress(members, kept))]
-        for whole, part in zip(parts, _unscaled_parts(space, as_family(scaled), cfg)):
+        members = fam.subset(redo)
+        peaks = np.max(np.abs(members.derivative(cfg.r_max * unit_circle(cfg.n_theta), 0)), axis=1)
+        kept = np.flatnonzero((peaks > 0.0) & (peaks < np.inf))
+        scales = np.ldexp(1.0, np.clip(np.frexp(peaks[kept])[1] - 1, -1023, 1023))
+        for whole, part in zip(parts, _unscaled_parts(space, members.subset(kept, 1.0 / scales), cfg)):
             whole[redo[kept]] = part * scales
     return parts
 

@@ -16,6 +16,7 @@ from wcolab.analytic_core import (
     Recip,
     as_family,
     rotation_map,
+    unit_circle,
 )
 from wcolab.characterization import (
     AUTOMORPHISM_TOL,
@@ -200,7 +201,11 @@ class TestMultiplierTest:
     def test_empirical_status_ignores_the_scale_of_u(self, cfg, text, u):
         space = parse_space(text)
         unscaled = multiplier_test(u, space, cfg)
-        for c in (1e200, 1e-200):
+        # The last c takes the largest modulus of c u and c u' on the
+        # validation circle to 1.5e308: for the first two u, max |c u| is
+        # then above 2^1023, where the power of two above it is not finite.
+        peak = np.max(np.abs(u.derivatives(R_MAX * unit_circle(256), 1)))
+        for c in (1e200, 1e-200, 1.5e308 / peak):
             v = multiplier_test(Mul(Const(c), u), space, cfg)
             assert v.status == unscaled.status
             assert v.measured_constant == pytest.approx(c * unscaled.measured_constant, rel=1e-12)

@@ -565,6 +565,18 @@ class TestScaleOfNorms:
             for got, want in zip(parts(c), expected):
                 assert abs(got - c * want) <= 1e-14 * c * want, (c, got, want)
 
+    @pytest.mark.parametrize("space", SPACES)
+    def test_subnormal_coefficients_scale_too(self, capsys, space):
+        # poly(1e-310,2e-310) is 1e-310 (1 + 2z) up to the rounding of its
+        # subnormal coefficients, a few units of 2^-1074 in its norm.
+        def total(fn):
+            code, doc, err = run_checked(capsys, "norm", "--space", space, "--fn", fn)
+            assert (code, err) == (0, "")
+            return doc["result"]["total"]
+
+        got, want = total("poly(1e-310,2e-310)"), 1e-310 * total("poly(1.0,2.0)")
+        assert abs(got - want) <= 4 * 2.0**-1074, (got, want)
+
     @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["plain", "warnings-as-errors"])
     def test_no_warning_in_a_fresh_interpreter(self, flags):
         calls = [["norm", "--space", space, "--fn", f"poly({c!r},{c!r})"] for space in self.SPACES for c in (1e-200, 1e200)]

@@ -372,6 +372,36 @@ def test_one_block_candidates_equal_the_streamed_ones_bitwise(cfg, monkeypatch, 
         assert streamed_top.tobytes() == top.tobytes()
 
 
+# Families whose members are scaled by Family.subset: each kind of PolyFamily
+# image, and a tree.
+SCALED = {
+    "plain": lambda fam: fam,
+    "rotation": lambda fam: image_family(None, moebius(0.0, np.exp(1.9j)), fam),
+    "moebius": lambda fam: image_family(None, moebius(0.5 - 0.3j, np.exp(0.4j)), fam),
+    "const": lambda fam: image_family(Const(0.6 - 0.8j), moebius(0.5 - 0.3j, np.exp(0.4j)), fam),
+    "poly": lambda fam: image_family(Poly((0.5, -1.0j, 0.25)), None, fam),
+    "leibniz": lambda fam: image_family(Recip(Poly((2.0, 0.5j))), moebius(0.4j, np.exp(0.3j)), fam),
+    "tree": lambda fam: TreeFamily(fam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_scaled_subset_scales_its_members(cfg, name):
+    # Powers of two far from 1 scale every value exactly, and each scaled
+    # member, evaluated as a tree, is its family row.
+    fam = SCALED[name](as_family(default_probe_family()[::4]))
+    members = np.array([5, 0, 3, 11])
+    scales = np.ldexp(1.0, np.array([-600, 3, 0, 600]))
+    part, scaled = fam.subset(members), fam.subset(members, scales)
+    assert type(scaled) is type(fam) and len(scaled) == len(members)
+    z = scan_grid(cfg)[::8]
+    for order in (0, 1, 2):
+        got, unscaled = scaled.derivative(z, order), part.derivative(z, order)
+        assert np.array_equal(got, scales[:, None, None] * unscaled)
+        want = TreeFamily(list(scaled)).derivative(z, order)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scales[:, None, None], np.abs(want)))
+
+
 def test_member_rows_equal_member_aligned_calls_bitwise():
     # derivative_at(z, order, members) evaluates member members[i] at
     # z[i]: each row must equal that member's row of a call where every

@@ -2,7 +2,7 @@
 
 Every case is strict: a change that fixes one by accident fails the
 suite, and the fix then moves the case into its item's own tests.  The
-first seven are wrong exact verdicts, the other six wrong outputs that
+first seven are wrong exact verdicts, the other ten wrong outputs that
 are no verdicts.  Each message gives today's answer beside the truth.
 """
 
@@ -86,6 +86,16 @@ def test_function_outside_b1_has_no_finite_b1_norm(cfg):
     except WcolabError:
         return
     assert today == np.inf, f"today the norm {today!r}, truth infinite: f'' = (3/4)(1 - z)^(-5/2) is not area-integrable"
+
+
+@ledger("24 (a)", "the norm is read on |z| <= r_max, or by a radial rule with fixed nodes, and stays finite")
+@pytest.mark.parametrize("text", ["hardy:2", "hinf", "besov:2,0", "bmoa"])
+def test_function_outside_the_space_has_no_finite_norm(cfg, text):
+    try:
+        today = norm(parse_space(text), parse_expression("recip(pow(poly(1.0,-1.0),0.5))"), cfg).total
+    except WcolabError:
+        return
+    assert today == np.inf, f"today the norm {today!r}, truth infinite: (1 - z)^(-1/2) does not lie in {text}"
 
 
 @ledger("1", "the principal branch is accepted although the inner range crosses the cut")

@@ -25,7 +25,7 @@ from wcolab.analytic_core import (
 )
 from wcolab.analytic_core import Family, MoebiusMap, PolyFamily, as_family, image_family
 from wcolab.errors import ParameterError, ParseError, UnsupportedSpace
-from wcolab.axiom_harness import harness_family
+from wcolab.axiom_harness import ALL_FAMILIES, harness_family
 from wcolab.operators import WcoSymbols, apply, default_probe_family, isometry_defect
 from wcolab.quadrature import FLAT_WEIGHT, GridConfig, _polish, _quadratic_form, gauss01, unit_circle
 from conftest import sampled_quadratic_means, seeded_polys
@@ -321,6 +321,32 @@ class TestInvariances:
             a = norms(parse_space(f"mixed:{p},inf,0"), fam, cfg)
             b = norms(parse_space(f"hardy:{p}"), fam, cfg)
             assert np.array_equal(a, b)
+
+
+class TestOutOfRangeMembers:
+    # A member whose norm over- or underflows is measured again as f / s,
+    # s a power of two, in its own family: a polynomial keeps its route.
+    F = (0.3, 1.0, -0.5j, 0.25)
+
+    @pytest.mark.parametrize("text", ALL_FAMILIES)
+    def test_subnormal_polynomial_has_its_scaled_norm(self, cfg, text):
+        # Coefficients near 2^-1060 are subnormal: the sums of |c_j|^2 r^(2j)
+        # underflow, and the peak on |z| = r_max is below the smallest normal.
+        space = parse_space(text)
+        c = 2.0**-1060
+        want = c * norm(space, Poly(self.F), cfg).total
+        got = norm(space, Poly(tuple(c * a for a in self.F)), cfg).total
+        assert abs(got - want) <= 4 * 2.0**-1074, (got, want)
+
+    def test_huge_b1_polynomial_evaluates_no_tree_point(self, cfg, monkeypatch):
+        space, c = parse_space("b1"), 2.0**1020
+        want = c * norm(space, Poly(self.F), cfg).total
+        points = []
+        evaluate = TreeFamily._evaluate
+        monkeypatch.setattr(TreeFamily, "_evaluate", lambda fam, z, *args, **kwargs: points.append(z.size) or evaluate(fam, z, *args, **kwargs))
+        got = norm(space, Poly(tuple(c * a for a in self.F)), cfg).total
+        assert sum(points) == 0
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestBmoa:
