@@ -69,6 +69,11 @@ def _checked_points(z, what: str = "evaluation point") -> np.ndarray:
     return arr
 
 
+def _checked_circles(radii, circle) -> None:
+    # |r e^(it)| and its rounded parts grow with |r|: the outermost circle holds each column's largest modulus.
+    _checked_points(np.max(np.abs(radii)) * circle)
+
+
 def _require_finite(c: complex, what: str) -> complex:
     c = complex(c)
     if not cmath.isfinite(c):
@@ -159,8 +164,6 @@ class AnalyticExpr:
 
     def derivatives(self, z, n: int) -> list:
         """[f, f', ..., f^(n)] at z for n in {0, 1, 2}; z a complex scalar or array, |z| < 1."""
-        if n not in (0, 1, 2):
-            raise ParameterError(f"derivative order must be 0, 1 or 2, got {n!r}")
         arr = _checked_points(z)
         out = _derivatives_at(self, arr, n)
         return [complex(d) for d in out] if arr.ndim == 0 else list(out)
@@ -179,7 +182,9 @@ class AnalyticExpr:
 # evaluation enters one such scope, here or in series, at about 1.5 µs.
 @np.errstate(all="ignore")
 def _derivatives_at(f: AnalyticExpr, z: np.ndarray, n: int) -> np.ndarray:
-    """Rows f, f', ..., f^(n) at the checked points z, n <= 2: the Taylor coefficients times k!."""
+    """Rows f, f', ..., f^(n) at the checked points z, n in {0, 1, 2}: the Taylor coefficients times k!."""
+    if n not in (0, 1, 2):
+        raise ParameterError(f"derivative order must be 0, 1 or 2, got {n!r}")
     out = f._taylor(z, n)
     if n == 2:
         out[2] *= 2.0
@@ -391,7 +396,7 @@ class Family:
         return (self[k] for k in range(len(self)))
 
     def _evaluate(self, z: np.ndarray, order: int, members=None) -> np.ndarray:
-        """Stacked derivatives of the given order at z.
+        """Stacked derivatives of the given order at z, points that the caller has checked.
 
         Without members, z of shape (1, n) holds points shared by every
         member.  With an integer array members, z has one row per entry
@@ -435,14 +440,18 @@ class Family:
         """
         return np.full(len(self), np.inf)
 
+    def circle_bounds(self, radii, order: int) -> np.ndarray:
+        """Bounds on each member's derivative of the order as evaluated on |z| = r, one row per member, inf where none is known."""
+        return np.full((len(self), len(radii)), np.inf)
+
     def derivative(self, z, order: int) -> np.ndarray:
         """Derivative of the given order of every member at the shared points z, of shape (len(self),) + z.shape."""
-        z = np.asarray(z, dtype=complex)
+        z = _checked_points(z)
         return self._evaluate(z.reshape(1, -1), order).reshape((len(self),) + z.shape)
 
     def derivative_at(self, z, order: int, members) -> np.ndarray:
         """Derivative of the given order of member members[i] at the points z[i]."""
-        z = np.asarray(z, dtype=complex)
+        z = _checked_points(z)
         return self._evaluate(z.reshape(len(z), -1), order, np.asarray(members)).reshape(z.shape)
 
     def row_blocks(self, shape: tuple, order: int) -> list:
@@ -457,15 +466,16 @@ class Family:
         values holds the members' derivatives of the given order at the
         points of radii[rows]; reduce returns an array of shape
         (len(self), number of rows, ...), or None for a sweep that keeps
-        its own totals, and then rowwise returns None.  Each block's
-        points and values are fresh arrays that nothing here holds while
-        the next block is evaluated: for a sweep to hold nothing of grid
-        size, reduce keeps only what it reduces them to.  The heap setting
-        at import (_keep_freed_heap) keeps freed blocks resident for the
-        next.
+        its own totals, and then rowwise returns None.  The points are
+        checked once, on the outermost circle.  Each block's points and
+        values are fresh arrays that nothing here holds while the next
+        block is evaluated: for a sweep to hold nothing of grid size,
+        reduce keeps only what it reduces them to.  The heap setting at
+        import (_keep_freed_heap) keeps freed blocks resident for the next.
         """
         radii = np.asarray(radii, dtype=float)
         circle = np.asarray(circle, dtype=complex)
+        _checked_circles(radii, circle)
         parts = []
         for rows in self.row_blocks((len(radii), len(circle)), order):
             parts.append(reduce(
@@ -508,13 +518,13 @@ class TreeFamily(Family):
             # order are freed before the next is evaluated.
             out = np.empty((len(self),) + z.shape[1:], dtype=complex)
             for k, f in enumerate(self.members):
-                out[k] = f.derivatives(z[0], order)[order]
+                out[k] = _derivatives_at(f, z[0], order)[order]
             return out
         # Each distinct member is walked once, over all of its rows.
         out = np.empty(z.shape, dtype=complex)
         for k in dict.fromkeys(members.tolist()):
             rows = members == k
-            out[rows] = self.members[k].derivatives(z[rows], order)[order]
+            out[rows] = _derivatives_at(self.members[k], z[rows], order)[order]
         return out
 
 
@@ -614,6 +624,19 @@ class PolyFamily(Family):
         # The members' values and the power table, and Leibniz's stacked table.
         return max(len(self), self._width, (self._matrices if self._joined is None else self._joined)[order].shape[1])
 
+    @np.errstate(all="ignore")  # a bound that overflows rules out nothing
+    def circle_bounds(self, radii, order):
+        # Cauchy's estimate: on |z| = r, |w| <= (r + s) / (1 + s r), s = |a| or 0, and the factor of g'
+        # or g'' is at most (1 - s^2) / (1 - s r)^(order + 1).  The margin covers rounding, which grows
+        # with the width and as 1 / (1 - s r).
+        if self._weight is not None:
+            return super().circle_bounds(radii, order)
+        radii, C = np.asarray(radii, dtype=float), self._matrices[order]
+        s = 0.0 if self._map is None else abs(self._map.a)
+        near = 1.0 - s * radii
+        factor = (1.0 + 64.0 * (C.shape[1] + 8) * np.finfo(float).eps / near) * ((1.0 - s * s) / near ** (order + 1) if order else 1.0)
+        return factor * (np.abs(C) @ ((radii + s) / (1.0 + s * radii)) ** np.arange(C.shape[1])[:, None])
+
     def _evaluate(self, z, order, members=None):
         if order not in (0, 1, 2):
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
@@ -631,9 +654,8 @@ class PolyFamily(Family):
         contracts, stacked once per term of Leibniz's rule with each
         term's factor.  The factor of g' or g'' under a map, phi' or
         phi' q, scales the rows in place with fold and is returned
-        otherwise; None stands for 1.
+        otherwise; None stands for 1.  Only phi's values are checked here.
         """
-        z = _checked_points(z)
         base = z if self._map is None else _checked_points(self._map(z), "composition inner value")
         powers = _powers(base, self._width)
         # The pointwise factors of g, g' and g'' up to the order: 1, phi' and

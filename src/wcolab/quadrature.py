@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .analytic_core import R_MAX, as_family, unit_circle
+from .analytic_core import R_MAX, _checked_circles, as_family, unit_circle
 from .errors import ParameterError
 
 
@@ -137,14 +137,18 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     """Each member's largest weight * |h| on the grid radii x circle, and where its _TOP largest lie.
 
     weight holds omega(|z|^2) per radius, shape (len(radii), 1).  The
-    grid is swept block by block (Family.rowwise).  Each member keeps its
-    running maximum, its _TOP largest values so far with their flat
-    indices, ties going to the smaller index, and a floor at or below the
-    smallest of them.  One block is held: the previous one, for the
-    members whose floor it exceeded.  When the next block arrives, each
-    of those members drops it if the new block has _TOP values above
-    every value before it, as most blocks have while values rise with r,
-    and merges it otherwise; the last held block is merged at the end.
+    grid is swept block by block (Family.row_blocks), its points checked
+    once as in Family.rowwise.  Each member keeps its running maximum,
+    its _TOP largest values so far with their flat indices, ties going to
+    the smaller index, and a floor at or below the smallest of them.  One
+    block is held: the previous one, for the members whose floor it
+    exceeded.  When the next block arrives, each of those members drops
+    it if the new block has _TOP values above every value before it, as
+    most blocks have while values rise with r, and merges it otherwise;
+    the last held block is merged at the end.  A block is skipped,
+    neither evaluated nor reduced, where Family.circle_bounds keep every
+    member's values at or below its floor, where a value loses a tie to
+    the earlier ones: it changes no maximum and no candidate.
     Returns the maxima and the candidates' flat indices, one row per
     member, largest value first: they do not depend on the blocks.
     """
@@ -197,7 +201,14 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
         np.maximum(best, peaks, out=best)
         held, first, holding = values, rows.start * n_cols, ahead
 
-    family.rowwise(radii, circle, order, reduce)
+    _checked_circles(radii, circle)
+    # inf * 0 is NaN, which rules out no block either.
+    with np.errstate(all="ignore"):
+        bounds = family.circle_bounds(radii, order) * np.abs(weight[:, 0])
+    for rows in family.row_blocks((len(radii), n_cols), order):
+        if np.all(bounds[:, rows].max(axis=1) <= floor):
+            continue
+        reduce(family._evaluate((radii[rows, None] * circle).reshape(1, -1), order).reshape(size, -1, n_cols), rows)
     # No block is held for a member with a NaN in every block.
     merge(np.flatnonzero(holding))
     return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
@@ -215,6 +226,7 @@ def _quadratic_means(family, radii, circle: np.ndarray, order: int) -> np.ndarra
     """
     radii = np.asarray(radii, dtype=float)
     means = np.empty((len(family), len(radii)))
+    _checked_circles(radii, circle)
 
     def block(rows):
         # One block's table, freed before the next is built; 1 / n_theta, a
@@ -382,14 +394,12 @@ def refined_modulus_sup(family, order: int, omega, cfg: GridConfig) -> np.ndarra
 
 # The polish stops a start once its scaled projected gradient is at most
 # _POLISH_GTOL, once no step of the line search ascends, or after
-# _POLISH_ITERATIONS Newton steps.  Each step tries the full step, and
-# where that does not ascend its _POLISH_HALVINGS halvings in one
-# evaluation, taking the longest that does (_LINE_SEARCH).  A stopped
-# start is not evaluated again, and a trial only for the starts whose
-# line search goes on.  The derivatives of log phi are differences at
-# _POLISH_FD_STEP box widths.  refined_modulus_sup starts it from up to
-# _POLISH_CANDIDATES grid maxima of each member, on the circle
-# |z| = r_max alone for a flat weight.
+# _POLISH_ITERATIONS Newton steps.  Each step evaluates the full step and
+# its _POLISH_HALVINGS halvings in one call and takes the longest that
+# ascends (_LINE_SEARCH).  A stopped start is not evaluated again.  The
+# derivatives of log phi are differences at _POLISH_FD_STEP box widths.
+# refined_modulus_sup starts it from up to _POLISH_CANDIDATES grid maxima
+# of each member, on the circle |z| = r_max alone for a flat weight.
 _POLISH_CANDIDATES = 4
 # Grid candidates each member keeps for _select_candidates.
 _TOP = 8 * _POLISH_CANDIDATES
@@ -397,7 +407,7 @@ _POLISH_ITERATIONS = 20
 _POLISH_HALVINGS = 8
 _POLISH_GTOL = 1e-10
 _POLISH_FD_STEP = 1e-4
-_LINE_SEARCH = (np.ones(1), 0.5 ** np.arange(1, _POLISH_HALVINGS + 1))
+_LINE_SEARCH = 0.5 ** np.arange(_POLISH_HALVINGS + 1)
 
 
 def _polish(fn, x, lo, hi) -> np.ndarray:
@@ -417,9 +427,9 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
     step of a face that its gradient points out of is held and moved
     onto that face; the Newton step acts on the others, with the
     Hessian's eigenvalues taken in modulus so that it ascends, and is
-    scaled to at most one box width along any axis.  The step, or the
-    longest of its halvings where it does not, is projected onto the box
-    and accepted only where phi strictly increases.
+    scaled to at most one box width along any axis.  The step and its
+    halvings are projected onto the box and evaluated in one call; the
+    longest that strictly increases phi is accepted.
     """
     batch, d = x.shape[:-1], x.shape[-1]
     x = x.reshape(-1, d).copy()
@@ -434,12 +444,12 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
     def at(points, idx):
         return fn(points, np.unravel_index(idx, batch))
 
-    # run: flat indices of the starts still running, in batch order
+    # The running starts: flat indices in batch order, points, boxes, steps, widths and values
     run = np.arange(len(x))
     phi = at(x[:, None, :], run)[:, 0]
+    xr, lor, hir, dr, wr, pr = x, lo, hi, delta, width, phi
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_ITERATIONS):
-            xr, lor, hir, dr = x[run], lo[run], hi[run], delta[run]
             near_lo = xr - dr < lor
             near_hi = xr + dr > hir
             # Steps in units of delta: s1 along each axis stays in the box.
@@ -447,7 +457,7 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
             s2 = np.where(near_lo, 2.0, np.where(near_hi, -2.0, -1.0))
             step1 = (s1 * dr)[:, None, :]
             offsets = np.concatenate([step1 * eye, (s2 * dr)[:, None, :] * eye, step1 * pairs], axis=-2)
-            f = np.log(at(xr[:, None, :] + offsets, run)) - np.log(phi[run])[:, None]
+            f = np.log(at(xr[:, None, :] + offsets, run)) - np.log(pr)[:, None]
             d1, d2 = f[:, :d], f[:, d : 2 * d]
             # The quadratic through the differences d1, d2 at s1, s2 = -s1 or 2 s1.
             grad = s1 * (s2 * s2 * d1 - d2) / (2.0 * _POLISH_FD_STEP)
@@ -458,12 +468,12 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
             held = (near_lo & (grad < 0.0)) | (near_hi & (grad > 0.0))
             face = np.where(near_lo, lor, hir)
             grad = np.where(held, 0.0, grad)
-            ok = np.isfinite(grad).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(phi[run])
+            ok = np.isfinite(grad).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(pr)
             going = ok & ((np.abs(grad).max(axis=-1) > _POLISH_GTOL) | (held & (xr != face)).any(axis=-1))
             if not going.any():
                 break
-            run, xr, lor, hir, grad, hess, held, face = (
-                v[going] for v in (run, xr, lor, hir, grad, hess, held, face)
+            run, xr, lor, hir, dr, wr, pr, grad, hess, held, face = (
+                v[going] for v in (run, xr, lor, hir, dr, wr, pr, grad, hess, held, face)
             )
             # Newton step on the free coordinates: held rows and columns
             # of -hess become those of the identity, with a zero gradient.
@@ -473,23 +483,17 @@ def _polish(fn, x, lo, hi) -> np.ndarray:
             lam = np.maximum(lam, 1e-12 * lam.max(axis=-1, keepdims=True) + 1e-300)
             coef = np.einsum("...ji,...j->...i", vec, grad) / lam
             step = np.einsum("...ij,...j->...i", vec, coef)
-            step *= width[run] / np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True))
-            # The full step, then every halving at once for the starts it
-            # does not lift; pending: their positions in run.
-            pending = np.arange(len(run))
-            for alphas in _LINE_SEARCH:
-                i = pending[:, None]
-                trial = np.where(held[i], face[i], np.clip(xr[i] + alphas[:, None] * step[i], lor[i], hir[i]))
-                value = at(trial, run[pending])
-                up = value > phi[run[pending]][:, None]
-                found = up.any(axis=-1)
-                first = np.argmax(up[found], axis=-1)
-                x[run[pending[found]]] = trial[found, first]
-                phi[run[pending[found]]] = value[found, first]
-                pending = pending[~found]
-                if not len(pending):
-                    break
-            run = np.delete(run, pending)
+            step *= wr / np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True))
+            # The full step and every halving in one call; the starts that
+            # none of them lifts stop.
+            trial = np.where(held[:, None], face[:, None], np.clip(xr[:, None] + _LINE_SEARCH[:, None] * step[:, None], lor[:, None], hir[:, None]))
+            value = at(trial, run)
+            up = value > pr[:, None]
+            found = up.any(axis=-1)
+            first = np.argmax(up[found], axis=-1)
+            run, lor, hir, dr, wr = (v[found] for v in (run, lor, hir, dr, wr))
+            xr, pr = trial[found, first], value[found, first]
+            phi[run] = pr
             if not len(run):
                 break
     return phi.reshape(batch)

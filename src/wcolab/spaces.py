@@ -235,9 +235,10 @@ def _mixed_sup_norms(fam: Family, p: float, omega, cfg: GridConfig) -> np.ndarra
     circle = unit_circle(4 * cfg.n_theta if p < 2.0 else cfg.n_theta)
 
     def at(x, starts):
+        # One point per start at a time: each point is a circle of values.
         r = x[..., 0]
-        modulus = np.abs(fam.derivative_at(r[..., None] * circle, 0, starts[0]))
-        return omega(r * r) * np.mean(modulus ** p, axis=-1) ** (1.0 / p)
+        means = [np.mean(np.abs(fam.derivative_at(r[:, j, None] * circle, 0, starts[0])) ** p, axis=-1) for j in range(r.shape[1])]
+        return omega(r * r) * np.stack(means, axis=-1) ** (1.0 / p)
 
     i = np.argmax(vals, axis=1)
     ladder = np.concatenate([[0.0], radii, [cfg.r_max]])
@@ -338,12 +339,14 @@ def _bmoa_seminorms(fam: Family, cfg: GridConfig) -> np.ndarray:
     width = 2.0 * np.pi / cfg.n_theta
 
     def at(x, starts):
-        # e^{i m beta} for m = 1 .. modes - 1 as running products of e^{i beta},
-        # one point per start at a time: a line search asks eight at once.
-        out = np.empty(x.shape[:-1])
-        for j in range(x.shape[1]):
-            powers = np.cumprod(np.repeat(np.exp(1j * x[:, j]), modes - 1, axis=-1), axis=-1)
-            out[:, j] = s0[:, 1:][starts] + 2.0 * np.einsum("nm,nm->n", s[starts], powers).real
+        # e^{i m beta}, m = 1 .. modes - 1, as running products of e^{i beta}, for as
+        # many points of each start at once as BLOCK_BYTES holds: a line search asks nine.
+        out, base, series = np.empty(x.shape[:-1]), s0[:, 1:][starts][:, None], s[starts]
+        step = max(1, BLOCK_BYTES // (16 * len(x) * modes))
+        for j in range(0, x.shape[1], step):
+            e = np.exp(1j * x[:, j : j + step])
+            powers = np.cumprod(np.broadcast_to(e, e.shape[:-1] + (modes - 1,)), axis=-1)
+            out[:, j : j + step] = base + 2.0 * np.einsum("nm,njm->nj", series, powers).real
         return out
 
     start = beta0[..., None]

@@ -2,7 +2,7 @@
 
 Every case is strict: a change that fixes one by accident fails the
 suite, and the fix then moves the case into its item's own tests.  The
-first seven are wrong exact verdicts, the other ten wrong outputs that
+first seven are wrong exact verdicts, the other twelve wrong outputs that
 are no verdicts.  Each message gives today's answer beside the truth.
 """
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wcolab import WcoSymbols, check_invertible, check_isometry, multiplier_test, norm, parse_space, seminorm
+from wcolab.analytic_core import Const, Mul
 from wcolab.errors import WcolabError
 from wcolab.minilang import parse_expression
 
@@ -117,6 +118,27 @@ def test_hardy_norm_of_a_polynomial_is_exact(cfg):
 def test_unbounded_symbol_is_no_empirical_multiplier(cfg):
     today = multiplier_test(parse_expression("recip(poly(1.0,-1.0))"), parse_space("besov:2,0"), cfg).status
     assert not today.startswith("Yes"), f"today {today}, truth not a multiplier: 1/(1 - z) is unbounded"
+
+
+# 1 - z^256: a polynomial, so a multiplier of every space here.
+ALIASED_U = "poly(1.0," + "0.0," * 255 + "-1.0)"
+
+
+@ledger("18", "the 256 validation samples alias z^256 to a constant, so the cap 1e3 max |u| reads 0.26, not 2e3")
+def test_multiplier_cap_sees_a_high_power(cfg):
+    today = multiplier_test(parse_expression(ALIASED_U), parse_space("besov:2,0"), cfg)
+    assert today.status.startswith("Yes"), f"today {today.status} with worst ratio {today.measured_constant!r}, truth a multiplier"
+
+
+@ledger("18", "c u is evaluated before the scale 1/s taken from 256 aliased samples, and c u' overflows")
+def test_multiplier_constant_of_a_large_multiple_is_finite(cfg):
+    u = parse_expression(ALIASED_U)
+    space = parse_space("besov:2,0")
+    today = multiplier_test(Mul(Const(1.5e308 / 17.0), u), space, cfg)
+    truth = multiplier_test(u, space, cfg).status
+    assert np.isfinite(today.measured_constant) and today.status == truth, (
+        f"today {today.status} with constant {today.measured_constant!r}, truth a finite constant and u's status {truth}"
+    )
 
 
 @ledger("3", "the sup scan misses the maximum between its radii 0.96875 and 0.984375")

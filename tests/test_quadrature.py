@@ -10,6 +10,7 @@ from wcolab import (
     Poly,
     series,
 )
+from wcolab import analytic_core, quadrature, spaces
 from wcolab.analytic_core import (
     R_MAX,
     Add,
@@ -26,14 +27,18 @@ from wcolab.analytic_core import (
     image_family,
     rotation_map,
 )
-from wcolab.operators import WcoSymbols, apply, default_probe_family
+from wcolab.axiom_harness import harness_family
+from wcolab.errors import DomainError
+from wcolab.operators import WcoSymbols, apply, default_probe_family, monomial
 from wcolab.quadrature import (
     FLAT_WEIGHT,
     _POLISH_CANDIDATES,
     _TOP,
+    _grid_maxima,
     _jacobi01,
     _polish,
     _power_means,
+    _quadratic_means,
     _select_candidates,
     gauss01,
     refined_modulus_sup,
@@ -518,6 +523,220 @@ class TestSupOnOtherGrids:
         assert abs(got - want) <= 1e-12 * want
 
 
+def _full_sweep(family, order, weight, radii, circle):
+    # Every block of the grid swept: each member's maximum and its
+    # _TOP largest values' flat indices (_full_grid_order).
+    values = family.rowwise(radii, circle, order, lambda h, rows: weight[rows] * np.abs(h)).reshape(len(family), -1)
+    return values.max(axis=1), np.array([_full_grid_order(v) for v in values])
+
+
+def _rudin_shapiro(n):
+    # Coefficients +-1 of length n, a power of two, whose polynomial stays
+    # below sqrt(2 n) on the unit circle: sum |c_j| r^j exceeds it about
+    # sqrt(n / 2) times near the circle.
+    p, q = np.ones(1), np.ones(1)
+    while len(p) < n:
+        p, q = np.concatenate([p, q]), np.concatenate([p, -q])
+    return p
+
+
+_HARNESS = as_family(harness_family())
+
+# Each kind of PolyFamily whose weight folds: the default probes and their
+# rotation and Moebius images, and the axiom harness family with its A3
+# and A5 images.
+ROW_SKIP_FAMILIES = {
+    **{
+        name: (lambda name=name: POLISH_FAMILIES[name](as_family(default_probe_family())))
+        for name in ("probes", "rotation images", "involution images")
+    },
+    "harness": lambda: _HARNESS,
+    "harness A3": lambda: image_family(monomial(1), None, _HARNESS),
+    "harness A5": lambda: image_family(None, Moebius(MoebiusMap(-0.7, 1.0)), _HARNESS),
+}
+
+
+class TestRowSkip:
+    """_grid_maxima skips the row blocks that a PolyFamily's Cauchy bounds rule out, and returns the full sweep's answer bitwise."""
+
+    @staticmethod
+    def scan(monkeypatch, family, order, omega, grid):
+        # (_grid_maxima's maxima and candidates, the full sweep's, the first
+        # radius of every block the scan evaluates, and of every block).
+        radii, circle = scan_radii(grid), unit_circle(grid.n_theta)
+        weight = omega(radii[:, None] ** 2)
+        want = _full_sweep(family, order, weight, radii, circle)
+        evaluated = []
+        evaluate = type(family)._evaluate
+        with monkeypatch.context() as m:
+            # circle[0] = 1: a block's first point is its first radius.
+            m.setattr(type(family), "_evaluate", lambda fam, z, *rest: evaluated.append(z[0, 0].real) or evaluate(fam, z, *rest))
+            got = _grid_maxima(family, order, weight, radii, circle)
+        blocks = [radii[rows][0] for rows in family.row_blocks((len(radii), grid.n_theta), order)]
+        return got, want, evaluated, blocks
+
+    @staticmethod
+    def assert_equal(got, want):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(ROW_SKIP_FAMILIES))
+    def test_circle_bounds_hold_every_value(self, cfg, name, order):
+        # Each family has members that reach their bound on the grid up to
+        # its rounding margin, z^k among them.
+        family = ROW_SKIP_FAMILIES[name]()
+        radii, circle = scan_radii(cfg), unit_circle(cfg.n_theta)
+        peaks = family.rowwise(radii, circle, order, lambda h, rows: np.abs(h).max(axis=-1))
+        bounds = family.circle_bounds(radii, order)
+        assert np.all(peaks <= bounds)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.nanmin(bounds / peaks) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["default", "refined"])
+    @pytest.mark.parametrize("text", ["growth:1", "bloch:1", "logbloch:1"])
+    @pytest.mark.parametrize("name", sorted(ROW_SKIP_FAMILIES))
+    def test_maxima_and_candidates_equal_the_full_sweep(self, cfg, monkeypatch, name, text, refined):
+        order, _, _, omega, _ = parse_space(text).shape
+        grid = cfg.refined() if refined else cfg
+        got, want, evaluated, blocks = self.scan(monkeypatch, ROW_SKIP_FAMILIES[name](), order, omega, grid)
+        self.assert_equal(got, want)
+        assert len(evaluated) < len(blocks)
+
+    def test_bloch_probes_skip_blocks_past_their_constant(self, cfg, monkeypatch):
+        # (1 - r^2) |f'| falls toward the circle, where the outer blocks lie
+        # under every member's floor.  The first probe is the constant 1:
+        # its bound is 0 and its floor 0, so only a bound at its floor, whose
+        # values lose the tie to earlier ones, lets a block go.
+        family = as_family(default_probe_family())
+        got, want, evaluated, blocks = self.scan(monkeypatch, family, 1, _power_weight(1.0), cfg)
+        self.assert_equal(got, want)
+        assert not np.any(family.circle_bounds(scan_radii(cfg), 1)[0])
+        assert evaluated == sorted(evaluated) and set(evaluated) < set(blocks)
+        assert blocks[-1] not in evaluated
+
+    def test_overflowing_bound_is_never_skipped(self, cfg, monkeypatch):
+        # 2^1019 times a Rudin-Shapiro polynomial of length 64: its values stay
+        # below 6.4e307, but its coefficient sum overflows near the circle.
+        # Under (1 - t)^20 the outer blocks are skipped at scale 1 and
+        # evaluated at that scale, with the same maxima and candidates.
+        radii, weight = scan_radii(cfg), _power_weight(20.0)
+        runs = {}
+        for scale in (1.0, 2.0**1019):
+            # The derivative matrices of f'' overflow as they are built.
+            with np.errstate(over="ignore"):
+                family = as_family([Poly(tuple(scale * _rudin_shapiro(64))), Poly((0.3, 1.0, 0.5j))])
+            runs[scale] = self.scan(monkeypatch, family, 0, weight, cfg)
+            self.assert_equal(*runs[scale][:2])
+            bounds = family.circle_bounds(radii, 0)
+        (got, _, skipping, blocks), (scaled, _, evaluated, _) = runs.values()
+        outer = radii[np.flatnonzero(~np.isfinite(bounds[0]))]
+        assert len(outer) and np.all(np.isfinite(scaled[0]))
+        unbounded = [b for b, end in zip(blocks, blocks[1:] + [np.inf]) if np.any((outer >= b) & (outer < end))]
+        assert set(unbounded) <= set(evaluated)
+        assert not set(unbounded) & set(skipping)
+        assert scaled[0][0] == 2.0**1019 * got[0][0] and scaled[1].tolist() == got[1].tolist()
+
+    @pytest.mark.parametrize("kind", ["leibniz", "tree"])
+    def test_families_without_bounds_sweep_every_block(self, cfg, monkeypatch, kind):
+        probes = as_family(default_probe_family()[:12])
+        family = {
+            "leibniz": image_family(Recip(Poly((2.0, 1.0))), None, probes),
+            "tree": POLISH_FAMILIES["trees"](probes),
+        }[kind]
+        assert np.all(family.circle_bounds(scan_radii(cfg), 1) == np.inf)
+        got, want, evaluated, blocks = self.scan(monkeypatch, family, 1, _power_weight(1.0), cfg)
+        self.assert_equal(got, want)
+        assert evaluated == blocks
+
+
+# A disk automorphism and a point z0, |z0| < 1, at which its value rounds
+# to modulus 1; and a self-map of the R_MAX circle that leaves the disk
+# at |z| = 1 - 1e-8.
+OFF_DISK_MAP = MoebiusMap(0.24653103717861768 - 0.41438391522503343j, 0.9670770782414161 + 0.25448364336445267j)
+OFF_DISK_POINT = -0.9662591200406879 - 0.2575719568163331j
+LEAVING_INNER = Poly((0.0, 1.0 + 1e-7))
+
+
+# The sweeps over a grid, each of a family at order 1.
+SWEEPS = {
+    "rowwise": lambda fam, radii, circle: fam.rowwise(radii, circle, 1, lambda h, rows: np.abs(h).max(axis=-1)),
+    "grid maxima": lambda fam, radii, circle: _grid_maxima(fam, 1, _power_weight(1.0)(radii[:, None] ** 2), radii, circle),
+    "quadratic means": lambda fam, radii, circle: _quadratic_means(fam, radii, circle, 1),
+}
+
+
+class TestPointChecks:
+    """A sweep checks its grid's outermost circle once; map values and Compose inner values are checked on every evaluation."""
+
+    # The quadratic form is a PolyFamily's alone.
+    @pytest.mark.parametrize(
+        "name, sweep",
+        [(n, s) for n in ("probes", "involution images", "trees") for s in sorted(SWEEPS) if (n, s) != ("trees", "quadratic means")],
+    )
+    def test_one_sweep_checks_its_points_once(self, cfg, monkeypatch, name, sweep):
+        family = POLISH_FAMILIES[name](as_family(default_probe_family()))
+        radii, circle = scan_radii(cfg), unit_circle(cfg.n_theta)
+        assert len(family.row_blocks((len(radii), len(circle)), 1)) > 1
+        checks = []
+        checked = analytic_core._checked_points
+        monkeypatch.setattr(analytic_core, "_checked_points", lambda z, what="evaluation point": checks.append(what) or checked(z, what))
+        SWEEPS[sweep](family, radii, circle)
+        assert checks.count("evaluation point") == 1
+        # The map's values, block by block, under the Moebius map alone.
+        assert set(checks) == {"evaluation point"} | ({"composition inner value"} if name == "involution images" else set())
+
+    @pytest.mark.parametrize(
+        "name, sweep",
+        [(n, s) for n in ("probes", "trees") for s in sorted(SWEEPS) if (n, s) != ("trees", "quadratic means")],
+    )
+    def test_sweep_off_the_disk_raises(self, cfg, name, sweep):
+        # Only the outermost radius leaves the disk, or is NaN.
+        family = POLISH_FAMILIES[name](as_family(default_probe_family()))
+        circle = unit_circle(cfg.n_theta)
+        for outer, message in ((1.0, "lies outside the open unit disk"), (np.nan, "is not finite")):
+            with pytest.raises(DomainError, match=f"^evaluation point {message}$"):
+                SWEEPS[sweep](family, np.append(scan_radii(cfg)[:-1], outer), circle)
+
+    @pytest.mark.parametrize("weight", [None, Recip(Poly((2.0, 1.0)))], ids=["folded", "leibniz"])
+    def test_map_value_off_the_disk_raises_on_every_path(self, weight):
+        family = image_family(weight, Moebius(OFF_DISK_MAP), as_family([Poly((0.5, 1.0, 0.25j)), Poly((0.0, 1.0))]))
+        assert isinstance(family, PolyFamily)
+        z = np.array([OFF_DISK_POINT])
+        assert abs(OFF_DISK_POINT) < 1.0 <= np.abs(OFF_DISK_MAP(z))[0]
+        paths = [
+            lambda: family.derivative(z, 1),
+            lambda: family.derivative_at(np.array([z, z]), 1, [0, 1]),
+            lambda: family.rowwise(np.ones(1), z, 1, lambda h, rows: h),
+            lambda: _grid_maxima(family, 1, np.ones((1, 1)), np.ones(1), z),
+            lambda: _quadratic_means(family, np.ones(1), z, 1),
+        ]
+        for path in paths:
+            with pytest.raises(DomainError, match="^composition inner value lies outside the open unit disk$"):
+                path()
+
+    def test_compose_inner_value_off_the_disk_raises_on_every_path(self):
+        # The inner map passes Compose's check on the R_MAX circle, and
+        # leaves the disk on the circle of radius 1 - 1e-8.
+        family = as_family([Compose(Poly((1.0, 2.0)), LEAVING_INNER), Poly((0.0, 1.0))])
+        assert isinstance(family, TreeFamily)
+        r = 1.0 - 1e-8
+        z = r * unit_circle(64)
+        grid = GridConfig(n_theta=64, r_max=r)
+        paths = [
+            lambda: family.derivative(z, 1),
+            lambda: family.derivative_at(np.array([z, z]), 1, [0, 1]),
+            lambda: family.rowwise(np.array([0.5, r]), unit_circle(64), 1, lambda h, rows: h),
+            lambda: _grid_maxima(family, 1, np.ones((2, 1)), np.array([0.5, r]), unit_circle(64)),
+            lambda: _power_means(family, 1.0, np.array([r]), 64, 1),
+            lambda: refined_modulus_sup(family, 0, FLAT_WEIGHT, grid),
+            lambda: norms(parse_space("hinf"), family, grid),
+        ]
+        for path in paths:
+            with pytest.raises(DomainError, match="^composition inner value lies outside the open unit disk$"):
+                path()
+
+
 class TestPolish:
     def test_interior_maximum_in_one_dimension(self):
         # 2 + sin(3x + c) peaks at 3 where 3x + c = pi/2.
@@ -559,6 +778,59 @@ class TestPolish:
         x = np.full((2, 2), 0.5)
         got = _polish(bump, x, np.zeros_like(x), np.ones_like(x))
         np.testing.assert_allclose(got, [np.exp(-5.0), np.exp(-4.0)], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("weight", ["bloch:1", "flat"])
+    def test_each_newton_step_calls_fn_twice(self, cfg, monkeypatch, weight):
+        # One call for the starts, then per Newton step one for the
+        # difference stencil and one for the full step with its halvings; a
+        # stencil after which no start goes on is the last call.  The 2-D
+        # boxes of bloch:1 take five stencil points per start, the circle's
+        # 1-D boxes of the flat sup two.
+        order, omega, d = (1, _power_weight(1.0), 2) if weight == "bloch:1" else (0, FLAT_WEIGHT, 1)
+        calls, results = [], []
+        real = quadrature._polish
+
+        def counting(fn, x, lo, hi):
+            def counted(points, starts):
+                values = fn(points, starts)
+                calls.append((points.shape[1], set(np.ravel_multi_index(starts, x.shape[:-1]).tolist()), values))
+                return values
+
+            results.append(real(counted, x, lo, hi))
+            return results[-1]
+
+        monkeypatch.setattr(quadrature, "_polish", counting)
+        refined_modulus_sup(as_family(default_probe_family()), order, omega, cfg)
+        [polished] = results
+        sizes = [m for m, _, _ in calls]
+        assert sizes[0] == 1 and len(sizes) >= 3
+        assert sizes[1::2] == [2 * d + d * (d - 1) // 2] * len(sizes[1::2])
+        assert sizes[2::2] == [1 + 8] * len(sizes[2::2])
+        # A line search takes the starts its stencil keeps going, and a
+        # stencil those that the line search before it lifted.
+        assert calls[1][1] == set(range(polished.size))
+        for (_, before, _), (_, after, _) in zip(calls[1:], calls[2:]):
+            assert after <= before
+        start = calls[0][2][:, 0].reshape(polished.shape)
+        finite = np.isfinite(start)
+        assert np.all(polished[finite] >= start[finite])
+
+    @pytest.mark.parametrize("text", ["bmoa", "mixed:2,inf,0.5"])
+    def test_profiles_take_nine_points_per_start(self, cfg, monkeypatch, text):
+        # A line search asks each start's profile at nine points in one call:
+        # the values are those of the points asked one at a time.
+        captured = []
+        real = spaces._polish
+        monkeypatch.setattr(spaces, "_polish", lambda fn, x, lo, hi: captured.append((fn, x, lo, hi)) or real(fn, x, lo, hi))
+        norms(parse_space(text), as_family(default_probe_family()[::4]), cfg)
+        [(fn, x, lo, hi)] = captured
+        ends = (np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape))
+        points = np.linspace(*ends, 9, axis=-2).reshape(-1, 9, x.shape[-1])
+        starts = np.unravel_index(np.arange(len(points)), x.shape[:-1])
+        together = fn(points, starts)
+        assert together.shape == (len(points), 9)
+        alone = np.stack([fn(points[:, j : j + 1], starts)[:, 0] for j in range(9)], axis=-1)
+        np.testing.assert_allclose(together, alone, rtol=1e-15, atol=0.0)
 
 
 class TestTaylorCoefficients:

@@ -564,9 +564,9 @@ class TestBmoaRadialSums:
     def test_polish_evaluates_running_starts_only(self, cfg, monkeypatch):
         # Every call names the starts it evaluates.  A start left out of
         # a difference stencil (two points per start here; a line search
-        # takes one, the full step, or eight, its halvings) has stopped
-        # and is never passed again; the starts still running are a few
-        # of the 47 x 5 after two Newton steps.
+        # takes nine, the full step and its halvings) has stopped and is
+        # never passed again; the starts still running are a few of the
+        # 47 x 5 after two Newton steps.
         from wcolab import spaces
 
         real_polish = spaces._polish
