@@ -412,17 +412,17 @@ class Family:
         """Taylor coefficients at 0 of every member's derivative of the given order, or None.
 
         Row k holds member k's coefficients against z^0, z^1, ...  A
-        PolyFamily answers when its weight has folded away: for the
-        polynomials themselves, c f, F f for a Poly F, and their images
-        under a rotation, the members are polynomials in z; their images
-        c (f o phi) under a Moebius map with a != 0 give their Taylor
-        series, cut where its tail on the closed disk falls below
-        rounding (_series_length), unless that table would exceed
-        BLOCK_BYTES.  Every other family returns None, and is sampled on
-        grids instead.  The n-point angular rule on |z| = r is exact for
-        z^j conj(z)^l with |j - l| < n, so angular means summed from these
-        coefficients equal the sampled ones up to rounding until the
-        degree reaches n; past it the rule aliases and the sums do not.
+        PolyFamily's polynomials, c f, F f for a Poly F, and c f under a
+        rotation answer with polynomials in z.  Other images
+        F (f o phi) give their Taylor series, cut where its tail on the
+        closed disk falls below rounding (_series_length), where F is 1, a
+        constant, or certified by _disk_bounds on a circle of radius above
+        1, unless the table would exceed BLOCK_BYTES.  Every other family
+        returns None, and is sampled on grids instead.  The n-point angular rule on
+        |z| = r is exact for z^j conj(z)^l with |j - l| < n, so angular
+        means summed from these coefficients equal the sampled ones up to
+        rounding until the degree reaches n; past it the rule aliases and
+        the sums do not.
         """
         return None
 
@@ -546,8 +546,9 @@ class PolyFamily(Family):
     unexpanded: powers of w would lose digits as |a| nears 1.  Any other F
     takes Leibniz's rule, (F g)^(n) = sum over k of C(n, k) F^(n-k) g^(k):
     the power table's rows, scaled by each term's factor, are stacked
-    against the matrices of g, ..., g^(n) side by side.  phi's values are
-    checked to lie in the disk, as Compose checks them.
+    against the matrices of g, ..., g^(n) side by side; the images' Taylor
+    series (z_coefficients) are F's series times that of f o phi.  phi's
+    values are checked to lie in the disk, as Compose checks them.
     """
 
     def __init__(self, polys):
@@ -594,16 +595,20 @@ class PolyFamily(Family):
         return _image(self.F, self.phi, self.polys[k])
 
     def z_coefficients(self, order):
-        # The folded images with no map left are polynomials whose matrices
-        # these are; under a map, c (f o phi) = sum over j of c c_j phi^j.
-        if self._weight is not None:
-            return None
-        if self._map is None:
+        # The folded images with no map and no weight left are polynomials
+        # whose matrices these are.  Otherwise c (f o phi) = sum over j of
+        # c c_j w^j, w = z or phi(z), and a weight left to Leibniz's rule
+        # multiplies each power's series by its own.
+        if self._map is None and self._weight is None:
             return self._matrices[order]
-        n = _series_length(abs(self._map.a), self._width, order)
-        if max(len(self), self._width) * n * 16 > BLOCK_BYTES:
+        n = _series_length(0.0 if self._map is None else abs(self._map.a), self._width, order, self._weight)
+        if n is None or max(len(self), self._width) * n * 16 > BLOCK_BYTES:
             return None
-        return _derivative_matrix(self._matrices[0] @ _moebius_powers(self._map, self._width, n), order)
+        basis = np.eye(self._width, n) if self._map is None else _moebius_powers(self._map, self._width, n)
+        if self._weight is not None:
+            weight = series(self._weight, n)
+            basis = np.array([np.convolve(row, weight)[:n] for row in basis])
+        return _derivative_matrix(self._matrices[0] @ basis, order)
 
     def subset(self, members, scales=None):
         # The members' rows of every matrix, times their scales, and the scaled rows' polynomials: the symbols are shared.
@@ -638,24 +643,12 @@ class PolyFamily(Family):
         return factor * (np.abs(C) @ ((radii + s) / (1.0 + s * radii)) ** np.arange(C.shape[1])[:, None])
 
     def _evaluate(self, z, order, members=None):
+        # Member k's derivative of the order at z is matrix[k] against a
+        # table: the powers of w = z or phi(z), stacked once per term of
+        # Leibniz's rule with each term's factor.  Only phi's values are
+        # checked here.
         if order not in (0, 1, 2):
             raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
-        # Fewer table rows than members per point: the factor scales the rows.
-        matrix, table, factor = self.table(z, order, members is None and len(self) > self._matrices[order].shape[1])
-        out = _contract(matrix, table, members)
-        if factor is not None:
-            out *= factor
-        return out
-
-    def table(self, z, order: int, fold: bool = True) -> tuple:
-        """(matrix, table, factor): member k's derivative of the order at z is factor times matrix[k] against table.
-
-        table holds the powers of w = z or phi(z) that the matrix
-        contracts, stacked once per term of Leibniz's rule with each
-        term's factor.  The factor of g' or g'' under a map, phi' or
-        phi' q, scales the rows in place with fold and is returned
-        otherwise; None stands for 1.  Only phi's values are checked here.
-        """
         base = z if self._map is None else _checked_points(self._map(z), "composition inner value")
         powers = _powers(base, self._width)
         # The pointwise factors of g, g' and g'' up to the order: 1, phi' and
@@ -666,13 +659,17 @@ class PolyFamily(Family):
             q = 1.0 / (1.0 - np.conj(a) * z)
             factors[1] = lam * (abs(a) ** 2 - 1.0) * q * q
             factors[2] = factors[1] * q if order == 2 else None
-        F = None if self._weight is None else _derivatives_at(self._weight, z, order)
-        if F is None:
+        if self._weight is None:
             matrix, factor = self._matrices[order], factors[order]
             table = powers[: matrix.shape[1]]
-            if factor is not None and fold:
+            # Fewer table rows than members per point: the factor scales the rows.
+            if factor is not None and members is None and len(self) > matrix.shape[1]:
                 table, factor = np.multiply(table, factor, out=table), None
-            return matrix, table, factor
+            out = _contract(matrix, table, members)
+            if factor is not None:
+                out *= factor
+            return out
+        F = _derivatives_at(self._weight, z, order)
         table = np.empty((self._joined[order].shape[1],) + z.shape, dtype=complex)
         ends = np.cumsum([m.shape[1] for m in self._matrices[:order]])
         for k, rows in enumerate(np.split(table, ends)):
@@ -682,7 +679,7 @@ class PolyFamily(Family):
             if factors[k] is not None:
                 factor = factor * factors[k]
             np.multiply(factor, powers[: len(rows)], out=rows)
-        return self._joined[order], table, None
+        return _contract(self._joined[order], table, members)
 
 
 def _derivative_matrices(coeffs: np.ndarray) -> tuple:
@@ -696,30 +693,86 @@ def _derivative_matrix(coeffs: np.ndarray, order: int) -> np.ndarray:
     return coeffs if order == 0 else coeffs[:, order:] * (n if order == 1 else n * (n - 1))
 
 
-# Circles |z| = rho, equispaced in (1, 1/|a|), on which _series_length
-# bounds the tail of a Moebius image's series.
+# A Recip or Pow is certified where the clearance from 0 or from the cut
+# that it needs exceeds this fraction of the bound: a margin for rounding,
+# as PolyFamily.circle_bounds keeps one, far above the few eps per term by
+# which the sums of _disk_bounds can be off.
+_CERTIFY_MARGIN = 1e-11
+
+
+@np.errstate(all="ignore")
+def _disk_bounds(f: AnalyticExpr, R) -> tuple | None:
+    """Bounds (lo, hi) with lo <= log |f| <= hi on |z| <= R, or None where no rule certifies f.
+
+    Arrays of radii give arrays, NaN where f is not certified; no samples
+    are used.  A Poly lies within |c0| -+ sum over k >= 1 of |c_k| R^k.
+    Recip(h) needs lo_h > -inf, Pow(h, alpha) of a Poly h that tail below
+    c0's distance to the cut (-inf, 0], both by _CERTIFY_MARGIN; Moebius,
+    Compose and other Pows are not certified.  Logarithms keep the bounds
+    of (1 / s) (c u) finite where those of c u overflow.
+    """
+    if isinstance(f, Const):
+        lo = hi = np.full(np.shape(R), np.log(abs(f.value)))
+    elif isinstance(f, Poly) or (isinstance(f, Pow) and isinstance(f.inner, Poly)):
+        c = np.asarray((f if isinstance(f, Poly) else f.inner).coeffs)
+        size = np.abs(c)
+        tail = np.asarray(R, dtype=float)[..., None] ** np.arange(1, len(c)) @ size[1:]
+        lo, hi = np.log(np.maximum(0.0, size[0] - tail)), np.log(size[0] + tail)
+        if isinstance(f, Pow):
+            clear = (size[0] if c[0].real >= 0.0 else abs(c[0].imag)) - tail
+            ends = np.sort([f.exponent * lo, f.exponent * hi], axis=0)
+            lo, hi = np.where(clear > _CERTIFY_MARGIN * (size[0] + tail), ends, np.nan)
+    elif isinstance(f, (Add, Mul)):
+        left, right = _disk_bounds(f.left, R), _disk_bounds(f.right, R)
+        if left is None or right is None:
+            return None
+        (lo, hi), (lo2, hi2) = left, right
+        if isinstance(f, Mul):
+            lo, hi = lo + lo2, hi + hi2
+        else:
+            a, b, a2, b2 = np.exp([lo, hi, lo2, hi2])
+            lo, hi = np.log(np.maximum(0.0, np.maximum(a - b2, a2 - b))), np.log(b + b2)
+    elif isinstance(f, Recip):
+        if (inner := _disk_bounds(f.inner, R)) is None:
+            return None
+        lo, hi = np.where(inner[0] - inner[1] > np.log(_CERTIFY_MARGIN), [-inner[1], -inner[0]], np.nan)
+    else:
+        return None
+    hi = np.where(hi < np.inf, hi, np.nan)
+    return None if np.all(np.isnan(hi)) else (lo, hi)
+
+
+# Circles |z| = rho on which _series_length bounds the tail of an image's
+# series: equispaced in (1, 1/|a|) under a Moebius map, in (1, 4] without.
 _CAUCHY_CIRCLES = 64
 
 
 @functools.lru_cache(maxsize=64)
-def _series_length(s: float, width: int, order: int) -> int:
-    """Terms of the series of f o phi past which its derivative of the order changes by rounding only.
+def _series_length(s: float, width: int, order: int, weight: AnalyticExpr | None = None) -> int | None:
+    """Terms of the series of F (f o phi) past which its derivative of the order changes by rounding only.
 
-    f has the given width, phi is a Moebius map with |a| = s > 0, whose
-    pole is 1/conj(a).  On |z| = rho in (1, 1/s), |phi| peaks at
-    m = (rho - s) / (1 - s rho), so Cauchy's estimate bounds coefficient
-    n of f o phi by m^(width-1) rho^(-n) times the sum of |c_j|, which
-    bounds |f| on the disk.  The derivative's tail on the closed disk
-    is then below N^order rho^(-N) / (1 - ((N + 1) / N)^order / rho) times
-    the same.  N is the least length that takes it below 2^-53 on one of
-    the circles.  On each, N rises from the bound without the order's
-    factors until it meets the bound it gives: N log rho >= 53 log 2
-    keeps ((N + 1) / N)^order below rho^0.06, and the bound moves by
-    under a tenth of a term per term.
+    f has the given width, phi is a Moebius map with |a| = s, the
+    identity for s = 0, and F the weight, 1 for None.  On |z| = rho,
+    |phi| peaks at m = (rho - s) / (1 - s rho) and |F| at hi_F(rho), its
+    _disk_bounds, so Cauchy's estimate bounds coefficient n of the image
+    by hi_F(rho) m^(width-1) rho^(-n) times the sum of |c_j|, and hi_F(1)
+    times that sum bounds it on the disk.  The derivative's tail on the
+    closed disk is below N^order rho^(-N) / (1 - ((N + 1) / N)^order / rho)
+    times the bound on the circle.  N is the least length that takes it
+    below 2^-53 of the bound on the disk on one circle where F is
+    certified, None on none.  On each, N rises from the bound without
+    the order's factors until it meets the bound it gives.
     """
-    rho = 1.0 + (1.0 / s - 1.0) * np.arange(1, _CAUCHY_CIRCLES + 1) / (_CAUCHY_CIRCLES + 1)
-    log_rho = np.log(rho)
+    k = np.arange(1, _CAUCHY_CIRCLES + 1)
+    rho = 1.0 + (1.0 / s - 1.0) * k / (_CAUCHY_CIRCLES + 1) if s else 1.0 + 3.0 * k / _CAUCHY_CIRCLES
     scale = (width - 1) * np.log((rho - s) / (1.0 - s * rho)) + 53.0 * np.log(2.0)
+    if weight is not None:
+        on_circles, on_disk = _disk_bounds(weight, rho), _disk_bounds(weight, 1.0)
+        if on_circles is None or on_disk is None or not np.isfinite(on_disk[1]):
+            return None
+        kept = np.isfinite(on_circles[1])
+        rho, scale = rho[kept], scale[kept] + (on_circles[1][kept] - on_disk[1])
+    log_rho = np.log(rho)
     n = np.ceil(scale / log_rho)
     while True:
         q = ((n + 1.0) / n) ** order / rho

@@ -29,6 +29,7 @@ from .analytic_core import (
     R_MAX,
     Recip,
     ZERO_THRESHOLD,
+    _disk_bounds,
     as_family,
     image_family,
     moebius_from_jet,
@@ -153,11 +154,13 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     verdict of u for every c != 0; the last space's sup is the constant.
     Elsewhere the test is empirical: norm ratios over the default probe
     family, read as ||u f|| = s ||(u / s) f|| with s the power of two at
-    or above max |u| on the validation circle, 2^1023 at most: exact in
-    binary, it keeps the ratios of c * u at |c| times those of u.  They
-    pass below 1e3 times that max |u|, a cap that scales with u, so c * u
-    gets the status of u.  The seed is checked first, whichever branch
-    decides.
+    or above max |u|, 2^1023 at most: exact in binary, it keeps the
+    ratios of c * u at |c| times those of u.  max |u| is read from the
+    bound of u on the closed disk (analytic_core._disk_bounds) where u is
+    certified, which makes it a multiplier of every space here, and from
+    the validation circle otherwise.  The ratios pass below 1e3 times
+    that max |u|, a cap that scales with u, so c * u gets the status of
+    u.  The seed is checked first, whichever branch decides.
     """
     _check_seed(seed)
     if isinstance(u, Const):
@@ -177,7 +180,9 @@ def multiplier_test(u: AnalyticExpr, space: SpaceSpec, cfg: GridConfig, seed: in
     probes = as_family(default_probe_family(seed))
     base = norms(space, probes, cfg)
     kept = base >= 1e-14
-    peak = np.max(np.abs(validation_values(u, "multiplier")))
+    peak = np.exp(bounds[1]) if (bounds := _disk_bounds(u, 1.0)) is not None else np.inf
+    if not peak < np.inf:
+        peak = np.max(np.abs(validation_values(u, "multiplier")))
     s = np.ldexp(1.0, min(np.frexp(peak)[1], 1023))
     ratios = norms(space, image_family(Mul(Const(1.0 / s), u), None, probes), cfg)[kept] / base[kept] * s
     worst = float(np.max(ratios, initial=0.0))

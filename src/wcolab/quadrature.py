@@ -3,10 +3,8 @@
 Everything funnels through a GridConfig: angular trapezoid nodes (exact
 for trigonometric polynomials below the Nyquist degree), Gauss-Legendre
 radial nodes in t = r^2, a Gauss-Jacobi rule for weighted radial
-integrals with an endpoint weight, a refined grid supremum, the
-circle means of |f|^2 of a polynomial family's members, from the Gram
-matrices of the table they contract, and the circle means of |f|^p for
-p < 2, on nested angular rules.
+integrals with an endpoint weight, a refined grid supremum, and the
+circle means of |f|^p for p < 2, on nested angular rules.
 """
 
 from __future__ import annotations
@@ -94,7 +92,10 @@ def weighted_radial_integral(h, exponent: float, cfg: GridConfig) -> float | np.
     The rule runs in r, not t = r^2: Gauss-Jacobi nodes absorb the
     (1-r)^(aq-1) endpoint factor exactly for every aq > 0, and the
     remaining 2 aq r (1+r)^(aq-1) factor is analytic on [0, 1], so
-    convergence is spectral in h.  Working in t instead would turn odd
+    convergence is spectral in h where h is, as M_2(r)^2 of a polynomial
+    is.  For p < 2, M_p(r) is weakly singular at each radius where a zero
+    crosses the circle, and the rule converges algebraically there, about
+    as n_radial^-3 for M_1 of a simple zero.  Working in t instead would turn odd
     circle means like M_1(r) = r into half powers of t and cost the rule
     its accuracy at the origin.  h takes an array of radii and returns
     one profile, or stacked profiles (one row each) for one integral per
@@ -212,60 +213,6 @@ def _grid_maxima(family, order: int, weight: np.ndarray, radii: np.ndarray, circ
     # No block is held for a member with a NaN in every block.
     merge(np.flatnonzero(holding))
     return best, np.take_along_axis(top_idx, np.lexsort((top_idx, -top_vals), axis=1), axis=1)
-
-
-def _quadratic_means(family, radii, circle: np.ndarray, order: int) -> np.ndarray:
-    """M_2(r)^2 at the radii of each member's derivative of the given order, for a PolyFamily.
-
-    Member k's derivative is sum over j of C[k, j] g_j, C the family's
-    matrix and g_j the rows of its table (PolyFamily.table), swept in the
-    family's row blocks.  Each block's Gram matrices G(r)[j, l], the
-    circle means of conj(g_j) g_l, give the quadratic forms
-    (_quadratic_form); a member whose form is not accurate on a block
-    takes its mean there from its values on the same block.
-    """
-    radii = np.asarray(radii, dtype=float)
-    means = np.empty((len(family), len(radii)))
-    _checked_circles(radii, circle)
-
-    def block(rows):
-        # One block's table, freed before the next is built; 1 / n_theta, a
-        # power of two, is exact.
-        C, table, _ = family.table((radii[rows, None] * circle).reshape(1, -1), order)
-        values = table.reshape(len(table), -1, len(circle))
-        conj = np.conjugate(values).transpose(1, 0, 2)
-        gram = np.matmul(conj, values.transpose(1, 2, 0))
-        gram *= 1.0 / len(circle)
-        form, accurate = _quadratic_form(C, gram)
-        redo = np.flatnonzero(~accurate.all(axis=1))
-        if len(redo):
-            own = np.matmul(C[redo], table.reshape(len(table), -1)).reshape((len(redo),) + values.shape[1:])
-            form[redo] = np.mean(np.abs(own) ** 2, axis=-1)
-        means[:, rows] = form
-
-    for rows in family.row_blocks((len(radii), len(circle)), order):
-        block(rows)
-    return means
-
-
-# A quadratic form is accurate where its rounding bound is at most this
-# fraction of it.
-_FORM_RTOL = 1e-13
-
-
-def _quadratic_form(C: np.ndarray, gram: np.ndarray) -> tuple:
-    """Re conj(C[k]) . gram[i] . C[k] for member k at radius i, and where it is accurate.
-
-    The sum's rounding error is at most W eps (sum over j of |C[k, j]|
-    sqrt(G_jj))^2 (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.5, with |G_jl| <= sqrt(G_jj G_ll)), which exceeds the
-    form by far where the basis images are nearly dependent and its
-    terms cancel.  It is accurate where that bound is at most _FORM_RTOL
-    times the form.
-    """
-    form = np.vecdot(C, np.matmul(C, gram.transpose(0, 2, 1))).real.T
-    bound = np.abs(C) @ np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real).T
-    return form, C.shape[1] * np.finfo(float).eps * bound * bound <= _FORM_RTOL * form
 
 
 # A circle mean of _power_means stops at L angles once it is within this

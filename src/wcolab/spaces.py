@@ -7,10 +7,10 @@ translation-invariant seminorm p, the breakdown is exposed.
 
 Angular means are taken on the GridConfig's circles by one route per
 kind of family.  A family with Taylor coefficients (Family.z_coefficients:
-polynomials in z, and Moebius images whose weight folds) sums them for
-its p = 2 means and BMOA's modes of |f'|^2, as the n_theta-point rule
-does up to rounding where it does not alias.  Any other PolyFamily
-takes Gram forms of its own table at p = 2; a tree family is sampled.
+polynomials in z, Moebius images, and images under a weight certified
+on a circle of radius above 1) sums them for its p = 2 means and
+BMOA's modes of |f'|^2, as the n_theta-point rule does up to rounding
+where it does not alias.  Any other family is sampled.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import typing
 
 import numpy as np
 
-from .analytic_core import BLOCK_BYTES, AnalyticExpr, Family, PolyFamily, as_family, unit_circle
+from .analytic_core import BLOCK_BYTES, AnalyticExpr, Family, as_family, unit_circle
 from .errors import ParameterError, ParseError, UnsupportedSpace
 from .quadrature import (
     FLAT_WEIGHT,
     GridConfig,
     _polish,
     _power_means,
-    _quadratic_means,
     gauss01,
     refined_modulus_sup,
     scan_radii,
@@ -205,24 +204,20 @@ class NormBreakdown:
 def _power_mean_profile(fam: Family, p: float, cfg: GridConfig, order: int):
     """Callable radii -> M_p(r)^p of each member's derivative of the given order (0, 1 or 2).
 
-    The family's kind picks the route.  At p = 2 a family with Taylor
-    coefficients (Family.z_coefficients) sums |c_j|^2 r^(2j) by Parseval,
-    the terms that the n_theta-point rule sums up to rounding below degree
-    n_theta; beyond it the rule aliases.  Any other PolyFamily takes the
-    quadratic forms of its own table (quadrature._quadratic_means).  A
-    tree, and every p other than 2, is sampled member by member: on
-    n_theta angles, or for p < 2 by the nested rule of
+    At p = 2 a family with Taylor coefficients (Family.z_coefficients)
+    sums |c_j|^2 r^(2j) by Parseval, the terms that the n_theta-point rule
+    sums up to rounding below degree n_theta; beyond it the rule aliases.
+    Any other family, and every p other than 2, is sampled member by
+    member: on n_theta angles, or for p < 2 by the nested rule of
     quadrature._power_means, up to 4 n_theta where |h|^p needs them.
     """
     if p < 2.0:
         return lambda radii: _power_means(fam, p, radii, cfg.n_theta, order)
-    circle = unit_circle(cfg.n_theta)
     coeffs = fam.z_coefficients(order) if p == 2.0 else None
     if coeffs is not None:
         squares = np.abs(coeffs) ** 2
         return lambda radii: squares @ np.asarray(radii)[None, :] ** (2 * np.arange(squares.shape[1]))[:, None]
-    if p == 2.0 and isinstance(fam, PolyFamily):
-        return lambda radii: _quadratic_means(fam, radii, circle, order)
+    circle = unit_circle(cfg.n_theta)
     return lambda radii: fam.rowwise(radii, circle, order, lambda vals, rows: np.mean(np.abs(vals) ** p, axis=-1))
 
 
@@ -264,10 +259,9 @@ def _bmoa_mode_sums(fam: Family, cfg: GridConfig) -> np.ndarray:
     """acc[a, k, m] = sum over r of pref[a, r] r^m d_m(r) for member k and the nonzero modes m.
 
     d_m(r) is mode m of D(r e^{it}) = |f'|^2 = sum_m d_m(r) e^{imt}.  For
-    a family with Taylor coefficients (Family.z_coefficients: polynomials
-    in z, and Moebius images whose weight folds) with f' = sum_j b_j z^j,
-    d_m(r) = sum_j b_(j+m) conj(b_j) r^(2j+m): the sums are
-    cross-correlations of b against b weighted by sum over r of
+    a family with Taylor coefficients (Family.z_coefficients) with
+    f' = sum_j b_j z^j, d_m(r) = sum_j b_(j+m) conj(b_j) r^(2j+m): the
+    sums are cross-correlations of b against b weighted by sum over r of
     pref[a, r] r^(2(j+m)), products of their FFTs, with no mode at or
     past the width of b.  The real FFT of D on n_theta angles gives
     the same modes, up to rounding, while deg f' <= n_theta / 2; every

@@ -30,11 +30,6 @@ def seeded_polys(count: int, seed: int, max_degree: int = 12) -> tuple:
     return tuple(out)
 
 
-def sampled_quadratic_means(family, radii, circle, order):
-    """The p = 2 circle means of every member from its own values on the grid: the sweep the quadratic form replaces."""
-    return family.rowwise(radii, circle, order, lambda values, rows: np.mean(np.abs(values) ** 2.0, axis=-1))
-
-
 def perfbench_module(name: str):
     """A module of perfbench/, loaded from its file under a name of its own, for reading only."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

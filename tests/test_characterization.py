@@ -35,6 +35,8 @@ from wcolab.quadrature import scan_grid
 from wcolab.spaces import norm, parse_space, seminorm
 
 IDENTITY = Poly((0.0, 1.0))
+# 1 - z^256: a polynomial, so a multiplier of every space here.
+ALIASED_U = Poly((1.0,) + (0.0,) * 255 + (-1.0,))
 
 
 class TestCountZeros:
@@ -185,19 +187,31 @@ class TestMultiplierTest:
         assert 0.0 < v.measured_constant <= 1e3
 
     def test_cap_relative_to_peak(self, cfg):
-        # The cap is 1e3 times max |u| on the validation circle: 2000 + z
-        # passes with ratio 2001.  1 - z^256 is 2.6e-4 at the circle's 256
-        # samples, its 256th roots of unity, but its besov:2,0 norm is 17.
-        space = parse_space("besov:2,0")
-        v = multiplier_test(Poly((2000.0, 1.0)), space, cfg)
+        # The cap is 1e3 times max |u|: 2000 + z passes with ratio 2001.
+        v = multiplier_test(Poly((2000.0, 1.0)), parse_space("besov:2,0"), cfg)
         assert v.status == "Yes_Empirical"
         assert v.measured_constant == pytest.approx(2001.0, rel=1e-12)
-        v = multiplier_test(Poly((1.0,) + (0.0,) * 255 + (-1.0,)), space, cfg)
-        assert v.status == "Inconclusive"
+
+    def test_cap_sees_a_high_power(self, cfg):
+        # 1 - z^256 is 2.6e-4 at the 256 samples of the validation circle,
+        # its 256th roots of unity, which would set a cap of 0.26.  The
+        # bound of a certified u on the closed disk, 2 here, sets it to
+        # 2e3, and the norm ratio 17 passes.
+        v = multiplier_test(ALIASED_U, parse_space("besov:2,0"), cfg)
+        assert v.status == "Yes_Empirical"
         assert v.measured_constant == pytest.approx(17.0, rel=1e-12)
 
+    def test_constant_of_a_large_multiple_is_finite(self, cfg):
+        # c u with c = 1.5e308 / 17 takes the status of u and c times its
+        # constant, although c u' overflows: the series of (1 / s) (c u) is
+        # scaled before any derivative is taken.
+        space = parse_space("besov:2,0")
+        v, unscaled = multiplier_test(Mul(Const(1.5e308 / 17.0), ALIASED_U), space, cfg), multiplier_test(ALIASED_U, space, cfg)
+        assert v.status == unscaled.status == "Yes_Empirical"
+        assert v.measured_constant == pytest.approx(1.5e308 / 17.0 * unscaled.measured_constant, rel=1e-12)
+
     @pytest.mark.parametrize("text", ["besov:2,0", "bmoa"])
-    @pytest.mark.parametrize("u", [Recip(Poly((2.0, 1.0))), Poly((2000.0, 1.0)), Poly((1.0,) + (0.0,) * 255 + (-1.0,))])
+    @pytest.mark.parametrize("u", [Recip(Poly((2.0, 1.0))), Poly((2000.0, 1.0)), ALIASED_U])
     def test_empirical_status_ignores_the_scale_of_u(self, cfg, text, u):
         space = parse_space(text)
         unscaled = multiplier_test(u, space, cfg)

@@ -6,10 +6,12 @@ import pytest
 from wcolab import analytic_core
 from wcolab.analytic_core import (
     R_MAX,
+    Add,
     Compose,
     Const,
     Moebius,
     MoebiusMap,
+    Mul,
     Poly,
     PolyFamily,
     Pow,
@@ -704,16 +706,134 @@ def test_moebius_powers_match_their_convolutions(s):
         assert np.max(np.abs(got - convolved_powers(m, 13, n))) <= 1e-14, order
 
 
-def test_z_coefficients_only_for_folded_weights_within_the_budget():
-    # A weight left to Leibniz's rule, a tree, and a Moebius map whose
-    # series (9,452 terms for f' at |a| = 0.99) would not fit BLOCK_BYTES
-    # give none.
+def test_z_coefficients_only_for_certified_weights_within_the_budget():
+    # A weight whose pole, at 1 / 0.99, lies inside every circle in (1, 4],
+    # a weight with a Moebius node, which no bound certifies, a tree, and
+    # Moebius maps whose series (9,452 terms for f' at |a| = 0.99) would
+    # not fit BLOCK_BYTES, with and without a certified weight, give none.
     fam = as_family(default_probe_family()[::5])
     others = (
-        image_family(Recip(Poly((2.0, 1.0))), None, fam),
-        image_family(Poly((1.0, 0.5)), moebius(0.0), fam),
+        image_family(Recip(Poly((1.0, 0.99))), None, fam),
+        image_family(Recip(Add(Const(2.0), moebius(0.5j))), None, fam),
         TreeFamily(list(fam)),
         image_family(Const(1.0), moebius(0.99j, np.exp(1.9j)), fam),
+        image_family(WEIGHTS["linear weight"], moebius(-0.99), fam),
     )
     for images in others:
         assert all(images.z_coefficients(order) is None for order in (0, 1, 2))
+    # A certified weight, and a Poly weight under a rotation, give them.
+    for images in (image_family(Recip(Poly((2.0, 1.0))), None, fam), image_family(Poly((1.0, 0.5)), moebius(0.0), fam)):
+        assert all(images.z_coefficients(order) is not None for order in (0, 1, 2))
+
+
+# Weights certified on circles of radius above 1: a Recip of a linear
+# polynomial and a Recip of a Pow, the kinds the invertibility workload
+# builds.
+WEIGHTS = {
+    "linear weight": Recip(Poly((2.0, 0.5j))),
+    "deep weight": Mul(Const(0.25), Recip(Pow(Poly((2.5, 0.4 * np.exp(0.7j), 0.3 * np.exp(-1.1j))), 1.5))),
+}
+WEIGHTED_IMAGES = {
+    "linear weight": (WEIGHTS["linear weight"], None),
+    "deep weight": (WEIGHTS["deep weight"], None),
+    "deep weight, a = 0.5": (WEIGHTS["deep weight"], MoebiusMap(0.5, np.exp(1.9j))),
+}
+
+
+def weighted_images(name, fam):
+    F, m = WEIGHTED_IMAGES[name]
+    return image_family(F, None if m is None else Moebius(m), fam)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_IMAGES))
+def test_weighted_images_give_their_taylor_series(cfg, name):
+    # F's series times that of f o phi, summed by Horner's rule on the scan
+    # grid, against the trees, relative to each member's largest modulus
+    # on the grid as for the Moebius images.
+    images = weighted_images(name, as_family(default_probe_family()))
+    z = scan_grid(cfg)[::4]
+    for order in (0, 1, 2):
+        coeffs = images.z_coefficients(order)
+        want = TreeFamily(list(images)).derivative(z, order)
+        scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2), keepdims=True))
+        assert np.all(np.abs(horner(coeffs, z) - want) <= 1e-12 * scale), order
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_IMAGES))
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_weighted_series_drops_only_a_tail_below_rounding(name, order):
+    # The terms past the cut, read from a series twice as long, add up to
+    # less than 2^-53 times the bound of F on the disk times the sum of
+    # |c_j|, which bounds the image on the disk.
+    fam = as_family(default_probe_family())
+    images = weighted_images(name, fam)
+    coeffs = images.z_coefficients(order)
+    n = 2 * (coeffs.shape[1] + order)
+    g = fam._plain[0] if images._map is None else fam._plain[0] @ analytic_core._moebius_powers(images._map, images._width, n)
+    weight = analytic_core.series(images.F, n)
+    longer = analytic_core._derivative_matrix(np.array([np.convolve(row, weight)[:n] for row in g]), order)
+    assert np.max(np.abs(longer[:, : coeffs.shape[1]] - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
+    tail = np.abs(longer[:, coeffs.shape[1] :]).sum(axis=1)
+    on_disk = np.exp(analytic_core._disk_bounds(images.F, 1.0)[1])
+    assert np.all(tail <= 2.0 ** -53 * on_disk * np.abs(fam._plain[0]).sum(axis=1))
+
+
+def random_tree(rng, depth):
+    # A tree of the nodes _disk_bounds covers; every Recip and Pow inner
+    # polynomial has a constant term that its tail on |z| <= 1.3 stays
+    # below, so that it is certified there.
+    def poly(dominant):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c *= rng.uniform(0.1, 0.3) / np.abs(c[1:]).sum()
+        if dominant:
+            c[0] = rng.uniform(1.0, 2.0) * np.exp(1j * rng.uniform(-1.0, 1.0))
+        return Poly(tuple(c))
+
+    kind = rng.integers(6) if depth else rng.integers(2)
+    if kind == 0:
+        return Const(complex(rng.normal(), rng.normal()))
+    if kind == 1:
+        return poly(False)
+    if kind == 2:
+        return Add(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+    if kind == 3:
+        return Mul(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+    if kind == 4:
+        return Recip(poly(True))
+    return Pow(poly(True), rng.uniform(-2.5, 2.5))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_disk_bounds_hold_inside_the_disk(seed):
+    # On 40 radii x 256 angles filling |z| <= R, inside and past the unit
+    # circle, every modulus lies within the bounds, up to rounding.
+    rng = np.random.default_rng(seed)
+    R = 1.3
+    z = np.linspace(0.0, R, 40)[:, None] * unit_circle(256)[None, :]
+    for _ in range(10):
+        f = random_tree(rng, 3)
+        lo, hi = analytic_core._disk_bounds(f, R)
+        modulus = np.abs(analytic_core._derivatives_at(f, z, 0)[0])
+        assert np.exp(lo) * (1.0 - 1e-12) <= modulus.min() and modulus.max() <= np.exp(hi) * (1.0 + 1e-12), f
+        # At an array of radii, the bounds on each, up to rounding.
+        radii = np.array([0.5, 1.0, R])
+        each = np.transpose([analytic_core._disk_bounds(f, r) for r in radii])
+        np.testing.assert_allclose(analytic_core._disk_bounds(f, radii), each, rtol=1e-14, atol=1e-14)
+
+
+def test_disk_bounds_certify_no_pole_cut_or_map():
+    # A pole on the circle, a Pow whose inner values cross the cut
+    # (-inf, 0], a Pow of another tree, a Moebius node and a Compose.
+    for f in (
+        Recip(Poly((1.0, -1.0))),
+        Pow(Poly((-1.0 + 0.1j, 0.5)), 0.5),
+        Pow(Recip(Poly((2.0, 1.0))), 1.5),
+        moebius(0.5j),
+        Compose(Poly((1.0, 0.5)), moebius(0.5j)),
+        Mul(Const(2.0), moebius(0.5j)),
+    ):
+        assert analytic_core._disk_bounds(f, 1.0) is None, f
+    # The pole at 2 of 1 / (2 + z) is inside the circles of radius 2 and 3 alone.
+    lo, hi = analytic_core._disk_bounds(Recip(Poly((2.0, 1.0))), np.array([1.0, 1.5, 2.0, 3.0]))
+    np.testing.assert_allclose(np.exp(hi[:2]), [1.0, 2.0], rtol=1e-15)
+    assert np.all(np.isnan(hi[2:]))

@@ -13,14 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Poly, Recip, as_family, image_family
+from wcolab.analytic_core import _HEAP_KEPT, Const, Moebius, MoebiusMap, Mul, Poly, Pow, Recip, as_family, image_family
 from wcolab.axiom_harness import run_all
 from wcolab.operators import _FIXED_PROBES, default_probe_family
 from wcolab.quadrature import refined_modulus_sup
-from wcolab import spaces
 from wcolab.spaces import _bmoa_seminorms, _power_weight, norms, parse_space, seminorms
-
-from conftest import sampled_quadratic_means
 
 MiB = 1 << 20
 
@@ -90,18 +87,25 @@ def test_tree_family_blocks_hold_one_members_rows_at_a_time(cfg):
     assert traced_peak(lambda: seminorms(parse_space("b1"), trees, cfg)) <= 1.5 * MiB
 
 
-def test_quadratic_form_of_weighted_images_holds_less_than_their_sweep(cfg, monkeypatch):
-    # The images' table for f', 25 rows under Leibniz's rule, is swept in
-    # their row blocks, 2 rows each: 1.1 MiB against the 1.5 MiB of their
-    # own sweep.  Each block's table is freed before the next is built;
-    # held by a loop variable while the next was built, it made 1.8 MiB.
-    # The guard rejects some forms of these images, whose means then come
-    # from the table of the same block.
-    images = image_family(Recip(Poly((1.0, 0.99))), None, as_family(default_probe_family()))
-    besov = parse_space("besov:2,0")
-    form = traced_peak(lambda: norms(besov, images, cfg))
-    monkeypatch.setattr(spaces, "_quadratic_means", sampled_quadratic_means)
-    assert form <= traced_peak(lambda: norms(besov, images, cfg))
+# Weights certified on circles of radius above 1, the number of terms of
+# the series of f' of the 47 probes' images under each, and a bound on
+# the traced peak of their besov:2,0 norms.
+CERTIFIED_WEIGHTS = {
+    "deep weight": (Mul(Const(0.25), Recip(Pow(Poly((2.5, 0.4 * np.exp(0.7j), 0.3 * np.exp(-1.1j))), 1.5))), 69, 0.5 * MiB),
+    "branch point near the circle": (Pow(Poly((1.0, -0.95j)), -2.5), 1156, 2.5 * MiB),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_WEIGHTS))
+def test_series_of_certified_images_hold_their_coefficients_alone(cfg, name):
+    # besov:2,0 norms of the images sum their series: the deep weight's
+    # held 0.21 MiB and the branch point's, whose 47 x 1156 coefficients
+    # alone are 0.83 MiB, 1.95 MiB.  The sampled sweep of either held 1.5
+    # MiB, and the quadratic form that the series replace 1.1 MiB.
+    weight, terms, bound = CERTIFIED_WEIGHTS[name]
+    images = image_family(weight, None, as_family(default_probe_family()))
+    assert images.z_coefficients(1).shape == (47, terms)
+    assert traced_peak(lambda: norms(parse_space("besov:2,0"), images, cfg)) <= bound
 
 
 def test_traced_peak_sees_numpy_buffers():

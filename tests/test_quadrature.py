@@ -38,7 +38,6 @@ from wcolab.quadrature import (
     _jacobi01,
     _polish,
     _power_means,
-    _quadratic_means,
     _select_candidates,
     gauss01,
     refined_modulus_sup,
@@ -662,18 +661,13 @@ LEAVING_INNER = Poly((0.0, 1.0 + 1e-7))
 SWEEPS = {
     "rowwise": lambda fam, radii, circle: fam.rowwise(radii, circle, 1, lambda h, rows: np.abs(h).max(axis=-1)),
     "grid maxima": lambda fam, radii, circle: _grid_maxima(fam, 1, _power_weight(1.0)(radii[:, None] ** 2), radii, circle),
-    "quadratic means": lambda fam, radii, circle: _quadratic_means(fam, radii, circle, 1),
 }
 
 
 class TestPointChecks:
     """A sweep checks its grid's outermost circle once; map values and Compose inner values are checked on every evaluation."""
 
-    # The quadratic form is a PolyFamily's alone.
-    @pytest.mark.parametrize(
-        "name, sweep",
-        [(n, s) for n in ("probes", "involution images", "trees") for s in sorted(SWEEPS) if (n, s) != ("trees", "quadratic means")],
-    )
+    @pytest.mark.parametrize("name, sweep", [(n, s) for n in ("probes", "involution images", "trees") for s in sorted(SWEEPS)])
     def test_one_sweep_checks_its_points_once(self, cfg, monkeypatch, name, sweep):
         family = POLISH_FAMILIES[name](as_family(default_probe_family()))
         radii, circle = scan_radii(cfg), unit_circle(cfg.n_theta)
@@ -686,10 +680,7 @@ class TestPointChecks:
         # The map's values, block by block, under the Moebius map alone.
         assert set(checks) == {"evaluation point"} | ({"composition inner value"} if name == "involution images" else set())
 
-    @pytest.mark.parametrize(
-        "name, sweep",
-        [(n, s) for n in ("probes", "trees") for s in sorted(SWEEPS) if (n, s) != ("trees", "quadratic means")],
-    )
+    @pytest.mark.parametrize("name, sweep", [(n, s) for n in ("probes", "trees") for s in sorted(SWEEPS)])
     def test_sweep_off_the_disk_raises(self, cfg, name, sweep):
         # Only the outermost radius leaves the disk, or is NaN.
         family = POLISH_FAMILIES[name](as_family(default_probe_family()))
@@ -709,7 +700,6 @@ class TestPointChecks:
             lambda: family.derivative_at(np.array([z, z]), 1, [0, 1]),
             lambda: family.rowwise(np.ones(1), z, 1, lambda h, rows: h),
             lambda: _grid_maxima(family, 1, np.ones((1, 1)), np.ones(1), z),
-            lambda: _quadratic_means(family, np.ones(1), z, 1),
         ]
         for path in paths:
             with pytest.raises(DomainError, match="^composition inner value lies outside the open unit disk$"):
